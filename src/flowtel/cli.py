@@ -188,7 +188,10 @@ def load_scenario(
         p = Path(path_or_preset)
         if not p.exists():
             raise ScenarioError(f"scenario: no such file or preset {path_or_preset!r}")
-        doc = json.loads(p.read_text())
+        try:
+            doc = json.loads(p.read_text())
+        except json.JSONDecodeError as e:
+            raise ScenarioError(f"scenario file {p}: malformed JSON: {e}") from e
         if seed is not None:
             doc["seed"] = seed
         spec, cfg = scenario_from_dict(doc)

@@ -33,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import MAX_QFI, NS_PER_S, Color, FlowKey, PacketEvent, window_index
+from .core import MAX_QFI, NS_PER_S, QFI_BITS, Color, FlowKey, PacketEvent, window_index
 
 
 class ScenarioError(ValueError):
@@ -111,6 +111,11 @@ class GroundTruthLabel:
     scope: tuple  # ("flow", teid, qfi) or ("qfi", qfi)
 
 
+def flow_codes(teid: np.ndarray, qfi: np.ndarray) -> np.ndarray:
+    """Per-packet FlowKey.code() of teid/qfi columns."""
+    return (teid.astype(np.uint64) << np.uint64(QFI_BITS)) | qfi.astype(np.uint64)
+
+
 @dataclass
 class ArrivalBatch:
     """Pre-queue arrivals, ordered by (time, flow code, per-flow sequence)."""
@@ -126,7 +131,7 @@ class ArrivalBatch:
         return len(self.arrival_ns)
 
     def codes(self) -> np.ndarray:
-        return (self.teid.astype(np.uint64) << np.uint64(6)) | self.qfi.astype(np.uint64)
+        return flow_codes(self.teid, self.qfi)
 
 
 @dataclass
@@ -147,7 +152,7 @@ class DeliveredBatch:
         return len(self.arrival_ns)
 
     def codes(self) -> np.ndarray:
-        return (self.teid.astype(np.uint64) << np.uint64(6)) | self.qfi.astype(np.uint64)
+        return flow_codes(self.teid, self.qfi)
 
     def depart_ns(self) -> np.ndarray:
         return self.arrival_ns + self.sojourn_ns
@@ -310,11 +315,13 @@ def _sizes(rng, fl: FlowSpec, n: int) -> np.ndarray:
     return rng.integers(fl.bytes_min, fl.bytes_max + 1, size=n).astype(np.int64)
 
 
-def _make_batch(parts: list[tuple]) -> ArrivalBatch:
+def _sorted_parts(parts: list[tuple]) -> tuple[ArrivalBatch, np.ndarray]:
+    """Rows of all parts ordered by (time, flow code, index within the part),
+    ties kept in part order, together with each row's index within its part."""
     if not parts:
         empty = np.empty(0, dtype=np.int64)
         return ArrivalBatch(empty, empty, empty, empty,
-                            np.empty(0, dtype=bool), np.empty(0, dtype=bool))
+                            np.empty(0, dtype=bool), np.empty(0, dtype=bool)), empty
     teid = np.concatenate([p[0] for p in parts])
     qfi = np.concatenate([p[1] for p in parts])
     byt = np.concatenate([p[2] for p in parts])
@@ -322,9 +329,13 @@ def _make_batch(parts: list[tuple]) -> ArrivalBatch:
     mon = np.concatenate([p[4] for p in parts])
     inj = np.concatenate([p[5] for p in parts])
     seq = np.concatenate([np.arange(len(p[0]), dtype=np.int64) for p in parts])
-    code = (teid.astype(np.uint64) << np.uint64(6)) | qfi.astype(np.uint64)
-    order = np.lexsort((seq, code, arr))
-    return ArrivalBatch(teid[order], qfi[order], byt[order], arr[order], mon[order], inj[order])
+    order = np.lexsort((seq, flow_codes(teid, qfi), arr))
+    batch = ArrivalBatch(teid[order], qfi[order], byt[order], arr[order], mon[order], inj[order])
+    return batch, seq[order]
+
+
+def _make_batch(parts: list[tuple]) -> ArrivalBatch:
+    return _sorted_parts(parts)[0]
 
 
 def _flow_part(fl: FlowSpec, times: np.ndarray, rng, injected: bool) -> tuple:
@@ -357,16 +368,20 @@ def generate_traffic(spec: ScenarioSpec) -> ArrivalBatch:
 def inject_anomaly(
     batch: ArrivalBatch, ev: AnomalyEvent, spec: ScenarioSpec, anomaly_idx: int = 0
 ) -> ArrivalBatch:
-    """Overlay one anomaly on an arrival stream; anomalies compose additively."""
+    """Overlay one anomaly on an arrival stream; anomalies compose additively.
+
+    ``batch`` must be in ArrivalBatch order. The result is ordered as if the
+    stream and the anomaly's new parts were concatenated and sorted by (time,
+    flow code, sequence), where a stream row's sequence is its position, a new
+    row's is its index within its part, and full ties keep the stream first.
+    """
     if ev.duration_s <= 0:
         return batch
     rng = _anomaly_rng(spec.seed, anomaly_idx)
     start_ns = int(ev.start_s * NS_PER_S)
     end_ns = int(ev.end_s * NS_PER_S)
     flows_by_key = {fl.key: fl for fl in spec.flows}
-    parts = [
-        (batch.teid, batch.qfi, batch.bytes, batch.arrival_ns, batch.monitored, batch.injected)
-    ]
+    parts = []
 
     if ev.kind is AnomalyKind.MICROBURST:
         for key in ev.target_flows:
@@ -409,17 +424,54 @@ def inject_anomaly(
             parts.append(_flow_part(cross, times, rng, injected=True))
 
     elif ev.kind is AnomalyKind.POLICY_ABUSE:
-        # remap the target flows' class in place: same tunnel, higher priority
-        qfi = batch.qfi.copy()
-        inj = batch.injected.copy()
-        in_window = (batch.arrival_ns >= start_ns) & (batch.arrival_ns < end_ns)
-        for key in ev.target_flows:
-            mask = in_window & (batch.teid == key.teid) & (batch.qfi == key.qfi)
-            qfi[mask] = ev.remapped_qfi
-            inj[mask] = True
-        parts = [(batch.teid, qfi, batch.bytes, batch.arrival_ns, batch.monitored, inj)]
+        return _remap_class(batch, ev, start_ns, end_ns)
 
-    return _make_batch(parts)
+    return _insert_rows(batch, *_sorted_parts(parts)) if parts else batch
+
+
+def _insert_rows(batch: ArrivalBatch, new: ArrivalBatch, new_seq: np.ndarray) -> ArrivalBatch:
+    """Merge sorted new rows (with their in-part sequence) into a sorted batch."""
+    arr = batch.arrival_ns
+    pos = np.searchsorted(arr, new.arrival_ns, side="left")
+    group_end = np.searchsorted(arr, new.arrival_ns, side="right")
+    # Inside a group of equal arrival times the batch is ordered by (code,
+    # position), so the batch rows that precede a new row form a prefix: those
+    # whose (code, position) is <= the new row's (code, sequence).
+    tied = np.flatnonzero(group_end > pos)
+    if len(tied):
+        new_code = new.codes()[tied]
+        seq = new_seq[tied]
+        first, last = pos[tied], group_end[tied]
+        before = np.zeros(len(tied), dtype=np.int64)
+        for k in range(int((last - first).max())):
+            row = first + k
+            live = row < last
+            row = np.where(live, row, first)
+            c = flow_codes(batch.teid[row], batch.qfi[row])
+            before += live & ((c < new_code) | ((c == new_code) & (row <= seq)))
+        pos[tied] += before
+    return ArrivalBatch(*(
+        np.insert(getattr(batch, name), pos, getattr(new, name))
+        for name in ("teid", "qfi", "bytes", "arrival_ns", "monitored", "injected")
+    ))
+
+
+def _remap_class(batch: ArrivalBatch, ev: AnomalyEvent, start_ns: int, end_ns: int) -> ArrivalBatch:
+    """Move the target flows' packets inside [start, end) to ``ev.remapped_qfi``
+    (same tunnel, another class) and restore the order of that time slice."""
+    lo, hi = np.searchsorted(batch.arrival_ns, [start_ns, end_ns], side="left")
+    win = slice(lo, hi)
+    qfi = batch.qfi.copy()
+    inj = batch.injected.copy()
+    for key in ev.target_flows:
+        mask = (batch.teid[win] == key.teid) & (batch.qfi[win] == key.qfi)
+        qfi[win][mask] = ev.remapped_qfi
+        inj[win][mask] = True
+    # a stable sort keeps equal (time, code) rows in position order
+    order = np.arange(len(batch))
+    order[win] = lo + np.lexsort((flow_codes(batch.teid[win], qfi[win]), batch.arrival_ns[win]))
+    return ArrivalBatch(batch.teid[order], qfi[order], batch.bytes[order],
+                        batch.arrival_ns[order], batch.monitored[order], inj[order])
 
 
 def inject_all(batch: ArrivalBatch, spec: ScenarioSpec) -> ArrivalBatch:
@@ -496,26 +548,39 @@ def run_queues(batch: ArrivalBatch, spec: ScenarioSpec) -> tuple[DeliveredBatch,
         bad = int(batch.qfi[pkt_qid < 0][0])
         raise ScenarioError(f"qfi_to_qid: stream contains unmapped qfi {bad}")
 
+    # per-queue state in lists indexed by position in sorted qids; tier index
+    # len(rings) holds the weight-0 queues, which no ring serves
     qids = sorted(spec.queue_policy)
     tiers: dict[int, list[int]] = {}
-    for q in qids:
+    for j, q in enumerate(qids):
         pol = spec.queue_policy[q]
         if pol.weight > 0:
-            tiers.setdefault(pol.tier, []).append(q)
-    tier_order = sorted(tiers)
-    rings = {t: tiers[t] for t in tier_order}
-    ring_pos = {t: 0 for t in tier_order}
-    granted = {t: False for t in tier_order}
-    deficit = {q: 0.0 for q in qids}
-    quantum = {q: spec.queue_policy[q].weight * _DRR_QUANTUM_BYTES for q in qids}
-    buffers = {q: spec.queue_policy[q].buffer_pkts for q in qids}
-    ns_per_byte = {q: 8 * NS_PER_S / spec.queue_policy[q].service_rate_bps for q in qids}
-    queues: dict[int, deque] = {q: deque() for q in qids}
+            tiers.setdefault(pol.tier, []).append(j)
+    rings = [tiers[t] for t in sorted(tiers)]
+    n_tiers = len(rings)
+    ring_pos = [0] * n_tiers
+    granted = [False] * n_tiers
+    pending = [0] * (n_tiers + 1)  # queued packets per tier
+    tier_of = [n_tiers] * len(qids)
+    for ti, ring in enumerate(rings):
+        for j in ring:
+            tier_of[j] = ti
+    deficit = [0.0] * len(qids)
+    quantum = [spec.queue_policy[q].weight * _DRR_QUANTUM_BYTES for q in qids]
+    buffers = [spec.queue_policy[q].buffer_pkts for q in qids]
+    ns_per_byte = [8 * NS_PER_S / spec.queue_policy[q].service_rate_bps for q in qids]
+    queues = [deque() for _ in qids]
 
-    meters: dict[tuple[int, int], _Trtcm] = {}
-    for key, m in spec.meters.items():
-        meters[(key.teid, key.qfi)] = _Trtcm(m)
-    default_meter = spec.default_meter
+    # one slot per flow code: its meter (or None) and its queue
+    codes, slot = np.unique(batch.codes(), return_inverse=True)
+    meters = {key.code(): m for key, m in spec.meters.items()}
+    dense = {q: j for j, q in enumerate(qids)}
+    slot_meter = []
+    slot_queue = []
+    for code in map(int, codes):
+        m = meters.get(code, spec.default_meter)
+        slot_meter.append(None if m is None else _Trtcm(m))
+        slot_queue.append(dense[int(qid_of_qfi[code & MAX_QFI])])
 
     arrival = batch.arrival_ns
     sizes = batch.bytes
@@ -524,6 +589,10 @@ def run_queues(batch: ArrivalBatch, spec: ScenarioSpec) -> tuple[DeliveredBatch,
 
     sojourn = np.full(n, -1, dtype=np.int64)
     color = np.zeros(n, dtype=np.int8)
+    # per-packet reads and writes go through memoryviews, which yield and take
+    # Python ints where numpy indexing would build a scalar object each time
+    arrival_v, sizes_v, slot_v = memoryview(arrival), memoryview(sizes), memoryview(slot)
+    sojourn_v, color_v = memoryview(sojourn), memoryview(color)
     backlog = 0
 
     drop_idx: list[int] = []
@@ -531,59 +600,59 @@ def run_queues(batch: ArrivalBatch, spec: ScenarioSpec) -> tuple[DeliveredBatch,
 
     def begin_service(start_ns: int) -> int:
         nonlocal backlog
-        for t in tier_order:
-            ring = rings[t]
-            if not any(queues[q] for q in ring):
+        for ti in range(n_tiers):
+            if not pending[ti]:
                 continue
+            ring = rings[ti]
+            pos = ring_pos[ti]
             while True:
-                q = ring[ring_pos[t]]
+                q = ring[pos]
                 queue = queues[q]
                 if queue:
                     head = queue[0]
-                    need = sizes[head]
-                    if not granted[t]:
+                    need = sizes_v[head]
+                    if not granted[ti]:
                         deficit[q] += quantum[q]
-                        granted[t] = True
+                        granted[ti] = True
                     if deficit[q] >= need:
                         deficit[q] -= need
                         queue.popleft()
                         backlog -= 1
+                        pending[ti] -= 1
+                        ring_pos[ti] = pos
                         tx = int(math.ceil(need * ns_per_byte[q]))
                         depart = start_ns + max(tx, 1)
-                        sojourn[head] = depart - arrival[head]
+                        sojourn_v[head] = depart - arrival_v[head]
                         return depart
                 else:
                     deficit[q] = 0.0
-                granted[t] = False
-                ring_pos[t] = (ring_pos[t] + 1) % len(ring)
+                granted[ti] = False
+                pos = (pos + 1) % len(ring)
         raise RuntimeError("begin_service called with empty backlog")
 
     free_at = 0
     for i in range(n):
-        t = int(arrival[i])
+        t = arrival_v[i]
         while backlog and free_at < t:
             free_at = begin_service(free_at)
-        size = int(sizes[i])
-        meter_key = (int(teid_arr[i]), int(qfi_arr[i]))
-        meter = meters.get(meter_key)
-        if meter is None and default_meter is not None:
-            meter = meters[meter_key] = _Trtcm(default_meter)
+        s = slot_v[i]
+        meter = slot_meter[s]
         if meter is not None:
-            c = meter.mark(t, size)
-        else:
-            c = 0
-        if c == 2:
-            drop_idx.append(i)
-            drop_reason.append(DROP_METER)
-            continue
-        color[i] = c
-        q = int(pkt_qid[i])
-        if len(queues[q]) >= buffers[q]:
+            c = meter.mark(t, sizes_v[i])
+            if c == 2:
+                drop_idx.append(i)
+                drop_reason.append(DROP_METER)
+                continue
+            color_v[i] = c
+        q = slot_queue[s]
+        queue = queues[q]
+        if len(queue) >= buffers[q]:
             drop_idx.append(i)
             drop_reason.append(DROP_OVERFLOW)
             continue
-        queues[q].append(i)
+        queue.append(i)
         backlog += 1
+        pending[tier_of[q]] += 1
         if free_at <= t:
             free_at = begin_service(t)
     while backlog:

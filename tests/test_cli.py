@@ -77,6 +77,15 @@ def test_invalid_scenario_exits_2_with_field_diagnostic(tmp_path, capsys):
     assert "qfi_to_qid" in capsys.readouterr().err
 
 
+def test_malformed_scenario_json_exits_2_naming_the_file(tmp_path, capsys):
+    scenario = tmp_path / "broken.json"
+    scenario.write_text('{"duration_s": 6.0, "seed": ')
+    rc = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "broken.json" in err and "malformed JSON" in err
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # missing required flags

@@ -1,17 +1,23 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from flowtel.core import FlowKey
+from flowtel.core import NS_PER_S, FlowKey
 from flowtel.simulator import (
     AnomalyEvent,
     AnomalyKind,
+    ArrivalBatch,
     FlowSpec,
     MeterSpec,
     QueuePolicy,
     ScenarioError,
     ScenarioSpec,
     TrafficPattern,
+    _make_batch,
     generate_traffic,
+    inject_all,
     inject_anomaly,
     label_windows,
     run_queues,
@@ -161,6 +167,23 @@ def test_trtcm_double_pir_drops_half():
     assert (delivered.color > 0).mean() == pytest.approx(0.5, abs=0.02)  # yellow share
 
 
+def test_default_meter_gives_each_flow_its_own_bucket():
+    a, b = FlowKey(5, 1), FlowKey(6, 1)
+    flows = [FlowSpec(k, TrafficPattern.CBR, 10_000.0, 500, 500) for k in (a, b)]
+    meter = MeterSpec(cir_bps=10e6, cbs_bytes=5000, pir_bps=20e6, pbs_bytes=10_000)
+    shared = replace(one_queue_spec(flows, duration_s=2.0, rate_bps=1e9), default_meter=meter)
+    delivered, drops = run_queues(generate_traffic(shared), shared)
+    for teid in (5, 6):
+        n = int((delivered.teid == teid).sum() + (drops.teid == teid).sum())
+        # each flow offers double its own PIR; one shared bucket would drop 3/4
+        assert (drops.teid == teid).sum() / n == pytest.approx(0.5, abs=0.02)
+    explicit = one_queue_spec(flows, duration_s=2.0, rate_bps=1e9, meters={a: meter, b: meter})
+    delivered_x, drops_x = run_queues(generate_traffic(explicit), explicit)
+    assert np.array_equal(drops.time_ns, drops_x.time_ns)
+    assert np.array_equal(drops.teid, drops_x.teid)
+    assert np.array_equal(delivered.color, delivered_x.color)
+
+
 def test_conservation_per_flow():
     flows = [
         FlowSpec(FlowKey(i, 1), TrafficPattern.POISSON, 8000.0, 200, 1400) for i in (1, 2, 3)
@@ -293,6 +316,82 @@ def test_policy_abuse_qfi_aggregate_moves_less_than_culprit():
     qfi_change = qfi_abuse / qfi_clean
     assert culprit_change > 1.5  # meter escape roughly doubles delivery
     assert qfi_change - 1 < culprit_change - 1  # aggregate moves less
+
+
+ARRIVAL_COLUMNS = ("teid", "qfi", "bytes", "arrival_ns", "monitored", "injected")
+
+
+def sequential_lexsort_inject_all(batch: ArrivalBatch, spec: ScenarioSpec, ties: Counter):
+    """Reference definition of inject_all: per anomaly, concatenate the stream
+    (sequence = position) with the anomaly's rows (sequence = index within the
+    flow's part) and re-sort all of it with one stable lexsort by (time, flow
+    code, sequence). Counts the ties the order depends on."""
+    for idx, ev in enumerate(spec.anomalies):
+        cols = {c: getattr(batch, c) for c in ARRIVAL_COLUMNS}
+        seq, is_new = np.arange(len(batch)), np.zeros(len(batch), dtype=bool)
+        if ev.kind is AnomalyKind.POLICY_ABUSE:
+            t = batch.arrival_ns
+            in_window = (t >= int(ev.start_s * NS_PER_S)) & (t < int(ev.end_s * NS_PER_S))
+            cols["qfi"], cols["injected"] = batch.qfi.copy(), batch.injected.copy()
+            for key in ev.target_flows:
+                m = in_window & (batch.teid == key.teid) & (batch.qfi == key.qfi)
+                cols["qfi"][m], cols["injected"][m] = ev.remapped_qfi, True
+        else:
+            # the anomaly's own rows; each flow code comes from one part here
+            new = inject_anomaly(_make_batch([]), ev, spec, anomaly_idx=idx)
+            new_seq = np.zeros(len(new), dtype=np.int64)
+            for code in np.unique(new.codes()):
+                m = new.codes() == code
+                new_seq[m] = np.arange(np.count_nonzero(m))
+            cols = {c: np.concatenate([cols[c], getattr(new, c)]) for c in ARRIVAL_COLUMNS}
+            seq = np.concatenate([seq, new_seq])
+            is_new = np.concatenate([is_new, np.ones(len(new), dtype=bool)])
+        code = (cols["teid"] << 6) | cols["qfi"]
+        order = np.lexsort((seq, code, cols["arrival_ns"]))
+        t, k, s, f = cols["arrival_ns"][order], code[order], seq[order], is_new[order]
+        same = (t[1:] == t[:-1]) & (k[1:] == k[:-1])
+        ties["time"] += int(np.sum((t[1:] == t[:-1]) & (k[1:] != k[:-1])))
+        ties["new_first"] += int(np.sum(same & f[:-1] & ~f[1:]))
+        ties["stream_first"] += int(np.sum(same & ~f[:-1] & f[1:]))
+        ties["full_key"] += int(np.sum(same & (f[:-1] != f[1:]) & (s[1:] == s[:-1])))
+        if ev.kind is AnomalyKind.POLICY_ABUSE:
+            old_qfi = batch.qfi[order]
+            ties["remapped_together"] += int(np.sum(same & (old_qfi[1:] != old_qfi[:-1])))
+        batch = ArrivalBatch(*(cols[c][order] for c in ARRIVAL_COLUMNS))
+    return batch
+
+
+def test_inject_all_keeps_the_sequential_lexsort_tie_order():
+    # 10 ns CBR flows under a 1 ns burst, Poisson overload and 5 ns cross
+    # traffic: packets of one flow, of several flows and of new and old rows
+    # meet at the same nanosecond; then two flows are remapped into one class.
+    a, b, c = FlowKey(1, 5), FlowKey(1, 3), FlowKey(1, 4)
+    us = 1e-6
+    spec = ScenarioSpec(
+        duration_s=10 * us, seed=2,
+        flows=tuple(FlowSpec(k, TrafficPattern.CBR, 1e8, 100, 100) for k in (a, b, c)),
+        qfi_to_qid={2: 0, 3: 0, 4: 0, 5: 0},
+        queue_policy={0: QueuePolicy(tier=0, weight=1, service_rate_bps=1e12, buffer_pkts=10)},
+        anomalies=(
+            AnomalyEvent(AnomalyKind.MICROBURST, 2 * us, 4 * us, target_flows=(a,),
+                         burst_factor=11.0),
+            AnomalyEvent(AnomalyKind.CONGESTION, 1 * us, 6 * us, target_qfis=(4,)),
+            AnomalyEvent(AnomalyKind.CONTENTION, 3 * us, 3 * us, target_qfis=(3,),
+                         cross_qfis=(5, 3), cross_rate_pps=2e8, cross_bytes=200,
+                         cross_period_ms=0.002),
+            AnomalyEvent(AnomalyKind.POLICY_ABUSE, 4 * us, 3 * us, target_flows=(a, b),
+                         remapped_qfi=2),
+        ),
+    )
+    base = generate_traffic(spec)
+    ties = Counter()
+    expected = sequential_lexsort_inject_all(base, spec, ties)
+    got = inject_all(base, spec)
+    for col in ARRIVAL_COLUMNS:
+        assert np.array_equal(getattr(got, col), getattr(expected, col)), col
+    # the fixture really exercises every tie rule
+    assert ties["time"] > 0 and ties["new_first"] > 0 and ties["stream_first"] > 0
+    assert ties["full_key"] > 0 and ties["remapped_together"] > 0
 
 
 def test_overlapping_anomalies_compose():
