@@ -25,6 +25,7 @@ threshold, and time-to-first-detection per anomaly instance.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -98,11 +99,15 @@ class DetectionOutcome:
     detector: str
 
 
-def _fracs(counts: np.ndarray) -> tuple:
-    total = counts.sum()
-    if total <= 0:
-        return tuple(0.0 for _ in counts)
-    return tuple(float(c) / float(total) for c in counts)
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den in float64, 0.0 where den is 0 (the same doubles as
+    float(num) / float(den) element by element)."""
+    return np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=den > 0)
+
+
+def _fracs(counts: np.ndarray) -> np.ndarray:
+    """Shares of each count in its row (last axis); an all-zero row gives 0.0."""
+    return _ratio(counts, counts.sum(axis=-1, keepdims=True))
 
 
 def extract_sketch_features(
@@ -118,55 +123,44 @@ def extract_sketch_features(
     Keys outside the registered set still produce estimates (the sketch
     answers any key) but are flagged unregistered.
     """
-    fvs: list[FeatureVector] = []
     by_qid: dict[int, list[FlowKey]] = {}
     for k in keys:
         by_qid.setdefault(qfi_to_qid[k.qfi], []).append(k)
-    teids_per_qfi: dict[int, int] = {}
-    raw: list[tuple[FlowKey, dict]] = []
-    for qid, qkeys in sorted(by_qid.items()):
-        sk = sketches[qid]
-        codes = np.array([k.code() for k in qkeys], dtype=np.uint64)
-        est = sk.query_flows(codes, region)
-        for i, k in enumerate(qkeys):
-            pkt = int(est["pkt"][i])
-            if pkt > 0:
-                teids_per_qfi[k.qfi] = teids_per_qfi.get(k.qfi, 0) + 1
-            raw.append(
-                (
-                    k,
-                    {
-                        "pkt": pkt,
-                        "bytes": int(est["bytes"][i]),
-                        "lat": est["lat"][i],
-                        "iat": est["iat"][i],
-                        "color": est["color"][i],
-                        "diag": int(est["diag"][i]),
-                    },
-                )
-            )
-    tail = sorted(region.lat_tail_bins)
-    head = sorted(region.iat_head_bins)
-    for k, e in raw:
-        lat_total = e["lat"].sum()
-        iat_total = e["iat"].sum()
-        fvs.append(
-            FeatureVector(
-                scope=("flow", k.teid, k.qfi),
-                window=window,
-                mode="sketch",
-                pkts=float(e["pkt"]),
-                bytes=float(e["bytes"]),
-                diag_pkts=float(e["diag"]),
-                tail_frac=float(e["lat"][tail].sum() / lat_total) if lat_total else 0.0,
-                head_frac=float(e["iat"][head].sum() / iat_total) if iat_total else 0.0,
-                lat_fracs=_fracs(e["lat"]),
-                iat_fracs=_fracs(e["iat"]),
-                color_fracs=_fracs(e["color"]),
-                teids_per_qfi=float(teids_per_qfi.get(k.qfi, 0)),
-                unregistered=registered is not None and k not in registered,
-            )
+    if not by_qid:
+        return []
+    qkeys = [k for qid in sorted(by_qid) for k in by_qid[qid]]
+    ests = []
+    for qid in sorted(by_qid):
+        codes = np.array([k.code() for k in by_qid[qid]], dtype=np.uint64)
+        ests.append(sketches[qid].query_flows(codes, region))
+    est = {name: np.concatenate([e[name] for e in ests]) for name in ests[0]}
+    lat, iat = est["lat"], est["iat"]
+    pkts = est["pkt"].tolist()
+    teids_per_qfi = Counter(k.qfi for k, pkt in zip(qkeys, pkts) if pkt > 0)
+    tail = _ratio(lat[:, sorted(region.lat_tail_bins)].sum(axis=1), lat.sum(axis=1)).tolist()
+    head = _ratio(iat[:, sorted(region.iat_head_bins)].sum(axis=1), iat.sum(axis=1)).tolist()
+    columns = zip(
+        qkeys, pkts, est["bytes"].tolist(), est["diag"].tolist(), tail, head,
+        _fracs(lat).tolist(), _fracs(iat).tolist(), _fracs(est["color"]).tolist(),
+    )
+    fvs = [
+        FeatureVector(
+            scope=("flow", k.teid, k.qfi),
+            window=window,
+            mode="sketch",
+            pkts=float(pkt),
+            bytes=float(byt),
+            diag_pkts=float(diag),
+            tail_frac=tail_frac,
+            head_frac=head_frac,
+            lat_fracs=tuple(lat_fr),
+            iat_fracs=tuple(iat_fr),
+            color_fracs=tuple(color_fr),
+            teids_per_qfi=float(teids_per_qfi[k.qfi]),
+            unregistered=registered is not None and k not in registered,
         )
+        for k, pkt, byt, diag, tail_frac, head_frac, lat_fr, iat_fr, color_fr in columns
+    ]
     fvs.sort(key=lambda f: f.scope)
     return fvs
 
@@ -216,8 +210,6 @@ def extract_postcard_features(
             if prev_arrival is not None:
                 iat_counts[bin_of(pc.arrival_ns - prev_arrival, iat_edges)] += 1
             prev_arrival = pc.arrival_ns
-        lat_total = lat_counts.sum()
-        iat_total = iat_counts.sum()
         diag = int(lat_counts[tail].sum() + iat_counts[head].sum())
         fvs.append(
             FeatureVector(
@@ -227,11 +219,11 @@ def extract_postcard_features(
                 pkts=float(len(pcs)),
                 bytes=float(byte_sum),
                 diag_pkts=float(diag),
-                tail_frac=float(lat_counts[tail].sum() / lat_total) if lat_total else 0.0,
-                head_frac=float(iat_counts[head].sum() / iat_total) if iat_total else 0.0,
-                lat_fracs=_fracs(lat_counts),
-                iat_fracs=_fracs(iat_counts),
-                color_fracs=_fracs(colors),
+                tail_frac=float(_ratio(lat_counts[tail].sum(), lat_counts.sum())),
+                head_frac=float(_ratio(iat_counts[head].sum(), iat_counts.sum())),
+                lat_fracs=tuple(_fracs(lat_counts).tolist()),
+                iat_fracs=tuple(_fracs(iat_counts).tolist()),
+                color_fracs=tuple(_fracs(colors).tolist()),
                 teids_per_qfi=float(teids_per_qfi.get(k.qfi, 0)),
                 unregistered=k not in registered,
             )
@@ -308,13 +300,12 @@ def feature_matrix(
     """
     if not fvs:
         return np.zeros((0, 0)), []
-    avail = set(fvs[0].named_values())
-    for fv in fvs[1:]:
-        avail &= set(fv.named_values())
+    named = [fv.named_values() for fv in fvs]
+    avail = set(named[0]).intersection(*named[1:])
     names = [m for m in mask if m in avail]
     if not names:
         names = [m for m in PM_FALLBACK_MASK if m in avail] or sorted(avail)
-    rows = [[fv.named_values()[n] for n in names] for fv in fvs]
+    rows = [[nv[n] for n in names] for nv in named]
     return np.asarray(rows, dtype=np.float64), names
 
 

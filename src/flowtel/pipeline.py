@@ -14,7 +14,6 @@ modes on those timestamps.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -119,7 +118,7 @@ class WindowStream:
 def window_stream(delivered: DeliveredBatch, window_len_ns: int, duration_s: float) -> WindowStream:
     order = delivered.telemetry_order()
     obs = delivered.depart_ns()[order]
-    n_windows = int(math.ceil(duration_s))
+    n_windows = -(-int(duration_s * NS_PER_S) // window_len_ns)
     keep = obs < n_windows * window_len_ns
     order = order[keep]
     obs = obs[keep]
@@ -283,23 +282,27 @@ def run_telemetry(
     drop_window = drops.time_ns // spec.window_len_ns if len(drops) else np.empty(0, dtype=np.int64)
 
     bounds = np.searchsorted(stream.window, np.arange(stream.n_windows + 1))
+    # each queue's monitored packets in stream order, as indices of the smallest
+    # type that holds them, cut at the window bounds: one view per sketch batch
+    compact = np.min_scalar_type(len(stream.window))
+    queue_batches: dict[int, list[np.ndarray]] = {}
+    for q in sketches:
+        idx = np.flatnonzero(stream.monitored & (stream.qid == q)).astype(compact)
+        queue_batches[q] = np.split(idx, np.searchsorted(stream.window[idx], windows[1:]))
     for w in windows:
         lo, hi = bounds[w], bounds[w + 1]
-        mon = slice(lo, hi)
-        sel_mon = stream.monitored[mon]
 
         if TelemetryMode.SKETCH in modes:
             md = mode_data[TelemetryMode.SKETCH]
             for qid in qids:
-                sk = sketches[qid]
-                m = sel_mon & (stream.qid[mon] == qid)
-                if m.any():
-                    sk.update_batch(
-                        stream.codes[mon][m],
-                        stream.bytes[mon][m],
-                        stream.obs_ns[mon][m],
-                        stream.sojourn_ns[mon][m],
-                        stream.color[mon][m].astype(np.int64),
+                idx = queue_batches[qid][w]
+                if len(idx):
+                    sketches[qid].update_batch(
+                        stream.codes[idx],
+                        stream.bytes[idx],
+                        stream.obs_ns[idx],
+                        stream.sojourn_ns[idx],
+                        stream.color[idx],
                     )
             md.features.extend(
                 extract_sketch_features(
@@ -363,6 +366,7 @@ def run_telemetry(
             md.postcards_per_window.append(len(postcards))
             md.bytes_per_window.append(export_cost(TelemetryMode.DSMP, postcards=len(postcards)))
 
+    del stream, queue_batches  # training reads the features only; free the columns
     kinds = active_kinds(spec)
     outcomes: dict[tuple[str, str], list[DetectionOutcome]] = {}
     metrics: list[DetectionMetrics] = []

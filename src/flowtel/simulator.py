@@ -224,14 +224,8 @@ class ScenarioSpec:
                 raise ScenarioError(f"queue_policy: qid {qid} service_rate_bps must be positive")
             if pol.buffer_pkts < 1:
                 raise ScenarioError(f"queue_policy: qid {qid} buffer_pkts must be >= 1")
-            if pol.weight < 0:
-                raise ScenarioError(f"queue_policy: qid {qid} weight must be >= 0")
-        tiers: dict[int, list[int]] = {}
-        for qid, pol in self.queue_policy.items():
-            tiers.setdefault(pol.tier, []).append(qid)
-        for tier, qids in tiers.items():
-            if all(self.queue_policy[q].weight == 0 for q in qids):
-                raise ScenarioError(f"queue_policy: tier {tier} has all-zero weights")
+            if pol.weight <= 0:
+                raise ScenarioError(f"queue_policy: qid {qid} weight must be positive")
         for i, an in enumerate(self.anomalies):
             if an.duration_s < 0:
                 raise ScenarioError(f"anomalies[{i}]: negative duration")
@@ -548,23 +542,17 @@ def run_queues(batch: ArrivalBatch, spec: ScenarioSpec) -> tuple[DeliveredBatch,
         bad = int(batch.qfi[pkt_qid < 0][0])
         raise ScenarioError(f"qfi_to_qid: stream contains unmapped qfi {bad}")
 
-    # per-queue state in lists indexed by position in sorted qids; tier index
-    # len(rings) holds the weight-0 queues, which no ring serves
+    # per-queue state in lists indexed by position in sorted qids
     qids = sorted(spec.queue_policy)
     tiers: dict[int, list[int]] = {}
     for j, q in enumerate(qids):
-        pol = spec.queue_policy[q]
-        if pol.weight > 0:
-            tiers.setdefault(pol.tier, []).append(j)
+        tiers.setdefault(spec.queue_policy[q].tier, []).append(j)
     rings = [tiers[t] for t in sorted(tiers)]
     n_tiers = len(rings)
     ring_pos = [0] * n_tiers
     granted = [False] * n_tiers
-    pending = [0] * (n_tiers + 1)  # queued packets per tier
-    tier_of = [n_tiers] * len(qids)
-    for ti, ring in enumerate(rings):
-        for j in ring:
-            tier_of[j] = ti
+    pending = [0] * n_tiers  # queued packets per tier
+    tier_of = [sorted(tiers).index(spec.queue_policy[q].tier) for q in qids]
     deficit = [0.0] * len(qids)
     quantum = [spec.queue_policy[q].weight * _DRR_QUANTUM_BYTES for q in qids]
     buffers = [spec.queue_policy[q].buffer_pkts for q in qids]

@@ -19,8 +19,14 @@ tracking stays continuous across window boundaries; the UNSET sentinel only
 marks buckets that have never seen a packet.
 
 Two update paths exist: ``update`` consumes one PacketEvent (the reference
-semantics) and ``update_batch`` consumes column arrays and produces bit-able
-identical state for the same event order. Tests pin the equivalence.
+semantics) and ``update_batch`` folds column arrays into all d rows in one
+pass, bit-identically for the same event order (tests pin the equivalence):
+one stable sort of the flat bucket index row*w + col (a uint16 key while
+d*w <= 65536, sorted by radix) groups the d*n hits by bucket in stream
+order, and each group chains its IATs from the bucket's last-seen stamp and
+adds its sums at once. An increment beyond a counter's headroom is clipped
+to it and the excess tallied, which equals per-packet saturation since
+increments are never negative; no add can overflow.
 """
 
 from __future__ import annotations
@@ -210,6 +216,7 @@ class HistogramSketch:
         self.saturated_units = 0
         self.monotonicity_warnings = 0
         self._mixed_seeds = [mix64(s) for s in config.seeds]
+        self._query_memo: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- update paths ------------------------------------------------------
 
@@ -249,6 +256,11 @@ class HistogramSketch:
             new = cap
         arr[idx] = new
 
+    def bucket_columns(self, codes: np.ndarray) -> np.ndarray:
+        """Bucket column of each packed key in every row, shape [d, n]."""
+        w = self.config.width_w
+        return np.stack([bucket_index_array(codes, seed, w) for seed in self.config.seeds])
+
     def update_batch(
         self,
         codes: np.ndarray,
@@ -261,49 +273,50 @@ class HistogramSketch:
         n = len(codes)
         if n == 0:
             return
-        lat_b = np.searchsorted(self.lat_edges, sojourn_ns, side="right")
-        for i in range(self.config.depth_d):
-            cols = bucket_index_array(codes, self.config.seeds[i], self.config.width_w)
-            self._add_sat(self.pkt[i], cols, np.int64(1), PKT_COUNTER_MAX)
-            self._add_sat(self.byt[i], cols, byts.astype(np.int64), BYTE_COUNTER_MAX)
-            self._add_sat2(self.lat[i], cols, lat_b, PKT_COUNTER_MAX)
-            self._add_sat2(self.col[i], cols, colors.astype(np.int64), PKT_COUNTER_MAX)
+        d, w = self.config.depth_d, self.config.width_w
+        flat = (self.bucket_columns(codes) + np.arange(0, d * w, w)[:, None]).reshape(-1)
+        # one stable sort groups the d*n hits by bucket and keeps stream order
+        # inside each group, so consecutive hits in a group chain the IATs
+        order = np.argsort(flat.astype(np.uint16 if d * w <= 1 << 16 else np.uint32), kind="stable")
+        sflat = flat[order]
+        pk = order % n  # packet behind each sorted hit
+        starts = np.flatnonzero(np.concatenate(([True], sflat[1:] != sflat[:-1])))
+        cells = sflat[starts]
+        hits = np.diff(starts, append=len(flat))
+        gid = np.repeat(np.arange(len(cells)), hits)
 
-            # IAT chains: stable sort groups packets by bucket while keeping
-            # stream order inside each group, so consecutive rows in a group
-            # are consecutive hits on that bucket.
-            order = np.argsort(cols, kind="stable")
-            scols = cols[order]
-            sarr = arrival_ns[order]
-            prev = np.empty(n, dtype=np.int64)
-            prev[1:] = sarr[:-1]
-            first = np.ones(n, dtype=bool)
-            first[1:] = scols[1:] != scols[:-1]
-            prev[first] = self.last_seen[i][scols[first]]
-            valid = prev != UNSET_NS
-            gaps = sarr - prev
-            neg = valid & (gaps < 0)
-            self.monotonicity_warnings += int(neg.sum())
-            gaps = np.where(neg, 0, gaps)
-            iat_b = np.searchsorted(self.iat_edges, gaps, side="right")
-            self._add_sat2(self.iat[i], scols[valid], iat_b[valid], PKT_COUNTER_MAX)
-            last = np.ones(n, dtype=bool)
-            last[:-1] = scols[1:] != scols[:-1]
-            self.last_seen[i][scols[last]] = sarr[last]
+        sarr = arrival_ns[pk]
+        prev = np.concatenate(([UNSET_NS], sarr[:-1]))
+        last_seen = self.last_seen.reshape(-1)
+        prev[starts] = last_seen[cells]
+        last_seen[cells] = sarr[starts + hits - 1]
+        valid = prev != UNSET_NS
+        gaps = sarr - prev
+        neg = valid & (gaps < 0)
+        self.monotonicity_warnings += int(np.count_nonzero(neg))
+        gaps[neg] = 0
+        iat_b = np.searchsorted(self.iat_edges, gaps[valid], side="right")
+        lat_b = np.searchsorted(self.lat_edges, sojourn_ns, side="right")[pk]
 
-    def _add_sat(self, row: np.ndarray, cols: np.ndarray, inc, cap: int) -> None:
-        np.add.at(row, cols, inc)
-        over = row > cap
+        self._add_sat(self.pkt.reshape(-1), cells, hits, PKT_COUNTER_MAX)
+        byt_sum = np.add.reduceat(byts.astype(np.int64, copy=False)[pk], starts)
+        self._add_sat(self.byt.reshape(-1), cells, byt_sum, BYTE_COUNTER_MAX)
+        hists = ((self.lat, gid, lat_b), (self.col, gid, colors[pk]), (self.iat, gid[valid], iat_b))
+        for grid, group, bins in hists:
+            nb = grid.shape[-1]
+            counts = np.bincount(group * nb + bins, minlength=len(cells) * nb).reshape(-1, nb)
+            self._add_sat(grid.reshape(-1, nb), cells, counts, PKT_COUNTER_MAX)
+
+    def _add_sat(self, grid: np.ndarray, cells: np.ndarray, inc: np.ndarray, cap: int) -> None:
+        """grid[cells] += inc, saturating at cap; an increment beyond the
+        remaining headroom is clipped to it, so no add can overflow."""
+        cur = grid[cells]
+        room = cap - cur
+        over = inc > room
         if over.any():
-            self.saturated_units += int((row[over] - cap).sum())
-            row[over] = cap
-
-    def _add_sat2(self, row: np.ndarray, cols: np.ndarray, bins: np.ndarray, cap: int) -> None:
-        np.add.at(row, (cols, bins), 1)
-        over = row > cap
-        if over.any():
-            self.saturated_units += int((row[over] - cap).sum())
-            row[over] = cap
+            self.saturated_units += int((inc[over] - room[over]).sum())
+            inc = np.where(over, room, inc)
+        grid[cells] = cur + inc
 
     # -- query and export --------------------------------------------------
 
@@ -346,12 +359,14 @@ class HistogramSketch:
     def query_flows(
         self, codes: np.ndarray, region: "DiagnosticRegion"
     ) -> dict[str, np.ndarray]:
-        """Vectorized row-minimum estimates for many packed keys at once."""
-        d = self.config.depth_d
-        cols = np.stack(
-            [bucket_index_array(codes, self.config.seeds[i], self.config.width_w) for i in range(d)]
-        )  # [d, n]
-        ridx = np.arange(d)[:, None]
+        """Vectorized row-minimum estimates for many packed keys at once.
+
+        Columns are kept from the previous call: the same keys hash once."""
+        memo = self._query_memo
+        if memo is None or not np.array_equal(memo[0], codes):
+            memo = self._query_memo = (codes.copy(), self.bucket_columns(codes))
+        cols = memo[1]
+        ridx = np.arange(self.config.depth_d)[:, None]
         pkt = self.pkt[ridx, cols].min(axis=0)
         byt = self.byt[ridx, cols].min(axis=0)
         lat = self.lat[ridx, cols, :].min(axis=0)  # [n, B]

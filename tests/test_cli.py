@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import flowtel
 from flowtel.cli import main, scenario_from_dict
 from flowtel.simulator import ScenarioError
 
@@ -75,6 +77,25 @@ def test_invalid_scenario_exits_2_with_field_diagnostic(tmp_path, capsys):
     rc = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "qfi_to_qid" in capsys.readouterr().err
+
+
+def test_weight_zero_queue_exits_2_naming_the_queue(tmp_path, capsys):
+    # queue 1 shares tier 0 with a weighted queue; the scheduler never serves it
+    doc = dict(MINIMAL_SCENARIO)
+    doc["flows"] = MINIMAL_SCENARIO["flows"] + [
+        {"teid": 2, "qfi": 2, "pattern": "poisson", "rate_pps": 500, "bytes_min": 300,
+         "bytes_max": 700},
+    ]
+    doc["qfi_to_qid"] = {"1": 0, "2": 1}
+    doc["queue_policy"] = {
+        "0": {"tier": 0, "weight": 1, "service_rate_bps": 20e6, "buffer_pkts": 4000},
+        "1": {"tier": 0, "weight": 0, "service_rate_bps": 20e6, "buffer_pkts": 4000},
+    }
+    scenario = tmp_path / "weight0.json"
+    scenario.write_text(json.dumps(doc))
+    rc = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "queue_policy: qid 1" in capsys.readouterr().err
 
 
 def test_malformed_scenario_json_exits_2_naming_the_file(tmp_path, capsys):
@@ -173,6 +194,20 @@ def test_explicit_edges_override_fitting(tmp_path):
     assert np.array_equal(iat[0], np.array(pinned))
 
 
+def test_window_count_follows_window_length():
+    from flowtel.core import NS_PER_S
+    from flowtel.pipeline import window_stream
+    from flowtel.simulator import simulate
+
+    spec, _ = scenario_from_dict(dict(MINIMAL_SCENARIO, window_len_ns=NS_PER_S // 2))
+    delivered, _, _ = simulate(spec)
+    stream = window_stream(delivered, spec.window_len_ns, spec.duration_s)
+    assert stream.n_windows == 2 * 6
+    # every packet that departs inside the 6 s run lands in a window
+    assert len(stream.window) == int((delivered.depart_ns() < 6 * NS_PER_S).sum())
+    assert stream.window.max() == stream.n_windows - 1
+
+
 def test_scenario_parser_catches_missing_fields():
     with pytest.raises(ScenarioError, match="scenario file"):
         scenario_from_dict({"duration_s": 1.0})
@@ -183,8 +218,10 @@ def test_scenario_parser_catches_missing_fields():
 
 
 def test_cli_entrypoint_runs_as_module():
+    # the child imports the same flowtel as this process, installed or not
+    path = [str(Path(flowtel.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "flowtel.cli", "size", "--params", "/nonexistent.json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 3  # runtime failure, not a crash

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowtel.analysis import extract_sketch_features
 from flowtel.binning import DiagnosticRegion
 from flowtel.core import Color, FlowKey, PacketEvent, SketchConfig
 from flowtel.sketch import (
@@ -284,6 +287,74 @@ def test_batch_update_matches_sequential(rng):
     for lo, hi in ((0, 400), (400, 401), (401, 1500)):
         bat.update_batch(codes[lo:hi], byts[lo:hi], arr[lo:hi], soj[lo:hi], col[lo:hi])
     assert seq.state_digest() == bat.state_digest()
+
+
+def _batch_columns(events):
+    return (
+        np.array([ev.key.code() for ev in events], dtype=np.uint64),
+        np.array([ev.bytes for ev in events], dtype=np.int64),
+        np.array([ev.arrival_ns for ev in events], dtype=np.int64),
+        np.array([ev.sojourn_ns for ev in events], dtype=np.int64),
+        np.array([int(ev.color) for ev in events], dtype=np.int8),
+    )
+
+
+# (width, depth) on both sides of the 16-bit sort key: d*w <= 65536 sorts a
+# uint16 key (16384 x 4 sits exactly at the limit), larger grids a uint32 one
+@pytest.mark.parametrize("width, depth", [(8, 3), (64, 6), (16384, 4), (16384, 6)])
+def test_batch_matches_sequential_across_shapes(rng, width, depth):
+    events = random_stream(rng, n_packets=2400, n_flows=150, qid=3)
+    # every 40th packet arrives 2 ms early, so its buckets see time go backwards
+    for i in range(39, len(events), 40):
+        ev = events[i]
+        events[i] = dataclasses.replace(ev, arrival_ns=max(0, ev.arrival_ns - 2_000_000))
+    seq, bat = make_sketch(width, depth, seed=5), make_sketch(width, depth, seed=5)
+    if width == 8:  # 150 flows in 8 columns: every row has colliding flows
+        keys = {ev.key for ev in events}
+        assert all(len({seq.columns_for(k)[i] for k in keys}) < len(keys) for i in range(depth))
+    cols = _batch_columns(events)
+    # two windows of ragged chunks, an empty one included; a window reset
+    # keeps the timestamps, so IAT chains continue into the second window
+    for lo, hi in ((0, 700), (700, 700), (700, 701), (701, 1200), (1200, 2399), (2399, 2400)):
+        for ev in events[lo:hi]:
+            seq.update(ev)
+        bat.update_batch(*(c[lo:hi] for c in cols))
+        assert seq.state_digest() == bat.state_digest()
+        if hi == 1200:
+            seq.reset_window()
+            bat.reset_window()
+    assert bat.monotonicity_warnings > 0
+
+
+def test_batch_saturates_like_update():
+    seq, bat = make_sketch(width=4, depth=1), make_sketch(width=4, depth=1)
+    key = FlowKey(1, 1)
+    j = seq.columns_for(key)[0]
+    for sk in (seq, bat):
+        sk.pkt[0, j] = PKT_COUNTER_MAX - 1
+        sk.byt[0, j] = BYTE_COUNTER_MAX - 10
+    events = [PacketEvent(key=key, qid=3, bytes=100, arrival_ns=t, sojourn_ns=0) for t in (10, 20)]
+    for ev in events:
+        seq.update(ev)
+    bat.update_batch(*_batch_columns(events))
+    assert bat.pkt[0, j] == PKT_COUNTER_MAX and bat.byt[0, j] == BYTE_COUNTER_MAX
+    assert bat.saturated_units == 1 + 190  # one packet count, 90 + 100 bytes
+    assert seq.state_digest() == bat.state_digest()
+
+
+def test_zero_traffic_window_has_zero_fractions(rng):
+    sk = make_sketch(width=32)
+    events = random_stream(rng, n_packets=300, n_flows=5, qid=3)
+    sk.update_batch(*_batch_columns(events))
+    sk.reset_window()
+    sk.update_batch(*_batch_columns([]))  # the next window carries no packet
+    keys = sorted({ev.key for ev in events})
+    fvs = extract_sketch_features({3: sk}, keys, REGION, 1, {k.qfi: 3 for k in keys})
+    assert len(fvs) == len(keys)
+    for fv in fvs:
+        assert fv.pkts == 0.0 and fv.tail_frac == 0.0 and fv.head_frac == 0.0
+        assert fv.lat_fracs == (0.0,) * 8 and fv.iat_fracs == (0.0,) * 8
+        assert fv.color_fracs == (0.0, 0.0, 0.0)
 
 
 @settings(max_examples=30, deadline=None)
