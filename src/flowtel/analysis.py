@@ -32,11 +32,11 @@ from typing import Sequence
 import numpy as np
 
 from .binning import DiagnosticRegion
-from .baselines import Postcard, QfiCounters
-from .core import FlowKey
+from .baselines import QfiCounters
+from .core import MAX_QFI, QFI_BITS, FlowKey
 from .simulator import AnomalyKind, GroundTruthLabel
 from .sizing import FlowBaseline
-from .sketch import HistogramSketch, bin_of
+from .sketch import HistogramSketch
 
 
 class FitError(ValueError):
@@ -134,20 +134,82 @@ def extract_sketch_features(
         codes = np.array([k.code() for k in by_qid[qid]], dtype=np.uint64)
         ests.append(sketches[qid].query_flows(codes, region))
     est = {name: np.concatenate([e[name] for e in ests]) for name in ests[0]}
-    lat, iat = est["lat"], est["iat"]
-    pkts = est["pkt"].tolist()
-    teids_per_qfi = Counter(k.qfi for k, pkt in zip(qkeys, pkts) if pkt > 0)
+    return _flow_vectors(
+        "sketch", window, region, [k.code() for k in qkeys], est["pkt"], est["bytes"],
+        est["diag"], est["lat"], est["iat"], est["color"],
+        [registered is not None and k not in registered for k in qkeys],
+    )
+
+
+def extract_postcard_features(
+    codes: np.ndarray, arrival_ns: np.ndarray, sojourn_ns: np.ndarray, color: np.ndarray,
+    nbytes: np.ndarray, keys: Sequence[FlowKey], region: DiagnosticRegion, window: int,
+    lat_edges_by_qid: dict[int, np.ndarray], iat_edges_by_qid: dict[int, np.ndarray],
+    qfi_to_qid: dict[int, int], bins_b: int,
+) -> list[FeatureVector]:
+    """Exact per-flow stats over the sampled packets only.
+
+    The columns are one window's postcards in arrival order. Every key gets a
+    row, and postcards expose exact identities, so a flow outside the keys (a
+    remapped tunnel, say) gets one too. IAT samples are gaps between
+    consecutive postcards of the same flow, the only spacing the collector
+    can see.
+    """
+    registered = np.array([k.code() for k in keys], dtype=np.uint64)
+    order = np.argsort(codes, kind="stable")  # stable: each flow keeps arrival order
+    codes, arrival_ns = codes[order].astype(np.uint64), arrival_ns[order]
+    scopes = np.union1d(registered, codes)  # sorted, and code order is FlowKey order
+    n, flow = len(scopes), np.searchsorted(scopes, codes)  # each postcard's row
+    qid = np.array([qfi_to_qid[c & MAX_QFI] for c in scopes.tolist()], dtype=np.int64)[flow]
+    same = flow[1:] == flow[:-1]  # the gap to the next postcard stays in its flow
+    gaps = np.diff(arrival_ns)[same]
+    lat = _binned(flow, qid, sojourn_ns[order], lat_edges_by_qid, n, bins_b)
+    iat = _binned(flow[1:][same], qid[1:][same], gaps, iat_edges_by_qid, n, bins_b)
+    diag = lat[:, sorted(region.lat_tail_bins)].sum(axis=1)
+    diag += iat[:, sorted(region.iat_head_bins)].sum(axis=1)
+    # exact per-flow byte sums, as differences of one running int64 sum
+    lo, hi = np.searchsorted(codes, scopes), np.searchsorted(codes, scopes, side="right")
+    byte_csum = np.concatenate(([0], np.cumsum(nbytes[order], dtype=np.int64)))
+    return _flow_vectors(
+        "dsmp", window, region, scopes.tolist(), hi - lo, byte_csum[hi] - byte_csum[lo], diag,
+        lat, iat, np.bincount(flow * 3 + color[order], minlength=3 * n).reshape(n, 3),
+        np.isin(scopes, registered, invert=True).tolist(),
+    )
+
+
+def _binned(
+    flow: np.ndarray, qid: np.ndarray, values: np.ndarray, edges_by_qid: dict[int, np.ndarray],
+    n_flows: int, bins_b: int,
+) -> np.ndarray:
+    """[n_flows, bins_b] counts of each sample's bin under its queue's edges
+    (``bin_of`` semantics: the smallest i with value < edges[i])."""
+    bins = np.empty(len(values), dtype=np.int64)
+    for q in np.unique(qid).tolist():
+        m = qid == q
+        bins[m] = np.searchsorted(np.asarray(edges_by_qid[q]), values[m], side="right")
+    return np.bincount(flow * bins_b + bins, minlength=n_flows * bins_b).reshape(n_flows, bins_b)
+
+
+def _flow_vectors(
+    mode: str, window: int, region: DiagnosticRegion, codes: list[int], pkts: np.ndarray,
+    nbytes: np.ndarray, diag: np.ndarray, lat: np.ndarray, iat: np.ndarray, colors: np.ndarray,
+    unregistered: list[bool],
+) -> list[FeatureVector]:
+    """Per-flow vectors, in scope order, from per-flow counts: packets, bytes,
+    diagnostic mass and the latency, IAT and color histograms."""
+    pkts = pkts.tolist()
+    teids_per_qfi = Counter(c & MAX_QFI for c, pkt in zip(codes, pkts) if pkt > 0)
     tail = _ratio(lat[:, sorted(region.lat_tail_bins)].sum(axis=1), lat.sum(axis=1)).tolist()
     head = _ratio(iat[:, sorted(region.iat_head_bins)].sum(axis=1), iat.sum(axis=1)).tolist()
     columns = zip(
-        qkeys, pkts, est["bytes"].tolist(), est["diag"].tolist(), tail, head,
-        _fracs(lat).tolist(), _fracs(iat).tolist(), _fracs(est["color"]).tolist(),
+        codes, pkts, nbytes.tolist(), diag.tolist(), tail, head, _fracs(lat).tolist(),
+        _fracs(iat).tolist(), _fracs(colors).tolist(), unregistered,
     )
     fvs = [
         FeatureVector(
-            scope=("flow", k.teid, k.qfi),
+            scope=("flow", code >> QFI_BITS, code & MAX_QFI),
             window=window,
-            mode="sketch",
+            mode=mode,
             pkts=float(pkt),
             bytes=float(byt),
             diag_pkts=float(diag),
@@ -156,78 +218,12 @@ def extract_sketch_features(
             lat_fracs=tuple(lat_fr),
             iat_fracs=tuple(iat_fr),
             color_fracs=tuple(color_fr),
-            teids_per_qfi=float(teids_per_qfi[k.qfi]),
-            unregistered=registered is not None and k not in registered,
+            teids_per_qfi=float(teids_per_qfi[code & MAX_QFI]),
+            unregistered=unreg,
         )
-        for k, pkt, byt, diag, tail_frac, head_frac, lat_fr, iat_fr, color_fr in columns
+        for code, pkt, byt, diag, tail_frac, head_frac, lat_fr, iat_fr, color_fr, unreg in columns
     ]
     fvs.sort(key=lambda f: f.scope)
-    return fvs
-
-
-def extract_postcard_features(
-    postcards: Sequence[Postcard],
-    keys: Sequence[FlowKey],
-    region: DiagnosticRegion,
-    window: int,
-    lat_edges_by_qid: dict[int, np.ndarray],
-    iat_edges_by_qid: dict[int, np.ndarray],
-    qfi_to_qid: dict[int, int],
-    bins_b: int,
-) -> list[FeatureVector]:
-    """Exact per-flow stats over the sampled packets only.
-
-    IAT samples are gaps between consecutive postcards of the same flow, the
-    only spacing the collector can see.
-    """
-    registered = set(keys)
-    by_key: dict[FlowKey, list[Postcard]] = {k: [] for k in keys}
-    for pc in postcards:
-        # postcards expose exact identities, so keys outside the registered
-        # set (a remapped tunnel, say) still get feature rows
-        by_key.setdefault(pc.key, []).append(pc)
-    teids_per_qfi: dict[int, int] = {}
-    for k, pcs in by_key.items():
-        if pcs:
-            teids_per_qfi[k.qfi] = teids_per_qfi.get(k.qfi, 0) + 1
-    tail = sorted(region.lat_tail_bins)
-    head = sorted(region.iat_head_bins)
-    fvs = []
-    for k in sorted(by_key):
-        pcs = by_key[k]
-        qid = qfi_to_qid[k.qfi]
-        lat_edges = lat_edges_by_qid[qid]
-        iat_edges = iat_edges_by_qid[qid]
-        lat_counts = np.zeros(bins_b, dtype=np.int64)
-        iat_counts = np.zeros(bins_b, dtype=np.int64)
-        colors = np.zeros(3, dtype=np.int64)
-        byte_sum = 0
-        prev_arrival = None
-        for pc in pcs:
-            lat_counts[bin_of(pc.sojourn_ns, lat_edges)] += 1
-            colors[int(pc.color)] += 1
-            byte_sum += pc.bytes
-            if prev_arrival is not None:
-                iat_counts[bin_of(pc.arrival_ns - prev_arrival, iat_edges)] += 1
-            prev_arrival = pc.arrival_ns
-        diag = int(lat_counts[tail].sum() + iat_counts[head].sum())
-        fvs.append(
-            FeatureVector(
-                scope=("flow", k.teid, k.qfi),
-                window=window,
-                mode="dsmp",
-                pkts=float(len(pcs)),
-                bytes=float(byte_sum),
-                diag_pkts=float(diag),
-                tail_frac=float(_ratio(lat_counts[tail].sum(), lat_counts.sum())),
-                head_frac=float(_ratio(iat_counts[head].sum(), iat_counts.sum())),
-                lat_fracs=tuple(_fracs(lat_counts).tolist()),
-                iat_fracs=tuple(_fracs(iat_counts).tolist()),
-                color_fracs=tuple(_fracs(colors).tolist()),
-                teids_per_qfi=float(teids_per_qfi.get(k.qfi, 0)),
-                unregistered=k not in registered,
-            )
-        )
     return fvs
 
 
@@ -291,16 +287,20 @@ PM_FALLBACK_MASK = ("pkts", "bytes", "drops", "mean_delay_ns")
 
 
 def feature_matrix(
-    fvs: Sequence[FeatureVector], mask: Sequence[str]
+    fvs: Sequence[FeatureVector],
+    mask: Sequence[str],
+    named: Sequence[dict[str, float]] | None = None,
 ) -> tuple[np.ndarray, list[str]]:
     """Matrix over the masked features available in every vector.
 
     Falls back to the mode's full feature set when the mask has no overlap
-    (PM lacks all distributional fields, for example).
+    (PM lacks all distributional fields, for example). ``named`` may hand in
+    the vectors' ``named_values()`` already built.
     """
     if not fvs:
         return np.zeros((0, 0)), []
-    named = [fv.named_values() for fv in fvs]
+    if named is None:
+        named = [fv.named_values() for fv in fvs]
     avail = set(named[0]).intersection(*named[1:])
     names = [m for m in mask if m in avail]
     if not names:
@@ -428,17 +428,19 @@ def train_detectors(
     n_blocks: int = 4,
     l2: float = 1.0,
     mask: Sequence[str] | None = None,
+    named: Sequence[dict[str, float]] | None = None,
 ) -> CrossFitResult:
     """Cross-fitted linear detection for one anomaly kind over one mode.
 
     Every window lands in exactly one test block and is scored by a model
     trained only on the other (temporally disjoint) blocks; thresholds are
-    tuned on training windows by max F1.
+    tuned on training windows by max F1. ``named`` is passed through to
+    ``feature_matrix``, so one mode's rows serve every kind.
     """
     if not fvs:
         return CrossFitResult([], [], [])
     mask = tuple(mask) if mask is not None else DEFAULT_FEATURE_MASKS[kind]
-    X, names = feature_matrix(fvs, mask)
+    X, names = feature_matrix(fvs, mask, named)
     scopes = [fv.scope for fv in fvs]
     windows = np.array([fv.window for fv in fvs])
     labels_by_window: dict[int, list[GroundTruthLabel]] = {}

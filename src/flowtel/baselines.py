@@ -10,7 +10,11 @@ Two references bracket the design space:
   export (first packet of a flow always exports). Cost follows traffic
   dynamics, which is exactly the property the fixed-size sketch avoids.
 
-Both share the line-delimited record convention with a leading mode tag.
+Both replay over columns: ``pm_window`` sums one window's monitored packets
+and drops, and ``DeltaSampler.offer_batch`` makes one pass over a run's
+stream (a flow's last export carries across windows). ``offer``,
+``pm_update`` and ``pm_record_drop`` are the per-packet references. Records
+are text lines with a leading mode tag; ``postcard_line`` formats postcards.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Color, FlowKey, PacketEvent
-from .simulator import DeliveredBatch, DropRecord
+from .simulator import DeliveredBatch, flow_codes
 
 
 class TelemetryMode(Enum):
@@ -77,55 +81,47 @@ class Postcard:
     bytes: int
 
     def to_line(self, window: int) -> str:
-        return (
-            f"dsmp {window} {self.key.teid} {self.key.qfi} {self.qid} "
-            f"{self.arrival_ns} {self.sojourn_ns} {int(self.color)} {self.bytes}"
+        return postcard_line(
+            window, self.key.teid, self.key.qfi, self.qid, self.arrival_ns, self.sojourn_ns,
+            int(self.color), self.bytes,
         )
+
+
+def postcard_line(
+    window: int, teid: int, qfi: int, qid: int, arrival_ns: int, sojourn_ns: int, color: int,
+    nbytes: int,
+) -> str:
+    return f"dsmp {window} {teid} {qfi} {qid} {arrival_ns} {sojourn_ns} {color} {nbytes}"
 
 
 def pm_update(counters: dict[int, QfiCounters], ev: PacketEvent, window: int) -> None:
     """Fold one delivered packet into its QFI row (per-event reference API)."""
-    row = counters.get(ev.key.qfi)
-    if row is None:
-        row = counters[ev.key.qfi] = QfiCounters(qfi=ev.key.qfi, window=window)
+    row = counters.setdefault(ev.key.qfi, QfiCounters(qfi=ev.key.qfi, window=window))
     row.pkt_count += 1
     row.byte_count += ev.bytes
     row.sojourn_sum_ns += ev.sojourn_ns
 
 
 def pm_record_drop(counters: dict[int, QfiCounters], qfi: int, window: int) -> None:
-    row = counters.get(qfi)
-    if row is None:
-        row = counters[qfi] = QfiCounters(qfi=qfi, window=window)
-    row.drop_count += 1
+    counters.setdefault(qfi, QfiCounters(qfi=qfi, window=window)).drop_count += 1
 
 
 def pm_window(
-    delivered: DeliveredBatch,
-    drops: DropRecord,
-    window: int,
-    sel: np.ndarray,
-    drop_sel: np.ndarray,
+    qfi: np.ndarray, nbytes: np.ndarray, sojourn_ns: np.ndarray, drop_qfi: np.ndarray, window: int
 ) -> list[QfiCounters]:
-    """Aggregate one window of monitored traffic by QFI (vectorized path)."""
-    rows: dict[int, QfiCounters] = {}
-    mask = sel & delivered.monitored
-    qfis = delivered.qfi[mask]
-    for qfi in np.unique(qfis):
-        m = qfis == qfi
-        rows[int(qfi)] = QfiCounters(
-            qfi=int(qfi),
-            window=window,
-            pkt_count=int(m.sum()),
-            byte_count=int(delivered.bytes[mask][m].sum()),
-            sojourn_sum_ns=int(delivered.sojourn_ns[mask][m].sum()),
-        )
-    dmask = drop_sel & drops.monitored
-    for qfi in np.unique(drops.qfi[dmask]):
-        row = rows.get(int(qfi))
-        if row is None:
-            row = rows[int(qfi)] = QfiCounters(qfi=int(qfi), window=window)
-        row.drop_count = int((drops.qfi[dmask] == qfi).sum())
+    """Aggregate one window by QFI: ``qfi``/``nbytes``/``sojourn_ns`` are the
+    window's monitored delivered packets, ``drop_qfi`` its monitored drops."""
+    order = np.argsort(qfi, kind="stable")
+    qfis, starts, pkts = np.unique(qfi[order], return_index=True, return_counts=True)
+    # exact int64 sums handed over as Python ints: mean_delay_ns divides them
+    # exactly, where a float64 sum would round once it passes 2**53
+    sums = (np.add.reduceat(col[order], starts).tolist() for col in (nbytes, sojourn_ns))
+    rows = {
+        q: QfiCounters(q, window, pkt_count=n, byte_count=b, sojourn_sum_ns=s)
+        for q, n, b, s in zip(qfis.tolist(), pkts.tolist(), *sums)
+    }
+    for q, n in zip(*(a.tolist() for a in np.unique(drop_qfi, return_counts=True))):
+        rows.setdefault(q, QfiCounters(qfi=q, window=window)).drop_count = n
     return [rows[q] for q in sorted(rows)]
 
 
@@ -161,22 +157,22 @@ class DeltaSampler:
             bytes=ev.bytes,
         )
 
-    def offer_batch(self, delivered: DeliveredBatch, sel: np.ndarray) -> np.ndarray:
-        """Indices of packets (within the full batch) that export postcards."""
-        idx = np.nonzero(sel & delivered.monitored)[0]
-        codes = delivered.codes()
-        soj = delivered.sojourn_ns
+    def offer_batch(self, batch: DeliveredBatch, sel: np.ndarray) -> np.ndarray:
+        """Indices of the selected monitored packets that export postcards, in
+        batch order. Any batch with teid/qfi/sojourn_ns/monitored columns will
+        do (the pipeline passes its window stream)."""
+        idx = np.flatnonzero(sel & batch.monitored)
+        codes = memoryview(flow_codes(batch.teid[idx], batch.qfi[idx]))
+        soj = memoryview(batch.sojourn_ns[idx])
         delta = self.delta_ns
         last = self.last_exported
         out = []
-        for i in idx:
-            code = int(codes[i])
-            s = int(soj[i])
+        for j, (code, s) in enumerate(zip(codes, soj)):
             prev = last.get(code)
             if prev is None or abs(s - prev) > delta:
                 last[code] = s
-                out.append(i)
-        return np.array(out, dtype=np.int64)
+                out.append(j)
+        return idx[out]
 
 
 def export_cost(

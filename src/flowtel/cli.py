@@ -217,6 +217,12 @@ def _parse_modes(arg: str) -> tuple[TelemetryMode, ...]:
 def cmd_run(args) -> int:
     spec, cfg, man_sc = load_scenario(args.scenario, args.seed)
     modes = _parse_modes(args.modes)
+    pinned = {q for q, _ in cfg.explicit_lat_edges} & {q for q, _ in cfg.explicit_iat_edges}
+    for i, an in enumerate(spec.anomalies if not pinned >= set(spec.queue_policy) else ()):
+        if int(an.start_s * NS_PER_S) < cfg.fit_windows * spec.window_len_ns:
+            print(f"warning: anomaly {i} ({an.kind.value}, start_s={an.start_s:g}) starts inside "
+                  f"the warmup windows (telemetry.fit_windows={cfg.fit_windows}); the edges are "
+                  "fitted on its traffic", file=sys.stderr)
     result = run_scenario(spec, cfg, modes=modes, collect_sketch_records=not args.no_records)
     manifest = {
         "command": "run",

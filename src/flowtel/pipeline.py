@@ -31,10 +31,10 @@ from .analysis import (
 )
 from .baselines import (
     DeltaSampler,
-    Postcard,
     TelemetryMode,
     export_cost,
     pm_window,
+    postcard_line,
 )
 from .binning import (
     BinningConfig,
@@ -45,7 +45,7 @@ from .binning import (
     deserialize_edges,
     fit_edges,
 )
-from .core import NS_PER_S, Color, FlowKey, SketchConfig, WindowTotals
+from .core import NS_PER_S, SketchConfig, WindowTotals
 from .simulator import (
     AnomalyKind,
     DeliveredBatch,
@@ -79,6 +79,13 @@ class TelemetryConfig:
     l2: float = 1.0
     explicit_lat_edges: tuple[tuple[int, tuple[float, ...]], ...] = ()
     explicit_iat_edges: tuple[tuple[int, tuple[float, ...]], ...] = ()
+
+    def __post_init__(self) -> None:
+        for name, pinned in (("lat", self.explicit_lat_edges), ("iat", self.explicit_iat_edges)):
+            for qid, edges in pinned:
+                if len(edges) != self.bins_b - 1:
+                    raise ValueError(f"{name}_edges_ns: qid {qid} needs bins_b - 1 = "
+                                     f"{self.bins_b - 1} edges, got {len(edges)}")
 
     def sketch_config(self, seed: int) -> SketchConfig:
         return SketchConfig.from_seed(seed, self.width, self.depth, self.bins_b, num_qids=1)
@@ -205,7 +212,6 @@ class ModeTelemetry:
     bytes_per_window: list[int] = field(default_factory=list)
     record_lines: list[str] = field(default_factory=list)
     totals_per_window: list[WindowTotals] = field(default_factory=list)  # sketch only
-    postcards_per_window: list[int] = field(default_factory=list)  # dsmp only
 
 
 @dataclass
@@ -279,19 +285,31 @@ def run_telemetry(
     mode_data = {m: ModeTelemetry(mode=m) for m in modes}
     sketch_blobs: list[bytes] = []
     windows = list(range(stream.n_windows))
-    drop_window = drops.time_ns // spec.window_len_ns if len(drops) else np.empty(0, dtype=np.int64)
+    if sampler is not None:
+        # one pass, run before the index arrays below exist: each flow's last
+        # export carries across windows, so a window's postcards are the slice
+        # of the run's indices inside it
+        pc_idx = sampler.offer_batch(stream, stream.monitored)
+        pc_bounds = np.searchsorted(pc_idx, np.searchsorted(stream.window, range(len(windows) + 1)))
 
-    bounds = np.searchsorted(stream.window, np.arange(stream.n_windows + 1))
-    # each queue's monitored packets in stream order, as indices of the smallest
-    # type that holds them, cut at the window bounds: one view per sketch batch
+    # monitored packets in stream order, as indices of the smallest type that
+    # holds them, cut at the window bounds: one view per batch, no masks
     compact = np.min_scalar_type(len(stream.window))
-    queue_batches: dict[int, list[np.ndarray]] = {}
-    for q in sketches:
-        idx = np.flatnonzero(stream.monitored & (stream.qid == q)).astype(compact)
-        queue_batches[q] = np.split(idx, np.searchsorted(stream.window[idx], windows[1:]))
-    for w in windows:
-        lo, hi = bounds[w], bounds[w + 1]
 
+    def by_window(idx: np.ndarray) -> list[np.ndarray]:
+        return np.split(idx.astype(compact), np.searchsorted(stream.window[idx], windows[1:]))
+
+    queue_batches = {
+        q: by_window(np.flatnonzero(stream.monitored & (stream.qid == q))) for q in sketches
+    }
+    if TelemetryMode.PM in modes:
+        pm_batches = by_window(np.flatnonzero(stream.monitored))
+        # monitored drops by window; the piece past the last window is never read
+        dwin = np.where(drops.monitored, drops.time_ns // spec.window_len_ns, len(windows))
+        order = np.argsort(dwin, kind="stable")
+        cuts = np.searchsorted(dwin[order], range(1, len(windows) + 1))
+        drop_qfis = np.split(drops.qfi[order], cuts)
+    for w in windows:
         if TelemetryMode.SKETCH in modes:
             md = mode_data[TelemetryMode.SKETCH]
             for qid in qids:
@@ -330,50 +348,43 @@ def run_telemetry(
 
         if TelemetryMode.PM in modes:
             md = mode_data[TelemetryMode.PM]
-            full_sel = np.zeros(len(stream.window), dtype=bool)
-            full_sel[lo:hi] = True
-            dsel = drop_window == w if len(drops) else np.empty(0, dtype=bool)
+            idx = pm_batches[w]
             rows = pm_window(
-                _as_delivered(stream), drops, w, full_sel, dsel
+                stream.qfi[idx], stream.bytes[idx], stream.sojourn_ns[idx], drop_qfis[w], w
             )
             md.features.extend(extract_pm_features(rows, w))
             md.record_lines.extend(r.to_line() for r in rows)
             md.bytes_per_window.append(export_cost(TelemetryMode.PM, active_qfis=len(rows)))
 
-        if TelemetryMode.DSMP in modes:
+        if sampler is not None:
             md = mode_data[TelemetryMode.DSMP]
-            full_sel = np.zeros(len(stream.window), dtype=bool)
-            full_sel[lo:hi] = True
-            idx = sampler.offer_batch(_as_delivered(stream), full_sel)
-            postcards = [
-                Postcard(
-                    key=FlowKey(int(stream.teid[i]), int(stream.qfi[i])),
-                    qid=int(stream.qid[i]),
-                    arrival_ns=int(stream.obs_ns[i]),
-                    sojourn_ns=int(stream.sojourn_ns[i]),
-                    color=Color(int(stream.color[i])),
-                    bytes=int(stream.bytes[i]),
-                )
-                for i in idx
+            idx = pc_idx[pc_bounds[w] : pc_bounds[w + 1]]
+            pcs = [
+                col[idx]
+                for col in (stream.teid, stream.qfi, stream.qid, stream.obs_ns, stream.sojourn_ns,
+                            stream.color, stream.bytes)
             ]
             md.features.extend(
                 extract_postcard_features(
-                    postcards, registered, region, w, lat_edges, iat_edges,
+                    stream.codes[idx], *pcs[3:], registered, region, w, lat_edges, iat_edges,
                     spec.qfi_to_qid, cfg.bins_b,
                 )
             )
-            md.record_lines.extend(pc.to_line(w) for pc in postcards)
-            md.postcards_per_window.append(len(postcards))
-            md.bytes_per_window.append(export_cost(TelemetryMode.DSMP, postcards=len(postcards)))
+            md.record_lines.extend(map(postcard_line, [w] * len(idx), *(c.tolist() for c in pcs)))
+            md.bytes_per_window.append(export_cost(TelemetryMode.DSMP, postcards=len(idx)))
 
     del stream, queue_batches  # training reads the features only; free the columns
     kinds = active_kinds(spec)
     outcomes: dict[tuple[str, str], list[DetectionOutcome]] = {}
     metrics: list[DetectionMetrics] = []
+    # one mode's feature rows serve the fits of every kind
+    named = {m: [fv.named_values() for fv in mode_data[m].features] for m in modes if kinds}
     for kind in kinds:
         for mode in modes:
             fvs = mode_data[mode].features
-            fit = train_detectors(fvs, labels, kind, n_blocks=cfg.n_blocks, l2=cfg.l2)
+            fit = train_detectors(
+                fvs, labels, kind, n_blocks=cfg.n_blocks, l2=cfg.l2, named=named[mode]
+            )
             outcomes[(kind.value, mode.value)] = fit.outcomes
             metrics.append(
                 evaluate(
@@ -399,21 +410,6 @@ def run_telemetry(
         iat_edges=iat_edges,
         sketch_records_blob=b"".join(sketch_blobs),
         drops=drops,
-    )
-
-
-def _as_delivered(stream: WindowStream) -> DeliveredBatch:
-    # window-stream view in the DeliveredBatch shape (arrival := observation)
-    return DeliveredBatch(
-        teid=stream.teid,
-        qfi=stream.qfi,
-        qid=stream.qid,
-        bytes=stream.bytes,
-        arrival_ns=stream.obs_ns,
-        sojourn_ns=stream.sojourn_ns,
-        color=stream.color,
-        monitored=stream.monitored,
-        injected=np.zeros(len(stream.teid), dtype=bool),
     )
 
 

@@ -29,7 +29,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -171,10 +170,6 @@ class DeliveredBatch:
             sojourn_ns=int(self.sojourn_ns[i]),
             color=Color(int(self.color[i])),
         )
-
-    def events(self) -> Iterable[PacketEvent]:
-        for i in range(len(self)):
-            yield self.event(i)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,12 +24,12 @@ from flowtel.analysis import (
     train_detectors,
     ttfd_seconds,
 )
-from flowtel.baselines import Postcard, QfiCounters
+from flowtel.baselines import QfiCounters
 from flowtel.binning import DiagnosticRegion
 from flowtel.core import FlowKey, SketchConfig
-from flowtel.simulator import AnomalyKind, GroundTruthLabel
+from flowtel.simulator import AnomalyKind, GroundTruthLabel, flow_codes
 from flowtel.sizing import FlowBaseline
-from flowtel.sketch import HistogramSketch
+from flowtel.sketch import HistogramSketch, bin_of
 
 from conftest import exact_truth, random_stream
 
@@ -55,13 +56,9 @@ def test_collision_free_sketch_features_equal_full_sampling_postcards(rng):
         sk.update(e)
     (key,) = {e.key for e in events}
     f_sketch = extract_sketch_features({0: sk}, [key], REGION, 0, {key.qfi: 0}, {key})[0]
-    postcards = [
-        Postcard(key=e.key, qid=0, arrival_ns=e.arrival_ns, sojourn_ns=e.sojourn_ns,
-                 color=e.color, bytes=e.bytes)
-        for e in events
-    ]
+    postcards = [(e.key, e.arrival_ns, e.sojourn_ns, int(e.color), e.bytes) for e in events]
     f_pc = extract_postcard_features(
-        postcards, [key], REGION, 0, {0: np.array(LAT_EDGES, float)},
+        *postcard_columns(postcards), [key], REGION, 0, {0: np.array(LAT_EDGES, float)},
         {0: np.array(IAT_EDGES, float)}, {key.qfi: 0}, 8,
     )[0]
     assert f_sketch.pkts == f_pc.pkts
@@ -69,6 +66,79 @@ def test_collision_free_sketch_features_equal_full_sampling_postcards(rng):
     assert f_sketch.lat_fracs == pytest.approx(f_pc.lat_fracs)
     assert f_sketch.tail_frac == pytest.approx(f_pc.tail_frac)
     assert f_sketch.color_fracs == pytest.approx(f_pc.color_fracs)
+
+
+def postcard_columns(postcards):
+    """(key, arrival_ns, sojourn_ns, color, bytes) tuples in arrival order as
+    the columns extract_postcard_features reads."""
+    keys, arrival, sojourn, color, nbytes = zip(*postcards)
+    return (
+        flow_codes(np.array([k.teid for k in keys]), np.array([k.qfi for k in keys])),
+        np.array(arrival, dtype=np.int64), np.array(sojourn, dtype=np.int64),
+        np.array(color, dtype=np.int8), np.array(nbytes, dtype=np.int64),
+    )
+
+
+def reference_postcard_features(postcards, keys, region, window, lat_edges, iat_edges,
+                                qfi_to_qid, bins_b):
+    """One postcard at a time: bin_of per sample, a running gap per flow."""
+    by_key = {k: [] for k in keys}
+    for pc in postcards:
+        by_key.setdefault(pc[0], []).append(pc)
+    active = Counter(k.qfi for k, pcs in by_key.items() if pcs)
+    tail, head = sorted(region.lat_tail_bins), sorted(region.iat_head_bins)
+    out = []
+    for k in sorted(by_key):
+        qid = qfi_to_qid[k.qfi]
+        lat, iat, colors = np.zeros(bins_b, int), np.zeros(bins_b, int), np.zeros(3, int)
+        prev = None
+        for _, arrival, sojourn, color, _ in by_key[k]:
+            lat[bin_of(sojourn, lat_edges[qid])] += 1
+            colors[color] += 1
+            if prev is not None:
+                iat[bin_of(arrival - prev, iat_edges[qid])] += 1
+            prev = arrival
+        fracs = lambda c: tuple(float(x) / c.sum() if c.sum() else 0.0 for x in c)  # noqa: E731
+        out.append(FeatureVector(
+            scope=("flow", k.teid, k.qfi), window=window, mode="dsmp",
+            pkts=float(len(by_key[k])), bytes=float(sum(pc[4] for pc in by_key[k])),
+            diag_pkts=float(lat[tail].sum() + iat[head].sum()),
+            tail_frac=float(lat[tail].sum()) / lat.sum() if lat.sum() else 0.0,
+            head_frac=float(iat[head].sum()) / iat.sum() if iat.sum() else 0.0,
+            lat_fracs=fracs(lat), iat_fracs=fracs(iat), color_fracs=fracs(colors),
+            teids_per_qfi=float(active[k.qfi]), unregistered=k not in keys,
+        ))
+    return out
+
+
+def test_columnar_postcard_features_match_per_postcard_loop(rng):
+    lat_edges = {0: np.array(LAT_EDGES, float), 1: np.array([50.0, 500, 5e3, 5e4, 5e5, 5e6, 5e7])}
+    iat_edges = {0: np.array(IAT_EDGES, float), 1: np.array([10.0, 20, 40, 80, 160, 320, 640])}
+    qfi_to_qid = {1: 0, 2: 1}
+    # (2, 1) registered but silent, (4, 2) a single postcard, (9, 1) unregistered
+    keys = [FlowKey(1, 1), FlowKey(2, 1), FlowKey(3, 2), FlowKey(4, 2)]
+    rows = []
+    sizes = {FlowKey(1, 1): 60, FlowKey(3, 2): 60, FlowKey(4, 2): 1, FlowKey(9, 1): 30}
+    for key, n in sizes.items():
+        qid = qfi_to_qid[key.qfi]
+        # gaps and sojourns drawn mostly from exact bin edges, one off either side
+        lat_pool = np.concatenate([lat_edges[qid], lat_edges[qid] - 1, [0, 7, 10**9]])
+        iat_pool = np.concatenate([iat_edges[qid], iat_edges[qid] + 1, [0, 3]])
+        arrival = 1000 + np.cumsum(rng.choice(iat_pool, size=n)).astype(np.int64)
+        sojourn = rng.choice(lat_pool, size=n).astype(np.int64)
+        rows += [(key, int(a), int(s), int(rng.integers(0, 3)), int(rng.integers(64, 1500)))
+                 for a, s in zip(arrival, sojourn)]
+    postcards = [rows[i] for i in np.argsort([r[1] for r in rows], kind="stable")]
+    got = extract_postcard_features(
+        *postcard_columns(postcards), keys, REGION, 5, lat_edges, iat_edges, qfi_to_qid, 8
+    )
+    expect = reference_postcard_features(
+        postcards, keys, REGION, 5, lat_edges, iat_edges, qfi_to_qid, 8
+    )
+    assert got == expect
+    assert [fv.scope[1] for fv in got] == [1, 2, 3, 4, 9]
+    assert got[1].pkts == 0 and got[3].pkts == 1 and got[3].iat_fracs == (0.0,) * 8
+    assert got[4].unregistered and not any(fv.unregistered for fv in got[:4])
 
 
 def test_pm_features_mark_distributional_fields_absent():

@@ -11,9 +11,11 @@ from flowtel.baselines import (
     export_cost,
     pm_record_drop,
     pm_update,
+    pm_window,
     sketch_record_bytes,
 )
 from flowtel.core import Color, FlowKey, PacketEvent
+from flowtel.simulator import DeliveredBatch, DropRecord
 
 
 def ev(teid, qfi, sojourn_ns, arrival_ns=0, size=500, color=Color.GREEN):
@@ -63,6 +65,75 @@ def test_pm_drop_accounting():
     assert counters[4].drop_count == 2
 
 
+def delivered_batch(teid, qfi, qid, nbytes, arrival_ns, sojourn_ns, monitored):
+    n = len(teid)
+    return DeliveredBatch(
+        teid=np.asarray(teid, dtype=np.int64), qfi=np.asarray(qfi, dtype=np.int64),
+        qid=np.asarray(qid, dtype=np.int64), bytes=np.asarray(nbytes, dtype=np.int64),
+        arrival_ns=np.asarray(arrival_ns, dtype=np.int64),
+        sojourn_ns=np.asarray(sojourn_ns, dtype=np.int64), color=np.zeros(n, dtype=np.int8),
+        monitored=np.asarray(monitored, dtype=bool), injected=np.zeros(n, dtype=bool),
+    )
+
+
+def test_pm_windows_match_per_event_fold(rng):
+    """The pipeline's PM rows (per-window slices of the stream and of the
+    drops) equal folding every packet and drop with pm_update/pm_record_drop."""
+    from flowtel.pipeline import TelemetryConfig, run_telemetry
+    from flowtel.simulator import FlowSpec, QueuePolicy, ScenarioSpec, TrafficPattern
+
+    n, n_windows, W = 3000, 4, 10**9
+    qfi = rng.integers(1, 5, size=n)
+    batch = delivered_batch(
+        teid=rng.integers(1, 30, size=n), qfi=qfi, qid=qfi % 2,
+        nbytes=rng.integers(64, 1500, size=n),
+        arrival_ns=np.sort(rng.integers(0, n_windows * W + W // 2, size=n)),
+        sojourn_ns=rng.integers(0, 10**8, size=n), monitored=rng.random(n) < 0.8,
+    )
+    # qfi 6 only ever drops (a drop-only row); the last drop is past the last window
+    m = 400
+    drops = DropRecord(
+        teid=rng.integers(1, 30, size=m), qfi=rng.choice([1, 3, 6], size=m),
+        qid=np.zeros(m, dtype=np.int64),
+        time_ns=np.append(rng.integers(0, n_windows * W, size=m - 1), n_windows * W + 5),
+        reason=rng.integers(0, 2, size=m), monitored=np.append(rng.random(m - 1) < 0.7, True),
+    )
+    flow = FlowSpec(key=FlowKey(1, 1), pattern=TrafficPattern.CBR, rate_pps=1.0)
+    spec = ScenarioSpec(
+        duration_s=float(n_windows), seed=0, flows=(flow,),
+        qfi_to_qid={q: q % 2 for q in range(1, 7)},
+        queue_policy={q: QueuePolicy(tier=q, weight=1, service_rate_bps=1e9, buffer_pkts=10)
+                      for q in (0, 1)},
+    )
+    result = run_telemetry(batch, drops, [], spec, TelemetryConfig(), modes=(TelemetryMode.PM,))
+
+    ref: dict[int, dict[int, QfiCounters]] = {w: {} for w in range(n_windows)}
+    depart = batch.depart_ns()
+    for i in np.argsort(depart, kind="stable"):
+        w = int(depart[i]) // W
+        if batch.monitored[i] and w < n_windows:
+            pm_update(ref[w], batch.event(i), w)
+    for q, t, mon in zip(drops.qfi.tolist(), drops.time_ns.tolist(), drops.monitored.tolist()):
+        if mon and t // W < n_windows:
+            pm_record_drop(ref[t // W], q, t // W)
+    expect = [ref[w][q].to_line() for w in range(n_windows) for q in sorted(ref[w])]
+    assert result.modes[TelemetryMode.PM].record_lines == expect
+    assert any(line.split()[2] == "6" for line in expect)  # the drop-only rows are there
+
+
+def test_pm_window_mean_delay_divides_exact_sums():
+    # three sojourns just past 2**53: their float64 sum rounds, the int sum does not
+    soj = np.array([2**53 + 1, 2**53 + 3, 2**53 + 5], dtype=np.int64)
+    (row,) = pm_window(np.full(3, 2), np.full(3, 100), soj, np.array([2, 2]), window=4)
+    ref: dict[int, QfiCounters] = {}
+    for s in soj.tolist():
+        pm_update(ref, ev(1, 2, sojourn_ns=s, size=100), window=4)
+    pm_record_drop(ref, 2, 4)
+    pm_record_drop(ref, 2, 4)
+    assert row == ref[2]
+    assert row.mean_delay_ns == (3 * 2**53 + 9) / 3 != float(soj.sum(dtype=np.float64)) / 3
+
+
 # -- delta-triggered postcards -------------------------------------------------------
 
 
@@ -102,8 +173,6 @@ def test_per_flow_state_is_independent():
 
 
 def test_offer_batch_matches_sequential(rng):
-    from flowtel.simulator import DeliveredBatch
-
     n = 500
     teid = rng.integers(1, 6, size=n).astype(np.int64)
     soj = rng.integers(0, 5_000_000, size=n).astype(np.int64)
@@ -120,6 +189,31 @@ def test_offer_batch_matches_sequential(rng):
     seq_sampler = DeltaSampler(delta_ns=700_000)
     expect = {i for i in range(n) if seq_sampler.offer(batch.event(i)) is not None}
     assert idx == expect
+
+
+def test_offer_batch_one_pass_matches_per_window_calls(rng):
+    """One call over a multi-window stream exports the same packets as one
+    call per window (state carried between calls) and as sequential offer."""
+    n, W = 900, 1000
+    teid = rng.integers(1, 8, size=n)
+    soj = rng.integers(0, 5_000_000, size=n)
+    # flow 9 exports in window 0, stays within delta of that export through
+    # window 1, and moves past it early in window 2
+    teid[[10, 350, 400, 700]] = 9
+    soj[[10, 350, 400, 700]] = [1_000_000, 1_300_000, 1_600_000, 1_800_000]
+    batch = delivered_batch(
+        teid=teid, qfi=np.ones(n), qid=np.zeros(n), nbytes=np.full(n, 500),
+        arrival_ns=np.arange(n) * 3 + 1, sojourn_ns=soj, monitored=rng.random(n) < 0.9,
+    )
+    window = batch.arrival_ns // W
+    assert window[[10, 350, 400, 700]].tolist() == [0, 1, 1, 2]
+    one = DeltaSampler(delta_ns=700_000).offer_batch(batch, np.ones(n, dtype=bool))
+    per = DeltaSampler(delta_ns=700_000)
+    per_window = np.concatenate([per.offer_batch(batch, window == w) for w in range(3)])
+    seq = DeltaSampler(delta_ns=700_000)
+    expect = [i for i in range(n) if batch.monitored[i] and seq.offer(batch.event(i)) is not None]
+    assert one.tolist() == per_window.tolist() == expect
+    assert 700 in expect and 350 not in expect and 400 not in expect
 
 
 # -- export cost ---------------------------------------------------------------------

@@ -194,6 +194,39 @@ def test_explicit_edges_override_fitting(tmp_path):
     assert np.array_equal(iat[0], np.array(pinned))
 
 
+def test_warmup_overlapping_anomaly_warns(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(MINIMAL_SCENARIO))  # first anomaly at 2.1 s, warmup 2 s
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().err == ""
+
+    doc = dict(MINIMAL_SCENARIO)
+    doc["anomalies"] = [dict(doc["anomalies"][0], start_s=1.5), doc["anomalies"][1]]
+    scenario.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "b")]) == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "anomaly 0 (microburst, start_s=1.5)" in line
+    assert "telemetry.fit_windows=2" in line
+
+    # every queue pinned: nothing is fitted, so nothing can be folded in
+    pinned = [float(v) for v in range(100, 100 + 63 * 7, 63)]
+    doc["telemetry"] = dict(doc["telemetry"], lat_edges_ns={"0": pinned},
+                            iat_edges_ns={"0": pinned})
+    scenario.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "c")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_explicit_edges_of_the_wrong_count_exit_2_naming_the_field(tmp_path, capsys):
+    doc = dict(MINIMAL_SCENARIO)
+    doc["telemetry"] = dict(doc["telemetry"], lat_edges_ns={"0": [float(v) for v in range(1, 12)]})
+    scenario = tmp_path / "edges.json"
+    scenario.write_text(json.dumps(doc))
+    rc = main(["run", "--scenario", str(scenario), "--modes", "dsmp", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "lat_edges_ns: qid 0 needs bins_b - 1 = 7 edges, got 11" in capsys.readouterr().err
+
+
 def test_window_count_follows_window_length():
     from flowtel.core import NS_PER_S
     from flowtel.pipeline import window_stream
