@@ -6,23 +6,11 @@ import argparse
 import sys
 import time
 
-from flowtel.analysis import auprc
+from flowtel.analysis import pooled_auprc
 from flowtel.pipeline import run_scenario
 from flowtel.scenarios import PRESETS, build
 
 SCENARIOS = ["microburst", "congestion", "contention", "policy_abuse", "mixed"]
-
-
-def pooled(res, mode):
-    scores = {w: 0.0 for w in res.windows}
-    for (kind, md), outs in res.outcomes.items():
-        if md != mode:
-            continue
-        for o in outs:
-            scores[o.window] = max(scores[o.window], o.score)
-    pos = {lb.window for lb in res.labels}
-    y = [1 if w in pos else 0 for w in res.windows]
-    return auprc(y, [scores[w] for w in res.windows])
 
 
 def main():
@@ -46,7 +34,7 @@ def main():
                               m.ttfd_censored, m.ttfd_instances))
         if name == "mixed":
             for mode in ("sketch", "dsmp", "pm"):
-                acc_rows.append((name, "pooled", mode, pooled(res, mode), float("nan")))
+                acc_rows.append((name, "pooled", mode, pooled_auprc(res, mode), float("nan")))
         for mode in res.modes:
             mbps = res.total_bytes(mode) * 8 / spec.duration_s / 1e6
             cost_rows.append((name, mode.value, mbps))

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -37,6 +37,9 @@ from .core import MAX_QFI, QFI_BITS, FlowKey
 from .simulator import AnomalyKind, GroundTruthLabel
 from .sizing import FlowBaseline
 from .sketch import HistogramSketch
+
+if TYPE_CHECKING:
+    from .pipeline import RunResult
 
 
 class FitError(ValueError):
@@ -655,6 +658,21 @@ def evaluate(
         ttfd_censored=censored,
         ttfd_instances=len(instances),
     )
+
+
+def pooled_auprc(result: RunResult, mode: str) -> float | None:
+    """Any-anomaly AUPRC of one mode: a window scores the max over every
+    kind's outcomes (0.0 without any) and is positive when any label falls
+    in it."""
+    scores = {w: 0.0 for w in result.windows}
+    for (_, md), outs in result.outcomes.items():
+        if md != mode:
+            continue
+        for o in outs:
+            scores[o.window] = max(scores[o.window], o.score)
+    positive = {lb.window for lb in result.labels}
+    return auprc([1 if w in positive else 0 for w in result.windows],
+                 [scores[w] for w in result.windows])
 
 
 def pareto_front(points: Sequence[tuple[float, float]]) -> list[bool]:

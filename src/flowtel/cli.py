@@ -13,16 +13,17 @@ Worker count for sweeps comes from FLOWTEL_WORKERS (default 1).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import auprc
+from .analysis import pooled_auprc
 from .baselines import TelemetryMode
 from .binning import BinStrategy
 from .core import FlowKey, NS_PER_S
@@ -188,14 +189,15 @@ def load_scenario(
         p = Path(path_or_preset)
         if not p.exists():
             raise ScenarioError(f"scenario: no such file or preset {path_or_preset!r}")
+        raw = p.read_bytes()
         try:
-            doc = json.loads(p.read_text())
+            doc = json.loads(raw)
         except json.JSONDecodeError as e:
             raise ScenarioError(f"scenario file {p}: malformed JSON: {e}") from e
         if seed is not None:
             doc["seed"] = seed
         spec, cfg = scenario_from_dict(doc)
-        manifest_scenario = {"file": str(p), "sha": None}
+        manifest_scenario = {"file": str(p), "sha": hashlib.sha256(raw).hexdigest()}
     return spec, cfg, manifest_scenario
 
 
@@ -301,7 +303,8 @@ def cmd_sweep(args) -> int:
     delivered, drops, labels = simulate(spec)
     workers = int(os.environ.get("FLOWTEL_WORKERS", "1"))
     jobs = [
-        (delivered, drops, labels, spec, _cfg_with(cfg, w, d, r, dl))
+        (delivered, drops, labels, spec,
+         replace(cfg, width=w, depth=d, rho=r, dsmp_delta_ns=dl))
         for (w, d, r, dl) in configs
     ]
     if workers > 1:
@@ -327,33 +330,11 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cfg_with(cfg: TelemetryConfig, w: int, d: int, r: float, dl: int) -> TelemetryConfig:
-    return TelemetryConfig(
-        width=w, depth=d, bins_b=cfg.bins_b, lat_tail_bins=cfg.lat_tail_bins,
-        iat_head_bins=cfg.iat_head_bins, rho=r, strategy=cfg.strategy,
-        fit_windows=cfg.fit_windows, fit_sample_size=cfg.fit_sample_size,
-        dsmp_delta_ns=dl, n_blocks=cfg.n_blocks, l2=cfg.l2,
-    )
-
-
 def _sweep_job(job) -> tuple[dict, dict]:
     delivered, drops, labels, spec, cfg = job
     result = run_telemetry(delivered, drops, labels, spec, cfg, collect_sketch_records=False)
     costs = {m.value: result.total_bytes(m) for m in result.modes}
-    # pooled any-anomaly accuracy per mode
-    pooled = {}
-    pos = {lb.window for lb in result.labels}
-    for mode in result.modes:
-        scores = {w: 0.0 for w in result.windows}
-        for (kind, md), outs in result.outcomes.items():
-            if md != mode.value:
-                continue
-            for o in outs:
-                scores[o.window] = max(scores[o.window], o.score)
-        y = [1 if w in pos else 0 for w in result.windows]
-        s = [scores[w] for w in result.windows]
-        pooled[mode.value] = auprc(y, s)
-    return costs, pooled
+    return costs, {m.value: pooled_auprc(result, m.value) for m in result.modes}
 
 
 CAPTURE_HEADER = "# teid qfi qid bytes arrival_ns sojourn_ns color monitored"

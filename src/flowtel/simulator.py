@@ -21,11 +21,21 @@ configured weights. A packet's transmission time uses its queue's configured
 service rate. Metering is a two-rate three-color token bucket per flow key
 (RFC 2698 color-blind order: peak bucket first); red packets drop before the
 queue, full buffers tail-drop.
+
+The model is defined by one loop that meters, enqueues and serves each
+packet in arrival order (kept in tests/test_simulator.py as the oracle).
+``run_queues`` computes the same outputs in three steps. A meter pass colors
+every packet first: each metered flow has a bucket of its own that reads only
+that flow's packets, so its colors cannot depend on queueing. Transmission
+times are computed for all packets at once from the same doubles a
+per-packet ``math.ceil`` saw. The service loop then visits only the packets
+the meter passed (a red packet never touches a queue) and serves a one-queue
+tier's head without deficit bookkeeping (deficit round-robin only chooses
+between the queues of one tier).
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -490,43 +500,40 @@ def label_windows(spec: ScenarioSpec) -> list[GroundTruthLabel]:
 # -- metering + queueing + scheduling ----------------------------------------------
 
 
-class _Trtcm:
-    __slots__ = ("cir", "pir", "cbs", "pbs", "tc", "tp", "last_ns")
-
-    def __init__(self, m: MeterSpec):
-        self.cir = m.cir_bps / (8 * NS_PER_S)  # bytes per ns
-        self.pir = m.pir_bps / (8 * NS_PER_S)
-        self.cbs = float(m.cbs_bytes)
-        self.pbs = float(m.pbs_bytes)
-        self.tc = float(m.cbs_bytes)
-        self.tp = float(m.pbs_bytes)
-        self.last_ns = 0
-
-    def mark(self, t_ns: int, size: int) -> int:
-        elapsed = t_ns - self.last_ns
-        if elapsed > 0:
-            self.tc = min(self.cbs, self.tc + elapsed * self.cir)
-            self.tp = min(self.pbs, self.tp + elapsed * self.pir)
-            self.last_ns = t_ns
-        if self.tp < size:
-            return 2  # red
-        if self.tc < size:
-            self.tp -= size
-            return 1  # yellow
-        self.tc -= size
-        self.tp -= size
-        return 0  # green
-
-
 DROP_METER = 0
 DROP_OVERFLOW = 1
 
-_DRR_QUANTUM_BYTES = 2000  # per weight unit; >= max packet so every turn serves
+_DRR_QUANTUM_BYTES = 2000  # per weight unit; a larger packet waits for more turns
 
 
 def run_queues(batch: ArrivalBatch, spec: ScenarioSpec) -> tuple[DeliveredBatch, DropRecord]:
     """Meter, enqueue, and serve an arrival stream; returns delivered packets
-    (in arrival order) and the drop record."""
+    and the drop record, both in arrival order.
+
+    The outputs are those of one loop that meters, enqueues and serves each
+    packet in arrival order. Three steps give them, each for a reason that
+    leaves every output unchanged:
+
+    1. Meter pass (``_meter_colors``). Every metered flow code has a bucket
+       of its own, an explicit meter or its own copy of ``default_meter``,
+       and a bucket reads only its flow's arrival times and sizes. Each
+       flow's RFC 2698 recurrence therefore runs over its packets in arrival
+       order before any queueing, with the same float operations in the same
+       order, and yields the colors and the red packets.
+    2. Transmission times (``_serve``): ``max(1, ceil(bytes * ns_per_byte))``
+       for all packets at once. numpy multiplies and rounds the same IEEE
+       doubles a per-packet ``math.ceil(bytes * ns_per_byte)`` did.
+    3. Service loop (``_serve``) over the packets the meter passed. A red
+       packet never enters a queue, so the services a loop would start on
+       reaching it start, in the same order, on reaching the next passed
+       arrival: nothing joins a queue in between. A tier with one queue
+       serves its head directly: deficit round-robin only chooses between
+       the queues of one tier, so that tier's deficit could never change
+       which packet leaves.
+
+    Meter drops and overflow drops are merged by packet index, which keeps
+    the drop record in arrival order.
+    """
     spec.validate()
     n = len(batch)
     qid_of_qfi = np.full(MAX_QFI + 1, -1, dtype=np.int64)
@@ -537,132 +544,184 @@ def run_queues(batch: ArrivalBatch, spec: ScenarioSpec) -> tuple[DeliveredBatch,
         bad = int(batch.qfi[pkt_qid < 0][0])
         raise ScenarioError(f"qfi_to_qid: stream contains unmapped qfi {bad}")
 
-    # per-queue state in lists indexed by position in sorted qids
+    color = _meter_colors(batch, spec)
+    red = color == 2
+    # queues are numbered by position in sorted qids
     qids = sorted(spec.queue_policy)
-    tiers: dict[int, list[int]] = {}
-    for j, q in enumerate(qids):
-        tiers.setdefault(spec.queue_policy[q].tier, []).append(j)
-    rings = [tiers[t] for t in sorted(tiers)]
-    n_tiers = len(rings)
-    ring_pos = [0] * n_tiers
-    granted = [False] * n_tiers
-    pending = [0] * n_tiers  # queued packets per tier
-    tier_of = [sorted(tiers).index(spec.queue_policy[q].tier) for q in qids]
-    deficit = [0.0] * len(qids)
-    quantum = [spec.queue_policy[q].weight * _DRR_QUANTUM_BYTES for q in qids]
-    buffers = [spec.queue_policy[q].buffer_pkts for q in qids]
-    ns_per_byte = [8 * NS_PER_S / spec.queue_policy[q].service_rate_bps for q in qids]
-    queues = [deque() for _ in qids]
+    dense_of_qfi = np.searchsorted(qids, qid_of_qfi).astype(np.min_scalar_type(len(qids)))
+    depart, overflow = _serve(batch, dense_of_qfi[batch.qfi], ~red,
+                              [spec.queue_policy[q] for q in qids])
 
-    # one slot per flow code: its meter (or None) and its queue
-    codes, slot = np.unique(batch.codes(), return_inverse=True)
+    reason = np.full(n, -1, dtype=np.int8)
+    reason[red] = DROP_METER
+    reason[overflow] = DROP_OVERFLOW
+    drops = np.flatnonzero(reason >= 0)
+    mask = depart >= 0
+    arrival = batch.arrival_ns[mask]
+    delivered = DeliveredBatch(
+        teid=batch.teid[mask],
+        qfi=batch.qfi[mask],
+        qid=pkt_qid[mask],
+        bytes=batch.bytes[mask],
+        arrival_ns=arrival,
+        sojourn_ns=depart[mask] - arrival,
+        color=color[mask],
+        monitored=batch.monitored[mask],
+        injected=batch.injected[mask],
+    )
+    drop_rec = DropRecord(
+        teid=batch.teid[drops],
+        qfi=batch.qfi[drops],
+        qid=pkt_qid[drops],
+        time_ns=batch.arrival_ns[drops],
+        reason=reason[drops],
+        monitored=batch.monitored[drops],
+    )
+    return delivered, drop_rec
+
+
+def _meter_colors(batch: ArrivalBatch, spec: ScenarioSpec) -> np.ndarray:
+    """Each packet's meter color: 0 green (or unmetered), 1 yellow, 2 red."""
+    color = np.zeros(len(batch), dtype=np.int8)
+    codes = batch.codes()
     meters = {key.code(): m for key, m in spec.meters.items()}
-    dense = {q: j for j, q in enumerate(qids)}
-    slot_meter = []
-    slot_queue = []
-    for code in map(int, codes):
+    if spec.default_meter is None:
+        metered = np.flatnonzero(np.isin(codes, np.fromiter(meters, np.uint64, len(meters))))
+    else:
+        metered = np.arange(len(batch))
+    by_flow = metered[np.argsort(codes[metered], kind="stable")]  # arrival order per flow
+    flows, counts = np.unique(codes[by_flow], return_counts=True)
+    ends = np.cumsum(counts)
+    for code, lo, hi in zip(flows.tolist(), (ends - counts).tolist(), ends.tolist()):
+        idx = by_flow[lo:hi]
         m = meters.get(code, spec.default_meter)
-        slot_meter.append(None if m is None else _Trtcm(m))
-        slot_queue.append(dense[int(qid_of_qfi[code & MAX_QFI])])
+        color[idx] = _trtcm(m, memoryview(batch.arrival_ns[idx]), memoryview(batch.bytes[idx]))
+    return color
 
-    arrival = batch.arrival_ns
-    sizes = batch.bytes
-    teid_arr = batch.teid
-    qfi_arr = batch.qfi
 
-    sojourn = np.full(n, -1, dtype=np.int64)
-    color = np.zeros(n, dtype=np.int8)
+def _trtcm(m: MeterSpec, times, sizes) -> list[int]:
+    """RFC 2698 two-rate three-color marker, color-blind (peak bucket first),
+    over one flow's arrival times and sizes. Both buckets start full at 0."""
+    cir = m.cir_bps / (8 * NS_PER_S)  # bytes per ns
+    pir = m.pir_bps / (8 * NS_PER_S)
+    cbs = float(m.cbs_bytes)
+    pbs = float(m.pbs_bytes)
+    tc, tp, last = cbs, pbs, 0
+    colors: list[int] = []
+    mark = colors.append
+    for t, size in zip(times, sizes):
+        elapsed = t - last
+        if elapsed > 0:
+            tc += elapsed * cir
+            tp += elapsed * pir
+            tc = tc if tc < cbs else cbs  # min(cbs, tc) without a call
+            tp = tp if tp < pbs else pbs
+            last = t
+        if tp < size:
+            mark(2)  # red
+        elif tc < size:
+            tp -= size
+            mark(1)  # yellow
+        else:
+            tc -= size
+            tp -= size
+            mark(0)  # green
+    return colors
+
+
+def _serve(batch: ArrivalBatch, pkt_q: np.ndarray, passed: np.ndarray,
+           policies: list[QueuePolicy]) -> tuple[np.ndarray, list[int]]:
+    """Enqueue the ``passed`` packets in arrival order into queue ``pkt_q``
+    (an index into ``policies``) and serve them on one non-preemptive port.
+
+    Returns each packet's departure time (-1 when not delivered) and the
+    indices of the overflow drops, ascending. Tie rule: of the packets
+    arriving at time t, those up to and including the first one enqueued
+    are handled before a service that starts at t; the rest after it.
+    """
+    # transmission times: max(1, ceil(bytes * ns_per_byte))
+    ns_per_byte = np.array([8 * NS_PER_S / pol.service_rate_bps for pol in policies])
+    tx = batch.bytes * ns_per_byte[pkt_q]
+    np.ceil(tx, out=tx)
+    tx = np.maximum(tx, 1, out=tx).astype(np.int64)
+
+    tiers: dict[int, list[int]] = {}
+    for j, pol in enumerate(policies):
+        tiers.setdefault(pol.tier, []).append(j)
+    order = sorted(tiers)
+    rings = [tiers[t] for t in order]  # strict priority: rings[0] first
+    tier_of = [order.index(pol.tier) for pol in policies]
+    queues = [deque() for _ in policies]
+    # DRR only decides between the queues of one tier: a one-queue tier
+    # serves its head whatever its deficit, so it keeps none
+    solo = [queues[ring[0]] if len(ring) == 1 else None for ring in rings]
+    ring_pos = [0] * len(rings)
+    granted = [False] * len(rings)
+    pending = [0] * len(rings)  # queued packets per tier
+    deficit = [0] * len(policies)
+    quantum = [pol.weight * _DRR_QUANTUM_BYTES for pol in policies]
+    buffers = [pol.buffer_pkts for pol in policies]
+
+    n = len(batch)
+    depart = np.full(n, -1, dtype=np.int64)
+    # the passed packets, then index n: an arrival after every departure,
+    # which drains the queues and is not enqueued
+    keep = np.flatnonzero(np.append(passed, True))
+    keep_t = np.full(len(keep), np.iinfo(np.int64).max)
+    np.take(batch.arrival_ns, keep[:-1], out=keep_t[:-1])
     # per-packet reads and writes go through memoryviews, which yield and take
     # Python ints where numpy indexing would build a scalar object each time
-    arrival_v, sizes_v, slot_v = memoryview(arrival), memoryview(sizes), memoryview(slot)
-    sojourn_v, color_v = memoryview(sojourn), memoryview(color)
-    backlog = 0
-
-    drop_idx: list[int] = []
-    drop_reason: list[int] = []
-
-    def begin_service(start_ns: int) -> int:
-        nonlocal backlog
-        for ti in range(n_tiers):
-            if not pending[ti]:
-                continue
-            ring = rings[ti]
-            pos = ring_pos[ti]
-            while True:
-                q = ring[pos]
-                queue = queues[q]
-                if queue:
-                    head = queue[0]
-                    need = sizes_v[head]
-                    if not granted[ti]:
-                        deficit[q] += quantum[q]
-                        granted[ti] = True
-                    if deficit[q] >= need:
-                        deficit[q] -= need
-                        queue.popleft()
-                        backlog -= 1
-                        pending[ti] -= 1
-                        ring_pos[ti] = pos
-                        tx = int(math.ceil(need * ns_per_byte[q]))
-                        depart = start_ns + max(tx, 1)
-                        sojourn_v[head] = depart - arrival_v[head]
-                        return depart
-                else:
-                    deficit[q] = 0.0
-                granted[ti] = False
-                pos = (pos + 1) % len(ring)
-        raise RuntimeError("begin_service called with empty backlog")
+    sizes_v, tx_v, q_v, depart_v = map(memoryview, (batch.bytes, tx, pkt_q, depart))
+    overflow: list[int] = []
 
     free_at = 0
-    for i in range(n):
-        t = arrival_v[i]
-        while backlog and free_at < t:
-            free_at = begin_service(free_at)
-        s = slot_v[i]
-        meter = slot_meter[s]
-        if meter is not None:
-            c = meter.mark(t, sizes_v[i])
-            if c == 2:
-                drop_idx.append(i)
-                drop_reason.append(DROP_METER)
-                continue
-            color_v[i] = c
-        q = slot_queue[s]
+    backlog = 0
+    start_now = False  # a service starts at free_at before the next arrival
+    for i, t in zip(memoryview(keep), memoryview(keep_t)):
+        while start_now or (backlog and free_at < t):
+            start_now = False
+            backlog -= 1
+            ti = 0
+            while not pending[ti]:
+                ti += 1
+            pending[ti] -= 1
+            queue = solo[ti]
+            if queue is None:
+                ring = rings[ti]
+                pos = ring_pos[ti]
+                while True:
+                    q = ring[pos]
+                    queue = queues[q]
+                    if queue:
+                        if not granted[ti]:
+                            deficit[q] += quantum[q]
+                            granted[ti] = True
+                        need = sizes_v[queue[0]]
+                        if deficit[q] >= need:
+                            deficit[q] -= need
+                            ring_pos[ti] = pos
+                            break
+                    else:
+                        deficit[q] = 0
+                    granted[ti] = False
+                    pos = (pos + 1) % len(ring)
+            head = queue.popleft()
+            free_at += tx_v[head]
+            depart_v[head] = free_at
+        if i == n:
+            break
+        q = q_v[i]
         queue = queues[q]
         if len(queue) >= buffers[q]:
-            drop_idx.append(i)
-            drop_reason.append(DROP_OVERFLOW)
+            overflow.append(i)
             continue
         queue.append(i)
         backlog += 1
         pending[tier_of[q]] += 1
         if free_at <= t:
-            free_at = begin_service(t)
-    while backlog:
-        free_at = begin_service(free_at)
-
-    delivered_mask = sojourn >= 0
-    drops = np.array(drop_idx, dtype=np.int64)
-    delivered = DeliveredBatch(
-        teid=teid_arr[delivered_mask],
-        qfi=qfi_arr[delivered_mask],
-        qid=pkt_qid[delivered_mask],
-        bytes=sizes[delivered_mask],
-        arrival_ns=arrival[delivered_mask],
-        sojourn_ns=sojourn[delivered_mask],
-        color=color[delivered_mask],
-        monitored=batch.monitored[delivered_mask],
-        injected=batch.injected[delivered_mask],
-    )
-    drop_rec = DropRecord(
-        teid=teid_arr[drops] if len(drops) else np.empty(0, dtype=np.int64),
-        qfi=qfi_arr[drops] if len(drops) else np.empty(0, dtype=np.int64),
-        qid=pkt_qid[drops] if len(drops) else np.empty(0, dtype=np.int64),
-        time_ns=arrival[drops] if len(drops) else np.empty(0, dtype=np.int64),
-        reason=np.array(drop_reason, dtype=np.int8),
-        monitored=batch.monitored[drops] if len(drops) else np.empty(0, dtype=bool),
-    )
-    return delivered, drop_rec
+            free_at = t
+            start_now = True
+    return depart, overflow
 
 
 def simulate(spec: ScenarioSpec) -> tuple[DeliveredBatch, DropRecord, list[GroundTruthLabel]]:

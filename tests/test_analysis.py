@@ -20,6 +20,7 @@ from flowtel.analysis import (
     extract_sketch_features,
     feature_matrix,
     pareto_front,
+    pooled_auprc,
     temporal_blocks,
     train_detectors,
     ttfd_seconds,
@@ -344,6 +345,24 @@ def test_evaluate_perfect_and_constant():
     const = [outcome(w, 0.7, fired=True) for w in range(10)]
     m2 = evaluate(const, labels, AnomalyKind.MICROBURST, "sketch", list(range(10)), 10**9)
     assert m2.auprc == pytest.approx(0.2)  # prevalence of a constant ranker
+
+
+def test_pooled_auprc_matches_the_inline_window_max():
+    from flowtel.pipeline import run_scenario
+    from flowtel.scenarios import build
+
+    spec, cfg = build("smoke")
+    res = run_scenario(spec, cfg, collect_sketch_records=False)
+    positive = {lb.window for lb in res.labels}
+    assert 0 < len(positive) < len(res.windows)
+    for mode in ("sketch", "dsmp", "pm"):
+        scores = {w: 0.0 for w in res.windows}
+        for (_, md), outs in res.outcomes.items():
+            if md == mode:
+                for o in outs:
+                    scores[o.window] = max(scores[o.window], o.score)
+        y = [1 if w in positive else 0 for w in res.windows]
+        assert pooled_auprc(res, mode) == auprc(y, [scores[w] for w in res.windows])
 
 
 def test_evaluate_no_positives_reports_none():

@@ -55,6 +55,8 @@ def test_run_smoke_emits_all_artifacts(tmp_path, capsys):
     # manifest carries enough to replay the run
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 5 and manifest["command"] == "run"
+    assert manifest["scenario"] == {
+        "file": str(scenario), "sha": hashlib.sha256(scenario.read_bytes()).hexdigest()}
 
 
 def test_run_twice_byte_identical(tmp_path):
@@ -158,6 +160,30 @@ def test_sweep_grid_cardinality_and_cost_monotonicity(tmp_path, capsys):
     cells = {(int(r[1]), int(r[2])): float(r[5]) for r in sketch_rows}
     assert cells[(128, 2)] > cells[(64, 2)]
     assert cells[(256, 3)] > cells[(256, 2)] > cells[(128, 2)]
+
+
+def test_sweep_jobs_keep_pinned_edges(tmp_path, monkeypatch):
+    from flowtel import cli
+
+    pinned = [float(v) for v in range(100, 100 + 63 * 7, 63)]
+    doc = dict(MINIMAL_SCENARIO)
+    doc["telemetry"] = dict(doc["telemetry"], lat_edges_ns={"0": pinned},
+                            iat_edges_ns={"0": pinned})
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"width": [64, 128], "rho": [0.01, 0.05]}))
+    cfgs = []
+
+    def job(j):
+        cfgs.append(j[-1])
+        return {m: 1 for m in ("sketch", "dsmp", "pm")}, {m: None for m in ("sketch", "dsmp", "pm")}
+
+    monkeypatch.setattr(cli, "_sweep_job", job)
+    assert main(["sweep", "--scenario", str(scenario), "--grid", str(grid)]) == 0
+    assert [(c.width, c.rho) for c in cfgs] == [(64, 0.01), (64, 0.05), (128, 0.01), (128, 0.05)]
+    for c in cfgs:
+        assert c.explicit_lat_edges == c.explicit_iat_edges == ((0, tuple(pinned)),)
 
 
 def test_capture_replay_roundtrip(tmp_path, capsys):

@@ -1,4 +1,5 @@
-from collections import Counter
+import math
+from collections import Counter, deque
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,8 @@ from flowtel.simulator import (
     AnomalyEvent,
     AnomalyKind,
     ArrivalBatch,
+    DeliveredBatch,
+    DropRecord,
     FlowSpec,
     MeterSpec,
     QueuePolicy,
@@ -213,6 +216,199 @@ def test_fifo_order_within_queue():
     depart = delivered.arrival_ns + delivered.sojourn_ns
     # delivered is in arrival order; FIFO means departures are sorted too
     assert (np.diff(depart) > 0).all()
+
+
+# -- the service loop against its per-packet definition ------------------------------
+
+
+class PerPacketTrtcm:
+    """One flow's RFC 2698 meter as the per-packet reference loop called it."""
+
+    def __init__(self, m: MeterSpec):
+        self.cir = m.cir_bps / (8 * NS_PER_S)
+        self.pir = m.pir_bps / (8 * NS_PER_S)
+        self.cbs = float(m.cbs_bytes)
+        self.pbs = float(m.pbs_bytes)
+        self.tc = float(m.cbs_bytes)
+        self.tp = float(m.pbs_bytes)
+        self.last_ns = 0
+
+    def mark(self, t_ns: int, size: int) -> int:
+        elapsed = t_ns - self.last_ns
+        if elapsed > 0:
+            self.tc = min(self.cbs, self.tc + elapsed * self.cir)
+            self.tp = min(self.pbs, self.tp + elapsed * self.pir)
+            self.last_ns = t_ns
+        if self.tp < size:
+            return 2
+        if self.tc < size:
+            self.tp -= size
+            return 1
+        self.tc -= size
+        self.tp -= size
+        return 0
+
+
+def per_packet_run_queues(batch: ArrivalBatch, spec: ScenarioSpec, seen: Counter):
+    """Reference definition of run_queues: one loop that meters, enqueues and
+    serves every packet in arrival order, with 2000 bytes of DRR quantum per
+    weight unit. Counts the events the equivalence depends on."""
+    qid_of_qfi = np.full(64, -1, dtype=np.int64)
+    for qfi, qid in spec.qfi_to_qid.items():
+        qid_of_qfi[qfi] = qid
+    pkt_qid = qid_of_qfi[batch.qfi]
+    qids = sorted(spec.queue_policy)
+    tiers: dict[int, list[int]] = {}
+    for j, q in enumerate(qids):
+        tiers.setdefault(spec.queue_policy[q].tier, []).append(j)
+    rings = [tiers[t] for t in sorted(tiers)]
+    ring_pos = [0] * len(rings)
+    granted = [False] * len(rings)
+    tier_of = [sorted(tiers).index(spec.queue_policy[q].tier) for q in qids]
+    deficit = [0.0] * len(qids)
+    quantum = [spec.queue_policy[q].weight * 2000 for q in qids]
+    buffers = [spec.queue_policy[q].buffer_pkts for q in qids]
+    ns_per_byte = [8 * NS_PER_S / spec.queue_policy[q].service_rate_bps for q in qids]
+    queues = [deque() for _ in qids]
+    meters = {}
+    for code in np.unique(batch.codes()).tolist():
+        m = spec.meters.get(FlowKey(code >> 6, code & 63), spec.default_meter)
+        meters[code] = None if m is None else PerPacketTrtcm(m)
+    codes = batch.codes().tolist()
+    arrival, sizes = batch.arrival_ns.tolist(), batch.bytes.tolist()
+    dense = {q: j for j, q in enumerate(qids)}
+    queue_of = [dense[q] for q in pkt_qid.tolist()]
+    n = len(batch)
+    sojourn = np.full(n, -1, dtype=np.int64)
+    color = np.zeros(n, dtype=np.int8)
+    drop_idx, drop_reason = [], []
+
+    def begin_service(start_ns: int) -> int:
+        for ti, ring in enumerate(rings):
+            if not any(queues[q] for q in ring):
+                continue
+            pos = ring_pos[ti]
+            while True:
+                q = ring[pos]
+                queue = queues[q]
+                if queue:
+                    head = queue[0]
+                    need = sizes[head]
+                    if not granted[ti]:
+                        deficit[q] += quantum[q]
+                        granted[ti] = True
+                    if deficit[q] >= need:
+                        deficit[q] -= need
+                        queue.popleft()
+                        ring_pos[ti] = pos
+                        seen[f"served_tier_{ti}"] += 1
+                        seen["larger_than_quantum"] += need > quantum[q]
+                        depart = start_ns + max(int(math.ceil(need * ns_per_byte[q])), 1)
+                        sojourn[head] = depart - arrival[head]
+                        return depart
+                    seen["turn_ends_on_deficit"] += len(ring) > 1
+                else:
+                    deficit[q] = 0.0
+                granted[ti] = False
+                pos = (pos + 1) % len(ring)
+        raise AssertionError("service with nothing queued")
+
+    free_at = 0
+    last_enqueued = (-1, -1)
+    for i in range(n):
+        t = arrival[i]
+        while any(queues) and free_at < t:
+            free_at = begin_service(free_at)
+        seen["arrival_at_busy_free_at"] += bool(any(queues) and free_at == t)
+        meter = meters[codes[i]]
+        if meter is not None:
+            c = meter.mark(t, sizes[i])
+            if c == 2:
+                drop_idx.append(i)
+                drop_reason.append(0)
+                continue
+            color[i] = c
+        q = queue_of[i]
+        if len(queues[q]) >= buffers[q]:
+            seen["overflow_at_free_at"] += free_at == t
+            drop_idx.append(i)
+            drop_reason.append(1)
+            continue
+        queues[q].append(i)
+        seen["same_ns_other_tier"] += last_enqueued[0] == t and last_enqueued[1] != tier_of[q]
+        last_enqueued = (t, tier_of[q])
+        if free_at <= t:
+            free_at = begin_service(t)
+    while any(queues):
+        free_at = begin_service(free_at)
+
+    kept = sojourn >= 0
+    drops = np.array(drop_idx, dtype=np.int64)
+    delivered = DeliveredBatch(
+        teid=batch.teid[kept], qfi=batch.qfi[kept], qid=pkt_qid[kept], bytes=batch.bytes[kept],
+        arrival_ns=batch.arrival_ns[kept], sojourn_ns=sojourn[kept], color=color[kept],
+        monitored=batch.monitored[kept], injected=batch.injected[kept],
+    )
+    drop_rec = DropRecord(
+        teid=batch.teid[drops], qfi=batch.qfi[drops], qid=pkt_qid[drops],
+        time_ns=batch.arrival_ns[drops], reason=np.array(drop_reason, dtype=np.int8),
+        monitored=batch.monitored[drops],
+    )
+    return delivered, drop_rec
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_run_queues_matches_the_per_packet_loop(seed):
+    # Arrivals and 1 ns/byte transmission times on a 100 ns grid, so that
+    # services start exactly at arrival times; 1.4x overload into 4-packet
+    # buffers; tiers 0 and 2 have one queue each, tier 1 a 2:1 DRR ring; sizes
+    # up to 3000 bytes exceed the weight-1 quantum of 2000.
+    rng = np.random.default_rng(seed)
+    keys = [FlowKey(teid, qfi) for qfi in (1, 2, 3, 4) for teid in (10 * qfi, 10 * qfi + 1)]
+    n = 6000
+    pick = rng.integers(0, len(keys), n)
+    teid = np.array([k.teid for k in keys])[pick]
+    qfi = np.array([k.qfi for k in keys])[pick]
+    arrival = np.sort(rng.integers(0, 11 * n, n)) * 100
+    order = np.lexsort(((teid << 6) | qfi, arrival))
+    batch = ArrivalBatch(
+        teid=teid[order], qfi=qfi[order], bytes=rng.integers(1, 31, n) * 100,
+        arrival_ns=arrival[order], monitored=rng.random(n) < 0.8,
+        injected=np.zeros(n, dtype=bool),
+    )
+    spec = ScenarioSpec(
+        duration_s=0.01, seed=seed,
+        flows=tuple(FlowSpec(k, TrafficPattern.CBR, 1.0) for k in keys),
+        qfi_to_qid={1: 7, 2: 2, 3: 5, 4: 0},
+        queue_policy={
+            7: QueuePolicy(tier=1, weight=1, service_rate_bps=8e9, buffer_pkts=4),
+            2: QueuePolicy(tier=4, weight=2, service_rate_bps=8e9, buffer_pkts=4),
+            5: QueuePolicy(tier=4, weight=1, service_rate_bps=8e9, buffer_pkts=4),
+            0: QueuePolicy(tier=9, weight=3, service_rate_bps=8e9, buffer_pkts=4),
+        },
+        meters={
+            keys[0]: MeterSpec(cir_bps=0.4e9, cbs_bytes=3000, pir_bps=0.8e9, pbs_bytes=6000),
+            keys[4]: MeterSpec(cir_bps=0.3e9, cbs_bytes=2000, pir_bps=0.6e9, pbs_bytes=4000),
+        },
+        default_meter=MeterSpec(cir_bps=0.9e9, cbs_bytes=4000, pir_bps=1.3e9, pbs_bytes=8000),
+    )
+    seen = Counter()
+    expected = per_packet_run_queues(batch, spec, seen)
+    got = run_queues(batch, spec)
+    for g, e in zip(got, expected):
+        for col, want in vars(e).items():
+            have = getattr(g, col)
+            assert have.dtype == want.dtype and np.array_equal(have, want), col
+    drops = expected[1]
+    red = drops.reason == 0
+    explicit = np.isin(drops.teid, [keys[0].teid, keys[4].teid])
+    # the fixture really exercises every case the service loop must keep
+    assert (red & explicit).any() and (red & ~explicit).any()
+    assert np.sum(red[1:] != red[:-1]) > 2  # red drops interleaved with overflow drops
+    for case in ("arrival_at_busy_free_at", "overflow_at_free_at", "same_ns_other_tier",
+                 "turn_ends_on_deficit", "larger_than_quantum",
+                 "served_tier_0", "served_tier_1", "served_tier_2"):
+        assert seen[case] > 0, case
 
 
 def test_full_pipeline_determinism():
