@@ -14,11 +14,10 @@ from .core import (
     FlowKey,
     PacketEvent,
     SketchConfig,
-    WindowClock,
     WindowTotals,
     window_index,
 )
-from .sketch import Bucket, FlowEstimate, HistogramSketch, WindowRecord, bin_of
+from .sketch import FlowEstimate, HistogramSketch, bin_of, record_dtype
 from .binning import (
     BinningConfig,
     BinStrategy,

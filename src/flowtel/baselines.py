@@ -6,15 +6,17 @@ Two references bracket the design space:
   per window. Exact (no sampling error) but blind below QFI granularity;
   export cost is O(active QFIs).
 * Change-triggered postcards (delta sampling): a per-packet report emitted
-  only when the monitored metric moved more than delta since the flow's last
+  only when a flow's sojourn latency moved more than delta since its last
   export (first packet of a flow always exports). Cost follows traffic
   dynamics, which is exactly the property the fixed-size sketch avoids.
 
-Both replay over columns: ``pm_window`` sums one window's monitored packets
-and drops, and ``DeltaSampler.offer_batch`` makes one pass over a run's
-stream (a flow's last export carries across windows). ``offer``,
-``pm_update`` and ``pm_record_drop`` are the per-packet references. Records
-are text lines with a leading mode tag; ``postcard_line`` formats postcards.
+Both replay over the columns of the pipeline's window stream: ``pm_window``
+sums one window's monitored packets and drops, and ``DeltaSampler.offer_batch``
+makes one pass over a run's stream (a flow's last export carries across
+windows). The per-packet ``offer`` (returning a ``Postcard``), ``pm_update``
+and ``pm_record_drop`` are references only the tests call, as oracles.
+Records are text lines with a leading mode tag; ``postcard_line`` formats
+postcards.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from enum import Enum
 import numpy as np
 
 from .core import Color, FlowKey, PacketEvent
-from .simulator import DeliveredBatch, flow_codes
+from .simulator import PacketBatch, flow_codes
+from .sketch import record_dtype
 
 
 class TelemetryMode(Enum):
@@ -39,10 +42,9 @@ POSTCARD_BYTES = 32
 
 
 def sketch_record_bytes(bins_b: int) -> int:
-    """Cost-model size of one bucket record: row/col ids, 2B bin counters,
-    3 color counters, and the packet counter as 32-bit fields plus a 64-bit
-    byte counter."""
-    return 4 * (2 + 2 * bins_b + 3 + 1) + 8
+    """Cost-model size of one bucket record: its ``record_dtype`` encoding
+    without the 8-byte window/qid header, which the collector knows."""
+    return record_dtype(bins_b).itemsize - 8
 
 
 @dataclass
@@ -157,10 +159,10 @@ class DeltaSampler:
             bytes=ev.bytes,
         )
 
-    def offer_batch(self, batch: DeliveredBatch, sel: np.ndarray) -> np.ndarray:
+    def offer_batch(self, batch: PacketBatch, sel: np.ndarray) -> np.ndarray:
         """Indices of the selected monitored packets that export postcards, in
-        batch order. Any batch with teid/qfi/sojourn_ns/monitored columns will
-        do (the pipeline passes its window stream)."""
+        batch order. The batch needs its ``sojourn_ns`` column: a delivered
+        batch, or the pipeline's window stream."""
         idx = np.flatnonzero(sel & batch.monitored)
         codes = memoryview(flow_codes(batch.teid[idx], batch.qfi[idx]))
         soj = memoryview(batch.sojourn_ns[idx])

@@ -84,13 +84,22 @@ class BinningConfig:
     rho: float = 0.01
     bins_B: int = 8
     fit_sample_size: int = 100_000
-    drift_history: int = 5
 
     def __post_init__(self) -> None:
         if not 0 < self.rho < 0.5:
             raise ValueError(f"rho must be in (0, 0.5), got {self.rho}")
         if self.bins_B < 2:
             raise ValueError(f"bins_B must be >= 2, got {self.bins_B}")
+        if self.fit_sample_size < 1:
+            raise ValueError(f"fit_sample_size must be >= 1, got {self.fit_sample_size}")
+
+
+def check_region_size(region_size: int, bins_b: int) -> None:
+    """One distribution's half of T needs a bin and must leave a normal one."""
+    if region_size < 1:
+        raise ValueError(f"region_size must be >= 1, got {region_size}")
+    if region_size >= bins_b:
+        raise ValueError(f"region_size {region_size} leaves no normal bins of {bins_b}")
 
 
 def _check_strict(edges: np.ndarray) -> np.ndarray:
@@ -131,11 +140,8 @@ def fit_edges(
     x = np.asarray(samples, dtype=np.float64)
     if x.size == 0:
         raise ValueError("cannot fit edges on an empty sample")
-    if region_size < 1:
-        raise ValueError("region_size must be >= 1")
     b = cfg.bins_B
-    if region_size >= b:
-        raise ValueError(f"region_size {region_size} leaves no normal bins of {b}")
+    check_region_size(region_size, b)
     x = np.sort(x)
     lo, hi = _anchors(x)
 
@@ -203,10 +209,6 @@ def maybe_rebin(
     if median(history) > cfg.rho and anomaly_free:
         return RebinDecision.REBIN
     return RebinDecision.NO_REBIN
-
-
-def serialize_edges(edges: np.ndarray) -> list[float]:
-    return [float(v) for v in edges]
 
 
 def deserialize_edges(values: Sequence[float]) -> np.ndarray:

@@ -6,18 +6,25 @@ Subcommands:
   sweep   grid-sweep sketch/trigger parameters and print the Pareto table
   replay  re-run the telemetry stages over a dumped capture file
 
-Exit codes: 0 ok, 1 usage error, 2 invalid scenario, 3 runtime failure.
+Exit codes: 0 ok, 1 usage error, 2 invalid input (a bad scenario value, or
+a missing or malformed scenario, grid, params or capture file; the message
+names the field or the file), 3 runtime failure.
 Worker count for sweeps comes from FLOWTEL_WORKERS (default 1).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
+import types
+import typing
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -25,7 +32,6 @@ import numpy as np
 
 from .analysis import pooled_auprc
 from .baselines import TelemetryMode
-from .binning import BinStrategy
 from .core import FlowKey, NS_PER_S
 from .pipeline import (
     ALL_MODES,
@@ -37,16 +43,12 @@ from .pipeline import (
 )
 from .scenarios import PRESETS, build
 from .simulator import (
-    AnomalyEvent,
-    AnomalyKind,
-    DeliveredBatch,
     DropRecord,
     FlowSpec,
     MeterSpec,
-    QueuePolicy,
+    PacketBatch,
     ScenarioError,
     ScenarioSpec,
-    TrafficPattern,
     label_windows,
     simulate,
 )
@@ -75,108 +77,98 @@ class _Parser(argparse.ArgumentParser):
 # -- scenario file schema -----------------------------------------------------------
 
 
-def scenario_from_dict(doc: dict) -> tuple[ScenarioSpec, TelemetryConfig]:
-    """Parse the documented scenario schema with field-level diagnostics."""
+_FILE_KEYS = {"explicit_lat_edges": "lat_edges_ns", "explicit_iat_edges": "iat_edges_ns"}
+_hints = functools.cache(typing.get_type_hints)  # each call evals every annotation string
+
+
+def _value(hint, raw, where: str):
+    """``raw`` read as a ``hint``: a dataclass from an object, a tuple from a
+    list (or an object's items), anything else by its constructor."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # X | None
+        (hint,) = (a for a in args if a is not type(None))
+        return _value(hint, raw, where)
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, raw, where)
+    if origin is dict:
+        return {_value(args[0], k, where): _value(args[1], v, f"{where}.{k}")
+                for k, v in raw.items()}
+    if origin is tuple:
+        if not isinstance(raw, (list, tuple, dict)):
+            raise ScenarioError(f"{where}: expected a list")
+        items = list(raw.items() if isinstance(raw, dict) else raw)
+        if args[-1] is Ellipsis:
+            return tuple(_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(items))
+        return tuple(_value(a, v, where) for a, v in zip(args, items, strict=True))
     try:
-        flows = tuple(
-            FlowSpec(
-                key=FlowKey(int(f["teid"]), int(f["qfi"])),
-                pattern=TrafficPattern(f.get("pattern", "cbr")),
-                rate_pps=float(f["rate_pps"]),
-                bytes_min=int(f.get("bytes_min", 400)),
-                bytes_max=int(f.get("bytes_max", f.get("bytes_min", 400))),
-                on_fraction=float(f.get("on_fraction", 0.4)),
-                cycle_ms=float(f.get("cycle_ms", 400.0)),
-                monitored=bool(f.get("monitored", True)),
-            )
-            for f in doc["flows"]
-        )
-        queues = {
-            int(q): QueuePolicy(
-                tier=int(p["tier"]),
-                weight=int(p.get("weight", 1)),
-                service_rate_bps=float(p["service_rate_bps"]),
-                buffer_pkts=int(p.get("buffer_pkts", 4000)),
-            )
-            for q, p in doc["queue_policy"].items()
-        }
-        meters = {}
-        for m in doc.get("meters", []):
-            meters[FlowKey(int(m["teid"]), int(m["qfi"]))] = MeterSpec(
-                cir_bps=float(m["cir_bps"]),
-                cbs_bytes=float(m["cbs_bytes"]),
-                pir_bps=float(m["pir_bps"]),
-                pbs_bytes=float(m["pbs_bytes"]),
-            )
-        default_meter = None
-        if "default_meter" in doc:
-            m = doc["default_meter"]
-            default_meter = MeterSpec(
-                cir_bps=float(m["cir_bps"]),
-                cbs_bytes=float(m["cbs_bytes"]),
-                pir_bps=float(m["pir_bps"]),
-                pbs_bytes=float(m["pbs_bytes"]),
-            )
-        anomalies = tuple(
-            AnomalyEvent(
-                kind=AnomalyKind(a["kind"]),
-                start_s=float(a["start_s"]),
-                duration_s=float(a["duration_s"]),
-                target_flows=tuple(
-                    FlowKey(int(t["teid"]), int(t["qfi"])) for t in a.get("target_flows", [])
-                ),
-                target_qfis=tuple(int(q) for q in a.get("target_qfis", [])),
-                burst_factor=float(a.get("burst_factor", 6.0)),
-                overload_factor=float(a.get("overload_factor", 2.0)),
-                cross_rate_pps=float(a.get("cross_rate_pps", 20000.0)),
-                cross_bytes=int(a.get("cross_bytes", 1200)),
-                cross_period_ms=float(a.get("cross_period_ms", 200.0)),
-                cross_qfis=tuple(int(q) for q in a.get("cross_qfis", [])),
-                remapped_qfi=int(a.get("remapped_qfi", 0)),
-            )
-            for a in doc.get("anomalies", [])
-        )
-        spec = ScenarioSpec(
-            duration_s=float(doc["duration_s"]),
-            seed=int(doc.get("seed", 0)),
-            flows=flows,
-            qfi_to_qid={int(k): int(v) for k, v in doc["qfi_to_qid"].items()},
-            queue_policy=queues,
-            meters=meters,
-            default_meter=default_meter,
-            anomalies=anomalies,
-            window_len_ns=int(doc.get("window_len_ns", NS_PER_S)),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ScenarioError(f"scenario file: {e.__class__.__name__}: {e}") from e
-    tel = doc.get("telemetry", {})
-    try:
-        cfg = TelemetryConfig(
-            width=int(tel.get("width", 256)),
-            depth=int(tel.get("depth", 3)),
-            bins_b=int(tel.get("bins_b", 8)),
-            lat_tail_bins=int(tel.get("lat_tail_bins", 2)),
-            iat_head_bins=int(tel.get("iat_head_bins", 1)),
-            rho=float(tel.get("rho", 0.01)),
-            strategy=BinStrategy(tel.get("strategy", "target_occupancy")),
-            fit_windows=int(tel.get("fit_windows", 5)),
-            fit_sample_size=int(tel.get("fit_sample_size", 100_000)),
-            dsmp_delta_ns=int(tel.get("dsmp_delta_ns", 1_000_000)),
-            n_blocks=int(tel.get("n_blocks", 4)),
-            l2=float(tel.get("l2", 1.0)),
-            explicit_lat_edges=tuple(
-                (int(q), tuple(float(v) for v in edges))
-                for q, edges in tel.get("lat_edges_ns", {}).items()
-            ),
-            explicit_iat_edges=tuple(
-                (int(q), tuple(float(v) for v in edges))
-                for q, edges in tel.get("iat_edges_ns", {}).items()
-            ),
-        )
+        return hint(raw)
     except (TypeError, ValueError) as e:
-        raise ScenarioError(f"scenario file: telemetry: {e}") from e
+        raise ScenarioError(f"{where}: {e}") from e
+
+
+def _build(cls, doc: dict, where: str = "", **given):
+    """A ``cls`` from the keys of ``doc`` that name its fields, each read by
+    its type hint, and the ``given`` fields; a key left out keeps its default."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where or 'scenario'}: expected an object")
+    hints = _hints(cls)
+    for f in dataclasses.fields(cls):
+        key = _FILE_KEYS.get(f.name, f.name)
+        path = f"{where}.{key}" if where else key
+        if f.name in given:
+            continue
+        if key in doc:
+            given[f.name] = _value(hints[f.name], doc[key], path)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ScenarioError(f"{path}: required")
+    try:
+        return cls(**given)
+    except ValueError as e:
+        raise ScenarioError(f"{where}: {e}" if where else str(e)) from e
+
+
+def scenario_from_dict(doc: dict) -> tuple[ScenarioSpec, TelemetryConfig]:
+    """Parse the documented scenario schema with field-level diagnostics.
+
+    Each object fills its dataclass: a key left out takes the dataclass
+    default, and a field without one is required. Unlike the dataclasses, a
+    flow (or meter) gives its FlowKey as its own teid and qfi, a flow's
+    bytes_max defaults to its bytes_min, and pinned edges are lat_edges_ns
+    and iat_edges_ns, objects from qid to edge list."""
+    try:
+        flows = []
+        for i, f in enumerate(doc["flows"]):
+            where = f"flows[{i}]"
+            one_size = {"bytes_max": f["bytes_min"]} if "bytes_min" in f else {}
+            flows.append(_build(FlowSpec, {**one_size, **f}, where, key=_build(FlowKey, f, where)))
+        given = {"flows": tuple(flows)}
+        if "meters" in doc:
+            given["meters"] = {
+                _build(FlowKey, m, f"meters[{i}]"): _build(MeterSpec, m, f"meters[{i}]")
+                for i, m in enumerate(doc["meters"])
+            }
+        spec = _build(ScenarioSpec, doc, **given)
+        cfg = _build(TelemetryConfig, doc.get("telemetry", {}), "telemetry")
+    except ScenarioError as e:
+        raise ScenarioError(f"scenario file: {e}") from e
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise ScenarioError(f"scenario file: {e.__class__.__name__}: {e}") from e
     spec.validate()
     return spec, cfg
+
+
+def _read_json(path: Path, what: str) -> tuple[dict, bytes]:
+    """The JSON object in a file named on the command line, and its bytes."""
+    try:
+        raw = path.read_bytes()
+        doc = json.loads(raw)
+    except OSError as e:
+        raise ScenarioError(f"{what} {path}: cannot read: {e.strerror}") from e
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ScenarioError(f"{what} {path}: malformed JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{what} {path}: malformed JSON: expected an object")
+    return doc, raw
 
 
 def load_scenario(
@@ -189,11 +181,7 @@ def load_scenario(
         p = Path(path_or_preset)
         if not p.exists():
             raise ScenarioError(f"scenario: no such file or preset {path_or_preset!r}")
-        raw = p.read_bytes()
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise ScenarioError(f"scenario file {p}: malformed JSON: {e}") from e
+        doc, raw = _read_json(p, "scenario file")
         if seed is not None:
             doc["seed"] = seed
         spec, cfg = scenario_from_dict(doc)
@@ -242,7 +230,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_size(args) -> int:
-    doc = json.loads(Path(args.params).read_text())
+    doc, _ = _read_json(Path(args.params), "params file")
     try:
         params = DetectabilityParams(
             beta=float(doc.get("beta", doc.get("beta_max", 0.3))),
@@ -261,9 +249,8 @@ def cmd_size(args) -> int:
             )
             for name, c in doc.get("flow_classes", {}).items()
         }
-    except (KeyError, TypeError, ValueError) as e:
-        print(f"params file: {e.__class__.__name__}: {e}", file=sys.stderr)
-        return EXIT_SCENARIO
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise ScenarioError(f"params file {args.params}: {e.__class__.__name__}: {e}") from e
     rep = sizing_report(params, n_t_max, k_bins, classes)
     pow2 = 1 << math.ceil(math.log2(rep.width))
     print(f"required width  : {rep.width}  (N_T_max={n_t_max:g}, beta_max={params.beta_max}, "
@@ -292,21 +279,21 @@ def cmd_size(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec, cfg, man_sc = load_scenario(args.scenario, args.seed)
-    grid_doc = json.loads(Path(args.grid).read_text()) if args.grid else {}
-    widths = [int(w) for w in grid_doc.get("width", [cfg.width])]
-    depths = [int(d) for d in grid_doc.get("depth", [cfg.depth])]
-    rhos = [float(r) for r in grid_doc.get("rho", [cfg.rho])]
-    deltas = [int(d) for d in grid_doc.get("dsmp_delta_ns", [cfg.dsmp_delta_ns])]
-    configs = [
-        (w, d, r, dl) for w in widths for d in depths for r in rhos for dl in deltas
-    ]
+    grid_doc = _read_json(Path(args.grid), "grid file")[0] if args.grid else {}
+    hints = _hints(TelemetryConfig)
+    axes = {}
+    for axis in ("width", "depth", "rho", "dsmp_delta_ns"):
+        at = f"grid file {args.grid}: {axis}"
+        axes[axis] = _value(tuple[hints[axis], ...], grid_doc.get(axis, [getattr(cfg, axis)]), at)
+        for v in axes[axis]:
+            try:  # TelemetryConfig's checks, run before the simulation
+                replace(cfg, **{axis: v})
+            except ValueError as e:
+                raise ScenarioError(f"{at} = {v!r}: {e}") from e
+    cfgs = [replace(cfg, **dict(zip(axes, p))) for p in itertools.product(*axes.values())]
     delivered, drops, labels = simulate(spec)
     workers = int(os.environ.get("FLOWTEL_WORKERS", "1"))
-    jobs = [
-        (delivered, drops, labels, spec,
-         replace(cfg, width=w, depth=d, rho=r, dsmp_delta_ns=dl))
-        for (w, d, r, dl) in configs
-    ]
+    jobs = [(delivered, drops, labels, spec, c) for c in cfgs]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -315,10 +302,10 @@ def cmd_sweep(args) -> int:
     else:
         results = [_sweep_job(j) for j in jobs]
     rows = []
-    for (w, d, r, dl), (mode_costs, mode_auprc) in zip(configs, results):
+    for c, (mode_costs, mode_auprc) in zip(cfgs, results):
         for mode in ("sketch", "dsmp", "pm"):
             mbps = mode_costs[mode] * 8 / spec.duration_s / 1e6
-            rows.append((mode, w, d, r, dl, mbps, mode_auprc[mode]))
+            rows.append((mode, c.width, c.depth, c.rho, c.dsmp_delta_ns, mbps, mode_auprc[mode]))
     # Pareto flags computed over (cost, accuracy), higher accuracy cheaper wins
     from .analysis import pareto_front
 
@@ -337,34 +324,25 @@ def _sweep_job(job) -> tuple[dict, dict]:
     return costs, {m.value: pooled_auprc(result, m.value) for m in result.modes}
 
 
-CAPTURE_HEADER = "# teid qfi qid bytes arrival_ns sojourn_ns color monitored"
+CAPTURE_COLUMNS = ("teid", "qfi", "qid", "bytes", "arrival_ns", "sojourn_ns", "color", "monitored")
 
 
-def dump_capture(delivered: DeliveredBatch, path: Path) -> None:
-    with open(path, "w") as fh:
-        fh.write(CAPTURE_HEADER + "\n")
-        for i in range(len(delivered)):
-            fh.write(
-                f"{delivered.teid[i]} {delivered.qfi[i]} {delivered.qid[i]} "
-                f"{delivered.bytes[i]} {delivered.arrival_ns[i]} {delivered.sojourn_ns[i]} "
-                f"{int(delivered.color[i])} {int(delivered.monitored[i])}\n"
-            )
+def dump_capture(delivered: PacketBatch, path: Path) -> None:
+    cols = [getattr(delivered, name) for name in CAPTURE_COLUMNS]
+    np.savetxt(path, np.column_stack(cols), fmt="%d", header=" ".join(CAPTURE_COLUMNS))
 
 
-def load_capture(path: Path) -> DeliveredBatch:
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if not line or line.startswith("#"):
-            continue
-        rows.append([int(v) for v in line.split()])
-    arr = np.asarray(rows, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 8:
-        raise ScenarioError("capture file: expected 8 columns per row")
-    return DeliveredBatch(
-        teid=arr[:, 0], qfi=arr[:, 1], qid=arr[:, 2], bytes=arr[:, 3],
-        arrival_ns=arr[:, 4], sojourn_ns=arr[:, 5], color=arr[:, 6].astype(np.int8),
-        monitored=arr[:, 7].astype(bool), injected=np.zeros(len(arr), dtype=bool),
-    )
+def load_capture(path: Path) -> PacketBatch:
+    try:
+        arr = np.loadtxt(path, dtype=np.int64, ndmin=2)
+    except (OSError, ValueError) as e:  # unreadable, not integers, or ragged
+        raise ScenarioError(f"capture file {path}: {e}") from e
+    if arr.shape[1] != len(CAPTURE_COLUMNS):
+        raise ScenarioError(f"capture file {path}: expected {len(CAPTURE_COLUMNS)} columns per row")
+    cols = dict(zip(CAPTURE_COLUMNS, arr.T))
+    cols["color"] = cols["color"].astype(np.int8)
+    cols["monitored"] = cols["monitored"].astype(bool)
+    return PacketBatch(**cols, injected=None)  # a capture does not record injection
 
 
 def cmd_capture(args) -> int:
@@ -442,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except ScenarioError as e:
-        print(f"scenario error: {e}", file=sys.stderr)
+        print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_SCENARIO
     except Exception as e:  # noqa: BLE001
         print(f"runtime failure: {e.__class__.__name__}: {e}", file=sys.stderr)

@@ -90,32 +90,6 @@ def window_index(arrival_ns: int, window_len_ns: int = DEFAULT_WINDOW_NS) -> int
     return arrival_ns // window_len_ns
 
 
-@dataclass
-class WindowClock:
-    """Tracks the current window of a time-ordered stream.
-
-    The observed window index never decreases; a regression means the caller
-    fed events out of window order, which would corrupt exports, so it is an
-    error rather than a clamp.
-    """
-
-    window_len_ns: int = DEFAULT_WINDOW_NS
-    current_window: int = 0
-
-    def __post_init__(self) -> None:
-        if self.window_len_ns <= 0:
-            raise ConfigError(f"window_len_ns must be positive, got {self.window_len_ns}")
-
-    def observe(self, arrival_ns: int) -> int:
-        idx = window_index(arrival_ns, self.window_len_ns)
-        if idx < self.current_window:
-            raise ValueError(
-                f"window regression: event in window {idx} after window {self.current_window}"
-            )
-        self.current_window = idx
-        return idx
-
-
 # 64-bit finalizer (murmur3-style avalanche). Scalar and array versions must
 # produce identical values; tests enforce this.
 
@@ -175,7 +149,6 @@ class SketchConfig:
     width_w: int
     depth_d: int
     bins_B: int = 8
-    num_qids: int = 8
     seeds: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -185,8 +158,6 @@ class SketchConfig:
             raise ConfigError(f"depth_d must be >= 1, got {self.depth_d}")
         if self.bins_B < 2:
             raise ConfigError(f"bins_B must be >= 2, got {self.bins_B}")
-        if self.num_qids < 1:
-            raise ConfigError(f"num_qids must be >= 1, got {self.num_qids}")
         if not self.seeds:
             object.__setattr__(self, "seeds", row_seeds(0, self.depth_d))
         if len(self.seeds) != self.depth_d:
@@ -203,13 +174,11 @@ class SketchConfig:
         width_w: int,
         depth_d: int,
         bins_B: int = 8,
-        num_qids: int = 8,
     ) -> "SketchConfig":
         return cls(
             width_w=width_w,
             depth_d=depth_d,
             bins_B=bins_B,
-            num_qids=num_qids,
             seeds=row_seeds(master_seed, depth_d),
         )
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .analysis import diag_lift_detector, FeatureVector
 from .binning import DiagnosticRegion
-from .core import SketchConfig
+from .core import FlowKey, SketchConfig
 from .sizing import FlowBaseline, detectability_threshold
 from .sketch import HistogramSketch
 
@@ -68,8 +68,6 @@ def detectability_trial(
     order = rng.permutation(len(codes))
     codes, lat = codes[order], lat[order]
     arrivals = np.sort(rng.integers(0, 10**9, size=len(codes))).astype(np.int64)
-    byts = np.full(len(codes), 500, dtype=np.int64)
-    colors = np.zeros(len(codes), dtype=np.int64)
 
     tail_lo = lat_edges[-2]
     mon_mask = codes == mon_code
@@ -93,26 +91,17 @@ def detectability_trial(
         codes = np.concatenate([codes, inj_codes])
         lat = np.concatenate([lat, inj_lat])
         arrivals = np.concatenate([arrivals, inj_arr])
-        byts = np.concatenate([byts, np.full(len(inj_lat), 500, dtype=np.int64)])
-        colors = np.concatenate([colors, np.zeros(len(inj_lat), dtype=np.int64)])
         order = np.argsort(arrivals, kind="stable")
         codes, lat, arrivals = codes[order], lat[order], arrivals[order]
-        byts, colors = byts[order], colors[order]
 
-    sk.update_batch(codes, byts, arrivals, lat, colors)
-    est = sk.query_flow(FlowKeyFromCode(mon_code), region)
+    sk.update_batch(codes, np.full_like(lat, 500), arrivals, lat, np.zeros_like(lat))  # 500 B green
+    est = sk.query_flow(FlowKey.from_code(mon_code), region)
     fv = FeatureVector(
         scope=("flow", mon_code >> 6, mon_code & 63), window=0, mode="sketch",
         pkts=float(est.pkt_est), bytes=float(est.byte_est), diag_pkts=float(est.diag_est),
     )
     out = diag_lift_detector(fv, base, cfg.epsilon, beta)
     return TrialOutcome(fired=out.fired, threshold=thr, injected=injected, baseline=base)
-
-
-def FlowKeyFromCode(code: int):
-    from .core import FlowKey
-
-    return FlowKey.from_code(code)
 
 
 def detectability_rates(

@@ -42,16 +42,18 @@ from .binning import (
     DegenerateDistributionError,
     DiagnosticRegion,
     EdgeKind,
+    check_region_size,
     deserialize_edges,
     fit_edges,
 )
 from .core import NS_PER_S, SketchConfig, WindowTotals
 from .simulator import (
     AnomalyKind,
-    DeliveredBatch,
     DropRecord,
     GroundTruthLabel,
+    PacketBatch,
     ScenarioSpec,
+    flow_codes,
     simulate,
 )
 from .sketch import HistogramSketch
@@ -81,6 +83,20 @@ class TelemetryConfig:
     explicit_iat_edges: tuple[tuple[int, tuple[float, ...]], ...] = ()
 
     def __post_init__(self) -> None:
+        # run the range checks of the objects these values build, naming the key
+        for keys, check in (
+            ("width/depth/bins_b", lambda: self.sketch_config(0)),
+            ("rho/fit_sample_size", self.binning_config),
+            ("lat_tail_bins", lambda: check_region_size(self.lat_tail_bins, self.bins_b)),
+            ("iat_head_bins", lambda: check_region_size(self.iat_head_bins, self.bins_b)),
+            ("dsmp_delta_ns", lambda: DeltaSampler(delta_ns=self.dsmp_delta_ns)),
+        ):
+            try:
+                check()
+            except ValueError as e:
+                raise ValueError(f"{keys}: {e}") from e
+        if self.n_blocks < 2:
+            raise ValueError(f"n_blocks: must be >= 2 for a training fold, got {self.n_blocks}")
         for name, pinned in (("lat", self.explicit_lat_edges), ("iat", self.explicit_iat_edges)):
             for qid, edges in pinned:
                 if len(edges) != self.bins_b - 1:
@@ -88,7 +104,7 @@ class TelemetryConfig:
                                      f"{self.bins_b - 1} edges, got {len(edges)}")
 
     def sketch_config(self, seed: int) -> SketchConfig:
-        return SketchConfig.from_seed(seed, self.width, self.depth, self.bins_b, num_qids=1)
+        return SketchConfig.from_seed(seed, self.width, self.depth, self.bins_b)
 
     def binning_config(self) -> BinningConfig:
         return BinningConfig(
@@ -105,43 +121,26 @@ class TelemetryConfig:
 ALL_MODES = (TelemetryMode.SKETCH, TelemetryMode.DSMP, TelemetryMode.PM)
 
 
-@dataclass
-class WindowStream:
-    """Delivered packets rearranged into egress order with window boundaries."""
+@dataclass(kw_only=True)
+class WindowStream(PacketBatch):
+    """The delivered batch in egress order (ties keep arrival order), cut at
+    the last window's end; ``injected`` is unset, as telemetry cannot see it."""
 
-    codes: np.ndarray
-    teid: np.ndarray
-    qfi: np.ndarray
-    qid: np.ndarray
-    bytes: np.ndarray
-    obs_ns: np.ndarray
-    sojourn_ns: np.ndarray
-    color: np.ndarray
-    monitored: np.ndarray
     window: np.ndarray
     n_windows: int
 
 
-def window_stream(delivered: DeliveredBatch, window_len_ns: int, duration_s: float) -> WindowStream:
-    order = delivered.telemetry_order()
-    obs = delivered.depart_ns()[order]
+def window_stream(delivered: PacketBatch, window_len_ns: int, duration_s: float) -> WindowStream:
+    """Telemetry observes packets as they leave the queues, where bunching and
+    oscillation show, so windows are cut on departure times."""
+    depart = delivered.depart_ns()
+    order = np.argsort(depart, kind="stable")
+    depart = depart[order]
     n_windows = -(-int(duration_s * NS_PER_S) // window_len_ns)
-    keep = obs < n_windows * window_len_ns
-    order = order[keep]
-    obs = obs[keep]
-    return WindowStream(
-        codes=delivered.codes()[order],
-        teid=delivered.teid[order],
-        qfi=delivered.qfi[order],
-        qid=delivered.qid[order],
-        bytes=delivered.bytes[order],
-        obs_ns=obs,
-        sojourn_ns=delivered.sojourn_ns[order],
-        color=delivered.color[order],
-        monitored=delivered.monitored[order],
-        window=obs // window_len_ns,
-        n_windows=n_windows,
-    )
+    inside = np.searchsorted(depart, n_windows * window_len_ns)  # a prefix: depart is sorted
+    stream = delivered.take(order[:inside], injected=None)
+    return WindowStream(**vars(stream), window=depart[:inside] // window_len_ns,
+                        n_windows=n_windows)
 
 
 def _fallback_edges(bins_b: int) -> np.ndarray:
@@ -176,8 +175,8 @@ def fit_qid_edges(
             lat_by_qid[qid] = _fallback_edges(cfg.bins_b)
             iat_by_qid[qid] = _fallback_edges(cfg.bins_b)
             continue
-        codes = stream.codes[sel]
-        obs = stream.obs_ns[sel]
+        codes = flow_codes(stream.teid[sel], stream.qfi[sel])
+        obs = stream.arrival_ns[sel] + soj
         order = np.lexsort((obs, codes))
         scodes, sobs = codes[order], obs[order]
         same = scodes[1:] == scodes[:-1]
@@ -255,7 +254,7 @@ def anomaly_instances(spec: ScenarioSpec, kind: AnomalyKind) -> list[tuple[int, 
 
 
 def run_telemetry(
-    delivered: DeliveredBatch,
+    delivered: PacketBatch,
     drops: DropRecord,
     labels: list[GroundTruthLabel],
     spec: ScenarioSpec,
@@ -315,12 +314,12 @@ def run_telemetry(
             for qid in qids:
                 idx = queue_batches[qid][w]
                 if len(idx):
+                    # six columns, not a take() of all nine: faster on sketch-sweep
+                    idx = idx.astype(np.intp)  # converted once, not by each gather
+                    soj = stream.sojourn_ns[idx]
                     sketches[qid].update_batch(
-                        stream.codes[idx],
-                        stream.bytes[idx],
-                        stream.obs_ns[idx],
-                        stream.sojourn_ns[idx],
-                        stream.color[idx],
+                        flow_codes(stream.teid[idx], stream.qfi[idx]), stream.bytes[idx],
+                        stream.arrival_ns[idx] + soj, soj, stream.color[idx],
                     )
             md.features.extend(
                 extract_sketch_features(
@@ -358,20 +357,16 @@ def run_telemetry(
 
         if sampler is not None:
             md = mode_data[TelemetryMode.DSMP]
-            idx = pc_idx[pc_bounds[w] : pc_bounds[w + 1]]
-            pcs = [
-                col[idx]
-                for col in (stream.teid, stream.qfi, stream.qid, stream.obs_ns, stream.sojourn_ns,
-                            stream.color, stream.bytes)
-            ]
+            pc = stream.take(pc_idx[pc_bounds[w] : pc_bounds[w + 1]])
+            pcs = (pc.teid, pc.qfi, pc.qid, pc.depart_ns(), pc.sojourn_ns, pc.color, pc.bytes)
             md.features.extend(
                 extract_postcard_features(
-                    stream.codes[idx], *pcs[3:], registered, region, w, lat_edges, iat_edges,
+                    pc.codes(), *pcs[3:], registered, region, w, lat_edges, iat_edges,
                     spec.qfi_to_qid, cfg.bins_b,
                 )
             )
-            md.record_lines.extend(map(postcard_line, [w] * len(idx), *(c.tolist() for c in pcs)))
-            md.bytes_per_window.append(export_cost(TelemetryMode.DSMP, postcards=len(idx)))
+            md.record_lines.extend(map(postcard_line, [w] * len(pc), *(c.tolist() for c in pcs)))
+            md.bytes_per_window.append(export_cost(TelemetryMode.DSMP, postcards=len(pc)))
 
     del stream, queue_batches  # training reads the features only; free the columns
     kinds = active_kinds(spec)

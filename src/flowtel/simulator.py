@@ -10,9 +10,10 @@ by (time, flow code, per-flow sequence); the service loop is single-threaded
 and breaks ties by that same order. Re-running a scenario reproduces every
 output array exactly.
 
-Packets are carried in struct-of-arrays batches rather than event objects so
-multi-million-packet scenarios stay cheap; the per-packet PacketEvent type is
-materialized only where single-event APIs want it.
+Packets travel as the columns of one type, ``PacketBatch``, so that
+multi-million-packet scenarios stay cheap. A per-packet ``PacketEvent`` is
+taken only by the per-packet reference paths (``HistogramSketch.update``,
+``DeltaSampler.offer``, ``pm_update``), which the tests use as oracles.
 
 Scheduling model: one egress port serving Q queues, non-preemptive. Queues
 are grouped into strict-priority tiers (lower tier number first); inside a
@@ -37,12 +38,12 @@ between the queues of one tier).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .core import MAX_QFI, NS_PER_S, QFI_BITS, Color, FlowKey, PacketEvent, window_index
+from .core import MAX_QFI, NS_PER_S, QFI_BITS, FlowKey, window_index
 
 
 class ScenarioError(ValueError):
@@ -77,12 +78,12 @@ class FlowSpec:
         return (self.bytes_min + self.bytes_max) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class QueuePolicy:
     tier: int  # lower = served first
-    weight: int  # round-robin share within the tier, in bytes
+    weight: int = 1  # round-robin share within the tier, in bytes
     service_rate_bps: float
-    buffer_pkts: int
+    buffer_pkts: int = 4000
 
 
 @dataclass(frozen=True)
@@ -126,60 +127,39 @@ def flow_codes(teid: np.ndarray, qfi: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class ArrivalBatch:
-    """Pre-queue arrivals, ordered by (time, flow code, per-flow sequence)."""
+class PacketBatch:
+    """Packets as columns. Arrivals are ordered by (time, flow code, per-flow
+    sequence) and leave ``qid``, ``sojourn_ns`` and ``color`` unset;
+    ``run_queues`` fills them in for the packets it delivers, in that order."""
 
     teid: np.ndarray
     qfi: np.ndarray
     bytes: np.ndarray
     arrival_ns: np.ndarray
     monitored: np.ndarray
-    injected: np.ndarray
+    injected: np.ndarray | None
+    qid: np.ndarray | None = None
+    sojourn_ns: np.ndarray | None = None
+    color: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.arrival_ns)
 
-    def codes(self) -> np.ndarray:
-        return flow_codes(self.teid, self.qfi)
+    def columns(self) -> dict[str, np.ndarray]:
+        """Every column that is set, by name."""
+        return {name: col for name, col in vars(self).items() if isinstance(col, np.ndarray)}
 
-
-@dataclass
-class DeliveredBatch:
-    """Post-queue packets in arrival order, with sojourn, color, and queue."""
-
-    teid: np.ndarray
-    qfi: np.ndarray
-    qid: np.ndarray
-    bytes: np.ndarray
-    arrival_ns: np.ndarray
-    sojourn_ns: np.ndarray
-    color: np.ndarray
-    monitored: np.ndarray
-    injected: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.arrival_ns)
+    def take(self, idx, **cols) -> "PacketBatch":
+        """Rows ``idx`` (indices, a mask or a slice) of every set column, as a
+        batch of this type; ``cols`` replace or fill columns as given."""
+        taken = {name: col[idx] for name, col in self.columns().items() if name not in cols}
+        return replace(self, **taken, **cols)
 
     def codes(self) -> np.ndarray:
         return flow_codes(self.teid, self.qfi)
 
     def depart_ns(self) -> np.ndarray:
         return self.arrival_ns + self.sojourn_ns
-
-    def telemetry_order(self) -> np.ndarray:
-        """Indices in egress order: telemetry observes packets as they leave
-        the queues, which is where bunching and oscillation become visible."""
-        return np.argsort(self.depart_ns(), kind="stable")
-
-    def event(self, i: int) -> PacketEvent:
-        return PacketEvent(
-            key=FlowKey(int(self.teid[i]), int(self.qfi[i])),
-            qid=int(self.qid[i]),
-            bytes=int(self.bytes[i]),
-            arrival_ns=int(self.arrival_ns[i]),
-            sojourn_ns=int(self.sojourn_ns[i]),
-            color=Color(int(self.color[i])),
-        )
 
 
 @dataclass
@@ -195,10 +175,10 @@ class DropRecord:
         return len(self.time_ns)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioSpec:
     duration_s: float
-    seed: int
+    seed: int = 0
     flows: tuple[FlowSpec, ...]
     qfi_to_qid: dict[int, int]
     queue_policy: dict[int, QueuePolicy]
@@ -210,6 +190,10 @@ class ScenarioSpec:
     def validate(self) -> None:
         if self.duration_s <= 0:
             raise ScenarioError("duration_s: must be positive")
+        if self.window_len_ns <= 0:
+            raise ScenarioError(f"window_len_ns: must be positive, got {self.window_len_ns}")
+        if self.seed < 0:
+            raise ScenarioError(f"seed: must be >= 0, got {self.seed}")
         if not self.flows:
             raise ScenarioError("flows: at least one flow required")
         for qfi, qid in self.qfi_to_qid.items():
@@ -314,42 +298,29 @@ def _sizes(rng, fl: FlowSpec, n: int) -> np.ndarray:
     return rng.integers(fl.bytes_min, fl.bytes_max + 1, size=n).astype(np.int64)
 
 
-def _sorted_parts(parts: list[tuple]) -> tuple[ArrivalBatch, np.ndarray]:
+def _sorted_parts(parts: list[PacketBatch]) -> tuple[PacketBatch, np.ndarray]:
     """Rows of all parts ordered by (time, flow code, index within the part),
     ties kept in part order, together with each row's index within its part."""
-    if not parts:
-        empty = np.empty(0, dtype=np.int64)
-        return ArrivalBatch(empty, empty, empty, empty,
-                            np.empty(0, dtype=bool), np.empty(0, dtype=bool)), empty
-    teid = np.concatenate([p[0] for p in parts])
-    qfi = np.concatenate([p[1] for p in parts])
-    byt = np.concatenate([p[2] for p in parts])
-    arr = np.concatenate([p[3] for p in parts])
-    mon = np.concatenate([p[4] for p in parts])
-    inj = np.concatenate([p[5] for p in parts])
-    seq = np.concatenate([np.arange(len(p[0]), dtype=np.int64) for p in parts])
-    order = np.lexsort((seq, flow_codes(teid, qfi), arr))
-    batch = ArrivalBatch(teid[order], qfi[order], byt[order], arr[order], mon[order], inj[order])
-    return batch, seq[order]
+    cols = [p.columns() for p in parts]
+    batch = PacketBatch(**{name: np.concatenate([c[name] for c in cols]) for name in cols[0]})
+    seq = np.concatenate([np.arange(len(p), dtype=np.int64) for p in parts])
+    order = np.lexsort((seq, batch.codes(), batch.arrival_ns))
+    return batch.take(order), seq[order]
 
 
-def _make_batch(parts: list[tuple]) -> ArrivalBatch:
-    return _sorted_parts(parts)[0]
-
-
-def _flow_part(fl: FlowSpec, times: np.ndarray, rng, injected: bool) -> tuple:
+def _flow_part(fl: FlowSpec, times: np.ndarray, rng, injected: bool) -> PacketBatch:
     n = len(times)
-    return (
-        np.full(n, fl.key.teid, dtype=np.int64),
-        np.full(n, fl.key.qfi, dtype=np.int64),
-        _sizes(rng, fl, n),
-        times.astype(np.int64),
-        np.full(n, fl.monitored, dtype=bool),
-        np.full(n, injected, dtype=bool),
+    return PacketBatch(
+        teid=np.full(n, fl.key.teid, dtype=np.int64),
+        qfi=np.full(n, fl.key.qfi, dtype=np.int64),
+        bytes=_sizes(rng, fl, n),
+        arrival_ns=times.astype(np.int64),
+        monitored=np.full(n, fl.monitored, dtype=bool),
+        injected=np.full(n, injected, dtype=bool),
     )
 
 
-def generate_traffic(spec: ScenarioSpec) -> ArrivalBatch:
+def generate_traffic(spec: ScenarioSpec) -> PacketBatch:
     """Baseline (anomaly-free) arrivals for every configured flow."""
     spec.validate()
     end_ns = int(spec.duration_s * NS_PER_S)
@@ -358,18 +329,18 @@ def generate_traffic(spec: ScenarioSpec) -> ArrivalBatch:
         rng = _flow_rng(spec.seed, idx)
         times = _flow_arrivals(fl, rng, 0, end_ns)
         parts.append(_flow_part(fl, times, rng, injected=False))
-    return _make_batch(parts)
+    return _sorted_parts(parts)[0]
 
 
 # -- anomaly injection ------------------------------------------------------------
 
 
 def inject_anomaly(
-    batch: ArrivalBatch, ev: AnomalyEvent, spec: ScenarioSpec, anomaly_idx: int = 0
-) -> ArrivalBatch:
+    batch: PacketBatch, ev: AnomalyEvent, spec: ScenarioSpec, anomaly_idx: int = 0
+) -> PacketBatch:
     """Overlay one anomaly on an arrival stream; anomalies compose additively.
 
-    ``batch`` must be in ArrivalBatch order. The result is ordered as if the
+    ``batch`` must be in arrival order. The result is ordered as if the
     stream and the anomaly's new parts were concatenated and sorted by (time,
     flow code, sequence), where a stream row's sequence is its position, a new
     row's is its index within its part, and full ties keep the stream first.
@@ -428,7 +399,7 @@ def inject_anomaly(
     return _insert_rows(batch, *_sorted_parts(parts)) if parts else batch
 
 
-def _insert_rows(batch: ArrivalBatch, new: ArrivalBatch, new_seq: np.ndarray) -> ArrivalBatch:
+def _insert_rows(batch: PacketBatch, new: PacketBatch, new_seq: np.ndarray) -> PacketBatch:
     """Merge sorted new rows (with their in-part sequence) into a sorted batch."""
     arr = batch.arrival_ns
     pos = np.searchsorted(arr, new.arrival_ns, side="left")
@@ -449,13 +420,11 @@ def _insert_rows(batch: ArrivalBatch, new: ArrivalBatch, new_seq: np.ndarray) ->
             c = flow_codes(batch.teid[row], batch.qfi[row])
             before += live & ((c < new_code) | ((c == new_code) & (row <= seq)))
         pos[tied] += before
-    return ArrivalBatch(*(
-        np.insert(getattr(batch, name), pos, getattr(new, name))
-        for name in ("teid", "qfi", "bytes", "arrival_ns", "monitored", "injected")
-    ))
+    return PacketBatch(**{name: np.insert(col, pos, getattr(new, name))
+                          for name, col in batch.columns().items()})
 
 
-def _remap_class(batch: ArrivalBatch, ev: AnomalyEvent, start_ns: int, end_ns: int) -> ArrivalBatch:
+def _remap_class(batch: PacketBatch, ev: AnomalyEvent, start_ns: int, end_ns: int) -> PacketBatch:
     """Move the target flows' packets inside [start, end) to ``ev.remapped_qfi``
     (same tunnel, another class) and restore the order of that time slice."""
     lo, hi = np.searchsorted(batch.arrival_ns, [start_ns, end_ns], side="left")
@@ -469,11 +438,10 @@ def _remap_class(batch: ArrivalBatch, ev: AnomalyEvent, start_ns: int, end_ns: i
     # a stable sort keeps equal (time, code) rows in position order
     order = np.arange(len(batch))
     order[win] = lo + np.lexsort((flow_codes(batch.teid[win], qfi[win]), batch.arrival_ns[win]))
-    return ArrivalBatch(batch.teid[order], qfi[order], batch.bytes[order],
-                        batch.arrival_ns[order], batch.monitored[order], inj[order])
+    return batch.take(order, qfi=qfi[order], injected=inj[order])
 
 
-def inject_all(batch: ArrivalBatch, spec: ScenarioSpec) -> ArrivalBatch:
+def inject_all(batch: PacketBatch, spec: ScenarioSpec) -> PacketBatch:
     for idx, ev in enumerate(spec.anomalies):
         batch = inject_anomaly(batch, ev, spec, anomaly_idx=idx)
     return batch
@@ -506,7 +474,7 @@ DROP_OVERFLOW = 1
 _DRR_QUANTUM_BYTES = 2000  # per weight unit; a larger packet waits for more turns
 
 
-def run_queues(batch: ArrivalBatch, spec: ScenarioSpec) -> tuple[DeliveredBatch, DropRecord]:
+def run_queues(batch: PacketBatch, spec: ScenarioSpec) -> tuple[PacketBatch, DropRecord]:
     """Meter, enqueue, and serve an arrival stream; returns delivered packets
     and the drop record, both in arrival order.
 
@@ -557,18 +525,8 @@ def run_queues(batch: ArrivalBatch, spec: ScenarioSpec) -> tuple[DeliveredBatch,
     reason[overflow] = DROP_OVERFLOW
     drops = np.flatnonzero(reason >= 0)
     mask = depart >= 0
-    arrival = batch.arrival_ns[mask]
-    delivered = DeliveredBatch(
-        teid=batch.teid[mask],
-        qfi=batch.qfi[mask],
-        qid=pkt_qid[mask],
-        bytes=batch.bytes[mask],
-        arrival_ns=arrival,
-        sojourn_ns=depart[mask] - arrival,
-        color=color[mask],
-        monitored=batch.monitored[mask],
-        injected=batch.injected[mask],
-    )
+    delivered = batch.take(mask, qid=pkt_qid[mask], sojourn_ns=depart[mask], color=color[mask])
+    delivered.sojourn_ns -= delivered.arrival_ns  # departure to sojourn, in place
     drop_rec = DropRecord(
         teid=batch.teid[drops],
         qfi=batch.qfi[drops],
@@ -580,7 +538,7 @@ def run_queues(batch: ArrivalBatch, spec: ScenarioSpec) -> tuple[DeliveredBatch,
     return delivered, drop_rec
 
 
-def _meter_colors(batch: ArrivalBatch, spec: ScenarioSpec) -> np.ndarray:
+def _meter_colors(batch: PacketBatch, spec: ScenarioSpec) -> np.ndarray:
     """Each packet's meter color: 0 green (or unmetered), 1 yellow, 2 red."""
     color = np.zeros(len(batch), dtype=np.int8)
     codes = batch.codes()
@@ -629,7 +587,7 @@ def _trtcm(m: MeterSpec, times, sizes) -> list[int]:
     return colors
 
 
-def _serve(batch: ArrivalBatch, pkt_q: np.ndarray, passed: np.ndarray,
+def _serve(batch: PacketBatch, pkt_q: np.ndarray, passed: np.ndarray,
            policies: list[QueuePolicy]) -> tuple[np.ndarray, list[int]]:
     """Enqueue the ``passed`` packets in arrival order into queue ``pkt_q``
     (an index into ``policies``) and serve them on one non-preemptive port.
@@ -724,7 +682,7 @@ def _serve(batch: ArrivalBatch, pkt_q: np.ndarray, passed: np.ndarray,
     return depart, overflow
 
 
-def simulate(spec: ScenarioSpec) -> tuple[DeliveredBatch, DropRecord, list[GroundTruthLabel]]:
+def simulate(spec: ScenarioSpec) -> tuple[PacketBatch, DropRecord, list[GroundTruthLabel]]:
     """generate -> inject -> queues -> labels, all from one seed."""
     arrivals = inject_all(generate_traffic(spec), spec)
     delivered, drops = run_queues(arrivals, spec)

@@ -52,7 +52,6 @@ class DetectabilityParams:
     beta_max: float = 0.3
     delta_t_min: float = 80.0
     zeta: float = 0.05
-    delta_conf: float = math.exp(-3)
 
     def __post_init__(self) -> None:
         if not 0 <= self.beta <= self.beta_max < 1:

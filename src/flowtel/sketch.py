@@ -31,9 +31,8 @@ increments are never negative; no add can overflow.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -42,8 +41,8 @@ from .core import (
     PacketEvent,
     SketchConfig,
     WindowTotals,
+    bucket_index,
     bucket_index_array,
-    mix64,
 )
 
 if TYPE_CHECKING:
@@ -65,18 +64,6 @@ def bin_of(value_ns: int | float, edges: Sequence[float] | np.ndarray) -> int:
 
 
 @dataclass(frozen=True)
-class Bucket:
-    """Snapshot of one enriched bucket (storage itself is array-backed)."""
-
-    pkt_count: int
-    byte_count: int
-    lat_bins: tuple[int, ...]
-    iat_bins: tuple[int, ...]
-    color_counts: tuple[int, int, int]
-    last_seen_ns: int
-
-
-@dataclass(frozen=True)
 class FlowEstimate:
     """Row-minimum reconstruction of one flow's window behavior.
 
@@ -93,75 +80,16 @@ class FlowEstimate:
     diag_est: int
 
 
-@dataclass(frozen=True)
-class WindowRecord:
-    """One exported bucket: fixed field order, line- and binary-packable."""
-
-    window: int
-    qid: int
-    row: int
-    col: int
-    pkt: int
-    bytes: int
-    lat_bins: tuple[int, ...]
-    iat_bins: tuple[int, ...]
-    green: int
-    yellow: int
-    red: int
-
-    def to_line(self) -> str:
-        fields = [self.window, self.qid, self.row, self.col, self.pkt, self.bytes]
-        fields += list(self.lat_bins) + list(self.iat_bins)
-        fields += [self.green, self.yellow, self.red]
-        return " ".join(str(f) for f in fields)
-
-    @staticmethod
-    def from_line(line: str, bins_b: int) -> "WindowRecord":
-        parts = [int(p) for p in line.split()]
-        if len(parts) != 9 + 2 * bins_b:
-            raise ValueError(f"expected {9 + 2 * bins_b} fields, got {len(parts)}")
-        window, qid, row, col, pkt, byt = parts[:6]
-        lat = tuple(parts[6 : 6 + bins_b])
-        iat = tuple(parts[6 + bins_b : 6 + 2 * bins_b])
-        green, yellow, red = parts[6 + 2 * bins_b :]
-        return WindowRecord(window, qid, row, col, pkt, byt, lat, iat, green, yellow, red)
-
-    @staticmethod
-    def struct_format(bins_b: int) -> str:
-        # little-endian: window qid row col pkt (u32), bytes (u64),
-        # lat[B] iat[B] green yellow red (u32)
-        return f"<5IQ{2 * bins_b + 3}I"
-
-    def to_bytes(self) -> bytes:
-        fmt = self.struct_format(len(self.lat_bins))
-        return struct.pack(
-            fmt,
-            self.window,
-            self.qid,
-            self.row,
-            self.col,
-            self.pkt,
-            self.bytes,
-            *self.lat_bins,
-            *self.iat_bins,
-            self.green,
-            self.yellow,
-            self.red,
-        )
-
-    @staticmethod
-    def from_bytes(raw: bytes, bins_b: int) -> "WindowRecord":
-        fmt = WindowRecord.struct_format(bins_b)
-        parts = struct.unpack(fmt, raw)
-        window, qid, row, col, pkt, byt = parts[:6]
-        lat = tuple(parts[6 : 6 + bins_b])
-        iat = tuple(parts[6 + bins_b : 6 + 2 * bins_b])
-        green, yellow, red = parts[6 + 2 * bins_b :]
-        return WindowRecord(window, qid, row, col, pkt, byt, lat, iat, green, yellow, red)
-
-
 def record_dtype(bins_b: int) -> np.dtype:
-    """Structured dtype whose raw bytes match WindowRecord.to_bytes."""
+    """The one encoding of an exported bucket. ``records.bin`` holds these
+    records back to back: window by window, each window's queues by ascending
+    qid, each queue's d*w buckets row by row.
+
+    Little-endian, packed, ``struct`` format ``<5IQ{2B+3}I``: window, qid,
+    row, col and the packet count as u32, the byte count as u64, then B
+    latency bins, B IAT bins and the green, yellow and red counts as u32.
+    That is 4 * (2B + 8) + 8 bytes, 104 at B = 8.
+    """
     return np.dtype(
         [
             ("window", "<u4"),
@@ -215,15 +143,12 @@ class HistogramSketch:
         self.last_seen = np.full((d, w), UNSET_NS, dtype=np.int64)
         self.saturated_units = 0
         self.monotonicity_warnings = 0
-        self._mixed_seeds = [mix64(s) for s in config.seeds]
         self._query_memo: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- update paths ------------------------------------------------------
 
     def columns_for(self, key: FlowKey) -> list[int]:
-        code = key.code()
-        w = self.config.width_w
-        return [mix64(code ^ ms) % w for ms in self._mixed_seeds]
+        return [bucket_index(key.code(), s, self.config.width_w) for s in self.config.seeds]
 
     def update(self, ev: PacketEvent) -> None:
         """Fold one packet into all d rows (reference per-packet semantics)."""
@@ -231,10 +156,7 @@ class HistogramSketch:
             raise ValueError(f"packet for qid {ev.qid} fed to sketch for qid {self.qid}")
         lat_b = bin_of(ev.sojourn_ns, self.lat_edges)
         color = int(ev.color)
-        code = ev.key.code()
-        w = self.config.width_w
-        for i, ms in enumerate(self._mixed_seeds):
-            j = mix64(code ^ ms) % w
+        for i, j in enumerate(self.columns_for(ev.key)):
             self._bump(self.pkt, (i, j), 1, PKT_COUNTER_MAX)
             self._bump(self.byt, (i, j), ev.bytes, BYTE_COUNTER_MAX)
             self._bump(self.lat, (i, j, lat_b), 1, PKT_COUNTER_MAX)
@@ -320,16 +242,6 @@ class HistogramSketch:
 
     # -- query and export --------------------------------------------------
 
-    def bucket(self, row: int, col: int) -> Bucket:
-        return Bucket(
-            pkt_count=int(self.pkt[row, col]),
-            byte_count=int(self.byt[row, col]),
-            lat_bins=tuple(int(v) for v in self.lat[row, col]),
-            iat_bins=tuple(int(v) for v in self.iat[row, col]),
-            color_counts=tuple(int(v) for v in self.col[row, col]),
-            last_seen_ns=int(self.last_seen[row, col]),
-        )
-
     def query_flow(self, key: FlowKey, region: "DiagnosticRegion") -> FlowEstimate:
         cols = self.columns_for(key)
         rows = range(self.config.depth_d)
@@ -400,35 +312,6 @@ class HistogramSketch:
         out["red"] = self.col[:, :, 2].reshape(-1)
         return out
 
-    def export_window(
-        self, window: int, region: "DiagnosticRegion"
-    ) -> tuple[list[WindowRecord], WindowTotals]:
-        """Emit one record per bucket, compute totals, then zero the window.
-
-        Exactly d*w records regardless of traffic. Timestamps are preserved
-        across the reset so IAT chains continue into the next window.
-        """
-        totals = self.window_totals(region)
-        arr = self.export_window_array(window)
-        records = [
-            WindowRecord(
-                window=int(r["window"]),
-                qid=int(r["qid"]),
-                row=int(r["row"]),
-                col=int(r["col"]),
-                pkt=int(r["pkt"]),
-                bytes=int(r["bytes"]),
-                lat_bins=tuple(int(v) for v in r["lat"]),
-                iat_bins=tuple(int(v) for v in r["iat"]),
-                green=int(r["green"]),
-                yellow=int(r["yellow"]),
-                red=int(r["red"]),
-            )
-            for r in arr
-        ]
-        self.reset_window()
-        return records, totals
-
     def reset_window(self) -> None:
         self.pkt[:] = 0
         self.byt[:] = 0
@@ -450,25 +333,3 @@ class HistogramSketch:
             self.saturated_units,
             self.monotonicity_warnings,
         )
-
-
-def grid_from_records(records: Iterable[WindowRecord], config: SketchConfig) -> "HistogramSketch":
-    """Rebuild a queryable sketch grid from exported records.
-
-    Edges are not part of the record format; the rebuilt sketch carries
-    placeholder edges and must only be used for count queries.
-    """
-    b = config.bins_B
-    placeholder = np.arange(1, b, dtype=np.float64)
-    sk: HistogramSketch | None = None
-    for rec in records:
-        if sk is None:
-            sk = HistogramSketch(config, qid=rec.qid, lat_edges=placeholder, iat_edges=placeholder)
-        sk.pkt[rec.row, rec.col] = rec.pkt
-        sk.byt[rec.row, rec.col] = rec.bytes
-        sk.lat[rec.row, rec.col] = rec.lat_bins
-        sk.iat[rec.row, rec.col] = rec.iat_bins
-        sk.col[rec.row, rec.col] = (rec.green, rec.yellow, rec.red)
-    if sk is None:
-        raise ValueError("no records given")
-    return sk

@@ -15,12 +15,21 @@ from flowtel.baselines import (
     sketch_record_bytes,
 )
 from flowtel.core import Color, FlowKey, PacketEvent
-from flowtel.simulator import DeliveredBatch, DropRecord
+from flowtel.simulator import DropRecord, PacketBatch
 
 
 def ev(teid, qfi, sojourn_ns, arrival_ns=0, size=500, color=Color.GREEN):
     return PacketEvent(key=FlowKey(teid, qfi), qid=0, bytes=size,
                        arrival_ns=arrival_ns, sojourn_ns=sojourn_ns, color=color)
+
+
+def row_event(batch: PacketBatch, i: int) -> PacketEvent:
+    """Row i of a delivered batch as the per-packet references take it."""
+    return PacketEvent(
+        key=FlowKey(int(batch.teid[i]), int(batch.qfi[i])), qid=int(batch.qid[i]),
+        bytes=int(batch.bytes[i]), arrival_ns=int(batch.arrival_ns[i]),
+        sojourn_ns=int(batch.sojourn_ns[i]), color=Color(int(batch.color[i])),
+    )
 
 
 # -- PM counters -----------------------------------------------------------------
@@ -67,7 +76,7 @@ def test_pm_drop_accounting():
 
 def delivered_batch(teid, qfi, qid, nbytes, arrival_ns, sojourn_ns, monitored):
     n = len(teid)
-    return DeliveredBatch(
+    return PacketBatch(
         teid=np.asarray(teid, dtype=np.int64), qfi=np.asarray(qfi, dtype=np.int64),
         qid=np.asarray(qid, dtype=np.int64), bytes=np.asarray(nbytes, dtype=np.int64),
         arrival_ns=np.asarray(arrival_ns, dtype=np.int64),
@@ -112,7 +121,7 @@ def test_pm_windows_match_per_event_fold(rng):
     for i in np.argsort(depart, kind="stable"):
         w = int(depart[i]) // W
         if batch.monitored[i] and w < n_windows:
-            pm_update(ref[w], batch.event(i), w)
+            pm_update(ref[w], row_event(batch, i), w)
     for q, t, mon in zip(drops.qfi.tolist(), drops.time_ns.tolist(), drops.monitored.tolist()):
         if mon and t // W < n_windows:
             pm_record_drop(ref[t // W], q, t // W)
@@ -177,7 +186,7 @@ def test_offer_batch_matches_sequential(rng):
     teid = rng.integers(1, 6, size=n).astype(np.int64)
     soj = rng.integers(0, 5_000_000, size=n).astype(np.int64)
     arr = np.cumsum(rng.integers(1, 1000, size=n)).astype(np.int64)
-    batch = DeliveredBatch(
+    batch = PacketBatch(
         teid=teid, qfi=np.ones(n, dtype=np.int64), qid=np.zeros(n, dtype=np.int64),
         bytes=np.full(n, 500, dtype=np.int64), arrival_ns=arr, sojourn_ns=soj,
         color=np.zeros(n, dtype=np.int8), monitored=np.ones(n, dtype=bool),
@@ -187,7 +196,7 @@ def test_offer_batch_matches_sequential(rng):
     batch_sampler = DeltaSampler(delta_ns=700_000)
     idx = set(batch_sampler.offer_batch(batch, sel).tolist())
     seq_sampler = DeltaSampler(delta_ns=700_000)
-    expect = {i for i in range(n) if seq_sampler.offer(batch.event(i)) is not None}
+    expect = {i for i in range(n) if seq_sampler.offer(row_event(batch, i)) is not None}
     assert idx == expect
 
 
@@ -211,7 +220,8 @@ def test_offer_batch_one_pass_matches_per_window_calls(rng):
     per = DeltaSampler(delta_ns=700_000)
     per_window = np.concatenate([per.offer_batch(batch, window == w) for w in range(3)])
     seq = DeltaSampler(delta_ns=700_000)
-    expect = [i for i in range(n) if batch.monitored[i] and seq.offer(batch.event(i)) is not None]
+    expect = [i for i in range(n)
+              if batch.monitored[i] and seq.offer(row_event(batch, i)) is not None]
     assert one.tolist() == per_window.tolist() == expect
     assert 700 in expect and 350 not in expect and 400 not in expect
 

@@ -109,6 +109,34 @@ def test_malformed_scenario_json_exits_2_naming_the_file(tmp_path, capsys):
     assert "broken.json" in err and "malformed JSON" in err
 
 
+# one value per range check a scenario file can fail, by the key that holds it
+INVALID_VALUES = [
+    (("window_len_ns",), 0), (("window_len_ns",), -5), (("seed",), -1),
+    (("telemetry", "width"), 1), (("telemetry", "depth"), 0), (("telemetry", "bins_b"), 1),
+    (("telemetry", "rho"), 0.7), (("telemetry", "dsmp_delta_ns"), 0),
+    (("telemetry", "fit_sample_size"), 0),
+    (("telemetry", "lat_tail_bins"), 0), (("telemetry", "lat_tail_bins"), 8),
+    (("telemetry", "iat_head_bins"), 0), (("telemetry", "iat_head_bins"), 8),
+    (("telemetry", "n_blocks"), 0), (("telemetry", "n_blocks"), 1),
+]
+
+
+@pytest.mark.parametrize("keys, value", INVALID_VALUES,
+                         ids=[f"{k[-1]}={v}" for k, v in INVALID_VALUES])
+def test_invalid_scenario_value_exits_2_naming_the_key(tmp_path, capsys, keys, value):
+    doc = json.loads(json.dumps(MINIMAL_SCENARIO))
+    obj = doc
+    for k in keys[:-1]:
+        obj = obj[k]
+    obj[keys[-1]] = value
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    rc = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert keys[-1] in err
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # missing required flags
@@ -162,6 +190,27 @@ def test_sweep_grid_cardinality_and_cost_monotonicity(tmp_path, capsys):
     assert cells[(256, 3)] > cells[(256, 2)] > cells[(128, 2)]
 
 
+@pytest.mark.parametrize("axis, values, shown", [
+    ("dsmp_delta_ns", [0], "dsmp_delta_ns = 0"), ("width", [1], "width = 1"),
+    ("rho", ["x"], "rho[0]: could not convert string to float: 'x'"),
+    ("depth", 3, "depth: expected a list"),
+], ids=["dsmp_delta_ns", "width", "rho", "depth"])
+def test_bad_sweep_grid_value_exits_2_before_simulating(tmp_path, capsys, monkeypatch,
+                                                        axis, values, shown):
+    from flowtel import cli
+
+    def no_simulation(spec):
+        raise AssertionError("simulated before the grid was checked")
+
+    monkeypatch.setattr(cli, "simulate", no_simulation)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(MINIMAL_SCENARIO))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"width": [64, 128], axis: values}))
+    assert main(["sweep", "--scenario", str(scenario), "--grid", str(grid)]) == 2
+    assert f"grid file {grid}: {shown}" in capsys.readouterr().err
+
+
 def test_sweep_jobs_keep_pinned_edges(tmp_path, monkeypatch):
     from flowtel import cli
 
@@ -184,6 +233,42 @@ def test_sweep_jobs_keep_pinned_edges(tmp_path, monkeypatch):
     assert [(c.width, c.rho) for c in cfgs] == [(64, 0.01), (64, 0.05), (128, 0.01), (128, 0.05)]
     for c in cfgs:
         assert c.explicit_lat_edges == c.explicit_iat_edges == ((0, tuple(pinned)),)
+
+
+def test_missing_or_malformed_grid_file_exits_2_naming_it(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(MINIMAL_SCENARIO))
+    (tmp_path / "broken.json").write_text('{"width": [64,')
+    (tmp_path / "list.json").write_text("[64, 128]")
+    for name in ("absent.json", "broken.json", "list.json"):
+        grid = tmp_path / name
+        assert main(["sweep", "--scenario", str(scenario), "--grid", str(grid)]) == 2
+        assert f"grid file {grid}" in capsys.readouterr().err
+
+
+def test_missing_or_malformed_params_file_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "broken.json").write_text('{"beta_max": ')
+    (tmp_path / "classes.json").write_text(json.dumps(
+        {"beta_max": 0.3, "delta_t_min": 80, "n_t_max": 1e4, "flow_classes": ["small"]}))
+    for name in ("absent.json", "broken.json", "classes.json"):
+        params = tmp_path / name
+        assert main(["size", "--params", str(params)]) == 2
+        assert f"params file {params}" in capsys.readouterr().err
+
+
+def test_missing_or_malformed_capture_file_exits_2_naming_it(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(MINIMAL_SCENARIO))
+    row = "1 1 0 400 1000 20000 0 1"
+    (tmp_path / "text.txt").write_text(f"{row}\n1 1 0 400 x1000 20000 0 1\n")
+    (tmp_path / "short.txt").write_text(f"{row}\n1 1 0 400\n")
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe\x00")
+    for name in ("absent.txt", "text.txt", "short.txt", "binary.txt"):
+        cap = tmp_path / name
+        rc = main(["replay", "--scenario", str(scenario), "--capture", str(cap),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"capture file {cap}" in capsys.readouterr().err
 
 
 def test_capture_replay_roundtrip(tmp_path, capsys):
@@ -267,6 +352,29 @@ def test_window_count_follows_window_length():
     assert stream.window.max() == stream.n_windows - 1
 
 
+def test_window_stream_is_the_delivered_batch_in_egress_order():
+    from dataclasses import fields
+
+    from flowtel.pipeline import WindowStream, window_stream
+    from flowtel.scenarios import build
+    from flowtel.simulator import PacketBatch, simulate
+
+    spec, _ = build("smoke")
+    delivered, _, _ = simulate(spec)
+    stream = window_stream(delivered, spec.window_len_ns, spec.duration_s)
+    depart = delivered.depart_ns()
+    order = np.argsort(depart, kind="stable")
+    order = order[depart[order] < stream.n_windows * spec.window_len_ns]
+    assert stream.n_windows == 6 and len(stream) == len(order) > 0
+    for name, col in delivered.columns().items():
+        if name != "injected":  # telemetry cannot see it
+            assert np.array_equal(getattr(stream, name), col[order]), name
+    assert stream.injected is None
+    assert np.array_equal(stream.window, depart[order] // spec.window_len_ns)
+    own = [f.name for f in fields(WindowStream) if f not in fields(PacketBatch)]
+    assert own == ["window", "n_windows"]
+
+
 def test_scenario_parser_catches_missing_fields():
     with pytest.raises(ScenarioError, match="scenario file"):
         scenario_from_dict({"duration_s": 1.0})
@@ -274,6 +382,10 @@ def test_scenario_parser_catches_missing_fields():
     doc["telemetry"] = {"strategy": "bogus"}
     with pytest.raises(ScenarioError, match="telemetry"):
         scenario_from_dict(doc)
+    # a field without a dataclass default is required in the file too
+    flow = {k: v for k, v in MINIMAL_SCENARIO["flows"][0].items() if k != "pattern"}
+    with pytest.raises(ScenarioError, match=r"flows\[0\]\.pattern: required"):
+        scenario_from_dict(dict(MINIMAL_SCENARIO, flows=[flow]))
 
 
 def test_cli_entrypoint_runs_as_module():
@@ -283,4 +395,5 @@ def test_cli_entrypoint_runs_as_module():
         [sys.executable, "-m", "flowtel.cli", "size", "--params", "/nonexistent.json"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
-    assert proc.returncode == 3  # runtime failure, not a crash
+    assert proc.returncode == 2  # an invalid input, not a crash
+    assert "/nonexistent.json" in proc.stderr

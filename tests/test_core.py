@@ -8,7 +8,6 @@ from flowtel.core import (
     FlowKey,
     PacketEvent,
     SketchConfig,
-    WindowClock,
     WindowTotals,
     bucket_index,
     bucket_index_array,
@@ -37,14 +36,6 @@ def test_window_index_rejects_zero_length():
 def test_window_partition_exhaustive_and_exclusive(t, w):
     idx = window_index(t, w)
     assert idx * w <= t < (idx + 1) * w
-
-
-def test_window_clock_monotone():
-    clock = WindowClock(window_len_ns=10**9)
-    assert clock.observe(100) == 0
-    assert clock.observe(3 * 10**9) == 3
-    with pytest.raises(ValueError):
-        clock.observe(10**9)  # would regress to window 1
 
 
 def test_flow_key_identity_and_limits():

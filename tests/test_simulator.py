@@ -9,16 +9,14 @@ from flowtel.core import NS_PER_S, FlowKey
 from flowtel.simulator import (
     AnomalyEvent,
     AnomalyKind,
-    ArrivalBatch,
-    DeliveredBatch,
     DropRecord,
     FlowSpec,
     MeterSpec,
+    PacketBatch,
     QueuePolicy,
     ScenarioError,
     ScenarioSpec,
     TrafficPattern,
-    _make_batch,
     generate_traffic,
     inject_all,
     inject_anomaly,
@@ -249,7 +247,7 @@ class PerPacketTrtcm:
         return 0
 
 
-def per_packet_run_queues(batch: ArrivalBatch, spec: ScenarioSpec, seen: Counter):
+def per_packet_run_queues(batch: PacketBatch, spec: ScenarioSpec, seen: Counter):
     """Reference definition of run_queues: one loop that meters, enqueues and
     serves every packet in arrival order, with 2000 bytes of DRR quantum per
     weight unit. Counts the events the equivalence depends on."""
@@ -344,7 +342,7 @@ def per_packet_run_queues(batch: ArrivalBatch, spec: ScenarioSpec, seen: Counter
 
     kept = sojourn >= 0
     drops = np.array(drop_idx, dtype=np.int64)
-    delivered = DeliveredBatch(
+    delivered = PacketBatch(
         teid=batch.teid[kept], qfi=batch.qfi[kept], qid=pkt_qid[kept], bytes=batch.bytes[kept],
         arrival_ns=batch.arrival_ns[kept], sojourn_ns=sojourn[kept], color=color[kept],
         monitored=batch.monitored[kept], injected=batch.injected[kept],
@@ -371,7 +369,7 @@ def test_run_queues_matches_the_per_packet_loop(seed):
     qfi = np.array([k.qfi for k in keys])[pick]
     arrival = np.sort(rng.integers(0, 11 * n, n)) * 100
     order = np.lexsort(((teid << 6) | qfi, arrival))
-    batch = ArrivalBatch(
+    batch = PacketBatch(
         teid=teid[order], qfi=qfi[order], bytes=rng.integers(1, 31, n) * 100,
         arrival_ns=arrival[order], monitored=rng.random(n) < 0.8,
         injected=np.zeros(n, dtype=bool),
@@ -517,7 +515,7 @@ def test_policy_abuse_qfi_aggregate_moves_less_than_culprit():
 ARRIVAL_COLUMNS = ("teid", "qfi", "bytes", "arrival_ns", "monitored", "injected")
 
 
-def sequential_lexsort_inject_all(batch: ArrivalBatch, spec: ScenarioSpec, ties: Counter):
+def sequential_lexsort_inject_all(batch: PacketBatch, spec: ScenarioSpec, ties: Counter):
     """Reference definition of inject_all: per anomaly, concatenate the stream
     (sequence = position) with the anomaly's rows (sequence = index within the
     flow's part) and re-sort all of it with one stable lexsort by (time, flow
@@ -534,7 +532,7 @@ def sequential_lexsort_inject_all(batch: ArrivalBatch, spec: ScenarioSpec, ties:
                 cols["qfi"][m], cols["injected"][m] = ev.remapped_qfi, True
         else:
             # the anomaly's own rows; each flow code comes from one part here
-            new = inject_anomaly(_make_batch([]), ev, spec, anomaly_idx=idx)
+            new = inject_anomaly(batch.take(slice(0, 0)), ev, spec, anomaly_idx=idx)
             new_seq = np.zeros(len(new), dtype=np.int64)
             for code in np.unique(new.codes()):
                 m = new.codes() == code
@@ -553,7 +551,7 @@ def sequential_lexsort_inject_all(batch: ArrivalBatch, spec: ScenarioSpec, ties:
         if ev.kind is AnomalyKind.POLICY_ABUSE:
             old_qfi = batch.qfi[order]
             ties["remapped_together"] += int(np.sum(same & (old_qfi[1:] != old_qfi[:-1])))
-        batch = ArrivalBatch(*(cols[c][order] for c in ARRIVAL_COLUMNS))
+        batch = PacketBatch(**{c: cols[c][order] for c in ARRIVAL_COLUMNS})
     return batch
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -12,9 +13,7 @@ from flowtel.sketch import (
     BYTE_COUNTER_MAX,
     PKT_COUNTER_MAX,
     HistogramSketch,
-    WindowRecord,
     bin_of,
-    grid_from_records,
     record_dtype,
 )
 from conftest import exact_truth, random_stream
@@ -67,24 +66,22 @@ def test_update_worked_example():
     sk.update(first)
     cols = sk.columns_for(key)
     for i, j in enumerate(cols):
-        b = sk.bucket(i, j)
-        assert b.pkt_count == 1
-        assert b.byte_count == 400
-        assert b.lat_bins[2] == 1 and sum(b.lat_bins) == 1
-        assert sum(b.iat_bins) == 0  # first packet ever: no gap recorded
-        assert b.color_counts == (0, 1, 0)
-        assert b.last_seen_ns == 1_000_000
+        assert sk.pkt[i, j] == 1
+        assert sk.byt[i, j] == 400
+        assert sk.lat[i, j, 2] == 1 and sk.lat[i, j].sum() == 1
+        assert sk.iat[i, j].sum() == 0  # first packet ever: no gap recorded
+        assert sk.col[i, j].tolist() == [0, 1, 0]
+        assert sk.last_seen[i, j] == 1_000_000
 
     # second packet 18 us later: gap lands in IAT bin 2, timestamp refreshed
     second = PacketEvent(key=key, qid=3, bytes=400, arrival_ns=1_000_000 + 18 * US,
                          sojourn_ns=25 * US, color=Color.GREEN)
     sk.update(second)
     for i, j in enumerate(cols):
-        b = sk.bucket(i, j)
-        assert b.pkt_count == 2
-        assert b.iat_bins[2] == 1 and sum(b.iat_bins) == 1
-        assert b.last_seen_ns == 1_000_000 + 18 * US
-        assert b.color_counts == (1, 1, 0)
+        assert sk.pkt[i, j] == 2
+        assert sk.iat[i, j, 2] == 1 and sk.iat[i, j].sum() == 1
+        assert sk.last_seen[i, j] == 1_000_000 + 18 * US
+        assert sk.col[i, j].tolist() == [1, 1, 0]
 
 
 def test_update_rejects_wrong_qid():
@@ -101,7 +98,7 @@ def test_out_of_order_arrival_clamps_gap():
     sk.update(PacketEvent(key=key, qid=3, bytes=100, arrival_ns=4_000, sojourn_ns=0))
     assert sk.monotonicity_warnings == sk.config.depth_d  # one per row
     for i, j in enumerate(sk.columns_for(key)):
-        assert sk.bucket(i, j).iat_bins[0] == 1  # clamped to 0 -> head bin
+        assert sk.iat[i, j, 0] == 1  # clamped to 0 -> head bin
 
 
 def _find_colliding_key(sk, key_a, row=0):
@@ -124,14 +121,14 @@ def test_collision_gap_measured_against_foreign_timestamp():
     sk.update(PacketEvent(key=a, qid=3, bytes=100, arrival_ns=0, sojourn_ns=0))
     sk.update(PacketEvent(key=b, qid=3, bytes=100, arrival_ns=30 * US, sojourn_ns=0))
     sk.update(PacketEvent(key=a, qid=3, bytes=100, arrival_ns=100 * US, sojourn_ns=0))
-    bucket = sk.bucket(0, j)
+    iat_bins = sk.iat[0, j].tolist()
     # bucket recorded gaps 30us and 70us, not flow a's own 100us gap
-    recorded = [i for i, c in enumerate(bucket.iat_bins) for _ in range(c)]
+    recorded = [i for i, c in enumerate(iat_bins) for _ in range(c)]
     assert recorded == sorted([bin_of(30 * US, IAT_EDGES_NS), bin_of(70 * US, IAT_EDGES_NS)])
     own_a = [0] * 8
     own_a[bin_of(100 * US, IAT_EDGES_NS)] = 1
-    assert list(bucket.iat_bins) != own_a  # differs from a's true gap histogram
-    assert sum(bucket.iat_bins) != 0  # and from b's (b has no gaps at all)
+    assert iat_bins != own_a  # differs from a's true gap histogram
+    assert sum(iat_bins) != 0  # and from b's (b has no gaps at all)
 
 
 # -- conservation and no-underestimate ----------------------------------------
@@ -139,10 +136,9 @@ def test_collision_gap_measured_against_foreign_timestamp():
 
 def _check_conservation(sk, rows_cols):
     for i, j in rows_cols:
-        b = sk.bucket(i, j)
-        assert sum(b.lat_bins) == b.pkt_count
-        assert sum(b.color_counts) == b.pkt_count
-        assert sum(b.iat_bins) <= b.pkt_count
+        assert sk.lat[i, j].sum() == sk.pkt[i, j]
+        assert sk.col[i, j].sum() == sk.pkt[i, j]
+        assert sk.iat[i, j].sum() <= sk.pkt[i, j]
 
 
 def test_conservation_after_every_packet(rng):
@@ -205,11 +201,11 @@ def test_depth_one_estimate_is_bucket_verbatim(rng):
         sk.update(ev)
     for key in {ev.key for ev in events}:
         est = sk.query_flow(key, REGION)
-        b = sk.bucket(0, sk.columns_for(key)[0])
-        assert est.pkt_est == b.pkt_count
-        assert est.byte_est == b.byte_count
-        assert est.lat_bin_est == b.lat_bins
-        assert est.iat_bin_est == b.iat_bins
+        j = sk.columns_for(key)[0]
+        assert est.pkt_est == sk.pkt[0, j]
+        assert est.byte_est == sk.byt[0, j]
+        assert est.lat_bin_est == tuple(sk.lat[0, j].tolist())
+        assert est.iat_bin_est == tuple(sk.iat[0, j].tolist())
 
 
 def test_diag_estimate_composition(rng):
@@ -228,10 +224,10 @@ def test_diag_estimate_composition(rng):
 
 def test_export_empty_window():
     sk = make_sketch(width=16, depth=2)
-    records, totals = sk.export_window(0, REGION)
+    records, totals = sk.export_window_array(0), sk.window_totals(REGION)
     assert len(records) == 16 * 2
     assert totals.n_total == 0 and totals.n_diag == 0
-    assert all(r.pkt == 0 and r.bytes == 0 for r in records)
+    assert not records["pkt"].any() and not records["bytes"].any()
 
 
 def test_export_cardinality_and_totals(rng):
@@ -239,10 +235,10 @@ def test_export_cardinality_and_totals(rng):
     events = random_stream(rng, n_packets=777, n_flows=25, qid=3)
     for ev in events:
         sk.update(ev)
-    records, totals = sk.export_window(4, REGION)
+    records, totals = sk.export_window_array(4), sk.window_totals(REGION)
     assert len(records) == 32 * 3  # fixed cardinality regardless of traffic
     assert totals.n_total == 777  # row-0 sum equals exact packets fed in
-    assert all(r.window == 4 and r.qid == 3 for r in records)
+    assert (records["window"] == 4).all() and (records["qid"] == 3).all()
 
 
 def test_export_resets_counts_but_preserves_timestamps(rng):
@@ -250,14 +246,15 @@ def test_export_resets_counts_but_preserves_timestamps(rng):
     key = FlowKey(9, 9)
     sk.update(PacketEvent(key=key, qid=3, bytes=50, arrival_ns=500, sojourn_ns=10))
     stamps_before = sk.last_seen.copy()
-    sk.export_window(0, REGION)
+    sk.export_window_array(0)
+    sk.reset_window()
     assert sk.pkt.sum() == 0 and sk.byt.sum() == 0
     assert sk.lat.sum() == 0 and sk.iat.sum() == 0 and sk.col.sum() == 0
     assert (sk.last_seen == stamps_before).all()
     # next packet of the same flow records a gap against the preserved stamp
     sk.update(PacketEvent(key=key, qid=3, bytes=50, arrival_ns=500 + 20 * US, sojourn_ns=10))
     for i, j in enumerate(sk.columns_for(key)):
-        assert sum(sk.bucket(i, j).iat_bins) == 1
+        assert sk.iat[i, j].sum() == 1
 
 
 def test_determinism_same_stream_same_seeds(rng):
@@ -268,9 +265,9 @@ def test_determinism_same_stream_same_seeds(rng):
     for ev in events:
         sk2.update(ev)
     assert sk1.state_digest() == sk2.state_digest()
-    r1, t1 = sk1.export_window(0, REGION)
-    r2, t2 = sk2.export_window(0, REGION)
-    assert r1 == r2 and t1 == t2
+    r1, t1 = sk1.export_window_array(0), sk1.window_totals(REGION)
+    r2, t2 = sk2.export_window_array(0), sk2.window_totals(REGION)
+    assert r1.tobytes() == r2.tobytes() and t1 == t2
 
 
 def test_batch_update_matches_sequential(rng):
@@ -379,48 +376,22 @@ def test_batch_equivalence_property(seed):
 # -- records -----------------------------------------------------------------
 
 
-def test_record_line_roundtrip():
-    rec = WindowRecord(window=7, qid=2, row=1, col=300, pkt=12, bytes=4800,
-                       lat_bins=(1, 2, 3, 0, 0, 0, 6, 0), iat_bins=(0, 1, 2, 3, 4, 0, 0, 1),
-                       green=10, yellow=1, red=1)
-    assert WindowRecord.from_line(rec.to_line(), bins_b=8) == rec
-
-
-def test_record_binary_roundtrip_and_dtype_compat():
-    rec = WindowRecord(window=3, qid=1, row=0, col=5, pkt=9, bytes=12345678901,
-                       lat_bins=(9, 0, 0, 0, 0, 0, 0, 0), iat_bins=(0, 0, 0, 0, 0, 0, 0, 8),
-                       green=9, yellow=0, red=0)
-    raw = rec.to_bytes()
-    assert WindowRecord.from_bytes(raw, bins_b=8) == rec
-    assert len(raw) == record_dtype(8).itemsize
-    # structured-array export must produce the same wire bytes
-    arr = np.zeros(1, dtype=record_dtype(8))
-    arr[0] = (3, 1, 0, 5, 9, 12345678901, rec.lat_bins, rec.iat_bins, 9, 0, 0)
-    assert arr.tobytes() == raw
-
-
-def test_export_array_matches_records(rng):
+def test_export_array_is_the_struct_packed_record_layout(rng):
+    """records.bin's layout, written out: every bucket packed by hand with
+    struct.pack("<5IQ19I") (window qid row col pkt, u64 bytes, 8 lat bins,
+    8 IAT bins, green yellow red) equals the exported array's bytes."""
     sk = make_sketch(width=8, depth=2)
     for ev in random_stream(rng, n_packets=100, n_flows=6, qid=3):
         sk.update(ev)
+    sk.byt[1, 5] = 12_345_678_901  # a byte count that needs the 64-bit field
     arr = sk.export_window_array(11)
-    records, _ = sk.export_window(11, REGION)
-    assert arr.tobytes() == b"".join(r.to_bytes() for r in records)
-
-
-def test_grid_from_records_supports_queries(rng):
-    sk = make_sketch(width=16, depth=3)
-    events = random_stream(rng, n_packets=300, n_flows=10, qid=3)
-    for ev in events:
-        sk.update(ev)
-    expected = {ev.key: sk.query_flow(ev.key, REGION) for ev in events}
-    records, _ = sk.export_window(0, REGION)
-    rebuilt = grid_from_records(records, sk.config)
-    for key, est in expected.items():
-        got = rebuilt.query_flow(key, REGION)
-        assert got.pkt_est == est.pkt_est
-        assert got.lat_bin_est == est.lat_bin_est
-        assert got.iat_bin_est == est.iat_bin_est
+    assert arr.dtype == record_dtype(8) and arr.dtype.itemsize == struct.calcsize("<5IQ19I")
+    packed = b"".join(
+        struct.pack("<5IQ19I", 11, 3, i, j, *map(int, (sk.pkt[i, j], sk.byt[i, j], *sk.lat[i, j],
+                                                       *sk.iat[i, j], *sk.col[i, j])))
+        for i in range(2) for j in range(8)
+    )
+    assert arr.tobytes() == packed
 
 
 # -- saturation --------------------------------------------------------------
