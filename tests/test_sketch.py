@@ -376,19 +376,37 @@ def test_batch_equivalence_property(seed):
 # -- records -----------------------------------------------------------------
 
 
-def test_export_array_is_the_struct_packed_record_layout(rng):
+RECORD_STRUCT = "<5IQ19I"  # window qid row col pkt, u64 bytes, 8 lat, 8 IAT, green yellow red
+
+
+def test_record_binary_roundtrip_and_dtype_compat():
+    """One record packed by hand with struct reads back field by field through
+    record_dtype, and writing those fields into the dtype gives the same bytes."""
+    lat, iat = (9, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 8)
+    raw = struct.pack(RECORD_STRUCT, 3, 1, 0, 5, 9, 12_345_678_901, *lat, *iat, 9, 0, 0)
+    assert len(raw) == record_dtype(8).itemsize
+    rec = np.frombuffer(raw, dtype=record_dtype(8))[0]
+    assert (rec["window"], rec["qid"], rec["row"], rec["col"]) == (3, 1, 0, 5)
+    assert (rec["pkt"], rec["bytes"]) == (9, 12_345_678_901)  # needs the 64-bit field
+    assert tuple(rec["lat"]) == lat and tuple(rec["iat"]) == iat
+    assert (rec["green"], rec["yellow"], rec["red"]) == (9, 0, 0)
+    arr = np.zeros(1, dtype=record_dtype(8))
+    arr[0] = (3, 1, 0, 5, 9, 12_345_678_901, lat, iat, 9, 0, 0)
+    assert arr.tobytes() == raw
+
+
+def test_export_array_matches_records(rng):
     """records.bin's layout, written out: every bucket packed by hand with
-    struct.pack("<5IQ19I") (window qid row col pkt, u64 bytes, 8 lat bins,
-    8 IAT bins, green yellow red) equals the exported array's bytes."""
+    struct.pack equals the exported array's bytes."""
     sk = make_sketch(width=8, depth=2)
     for ev in random_stream(rng, n_packets=100, n_flows=6, qid=3):
         sk.update(ev)
     sk.byt[1, 5] = 12_345_678_901  # a byte count that needs the 64-bit field
     arr = sk.export_window_array(11)
-    assert arr.dtype == record_dtype(8) and arr.dtype.itemsize == struct.calcsize("<5IQ19I")
+    assert arr.dtype == record_dtype(8)
     packed = b"".join(
-        struct.pack("<5IQ19I", 11, 3, i, j, *map(int, (sk.pkt[i, j], sk.byt[i, j], *sk.lat[i, j],
-                                                       *sk.iat[i, j], *sk.col[i, j])))
+        struct.pack(RECORD_STRUCT, 11, 3, i, j, *map(int, (sk.pkt[i, j], sk.byt[i, j], *sk.lat[i, j],
+                                                          *sk.iat[i, j], *sk.col[i, j])))
         for i in range(2) for j in range(8)
     )
     assert arr.tobytes() == packed
