@@ -249,9 +249,16 @@ def cmd_size(args) -> int:
             )
             for name, c in doc.get("flow_classes", {}).items()
         }
+        rep = sizing_report(params, n_t_max, k_bins, classes)
+        w_new = None
+        if "rho_drift" in doc:
+            rho = _value(float, doc.get("rho", 0.01), f"params file {args.params}: rho")
+            rho_drift = _value(float, doc["rho_drift"], f"params file {args.params}: rho_drift")
+            w_new = drift_width_scaling(rep.width, rho, rho_drift)
+    except ScenarioError:  # already names the field
+        raise
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise ScenarioError(f"params file {args.params}: {e.__class__.__name__}: {e}") from e
-    rep = sizing_report(params, n_t_max, k_bins, classes)
     pow2 = 1 << math.ceil(math.log2(rep.width))
     print(f"required width  : {rep.width}  (N_T_max={n_t_max:g}, beta_max={params.beta_max}, "
           f"delta_T_min={params.delta_t_min:g})")
@@ -264,13 +271,11 @@ def cmd_size(args) -> int:
     for name, thr in sorted(rep.thresholds.items()):
         shown = "NOT_DETECTABLE" if thr == NOT_DETECTABLE else f"{thr:.2f} pkts"
         print(f"threshold[{name}]: {shown}")
-    if "rho_drift" in doc:
-        w_new = drift_width_scaling(rep.width, float(doc.get("rho", 0.01)), float(doc["rho_drift"]))
+    if w_new is not None:
         print(f"drift scaling   : rho {doc.get('rho', 0.01)} -> {doc['rho_drift']} "
               f"needs width {w_new}")
-    succ = per_window_success(k_bins, rep.depth)
     succ3 = per_window_success(k_bins, 3)
-    print(f"union-bound success at depth {rep.depth}: {succ:.4f}")
+    print(f"union-bound success at depth {rep.depth}: {rep.per_window_success_at_depth:.4f}")
     print(f"note: depth 3 at K={k_bins} gives union-bound success {succ3:.3f}; "
           "claims above 0.99 per window need the larger depth printed above, "
           "though persistent anomalies still amortize misses across windows")
@@ -324,45 +329,66 @@ def _sweep_job(job) -> tuple[dict, dict]:
     return costs, {m.value: pooled_auprc(result, m.value) for m in result.modes}
 
 
-CAPTURE_COLUMNS = ("teid", "qfi", "qid", "bytes", "arrival_ns", "sojourn_ns", "color", "monitored")
+# One row per delivered packet, then one per dropped packet. A drop row has
+# drop_reason >= 0 (simulator.DropRecord.reason), its drop time as arrival_ns
+# and 0 for bytes, sojourn_ns and color; a delivered row has drop_reason -1.
+# A capture without the drop_reason column (an older capture) holds no drops.
+CAPTURE_COLUMNS = ("teid", "qfi", "qid", "bytes", "arrival_ns", "sojourn_ns", "color", "monitored",
+                   "drop_reason")
 
 
-def dump_capture(delivered: PacketBatch, path: Path) -> None:
-    cols = [getattr(delivered, name) for name in CAPTURE_COLUMNS]
-    np.savetxt(path, np.column_stack(cols), fmt="%d", header=" ".join(CAPTURE_COLUMNS))
+def dump_capture(delivered: PacketBatch, drops: DropRecord, path: Path) -> None:
+    rows = [getattr(delivered, name) for name in CAPTURE_COLUMNS[:-1]]
+    rows.append(np.full(len(delivered), -1))
+    zero = np.zeros(len(drops), dtype=np.int64)
+    drop_rows = [drops.teid, drops.qfi, drops.qid, zero, drops.time_ns, zero, zero,
+                 drops.monitored, drops.reason]
+    arr = np.concatenate([np.column_stack(rows), np.column_stack(drop_rows)])
+    np.savetxt(path, arr, fmt="%d", header=" ".join(CAPTURE_COLUMNS))
 
 
-def load_capture(path: Path) -> PacketBatch:
+def load_capture(path: Path) -> tuple[PacketBatch, DropRecord | None]:
+    """The delivered packets and the drops of a capture file; the drops are
+    None for a capture without the drop_reason column."""
     try:
         arr = np.loadtxt(path, dtype=np.int64, ndmin=2)
     except (OSError, ValueError) as e:  # unreadable, not integers, or ragged
         raise ScenarioError(f"capture file {path}: {e}") from e
-    if arr.shape[1] != len(CAPTURE_COLUMNS):
-        raise ScenarioError(f"capture file {path}: expected {len(CAPTURE_COLUMNS)} columns per row")
+    if arr.shape[1] not in (len(CAPTURE_COLUMNS) - 1, len(CAPTURE_COLUMNS)):
+        raise ScenarioError(f"capture file {path}: expected {len(CAPTURE_COLUMNS)} columns per "
+                            f"row ({len(CAPTURE_COLUMNS) - 1} without drop_reason)")
     cols = dict(zip(CAPTURE_COLUMNS, arr.T))
     cols["color"] = cols["color"].astype(np.int8)
     cols["monitored"] = cols["monitored"].astype(bool)
-    return PacketBatch(**cols, injected=None)  # a capture does not record injection
+    reason = cols.pop("drop_reason", None)
+    if reason is None:
+        return PacketBatch(**cols, injected=None), None  # a capture does not record injection
+    lost = reason >= 0
+    drops = DropRecord(teid=cols["teid"][lost], qfi=cols["qfi"][lost], qid=cols["qid"][lost],
+                       time_ns=cols["arrival_ns"][lost], reason=reason[lost].astype(np.int8),
+                       monitored=cols["monitored"][lost])
+    return PacketBatch(**{name: col[~lost] for name, col in cols.items()}, injected=None), drops
 
 
 def cmd_capture(args) -> int:
     spec, _, _ = load_scenario(args.scenario, args.seed)
-    delivered, _, _ = simulate(spec)
-    dump_capture(delivered, Path(args.out))
-    print(f"wrote {args.out} ({len(delivered)} packets)")
+    delivered, drops, _ = simulate(spec)
+    dump_capture(delivered, drops, Path(args.out))
+    print(f"wrote {args.out} ({len(delivered)} packets, {len(drops)} drops)")
     return EXIT_OK
 
 
 def cmd_replay(args) -> int:
     spec, cfg, man_sc = load_scenario(args.scenario, args.seed)
-    delivered = load_capture(Path(args.capture))
-    empty_drops = DropRecord(
-        teid=np.empty(0, dtype=np.int64), qfi=np.empty(0, dtype=np.int64),
-        qid=np.empty(0, dtype=np.int64), time_ns=np.empty(0, dtype=np.int64),
-        reason=np.empty(0, dtype=np.int8), monitored=np.empty(0, dtype=bool),
-    )
+    delivered, drops = load_capture(Path(args.capture))
+    if drops is None:
+        print(f"flowtel: capture file {args.capture} has no drop_reason column; "
+              "replaying it without drops", file=sys.stderr)
+        none = np.empty(0, dtype=np.int64)
+        drops = DropRecord(teid=none, qfi=none, qid=none, time_ns=none,
+                           reason=none.astype(np.int8), monitored=none.astype(bool))
     labels = label_windows(spec)
-    result = run_telemetry(delivered, empty_drops, labels, spec, cfg,
+    result = run_telemetry(delivered, drops, labels, spec, cfg,
                            modes=_parse_modes(args.modes),
                            collect_sketch_records=not args.no_records)
     manifest = {

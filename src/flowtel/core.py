@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import Sequence
 
 import numpy as np
 
@@ -134,9 +135,11 @@ def bucket_index(code: int, seed: int, width: int) -> int:
     return mix64(code ^ mix64(seed)) % width
 
 
-def bucket_index_array(codes: np.ndarray, seed: int, width: int) -> np.ndarray:
-    mixed_seed = np.uint64(mix64(seed))
-    return (mix64_array(codes.astype(np.uint64) ^ mixed_seed) % np.uint64(width)).astype(np.int64)
+def bucket_index_array(codes: np.ndarray, seeds: Sequence[int], width: int) -> np.ndarray:
+    """``bucket_index`` of every packed key under each row seed, shape
+    [len(seeds), n], all rows hashed in one pass."""
+    mixed = np.array([mix64(s) for s in seeds], dtype=np.uint64)[:, None]
+    return (mix64_array(codes.astype(np.uint64) ^ mixed) % np.uint64(width)).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,18 @@ tracking stays continuous across window boundaries; the UNSET sentinel only
 marks buckets that have never seen a packet.
 
 Two update paths exist: ``update`` consumes one PacketEvent (the reference
-semantics) and ``update_batch`` folds column arrays into all d rows in one
-pass, bit-identically for the same event order (tests pin the equivalence):
-one stable sort of the flat bucket index row*w + col (a uint16 key while
-d*w <= 65536, sorted by radix) groups the d*n hits by bucket in stream
-order, and each group chains its IATs from the bucket's last-seen stamp and
-adds its sums at once. An increment beyond a counter's headroom is clipped
-to it and the excess tallied, which equals per-packet saturation since
-increments are never negative; no add can overflow.
+semantics) and ``update_batch`` folds column arrays into all d rows,
+bit-identically for the same event order (tests pin the equivalence). A batch
+holds few flows, so it is folded once per flow, not once per packet per row:
+only the distinct codes are hashed, and a cell that one flow has to itself in
+a row takes that flow's summary (packet count, byte sum, latency, color and
+own-gap IAT histograms, summed once) plus one IAT sample against the cell's
+last-seen stamp. Cells that several flows share in a row chain their
+interleaved hits instead: one stable sort of the flat cell index row*w + col
+(a radix sort on a narrow key) groups them by cell in stream order. An
+increment beyond a counter's headroom is clipped to it and the excess tallied,
+which equals per-packet saturation since increments are never negative; no
+add can overflow.
 """
 
 from __future__ import annotations
@@ -78,6 +82,11 @@ class FlowEstimate:
     iat_bin_est: tuple[int, ...]
     color_est: tuple[int, int, int]
     diag_est: int
+
+
+def _hist(group: np.ndarray, bins: np.ndarray, n_groups: int, n_bins: int) -> np.ndarray:
+    """Counts of each (group, bin) pair, shape [n_groups, n_bins]."""
+    return np.bincount(group * n_bins + bins, minlength=n_groups * n_bins).reshape(n_groups, n_bins)
 
 
 def record_dtype(bins_b: int) -> np.dtype:
@@ -180,8 +189,7 @@ class HistogramSketch:
 
     def bucket_columns(self, codes: np.ndarray) -> np.ndarray:
         """Bucket column of each packed key in every row, shape [d, n]."""
-        w = self.config.width_w
-        return np.stack([bucket_index_array(codes, seed, w) for seed in self.config.seeds])
+        return bucket_index_array(codes, self.config.seeds, self.config.width_w)
 
     def update_batch(
         self,
@@ -191,17 +199,89 @@ class HistogramSketch:
         sojourn_ns: np.ndarray,
         colors: np.ndarray,
     ) -> None:
-        """Fold a run of packets, in stream order, equivalently to ``update``."""
-        n = len(codes)
-        if n == 0:
+        """Fold a run of packets, in stream order, equivalently to ``update``.
+
+        Only the distinct codes are hashed. A cell that one flow has to itself
+        in a row is folded from that flow's summary (``_fold_lone``); cells
+        that several flows share in a row chain their hits (``_fold_shared``).
+        The two kinds of cell are disjoint, so the order of the two folds does
+        not matter.
+        """
+        if len(codes) == 0:
             return
         d, w = self.config.depth_d, self.config.width_w
-        flat = (self.bucket_columns(codes) + np.arange(0, d * w, w)[:, None]).reshape(-1)
-        # one stable sort groups the d*n hits by bucket and keeps stream order
-        # inside each group, so consecutive hits in a group chain the IATs
-        order = np.argsort(flat.astype(np.uint16 if d * w <= 1 << 16 else np.uint32), kind="stable")
+        ucodes, fid = np.unique(codes, return_inverse=True)
+        nf = len(ucodes)
+        cells = self.bucket_columns(ucodes) + np.arange(0, d * w, w)[:, None]  # [d, nf]
+        flat = cells.reshape(-1)
+        by_cell = np.argsort(flat.astype(np.min_scalar_type(d * w - 1)), kind="stable")
+        dup = flat[by_cell[1:]] == flat[by_cell[:-1]]
+        shared = np.zeros((d, nf), dtype=bool)
+        shared.flat[by_cell[1:][dup]] = shared.flat[by_cell[:-1][dup]] = True
+        lat_b = np.searchsorted(self.lat_edges, sojourn_ns, side="right")
+        if not shared.all():
+            self._fold_lone(cells, ~shared, fid, byts, arrival_ns, lat_b, colors)
+        if shared.any():
+            hit = shared.take(fid, axis=1)  # [d, n]: row by row, in stream order
+            self._fold_shared(cells.take(fid, axis=1)[hit], np.nonzero(hit)[1], byts, arrival_ns,
+                              lat_b, colors)
+
+    def _fold_lone(self, cells: np.ndarray, lone: np.ndarray, fid: np.ndarray, byts: np.ndarray,
+                   arrival_ns: np.ndarray, lat_b: np.ndarray, colors: np.ndarray) -> None:
+        """Fold the cells that one flow has to itself in a row: flow f of the
+        batch (packet k is of flow fid[k]) owns flat cell cells[i, f] where
+        lone[i, f].
+
+        A stable radix sort of the flow ids lists each flow's packets in
+        stream order. Its packet count, exact byte sum, latency and color
+        histograms and the histogram of its own gaps are summed once, the
+        same for every row. Each lone cell adds its flow's summary plus one
+        IAT sample, the gap from the cell's last-seen stamp to the flow's
+        first packet, and keeps the flow's last stamp.
+        """
+        nf, nb = cells.shape[1], self.config.bins_B
+        order = np.argsort(fid.astype(np.min_scalar_type(nf - 1)), kind="stable")
+        cnt = np.bincount(fid, minlength=nf)
+        start = np.cumsum(cnt) - cnt
+        sarr = arrival_ns[order]
+        byt_f = np.add.reduceat(byts.astype(np.int64, copy=False)[order], start)
+        lat_f, col_f = _hist(fid, lat_b, nf, nb), _hist(fid, colors, nf, 3)
+        sfid = np.repeat(np.arange(nf), cnt)
+        inner = sfid[1:] == sfid[:-1]  # consecutive sorted packets of one flow
+        gaps, gfid = np.diff(sarr)[inner], sfid[1:][inner]
+        neg = gaps < 0
+        neg_f = np.bincount(gfid[neg], minlength=nf)
+        gaps[neg] = 0
+        iat_f = _hist(gfid, np.searchsorted(self.iat_edges, gaps, side="right"), nf, nb)
+
+        f = np.nonzero(lone)[1]
+        cell = cells[lone]
+        last_seen = self.last_seen.reshape(-1)
+        prev = last_seen[cell]
+        seen = prev != UNSET_NS
+        gap = sarr[start[f]] - prev
+        neg = seen & (gap < 0)
+        self.monotonicity_warnings += int(np.count_nonzero(neg)) + int(neg_f[f].sum())
+        gap[neg] = 0
+        iat = iat_f[f]
+        iat[np.flatnonzero(seen), np.searchsorted(self.iat_edges, gap[seen], side="right")] += 1
+        last_seen[cell] = sarr[start[f] + cnt[f] - 1]
+        self._add_cells(cell, cnt[f], byt_f[f], lat_f[f], col_f[f], iat)
+
+    def _fold_shared(self, flat: np.ndarray, pk: np.ndarray, byts: np.ndarray,
+                     arrival_ns: np.ndarray, lat_b: np.ndarray, colors: np.ndarray) -> None:
+        """Fold hits on shared cells: hit k puts packet pk[k] in flat cell
+        flat[k], and each row's hits come in stream order.
+
+        One stable sort of the cell index (radix, on a uint8/uint16 key while
+        d*w <= 65536) groups the hits by cell in stream order; each group
+        chains its IATs from the cell's last-seen stamp and adds its sums at
+        once.
+        """
+        d, w = self.config.depth_d, self.config.width_w
+        order = np.argsort(flat.astype(np.min_scalar_type(d * w - 1)), kind="stable")
         sflat = flat[order]
-        pk = order % n  # packet behind each sorted hit
+        pk = pk[order]
         starts = np.flatnonzero(np.concatenate(([True], sflat[1:] != sflat[:-1])))
         cells = sflat[starts]
         hits = np.diff(starts, append=len(flat))
@@ -218,16 +298,19 @@ class HistogramSketch:
         self.monotonicity_warnings += int(np.count_nonzero(neg))
         gaps[neg] = 0
         iat_b = np.searchsorted(self.iat_edges, gaps[valid], side="right")
-        lat_b = np.searchsorted(self.lat_edges, sojourn_ns, side="right")[pk]
 
-        self._add_sat(self.pkt.reshape(-1), cells, hits, PKT_COUNTER_MAX)
+        m, nb = len(cells), self.config.bins_B
         byt_sum = np.add.reduceat(byts.astype(np.int64, copy=False)[pk], starts)
-        self._add_sat(self.byt.reshape(-1), cells, byt_sum, BYTE_COUNTER_MAX)
-        hists = ((self.lat, gid, lat_b), (self.col, gid, colors[pk]), (self.iat, gid[valid], iat_b))
-        for grid, group, bins in hists:
-            nb = grid.shape[-1]
-            counts = np.bincount(group * nb + bins, minlength=len(cells) * nb).reshape(-1, nb)
-            self._add_sat(grid.reshape(-1, nb), cells, counts, PKT_COUNTER_MAX)
+        self._add_cells(cells, hits, byt_sum, _hist(gid, lat_b[pk], m, nb),
+                        _hist(gid, colors[pk], m, 3), _hist(gid[valid], iat_b, m, nb))
+
+    def _add_cells(self, cells, pkt, byt, lat, col, iat) -> None:
+        """Add sums to distinct flat cells: a packet count, a byte sum and the
+        latency, color and IAT histograms of each cell, saturating."""
+        self._add_sat(self.pkt.reshape(-1), cells, pkt, PKT_COUNTER_MAX)
+        self._add_sat(self.byt.reshape(-1), cells, byt, BYTE_COUNTER_MAX)
+        for grid, inc in ((self.lat, lat), (self.col, col), (self.iat, iat)):
+            self._add_sat(grid.reshape(-1, grid.shape[-1]), cells, inc, PKT_COUNTER_MAX)
 
     def _add_sat(self, grid: np.ndarray, cells: np.ndarray, inc: np.ndarray, cap: int) -> None:
         """grid[cells] += inc, saturating at cap; an increment beyond the

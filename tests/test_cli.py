@@ -162,6 +162,7 @@ def test_size_subcommand_paper_parameters(tmp_path, capsys):
     assert "practical width : 512" in text
     assert "required depth  : 5" in text
     assert "needs width 972" in text  # drift doubling
+    assert "union-bound success at depth 5: 0.9730" in text
     assert "depth 3 at K=3" in text  # the union-bound caveat is spelled out
 
 
@@ -256,6 +257,19 @@ def test_missing_or_malformed_params_file_exits_2_naming_it(tmp_path, capsys):
         assert f"params file {params}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("rho", "x", "rho: could not convert"),
+    ("rho_drift", [0.02], "rho_drift: float() argument"),
+    ("rho", 0, "ValueError: all drift-scaling inputs must be positive"),
+])
+def test_size_bad_drift_value_exits_2_naming_it(tmp_path, capsys, field, value, named):
+    doc = {"beta_max": 0.3, "delta_t_min": 80, "n_t_max": 10000, "rho": 0.01, "rho_drift": 0.02}
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({**doc, field: value}))
+    assert main(["size", "--params", str(params)]) == 2
+    assert f"params file {params}: {named}" in capsys.readouterr().err
+
+
 def test_missing_or_malformed_capture_file_exits_2_naming_it(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(MINIMAL_SCENARIO))
@@ -284,6 +298,30 @@ def test_capture_replay_roundtrip(tmp_path, capsys):
     # telemetry over the replayed capture reproduces the direct run's records
     assert (out1 / "records.bin").read_bytes() == (out2 / "records.bin").read_bytes()
     assert (out1 / "features.txt").read_text() == (out2 / "features.txt").read_text()
+
+
+def test_capture_replay_keeps_drops(tmp_path, capsys):
+    """With meter and overflow drops, capture + replay writes the six files of
+    run; a capture without the drop_reason column replays without drops."""
+    scenario = str(Path(__file__).parent / "golden_drops.json")
+    cap = tmp_path / "capture.txt"
+    assert main(["capture", "--scenario", scenario, "--out", str(cap)]) == 0
+    assert main(["run", "--scenario", scenario, "--out", str(tmp_path / "direct")]) == 0
+    assert main(["replay", "--scenario", scenario, "--capture", str(cap),
+                 "--out", str(tmp_path / "replayed")]) == 0
+    direct, replayed = tree_hash(tmp_path / "direct"), tree_hash(tmp_path / "replayed")
+    direct.pop("manifest.json")
+    replayed.pop("manifest.json")
+    assert direct == replayed
+    capsys.readouterr()
+    rows = np.loadtxt(cap, dtype=np.int64)
+    old = tmp_path / "old.txt"  # the earlier format: delivered rows, eight columns
+    np.savetxt(old, rows[rows[:, -1] < 0, :-1], fmt="%d")
+    assert main(["replay", "--scenario", scenario, "--capture", str(old),
+                 "--out", str(tmp_path / "old")]) == 0
+    assert f"capture file {old} has no drop_reason column" in capsys.readouterr().err
+    assert (tmp_path / "old" / "records.bin").read_bytes() == \
+        (tmp_path / "direct" / "records.bin").read_bytes()
 
 
 def test_explicit_edges_override_fitting(tmp_path):

@@ -70,9 +70,9 @@ def test_mix64_scalar_matches_array():
 def test_bucket_index_deterministic_and_matches_array():
     keys = [FlowKey(t, t % 64) for t in range(1, 500)]
     codes = np.array([k.code() for k in keys], dtype=np.uint64)
-    for seed in row_seeds(7, 3):
+    seeds = row_seeds(7, 3)
+    for seed, vec in zip(seeds, bucket_index_array(codes, seeds, 512), strict=True):
         scalar = [bucket_index(k.code(), seed, 512) for k in keys]
-        vec = bucket_index_array(codes, seed, 512)
         assert scalar == vec.tolist()
         # replaying yields the same indices
         assert scalar == [bucket_index(k.code(), seed, 512) for k in keys]

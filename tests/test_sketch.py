@@ -354,6 +354,97 @@ def test_zero_traffic_window_has_zero_fractions(rng):
         assert fv.color_fracs == (0.0, 0.0, 0.0)
 
 
+def _fold_both(seq, bat, chunks):
+    """Fold each chunk packet by packet into seq and as one batch into bat;
+    the two sketches must agree after every chunk."""
+    for events in chunks:
+        for ev in events:
+            seq.update(ev)
+        bat.update_batch(*_batch_columns(events))
+        assert seq.state_digest() == bat.state_digest()
+
+
+def _keys_sharing_one_row(sk):
+    """Two keys whose buckets coincide in exactly one row, that row, and a
+    third key alone in every row."""
+    keys = [FlowKey(t, 1) for t in range(1, 400)]
+    cols = {k: sk.columns_for(k) for k in keys}
+    a, b = next((a, b) for i, a in enumerate(keys) for b in keys[i + 1:]
+                if sum(x == y for x, y in zip(cols[a], cols[b])) == 1)
+    row = next(i for i, (x, y) in enumerate(zip(cols[a], cols[b])) if x == y)
+    c = next(k for k in keys if all(cols[k][i] not in (cols[a][i], cols[b][i]) for i in range(3)))
+    return a, b, c, row
+
+
+def _events(key, times, bytes_=400, sojourn_ns=30 * US):
+    return [PacketEvent(key=key, qid=3, bytes=bytes_, arrival_ns=t, sojourn_ns=sojourn_ns)
+            for t in times]
+
+
+def test_batch_flows_sharing_a_cell_in_one_row():
+    """Flows a and b share a cell in one row and are alone in the others. A
+    flow's own arrivals go backwards inside a batch, and a batch's first
+    packet lands before its cells' last-seen stamps; a one-flow batch follows."""
+    seq, bat = make_sketch(width=64, depth=3), make_sketch(width=64, depth=3)
+    a, b, c, row = _keys_sharing_one_row(seq)
+    first = sorted(_events(a, (100, 300, 250)) + _events(b, (150, 260)) + _events(c, (210,)),
+                   key=lambda ev: ev.arrival_ns)
+    first.append(_events(a, (240,))[0])  # 240 after 250: a negative gap inside flow a
+    second = _events(a, (120, 400)) + _events(b, (130,)) + _events(c, (500, 90))
+    _fold_both(seq, bat, [first, second, _events(c, (600, 700, 650))])
+    assert seq.columns_for(a)[row] == seq.columns_for(b)[row]
+    assert bat.monotonicity_warnings >= 6
+
+
+@pytest.mark.parametrize("n_flows", [256, 257])
+def test_batch_with_many_flows(rng, n_flows):
+    """Flow ids of a batch fit uint8 up to 256 flows and need uint16 beyond."""
+    keys = [FlowKey(int(t), 1) for t in rng.choice(1 << 20, size=n_flows, replace=False)]
+    batch = np.concatenate([np.arange(n_flows), rng.integers(0, n_flows, size=600)])
+    rng.shuffle(batch)
+    order = np.concatenate([rng.integers(0, n_flows, size=300), batch])
+    events = [PacketEvent(key=keys[f], qid=3, bytes=int(rng.integers(64, 1500)),
+                          arrival_ns=1000 * i + int(rng.integers(0, 3000)),
+                          sojourn_ns=int(rng.integers(0, 10**7)))
+              for i, f in enumerate(order)]
+    seq, bat = make_sketch(width=4096, depth=3), make_sketch(width=4096, depth=3)
+    _fold_both(seq, bat, [events[:300], events[300:]])
+    assert len({ev.key for ev in events[300:]}) == n_flows
+
+
+def test_batch_saturates_lone_and_shared_cells():
+    """Counters near their cap in a cell that flow a has alone and in the cell
+    it shares with flow b lose the same units as packet-by-packet updates."""
+    seq, bat = make_sketch(width=64, depth=3), make_sketch(width=64, depth=3)
+    a, b, _, row = _keys_sharing_one_row(seq)
+    lone = (row + 1) % 3
+    ja, jb = seq.columns_for(a), seq.columns_for(b)
+    for sk in (seq, bat):
+        sk.pkt[row, ja[row]] = sk.pkt[lone, ja[lone]] = PKT_COUNTER_MAX - 1
+        sk.byt[row, ja[row]] = sk.byt[lone, ja[lone]] = BYTE_COUNTER_MAX - 500
+        sk.lat[row, ja[row], 2] = sk.lat[lone, ja[lone], 2] = PKT_COUNTER_MAX - 2
+    events = sorted(_events(a, (10, 30, 50)) + _events(b, (20, 40)), key=lambda ev: ev.arrival_ns)
+    _fold_both(seq, bat, [events])
+    for i, j in ((row, ja[row]), (lone, ja[lone])):
+        assert bat.pkt[i, j] == PKT_COUNTER_MAX and bat.byt[i, j] == BYTE_COUNTER_MAX
+        assert bat.lat[i, j, 2] == PKT_COUNTER_MAX
+    assert bat.pkt[row, jb[row]] == PKT_COUNTER_MAX  # b adds to the shared cell
+    # lone: 2 packets, 700 bytes, 1 latency bin; shared: 4 packets, 1500 bytes, 3 bins
+    assert bat.saturated_units == (2 + 700 + 1) + (4 + 1500 + 3)
+
+
+@pytest.mark.parametrize("width, depth", [(256, 3), (4096, 3), (256, 6)])
+def test_batch_matches_sequential_at_benchmark_shapes(rng, width, depth):
+    """The shapes the sketch-sweep benchmark folds, in its regime: a handful
+    of flows and hundreds of packets per batch, some arriving early."""
+    events = random_stream(rng, n_packets=3000, n_flows=6, qid=3)
+    for i in range(29, len(events), 30):
+        events[i] = dataclasses.replace(events[i], arrival_ns=max(0, events[i].arrival_ns - 500_000))
+    seq, bat = make_sketch(width, depth, seed=9), make_sketch(width, depth, seed=9)
+    _fold_both(seq, bat, [events[lo:lo + 600] for lo in range(0, 3000, 600)])
+    assert bat.monotonicity_warnings > 0
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_batch_equivalence_property(seed):
