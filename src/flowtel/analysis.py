@@ -119,12 +119,11 @@ def extract_sketch_features(
     region: DiagnosticRegion,
     window: int,
     qfi_to_qid: dict[int, int],
-    registered: set[FlowKey] | None = None,
 ) -> list[FeatureVector]:
     """Row-minimum estimates for each key, queried on its queue's sketch.
 
-    Keys outside the registered set still produce estimates (the sketch
-    answers any key) but are flagged unregistered.
+    The keys are the registered flows, so no row is flagged unregistered;
+    the sketch would answer any key.
     """
     by_qid: dict[int, list[FlowKey]] = {}
     for k in keys:
@@ -140,7 +139,7 @@ def extract_sketch_features(
     return _flow_vectors(
         "sketch", window, region, [k.code() for k in qkeys], est["pkt"], est["bytes"],
         est["diag"], est["lat"], est["iat"], est["color"],
-        [registered is not None and k not in registered for k in qkeys],
+        [False] * len(qkeys),
     )
 
 
@@ -417,22 +416,14 @@ def temporal_blocks(windows: Sequence[int], n_blocks: int) -> list[list[int]]:
     return [uniq[i : i + size] for i in range(0, len(uniq), size)]
 
 
-@dataclass
-class CrossFitResult:
-    outcomes: list[DetectionOutcome]
-    thresholds: list[float]  # one per block, tuned on that block's train folds
-    feature_names: list[str]
-
-
 def train_detectors(
     fvs: Sequence[FeatureVector],
     labels: Sequence[GroundTruthLabel],
     kind: AnomalyKind,
     n_blocks: int = 4,
     l2: float = 1.0,
-    mask: Sequence[str] | None = None,
     named: Sequence[dict[str, float]] | None = None,
-) -> CrossFitResult:
+) -> list[DetectionOutcome]:
     """Cross-fitted linear detection for one anomaly kind over one mode.
 
     Every window lands in exactly one test block and is scored by a model
@@ -441,9 +432,8 @@ def train_detectors(
     ``feature_matrix``, so one mode's rows serve every kind.
     """
     if not fvs:
-        return CrossFitResult([], [], [])
-    mask = tuple(mask) if mask is not None else DEFAULT_FEATURE_MASKS[kind]
-    X, names = feature_matrix(fvs, mask, named)
+        return []
+    X, _ = feature_matrix(fvs, DEFAULT_FEATURE_MASKS[kind], named)
     scopes = [fv.scope for fv in fvs]
     windows = np.array([fv.window for fv in fvs])
     labels_by_window: dict[int, list[GroundTruthLabel]] = {}
@@ -459,7 +449,6 @@ def train_detectors(
 
     blocks = temporal_blocks(windows.tolist(), n_blocks)
     outcomes: list[DetectionOutcome] = []
-    thresholds: list[float] = []
     for block in blocks:
         test_mask = np.isin(windows, block)
         train_mask = ~test_mask & (y >= 0)
@@ -479,7 +468,6 @@ def train_detectors(
             _window_max(windows[train_mask], train_scores),
             _window_any(windows[train_mask], y[train_mask] == 1),
         )[0]
-        thresholds.append(thr)
         xs = norm.transform(X[test_mask], [scopes[i] for i in np.nonzero(test_mask)[0]])
         test_scores = det.score(xs)
         for i, idx in enumerate(np.nonzero(test_mask)[0]):
@@ -494,7 +482,7 @@ def train_detectors(
                 )
             )
     outcomes.sort(key=lambda o: (o.window, o.scope))
-    return CrossFitResult(outcomes, thresholds, names)
+    return outcomes
 
 
 def _window_max(windows: np.ndarray, scores: np.ndarray) -> dict[int, float]:

@@ -9,7 +9,6 @@ Subcommands:
 Exit codes: 0 ok, 1 usage error, 2 invalid input (a bad scenario value, or
 a missing or malformed scenario, grid, params or capture file; the message
 names the field or the file), 3 runtime failure.
-Worker count for sweeps comes from FLOWTEL_WORKERS (default 1).
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import sys
 import types
 import typing
@@ -232,31 +230,23 @@ def cmd_run(args) -> int:
 def cmd_size(args) -> int:
     doc, _ = _read_json(Path(args.params), "params file")
     try:
-        params = DetectabilityParams(
-            beta=float(doc.get("beta", doc.get("beta_max", 0.3))),
-            beta_max=float(doc["beta_max"]),
-            delta_t_min=float(doc["delta_t_min"]),
-            zeta=float(doc.get("zeta", 0.05)),
-        )
+        # each key left out takes the dataclass default, but beta that of beta_max
+        beta = {"beta": doc["beta_max"]} if "beta_max" in doc else {}
+        params = _build(DetectabilityParams, {**beta, **doc})
         n_t_max = float(doc["n_t_max"])
         k_bins = int(doc.get("k_bins", 3))
-        classes = {
-            name: FlowBaseline(
-                x_k=float(c["x_k"]),
-                x_k_T=float(c["x_k_T"]),
-                n_T=float(c.get("n_T", n_t_max)),
-                n_prime=float(c["n_prime"]),
-            )
+        classes = {  # and a class's n_T that of n_t_max
+            name: _build(FlowBaseline, {"n_T": n_t_max, **c}, f"flow_classes.{name}")
             for name, c in doc.get("flow_classes", {}).items()
         }
         rep = sizing_report(params, n_t_max, k_bins, classes)
         w_new = None
         if "rho_drift" in doc:
-            rho = _value(float, doc.get("rho", 0.01), f"params file {args.params}: rho")
-            rho_drift = _value(float, doc["rho_drift"], f"params file {args.params}: rho_drift")
+            rho = _value(float, doc.get("rho", 0.01), "rho")
+            rho_drift = _value(float, doc["rho_drift"], "rho_drift")
             w_new = drift_width_scaling(rep.width, rho, rho_drift)
-    except ScenarioError:  # already names the field
-        raise
+    except ScenarioError as e:  # names the field
+        raise ScenarioError(f"params file {args.params}: {e}") from e
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise ScenarioError(f"params file {args.params}: {e.__class__.__name__}: {e}") from e
     pow2 = 1 << math.ceil(math.log2(rep.width))
@@ -297,15 +287,7 @@ def cmd_sweep(args) -> int:
                 raise ScenarioError(f"{at} = {v!r}: {e}") from e
     cfgs = [replace(cfg, **dict(zip(axes, p))) for p in itertools.product(*axes.values())]
     delivered, drops, labels = simulate(spec)
-    workers = int(os.environ.get("FLOWTEL_WORKERS", "1"))
-    jobs = [(delivered, drops, labels, spec, c) for c in cfgs]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_sweep_job, jobs))
-    else:
-        results = [_sweep_job(j) for j in jobs]
+    results = [_sweep_job(delivered, drops, labels, spec, c) for c in cfgs]
     rows = []
     for c, (mode_costs, mode_auprc) in zip(cfgs, results):
         for mode in ("sketch", "dsmp", "pm"):
@@ -322,8 +304,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _sweep_job(job) -> tuple[dict, dict]:
-    delivered, drops, labels, spec, cfg = job
+def _sweep_job(delivered, drops, labels, spec, cfg) -> tuple[dict, dict]:
     result = run_telemetry(delivered, drops, labels, spec, cfg, collect_sketch_records=False)
     costs = {m.value: result.total_bytes(m) for m in result.modes}
     return costs, {m.value: pooled_auprc(result, m.value) for m in result.modes}

@@ -268,7 +268,6 @@ def run_telemetry(
     lat_edges, iat_edges = fit_qid_edges(stream, spec, cfg)
     region = cfg.region()
     registered = [fl.key for fl in spec.flows if fl.monitored]
-    registered_set = set(registered)
     qids = sorted(spec.queue_policy)
     num_qids = len(qids)
 
@@ -322,9 +321,7 @@ def run_telemetry(
                         stream.arrival_ns[idx] + soj, soj, stream.color[idx],
                     )
             md.features.extend(
-                extract_sketch_features(
-                    sketches, registered, region, w, spec.qfi_to_qid, registered_set
-                )
+                extract_sketch_features(sketches, registered, region, w, spec.qfi_to_qid)
             )
             n_total = n_diag = 0
             for qid in qids:
@@ -377,13 +374,13 @@ def run_telemetry(
     for kind in kinds:
         for mode in modes:
             fvs = mode_data[mode].features
-            fit = train_detectors(
+            found = train_detectors(
                 fvs, labels, kind, n_blocks=cfg.n_blocks, l2=cfg.l2, named=named[mode]
             )
-            outcomes[(kind.value, mode.value)] = fit.outcomes
+            outcomes[(kind.value, mode.value)] = found
             metrics.append(
                 evaluate(
-                    fit.outcomes,
+                    found,
                     labels,
                     kind,
                     mode.value,

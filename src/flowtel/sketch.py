@@ -12,25 +12,24 @@ per-flow state, so memory stays O(d*w) no matter how many flows are live;
 colliding flows perturb each other's IAT samples by design, and the sizing
 rules elsewhere account for that noise.
 
-Counters saturate at their storage width (32-bit packet/bin/color counters,
-64-bit byte counters) instead of wrapping; lost units are tallied in a
-per-sketch saturation counter. Timestamps survive window resets so IAT
-tracking stays continuous across window boundaries; the UNSET sentinel only
-marks buckets that have never seen a packet.
+A bucket's counters are one row of the int64 array ``counts[d, w, 2B+5]``, in
+``record_dtype``'s field order (``counter_slices``); ``pkt``, ``byt``,
+``lat``, ``iat`` and ``col`` view its slices. Counters saturate at their
+storage width (32-bit packet/bin/color counters, 64-bit byte counters) instead
+of wrapping; lost units are tallied in a per-sketch saturation counter.
+Timestamps survive window resets so IAT tracking stays continuous across
+windows; the UNSET sentinel only marks buckets that have never seen a packet.
 
 Two update paths exist: ``update`` consumes one PacketEvent (the reference
 semantics) and ``update_batch`` folds column arrays into all d rows,
-bit-identically for the same event order (tests pin the equivalence). A batch
-holds few flows, so it is folded once per flow, not once per packet per row:
-only the distinct codes are hashed, and a cell that one flow has to itself in
-a row takes that flow's summary (packet count, byte sum, latency, color and
-own-gap IAT histograms, summed once) plus one IAT sample against the cell's
-last-seen stamp. Cells that several flows share in a row chain their
-interleaved hits instead: one stable sort of the flat cell index row*w + col
-(a radix sort on a narrow key) groups them by cell in stream order. An
-increment beyond a counter's headroom is clipped to it and the excess tallied,
-which equals per-packet saturation since increments are never negative; no
-add can overflow.
+bit-identically for the same event order (tests pin the equivalence). It
+hashes only a batch's distinct codes, and its one fold (``_fold``) sums each
+group of packets once for every cell the group feeds: a flow feeds the cells
+it has to itself in a row, and a cell that several flows share in a row is a
+group of its own. Each cell also takes one IAT sample against its last-seen
+stamp. An increment beyond a counter's headroom is clipped to it and the
+excess tallied, which equals per-packet saturation since increments are
+never negative; no add can overflow.
 """
 
 from __future__ import annotations
@@ -84,9 +83,14 @@ class FlowEstimate:
     diag_est: int
 
 
-def _hist(group: np.ndarray, bins: np.ndarray, n_groups: int, n_bins: int) -> np.ndarray:
-    """Counts of each (group, bin) pair, shape [n_groups, n_bins]."""
-    return np.bincount(group * n_bins + bins, minlength=n_groups * n_bins).reshape(n_groups, n_bins)
+def counter_slices(bins_b: int) -> dict[str, int | slice]:
+    """Where each field of a bucket sits on the last axis of
+    ``HistogramSketch.counts``: the packet count, the byte count, B latency
+    bins, B IAT bins and the green, yellow and red counts, in
+    ``record_dtype``'s order. The keys are ``query_flows``' keys."""
+    b = bins_b
+    return {"pkt": 0, "bytes": 1, "lat": slice(2, 2 + b), "iat": slice(2 + b, 2 + 2 * b),
+            "color": slice(2 + 2 * b, 5 + 2 * b)}
 
 
 def record_dtype(bins_b: int) -> np.dtype:
@@ -144,11 +148,13 @@ class HistogramSketch:
                 raise ValueError(f"{name} edges must be strictly increasing")
 
         d, w = config.depth_d, config.width_w
-        self.pkt = np.zeros((d, w), dtype=np.int64)
-        self.byt = np.zeros((d, w), dtype=np.int64)
-        self.lat = np.zeros((d, w, b), dtype=np.int64)
-        self.iat = np.zeros((d, w, b), dtype=np.int64)
-        self.col = np.zeros((d, w, 3), dtype=np.int64)
+        self.fields = counter_slices(b)
+        self.counts = np.zeros((d, w, 2 * b + 5), dtype=np.int64)
+        self.pkt, self.byt, self.lat, self.iat, self.col = (
+            self.counts[..., at] for at in self.fields.values()
+        )
+        self.caps = np.full(2 * b + 5, PKT_COUNTER_MAX, dtype=np.int64)
+        self.caps[self.fields["bytes"]] = BYTE_COUNTER_MAX
         self.last_seen = np.full((d, w), UNSET_NS, dtype=np.int64)
         self.saturated_units = 0
         self.monotonicity_warnings = 0
@@ -201,11 +207,11 @@ class HistogramSketch:
     ) -> None:
         """Fold a run of packets, in stream order, equivalently to ``update``.
 
-        Only the distinct codes are hashed. A cell that one flow has to itself
-        in a row is folded from that flow's summary (``_fold_lone``); cells
-        that several flows share in a row chain their hits (``_fold_shared``).
-        The two kinds of cell are disjoint, so the order of the two folds does
-        not matter.
+        Only the distinct codes are hashed, giving each flow one flat cell
+        row*w + col per row. ``_fold`` runs with the flows as groups for the
+        cells that one flow has to itself in a row, and with the shared cells
+        as groups, fed by the packets of the flows that share them. The two
+        kinds of cell are disjoint, so the two folds commute.
         """
         if len(codes) == 0:
             return
@@ -213,163 +219,101 @@ class HistogramSketch:
         ucodes, fid = np.unique(codes, return_inverse=True)
         nf = len(ucodes)
         cells = self.bucket_columns(ucodes) + np.arange(0, d * w, w)[:, None]  # [d, nf]
-        flat = cells.reshape(-1)
-        by_cell = np.argsort(flat.astype(np.min_scalar_type(d * w - 1)), kind="stable")
-        dup = flat[by_cell[1:]] == flat[by_cell[:-1]]
-        shared = np.zeros((d, nf), dtype=bool)
-        shared.flat[by_cell[1:][dup]] = shared.flat[by_cell[:-1][dup]] = True
+        _, inv, n_flows = np.unique(cells, return_inverse=True, return_counts=True)
+        shared = n_flows[inv].reshape(d, nf) > 1
         lat_b = np.searchsorted(self.lat_edges, sojourn_ns, side="right")
         if not shared.all():
-            self._fold_lone(cells, ~shared, fid, byts, arrival_ns, lat_b, colors)
+            lone = ~shared
+            self._fold(fid, nf, cells[lone], np.nonzero(lone)[1], byts, arrival_ns, lat_b, colors)
         if shared.any():
+            ucells, sid = np.unique(cells[shared], return_inverse=True)
+            group = np.zeros((d, nf), dtype=np.intp)
+            group[shared] = sid
             hit = shared.take(fid, axis=1)  # [d, n]: row by row, in stream order
-            self._fold_shared(cells.take(fid, axis=1)[hit], np.nonzero(hit)[1], byts, arrival_ns,
-                              lat_b, colors)
+            pk = np.nonzero(hit)[1]
+            self._fold(group.take(fid, axis=1)[hit], len(ucells), ucells, np.arange(len(ucells)),
+                       byts[pk], arrival_ns[pk], lat_b[pk], colors[pk])
 
-    def _fold_lone(self, cells: np.ndarray, lone: np.ndarray, fid: np.ndarray, byts: np.ndarray,
-                   arrival_ns: np.ndarray, lat_b: np.ndarray, colors: np.ndarray) -> None:
-        """Fold the cells that one flow has to itself in a row: flow f of the
-        batch (packet k is of flow fid[k]) owns flat cell cells[i, f] where
-        lone[i, f].
+    def _fold(self, gid: np.ndarray, ng: int, cell: np.ndarray, of: np.ndarray, byts: np.ndarray,
+              arrival_ns: np.ndarray, lat_b: np.ndarray, colors: np.ndarray) -> None:
+        """Add ng groups of packets to distinct flat cells: packet k of the
+        columns (in stream order) is in group gid[k], and cell[j] takes the
+        sums of group of[j].
 
-        A stable radix sort of the flow ids lists each flow's packets in
+        A stable radix sort of the group ids lists each group's packets in
         stream order. Its packet count, exact byte sum, latency and color
-        histograms and the histogram of its own gaps are summed once, the
-        same for every row. Each lone cell adds its flow's summary plus one
-        IAT sample, the gap from the cell's last-seen stamp to the flow's
-        first packet, and keeps the flow's last stamp.
+        histograms and the histogram of its inner gaps (negative gaps clamped
+        to 0 and counted) are summed once, however many cells take them. Each
+        cell adds one more IAT sample, the gap from its last-seen stamp to the
+        group's first packet, keeps the group's last stamp, and adds the whole
+        record at once, saturating at ``caps``.
         """
-        nf, nb = cells.shape[1], self.config.bins_B
-        order = np.argsort(fid.astype(np.min_scalar_type(nf - 1)), kind="stable")
-        cnt = np.bincount(fid, minlength=nf)
-        start = np.cumsum(cnt) - cnt
+        f, nc = self.fields, self.counts.shape[-1]
+        order = np.argsort(gid.astype(np.min_scalar_type(ng - 1)), kind="stable")
+        cnt = np.bincount(gid, minlength=ng)
+        first = np.cumsum(cnt) - cnt
         sarr = arrival_ns[order]
-        byt_f = np.add.reduceat(byts.astype(np.int64, copy=False)[order], start)
-        lat_f, col_f = _hist(fid, lat_b, nf, nb), _hist(fid, colors, nf, 3)
-        sfid = np.repeat(np.arange(nf), cnt)
-        inner = sfid[1:] == sfid[:-1]  # consecutive sorted packets of one flow
-        gaps, gfid = np.diff(sarr)[inner], sfid[1:][inner]
+        gaps = np.diff(sarr)
+        ggid = np.repeat(np.arange(ng), cnt)[1:]  # the group of each gap's later packet
+        ggid[first[1:] - 1] = ng  # a gap between two groups goes to a group that is dropped
         neg = gaps < 0
-        neg_f = np.bincount(gfid[neg], minlength=nf)
+        neg_g = np.bincount(ggid[neg], minlength=ng + 1)
         gaps[neg] = 0
-        iat_f = _hist(gfid, np.searchsorted(self.iat_edges, gaps, side="right"), nf, nb)
+        inc = np.zeros((ng, nc), dtype=np.int64)
+        inc[:, f["pkt"]] = cnt
+        inc[:, f["bytes"]] = np.add.reduceat(byts.astype(np.int64, copy=False)[order], first)
+        for at, g, v in ((f["lat"], gid, lat_b), (f["color"], gid, colors),
+                         (f["iat"], ggid, np.searchsorted(self.iat_edges, gaps, side="right"))):
+            nv = at.stop - at.start
+            inc[:, at] = np.bincount(g * nv + v, minlength=(ng + 1) * nv)[: ng * nv].reshape(ng, nv)
 
-        f = np.nonzero(lone)[1]
-        cell = cells[lone]
+        inc = inc[of]
         last_seen = self.last_seen.reshape(-1)
         prev = last_seen[cell]
         seen = prev != UNSET_NS
-        gap = sarr[start[f]] - prev
+        gap = sarr[first[of]] - prev
         neg = seen & (gap < 0)
-        self.monotonicity_warnings += int(np.count_nonzero(neg)) + int(neg_f[f].sum())
+        self.monotonicity_warnings += int(np.count_nonzero(neg)) + int(neg_g[of].sum())
         gap[neg] = 0
-        iat = iat_f[f]
-        iat[np.flatnonzero(seen), np.searchsorted(self.iat_edges, gap[seen], side="right")] += 1
-        last_seen[cell] = sarr[start[f] + cnt[f] - 1]
-        self._add_cells(cell, cnt[f], byt_f[f], lat_f[f], col_f[f], iat)
+        inc[np.flatnonzero(seen),
+            f["iat"].start + np.searchsorted(self.iat_edges, gap[seen], side="right")] += 1
+        last_seen[cell] = sarr[first[of] + cnt[of] - 1]
 
-    def _fold_shared(self, flat: np.ndarray, pk: np.ndarray, byts: np.ndarray,
-                     arrival_ns: np.ndarray, lat_b: np.ndarray, colors: np.ndarray) -> None:
-        """Fold hits on shared cells: hit k puts packet pk[k] in flat cell
-        flat[k], and each row's hits come in stream order.
-
-        One stable sort of the cell index (radix, on a uint8/uint16 key while
-        d*w <= 65536) groups the hits by cell in stream order; each group
-        chains its IATs from the cell's last-seen stamp and adds its sums at
-        once.
-        """
-        d, w = self.config.depth_d, self.config.width_w
-        order = np.argsort(flat.astype(np.min_scalar_type(d * w - 1)), kind="stable")
-        sflat = flat[order]
-        pk = pk[order]
-        starts = np.flatnonzero(np.concatenate(([True], sflat[1:] != sflat[:-1])))
-        cells = sflat[starts]
-        hits = np.diff(starts, append=len(flat))
-        gid = np.repeat(np.arange(len(cells)), hits)
-
-        sarr = arrival_ns[pk]
-        prev = np.concatenate(([UNSET_NS], sarr[:-1]))
-        last_seen = self.last_seen.reshape(-1)
-        prev[starts] = last_seen[cells]
-        last_seen[cells] = sarr[starts + hits - 1]
-        valid = prev != UNSET_NS
-        gaps = sarr - prev
-        neg = valid & (gaps < 0)
-        self.monotonicity_warnings += int(np.count_nonzero(neg))
-        gaps[neg] = 0
-        iat_b = np.searchsorted(self.iat_edges, gaps[valid], side="right")
-
-        m, nb = len(cells), self.config.bins_B
-        byt_sum = np.add.reduceat(byts.astype(np.int64, copy=False)[pk], starts)
-        self._add_cells(cells, hits, byt_sum, _hist(gid, lat_b[pk], m, nb),
-                        _hist(gid, colors[pk], m, 3), _hist(gid[valid], iat_b, m, nb))
-
-    def _add_cells(self, cells, pkt, byt, lat, col, iat) -> None:
-        """Add sums to distinct flat cells: a packet count, a byte sum and the
-        latency, color and IAT histograms of each cell, saturating."""
-        self._add_sat(self.pkt.reshape(-1), cells, pkt, PKT_COUNTER_MAX)
-        self._add_sat(self.byt.reshape(-1), cells, byt, BYTE_COUNTER_MAX)
-        for grid, inc in ((self.lat, lat), (self.col, col), (self.iat, iat)):
-            self._add_sat(grid.reshape(-1, grid.shape[-1]), cells, inc, PKT_COUNTER_MAX)
-
-    def _add_sat(self, grid: np.ndarray, cells: np.ndarray, inc: np.ndarray, cap: int) -> None:
-        """grid[cells] += inc, saturating at cap; an increment beyond the
-        remaining headroom is clipped to it, so no add can overflow."""
-        cur = grid[cells]
-        room = cap - cur
-        over = inc > room
-        if over.any():
-            self.saturated_units += int((inc[over] - room[over]).sum())
-            inc = np.where(over, room, inc)
-        grid[cells] = cur + inc
+        grid = self.counts.reshape(-1, nc)
+        cur = grid[cell]
+        add = np.minimum(inc, self.caps - cur)
+        self.saturated_units += int((inc - add).sum())
+        grid[cell] = cur + add
 
     # -- query and export --------------------------------------------------
 
     def query_flow(self, key: FlowKey, region: "DiagnosticRegion") -> FlowEstimate:
-        cols = self.columns_for(key)
-        rows = range(self.config.depth_d)
-        pkt_est = min(int(self.pkt[i, cols[i]]) for i in rows)
-        byte_est = min(int(self.byt[i, cols[i]]) for i in rows)
-        lat_est = np.min(
-            np.stack([self.lat[i, cols[i]] for i in rows]), axis=0
-        )
-        iat_est = np.min(
-            np.stack([self.iat[i, cols[i]] for i in rows]), axis=0
-        )
-        col_est = np.min(
-            np.stack([self.col[i, cols[i]] for i in rows]), axis=0
-        )
-        diag = int(sum(lat_est[b] for b in region.lat_tail_bins))
-        diag += int(sum(iat_est[b] for b in region.iat_head_bins))
+        est = self.query_flows(np.array([key.code()], dtype=np.uint64), region)
         return FlowEstimate(
             key=key,
-            pkt_est=pkt_est,
-            byte_est=byte_est,
-            lat_bin_est=tuple(int(v) for v in lat_est),
-            iat_bin_est=tuple(int(v) for v in iat_est),
-            color_est=tuple(int(v) for v in col_est),
-            diag_est=diag,
+            pkt_est=int(est["pkt"][0]),
+            byte_est=int(est["bytes"][0]),
+            lat_bin_est=tuple(est["lat"][0].tolist()),
+            iat_bin_est=tuple(est["iat"][0].tolist()),
+            color_est=tuple(est["color"][0].tolist()),
+            diag_est=int(est["diag"][0]),
         )
 
     def query_flows(
         self, codes: np.ndarray, region: "DiagnosticRegion"
     ) -> dict[str, np.ndarray]:
-        """Vectorized row-minimum estimates for many packed keys at once.
+        """Vectorized row-minimum estimates for many packed keys at once:
+        each field of ``counter_slices`` plus ``diag``.
 
         Columns are kept from the previous call: the same keys hash once."""
         memo = self._query_memo
         if memo is None or not np.array_equal(memo[0], codes):
             memo = self._query_memo = (codes.copy(), self.bucket_columns(codes))
-        cols = memo[1]
-        ridx = np.arange(self.config.depth_d)[:, None]
-        pkt = self.pkt[ridx, cols].min(axis=0)
-        byt = self.byt[ridx, cols].min(axis=0)
-        lat = self.lat[ridx, cols, :].min(axis=0)  # [n, B]
-        iat = self.iat[ridx, cols, :].min(axis=0)
-        col = self.col[ridx, cols, :].min(axis=0)
-        diag = lat[:, list(region.lat_tail_bins)].sum(axis=1)
-        diag = diag + iat[:, list(region.iat_head_bins)].sum(axis=1)
-        return {"pkt": pkt, "bytes": byt, "lat": lat, "iat": iat, "color": col, "diag": diag}
+        est = self.counts[np.arange(self.config.depth_d)[:, None], memo[1]].min(axis=0)  # [n, 2B+5]
+        out = {name: est[:, at] for name, at in self.fields.items()}
+        out["diag"] = (out["lat"][:, list(region.lat_tail_bins)].sum(axis=1)
+                       + out["iat"][:, list(region.iat_head_bins)].sum(axis=1))
+        return out
 
     def window_totals(self, region: "DiagnosticRegion") -> WindowTotals:
         """Totals from row 0; every row sees every packet, so any row works."""
@@ -386,32 +330,20 @@ class HistogramSketch:
         out["qid"] = self.qid
         out["row"] = np.repeat(np.arange(d), w)
         out["col"] = np.tile(np.arange(w), d)
-        out["pkt"] = self.pkt.reshape(-1)
-        out["bytes"] = self.byt.reshape(-1)
-        out["lat"] = self.lat.reshape(d * w, b)
-        out["iat"] = self.iat.reshape(d * w, b)
-        out["green"] = self.col[:, :, 0].reshape(-1)
-        out["yellow"] = self.col[:, :, 1].reshape(-1)
-        out["red"] = self.col[:, :, 2].reshape(-1)
+        c = self.counts.reshape(d * w, -1)
+        for name in ("pkt", "bytes", "lat", "iat"):
+            out[name] = c[:, self.fields[name]]
+        out["green"], out["yellow"], out["red"] = c[:, self.fields["color"]].T
         return out
 
     def reset_window(self) -> None:
-        self.pkt[:] = 0
-        self.byt[:] = 0
-        self.lat[:] = 0
-        self.iat[:] = 0
-        self.col[:] = 0
-        # last_seen intentionally preserved
+        self.counts.fill(0)  # last_seen intentionally preserved
 
     # -- state equality (determinism checks) --------------------------------
 
     def state_digest(self) -> tuple:
         return (
-            self.pkt.tobytes(),
-            self.byt.tobytes(),
-            self.lat.tobytes(),
-            self.iat.tobytes(),
-            self.col.tobytes(),
+            self.counts.tobytes(),
             self.last_seen.tobytes(),
             self.saturated_units,
             self.monotonicity_warnings,

@@ -56,7 +56,7 @@ def test_collision_free_sketch_features_equal_full_sampling_postcards(rng):
     for e in events:
         sk.update(e)
     (key,) = {e.key for e in events}
-    f_sketch = extract_sketch_features({0: sk}, [key], REGION, 0, {key.qfi: 0}, {key})[0]
+    f_sketch = extract_sketch_features({0: sk}, [key], REGION, 0, {key.qfi: 0})[0]
     postcards = [(e.key, e.arrival_ns, e.sojourn_ns, int(e.color), e.bytes) for e in events]
     f_pc = extract_postcard_features(
         *postcard_columns(postcards), [key], REGION, 0, {0: np.array(LAT_EDGES, float)},
@@ -162,8 +162,7 @@ def test_sketch_tail_fraction_never_underestimates(rng):
         sk.update(e)
     truths = exact_truth(events, LAT_EDGES, IAT_EDGES, 8)
     keys = sorted(truths)
-    fvs = extract_sketch_features({0: sk}, keys, REGION, 0,
-                                  {k.qfi: 0 for k in keys}, set(keys))
+    fvs = extract_sketch_features({0: sk}, keys, REGION, 0, {k.qfi: 0 for k in keys})
     tail_bins = set(REGION.lat_tail_bins)
     by_scope = {fv.scope: fv for fv in fvs}
     for key, t in truths.items():
@@ -177,9 +176,10 @@ def test_unknown_key_still_estimated_but_flagged(rng):
     for e in random_stream(rng, n_packets=500, n_flows=20, qid=0):
         sk.update(e)
     ghost = FlowKey(999_999, 5)
-    fvs = extract_sketch_features({0: sk}, [ghost], REGION, 0, {5: 0}, registered=set())
+    fvs = extract_sketch_features({0: sk}, [ghost], REGION, 0, {5: 0})
     assert len(fvs) == 1
-    assert fvs[0].unregistered
+    est = sk.query_flow(ghost, REGION)
+    assert (fvs[0].pkts, fvs[0].diag_pkts) == (est.pkt_est, est.diag_est)
 
 
 # -- diagnostic-lift rule ---------------------------------------------------------
@@ -280,8 +280,8 @@ def synth_fvs(n_windows, anomalous, rng, mode="sketch", separation=4.0):
 def test_separable_features_reach_perfect_holdout_f1(rng):
     anomalous = {7, 8, 22, 23, 37, 38, 52, 53}
     fvs, labels = synth_fvs(60, anomalous, rng, separation=25.0)
-    fit = train_detectors(fvs, labels, AnomalyKind.CONTENTION, n_blocks=4)
-    metrics = evaluate(fit.outcomes, labels, AnomalyKind.CONTENTION, "sketch",
+    found = train_detectors(fvs, labels, AnomalyKind.CONTENTION, n_blocks=4)
+    metrics = evaluate(found, labels, AnomalyKind.CONTENTION, "sketch",
                        list(range(60)), 10**9)
     assert metrics.auprc == pytest.approx(1.0)
     assert metrics.f1 == pytest.approx(1.0)
@@ -293,8 +293,8 @@ def test_shuffled_labels_give_prevalence_auprc(rng):
         r = np.random.default_rng(t)
         anomalous = set(r.choice(60, size=12, replace=False).tolist())
         fvs, labels = synth_fvs(60, anomalous, r, separation=0.0)  # no signal
-        fit = train_detectors(fvs, labels, AnomalyKind.CONTENTION, n_blocks=3)
-        m = evaluate(fit.outcomes, labels, AnomalyKind.CONTENTION, "sketch",
+        found = train_detectors(fvs, labels, AnomalyKind.CONTENTION, n_blocks=3)
+        m = evaluate(found, labels, AnomalyKind.CONTENTION, "sketch",
                      list(range(60)), 10**9)
         vals.append(m.auprc)
     assert np.mean(vals) == pytest.approx(0.2, abs=0.12)  # prevalence 12/60

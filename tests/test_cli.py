@@ -174,6 +174,26 @@ def test_size_k3_zeta005_depth5(tmp_path, capsys):
     assert "required depth  : 5" in capsys.readouterr().out
 
 
+def test_size_zeta_left_out_takes_the_default(tmp_path, capsys):
+    doc = {"beta_max": 0.3, "delta_t_min": 80, "n_t_max": 10000, "k_bins": 3,
+           "flow_classes": {"small": {"x_k": 5000, "x_k_T": 50, "n_prime": 1000000}}}
+    reports = []
+    for given in ({}, {"zeta": 0.05}):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({**doc, **given}))
+        assert main(["size", "--params", str(params)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+def test_size_bad_zeta_exits_2_naming_it(tmp_path, capsys):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"beta_max": 0.3, "delta_t_min": 80, "n_t_max": 10000,
+                                  "zeta": "x"}))
+    assert main(["size", "--params", str(params)]) == 2
+    assert f"params file {params}: zeta: could not convert" in capsys.readouterr().err
+
+
 def test_sweep_grid_cardinality_and_cost_monotonicity(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(MINIMAL_SCENARIO))
@@ -225,7 +245,7 @@ def test_sweep_jobs_keep_pinned_edges(tmp_path, monkeypatch):
     grid.write_text(json.dumps({"width": [64, 128], "rho": [0.01, 0.05]}))
     cfgs = []
 
-    def job(j):
+    def job(*j):
         cfgs.append(j[-1])
         return {m: 1 for m in ("sketch", "dsmp", "pm")}, {m: None for m in ("sketch", "dsmp", "pm")}
 

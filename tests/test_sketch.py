@@ -219,6 +219,34 @@ def test_diag_estimate_composition(rng):
         assert est.diag_est == expected
 
 
+def test_query_flows_is_the_row_minimum_of_every_field(rng):
+    """At depth 3, over keys that collide and one never seen, every field is
+    the minimum over rows of the bucket ``columns_for`` names, and diag is
+    the latency-tail sum plus the IAT-head sum of those minima."""
+    sk = make_sketch(width=16, depth=3)
+    events = random_stream(rng, n_packets=2000, n_flows=40, qid=3)
+    for ev in events:
+        sk.update(ev)
+    keys = sorted({ev.key for ev in events})
+    unseen = FlowKey(999_999, 7)
+    assert unseen not in keys
+    keys.append(unseen)
+    est = sk.query_flows(np.array([k.code() for k in keys], dtype=np.uint64), REGION)
+    disagree = 0
+    for n, key in enumerate(keys):
+        cols = sk.columns_for(key)
+        for name, grid in (("pkt", sk.pkt), ("bytes", sk.byt), ("lat", sk.lat), ("iat", sk.iat),
+                           ("color", sk.col)):
+            rows = [grid[i, j].tolist() for i, j in enumerate(cols)]
+            assert np.asarray(est[name][n]).tolist() == np.min(rows, axis=0).tolist(), name
+        lat = np.min([sk.lat[i, j] for i, j in enumerate(cols)], axis=0)
+        iat = np.min([sk.iat[i, j] for i, j in enumerate(cols)], axis=0)
+        assert est["diag"][n] == lat[list(REGION.lat_tail_bins)].sum() + iat[
+            list(REGION.iat_head_bins)].sum()
+        disagree += len({int(sk.pkt[i, j]) for i, j in enumerate(cols)}) > 1
+    assert disagree > 0  # collisions make the rows differ, so the minimum is tested
+
+
 # -- export ------------------------------------------------------------------
 
 
