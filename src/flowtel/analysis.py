@@ -1,9 +1,10 @@
 """Per-window feature extraction, detectors, and evaluation metrics.
 
-Feature vectors are extracted at the native granularity of each telemetry
-mode: per-flow for sketch estimates and postcards, per-QFI for PM counters.
-Fields a mode cannot observe are ABSENT (None), never zero-filled; a zero
-says "measured nothing", absence says "cannot measure".
+Features are held in one numpy record array per telemetry mode, one row per
+(window, scope) and one float64 field per feature, at the native granularity
+of the mode: per-flow for sketch estimates and postcards, per-QFI for PM
+counters. A feature a mode cannot observe has no field at all, never a zero;
+a zero says "measured nothing", a missing field says "cannot measure".
 
 Detection is per (window, scope). Two built-in scorers:
 
@@ -25,7 +26,6 @@ threshold, and time-to-first-detection per anomaly instance.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -44,53 +44,6 @@ if TYPE_CHECKING:
 
 class FitError(ValueError):
     """Detector training is impossible on the given fold."""
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """One scope's telemetry view of one window. None marks ABSENT fields."""
-
-    scope: tuple
-    window: int
-    mode: str
-    pkts: float
-    bytes: float
-    diag_pkts: float | None = None
-    tail_frac: float | None = None
-    head_frac: float | None = None
-    lat_fracs: tuple[float, ...] | None = None
-    iat_fracs: tuple[float, ...] | None = None
-    color_fracs: tuple[float, float, float] | None = None
-    teids_per_qfi: float | None = None
-    drops: float | None = None
-    mean_delay_ns: float | None = None
-    unregistered: bool = False
-
-    def named_values(self) -> dict[str, float]:
-        """Scalar feature map; ABSENT fields are simply missing."""
-        out: dict[str, float] = {"pkts": self.pkts, "bytes": self.bytes}
-        simple = (
-            ("diag_pkts", self.diag_pkts),
-            ("tail_frac", self.tail_frac),
-            ("head_frac", self.head_frac),
-            ("teids_per_qfi", self.teids_per_qfi),
-            ("drops", self.drops),
-            ("mean_delay_ns", self.mean_delay_ns),
-        )
-        for name, v in simple:
-            if v is not None:
-                out[name] = float(v)
-        if self.lat_fracs is not None:
-            for i, v in enumerate(self.lat_fracs):
-                out[f"lat{i}"] = float(v)
-        if self.iat_fracs is not None:
-            for i, v in enumerate(self.iat_fracs):
-                out[f"iat{i}"] = float(v)
-        if self.color_fracs is not None:
-            out["green_frac"] = float(self.color_fracs[0])
-            out["yellow_frac"] = float(self.color_fracs[1])
-            out["red_frac"] = float(self.color_fracs[2])
-        return out
 
 
 @dataclass(frozen=True)
@@ -113,33 +66,45 @@ def _fracs(counts: np.ndarray) -> np.ndarray:
     return _ratio(counts, counts.sum(axis=-1, keepdims=True))
 
 
+def feature_table(
+    mode: str, window: int, scopes: Sequence[tuple], unregistered: bool | Sequence[bool],
+    **features,
+) -> np.recarray:
+    """One window's feature rows: ``mode``, ``window``, ``scope`` (the scope
+    tuple) and ``unregistered``, then one float64 field per feature in the
+    order given. A feature the mode cannot observe gets no field."""
+    table = np.recarray(len(scopes), dtype=[
+        ("mode", "U6"), ("window", np.int64), ("scope", object), ("unregistered", bool),
+        *((name, np.float64) for name in features),
+    ])
+    table.mode, table.window, table.unregistered = mode, window, unregistered
+    table.scope = np.fromiter(scopes, dtype=object, count=len(scopes))
+    for name, values in features.items():
+        table[name] = values
+    return table
+
+
 def extract_sketch_features(
     sketches: dict[int, HistogramSketch],
     keys: Sequence[FlowKey],
     region: DiagnosticRegion,
     window: int,
     qfi_to_qid: dict[int, int],
-) -> list[FeatureVector]:
+) -> np.recarray:
     """Row-minimum estimates for each key, queried on its queue's sketch.
 
     The keys are the registered flows, so no row is flagged unregistered;
     the sketch would answer any key.
     """
-    by_qid: dict[int, list[FlowKey]] = {}
-    for k in keys:
-        by_qid.setdefault(qfi_to_qid[k.qfi], []).append(k)
-    if not by_qid:
-        return []
-    qkeys = [k for qid in sorted(by_qid) for k in by_qid[qid]]
-    ests = []
-    for qid in sorted(by_qid):
-        codes = np.array([k.code() for k in by_qid[qid]], dtype=np.uint64)
-        ests.append(sketches[qid].query_flows(codes, region))
+    codes = np.array([k.code() for k in keys], dtype=np.uint64)
+    qids = np.array([qfi_to_qid[k.qfi] for k in keys], dtype=np.int64)
+    # every queue is asked, for no key too, so an empty table keeps its fields
+    ests = [sketches[q].query_flows(codes[qids == q], region) for q in sorted(sketches)]
     est = {name: np.concatenate([e[name] for e in ests]) for name in ests[0]}
-    return _flow_vectors(
-        "sketch", window, region, [k.code() for k in qkeys], est["pkt"], est["bytes"],
-        est["diag"], est["lat"], est["iat"], est["color"],
-        [False] * len(qkeys),
+    return _flow_table(
+        "sketch", window, region, codes[np.argsort(qids, kind="stable")], est["pkt"],
+        est["bytes"], est["diag"], est["lat"], est["iat"], est["color"],
+        np.zeros(len(keys), dtype=bool),
     )
 
 
@@ -148,7 +113,7 @@ def extract_postcard_features(
     nbytes: np.ndarray, keys: Sequence[FlowKey], region: DiagnosticRegion, window: int,
     lat_edges_by_qid: dict[int, np.ndarray], iat_edges_by_qid: dict[int, np.ndarray],
     qfi_to_qid: dict[int, int], bins_b: int,
-) -> list[FeatureVector]:
+) -> np.recarray:
     """Exact per-flow stats over the sampled packets only.
 
     The columns are one window's postcards in arrival order. Every key gets a
@@ -172,10 +137,10 @@ def extract_postcard_features(
     # exact per-flow byte sums, as differences of one running int64 sum
     lo, hi = np.searchsorted(codes, scopes), np.searchsorted(codes, scopes, side="right")
     byte_csum = np.concatenate(([0], np.cumsum(nbytes[order], dtype=np.int64)))
-    return _flow_vectors(
-        "dsmp", window, region, scopes.tolist(), hi - lo, byte_csum[hi] - byte_csum[lo], diag,
+    return _flow_table(
+        "dsmp", window, region, scopes, hi - lo, byte_csum[hi] - byte_csum[lo], diag,
         lat, iat, np.bincount(flow * 3 + color[order], minlength=3 * n).reshape(n, 3),
-        np.isin(scopes, registered, invert=True).tolist(),
+        np.isin(scopes, registered, invert=True),
     )
 
 
@@ -192,85 +157,73 @@ def _binned(
     return np.bincount(flow * bins_b + bins, minlength=n_flows * bins_b).reshape(n_flows, bins_b)
 
 
-def _flow_vectors(
-    mode: str, window: int, region: DiagnosticRegion, codes: list[int], pkts: np.ndarray,
+def _flow_table(
+    mode: str, window: int, region: DiagnosticRegion, codes: np.ndarray, pkts: np.ndarray,
     nbytes: np.ndarray, diag: np.ndarray, lat: np.ndarray, iat: np.ndarray, colors: np.ndarray,
-    unregistered: list[bool],
-) -> list[FeatureVector]:
-    """Per-flow vectors, in scope order, from per-flow counts: packets, bytes,
+    unregistered: np.ndarray,
+) -> np.recarray:
+    """A per-flow table, in scope order, from per-flow counts: packets, bytes,
     diagnostic mass and the latency, IAT and color histograms."""
-    pkts = pkts.tolist()
-    teids_per_qfi = Counter(c & MAX_QFI for c, pkt in zip(codes, pkts) if pkt > 0)
-    tail = _ratio(lat[:, sorted(region.lat_tail_bins)].sum(axis=1), lat.sum(axis=1)).tolist()
-    head = _ratio(iat[:, sorted(region.iat_head_bins)].sum(axis=1), iat.sum(axis=1)).tolist()
-    columns = zip(
-        codes, pkts, nbytes.tolist(), diag.tolist(), tail, head, _fracs(lat).tolist(),
-        _fracs(iat).tolist(), _fracs(colors).tolist(), unregistered,
+    order = np.argsort(codes, kind="stable")  # code order is scope order
+    codes, pkts, lat, iat = codes[order], pkts[order], lat[order], iat[order]
+    qfi = (codes & MAX_QFI).astype(np.int64)
+    lat_fracs, iat_fracs, color_fracs = _fracs(lat), _fracs(iat), _fracs(colors[order])
+    return feature_table(
+        mode, window, [("flow", c >> QFI_BITS, c & MAX_QFI) for c in codes.tolist()],
+        unregistered[order],
+        pkts=pkts,
+        bytes=nbytes[order],
+        diag_pkts=diag[order],
+        tail_frac=_ratio(lat[:, sorted(region.lat_tail_bins)].sum(axis=1), lat.sum(axis=1)),
+        head_frac=_ratio(iat[:, sorted(region.iat_head_bins)].sum(axis=1), iat.sum(axis=1)),
+        **{f"lat{i}": col for i, col in enumerate(lat_fracs.T)},
+        **{f"iat{i}": col for i, col in enumerate(iat_fracs.T)},
+        green_frac=color_fracs[:, 0],
+        yellow_frac=color_fracs[:, 1],
+        red_frac=color_fracs[:, 2],
+        # flows of the row's QFI that carried packets this window
+        teids_per_qfi=np.bincount(qfi[pkts > 0], minlength=MAX_QFI + 1)[qfi],
     )
-    fvs = [
-        FeatureVector(
-            scope=("flow", code >> QFI_BITS, code & MAX_QFI),
-            window=window,
-            mode=mode,
-            pkts=float(pkt),
-            bytes=float(byt),
-            diag_pkts=float(diag),
-            tail_frac=tail_frac,
-            head_frac=head_frac,
-            lat_fracs=tuple(lat_fr),
-            iat_fracs=tuple(iat_fr),
-            color_fracs=tuple(color_fr),
-            teids_per_qfi=float(teids_per_qfi[code & MAX_QFI]),
-            unregistered=unreg,
-        )
-        for code, pkt, byt, diag, tail_frac, head_frac, lat_fr, iat_fr, color_fr, unreg in columns
-    ]
-    fvs.sort(key=lambda f: f.scope)
-    return fvs
 
 
-def extract_pm_features(rows: Sequence[QfiCounters], window: int) -> list[FeatureVector]:
-    """QFI-scope vectors only; per-flow and distributional fields are ABSENT."""
-    fvs = []
-    for row in sorted(rows, key=lambda r: r.qfi):
-        fvs.append(
-            FeatureVector(
-                scope=("qfi", row.qfi),
-                window=window,
-                mode="pm",
-                pkts=float(row.pkt_count),
-                bytes=float(row.byte_count),
-                drops=float(row.drop_count),
-                mean_delay_ns=float(row.mean_delay_ns),
-            )
-        )
-    return fvs
+def extract_pm_features(rows: Sequence[QfiCounters], window: int) -> np.recarray:
+    """QFI-scope rows only; per-flow and distributional features have no field."""
+    rows = sorted(rows, key=lambda r: r.qfi)
+    return feature_table(
+        "pm", window, [("qfi", r.qfi) for r in rows], False,
+        pkts=[r.pkt_count for r in rows],
+        bytes=[r.byte_count for r in rows],
+        drops=[r.drop_count for r in rows],
+        mean_delay_ns=[r.mean_delay_ns for r in rows],
+    )
 
 
 # -- diagnostic-lift rule ------------------------------------------------------
 
 
 def diag_lift_detector(
-    fv: FeatureVector, base: FlowBaseline, eps: float, beta: float = 0.0
+    fv: np.record, base: FlowBaseline, eps: float, beta: float = 0.0
 ) -> DetectionOutcome:
-    """Fire when the estimated diagnostic ratio exceeds the baseline ceiling.
+    """Fire when the estimated diagnostic ratio of a feature row exceeds the
+    baseline ceiling.
 
     The ceiling is (x_k_T + eps*N_T) / x_k: the largest ratio collision noise
     alone can produce for this flow. Spillover beta does not change the rule,
     only how much lift an anomaly needs before the rule fires (see sizing).
     """
-    if fv.diag_pkts is None:
+    if "diag_pkts" not in fv.dtype.names:
         raise ValueError("diagnostic-lift rule needs a mode with diag_pkts")
+    window, scope, pkts = int(fv.window), fv.scope, float(fv.pkts)
     ceiling = (base.x_k_T + eps * base.n_T) / base.x_k
-    if fv.pkts <= 0:
-        return DetectionOutcome(fv.window, fv.scope, 0.0, False, "diag_lift")
-    ratio = fv.diag_pkts / fv.pkts
+    if pkts <= 0:
+        return DetectionOutcome(window, scope, 0.0, False, "diag_lift")
+    ratio = float(fv.diag_pkts) / pkts
     fired = ratio > ceiling
     if ceiling >= 1.0:
         score = 0.0
     else:
         score = min(1.0, max(0.0, (ratio - ceiling) / (1.0 - ceiling)))
-    return DetectionOutcome(fv.window, fv.scope, score, fired, "diag_lift")
+    return DetectionOutcome(window, scope, score, fired, "diag_lift")
 
 
 # -- linear detector with temporal blocking ---------------------------------------
@@ -288,27 +241,16 @@ DEFAULT_FEATURE_MASKS: dict[AnomalyKind, tuple[str, ...]] = {
 PM_FALLBACK_MASK = ("pkts", "bytes", "drops", "mean_delay_ns")
 
 
-def feature_matrix(
-    fvs: Sequence[FeatureVector],
-    mask: Sequence[str],
-    named: Sequence[dict[str, float]] | None = None,
-) -> tuple[np.ndarray, list[str]]:
-    """Matrix over the masked features available in every vector.
+def feature_matrix(table: np.recarray, mask: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+    """Matrix over the masked features the table has, one column each.
 
-    Falls back to the mode's full feature set when the mask has no overlap
-    (PM lacks all distributional fields, for example). ``named`` may hand in
-    the vectors' ``named_values()`` already built.
+    Falls back to ``PM_FALLBACK_MASK`` when the mask has no field in the
+    table (PM lacks all distributional fields, for example).
     """
-    if not fvs:
-        return np.zeros((0, 0)), []
-    if named is None:
-        named = [fv.named_values() for fv in fvs]
-    avail = set(named[0]).intersection(*named[1:])
-    names = [m for m in mask if m in avail]
+    names = [m for m in mask if m in table.dtype.names]
     if not names:
-        names = [m for m in PM_FALLBACK_MASK if m in avail] or sorted(avail)
-    rows = [[nv[n] for n in names] for nv in named]
-    return np.asarray(rows, dtype=np.float64), names
+        names = [m for m in PM_FALLBACK_MASK if m in table.dtype.names]
+    return np.column_stack([table[n] for n in names]), names
 
 
 class ScopeNormalizer:
@@ -399,13 +341,15 @@ def _scope_matches(fv_scope: tuple, label: GroundTruthLabel) -> bool:
     return False
 
 
-def label_fv(fv: FeatureVector, labels_by_window: dict[int, list[GroundTruthLabel]]) -> int | None:
+def label_fv(
+    scope: tuple, window: int, labels_by_window: dict[int, list[GroundTruthLabel]]
+) -> int | None:
     """1 = scope targeted in an active window, 0 = clean window,
     None = active window but different scope (excluded from training)."""
-    active = labels_by_window.get(fv.window, [])
+    active = labels_by_window.get(window, [])
     if not active:
         return 0
-    return 1 if any(_scope_matches(fv.scope, lb) for lb in active) else None
+    return 1 if any(_scope_matches(scope, lb) for lb in active) else None
 
 
 def temporal_blocks(windows: Sequence[int], n_blocks: int) -> list[list[int]]:
@@ -417,25 +361,23 @@ def temporal_blocks(windows: Sequence[int], n_blocks: int) -> list[list[int]]:
 
 
 def train_detectors(
-    fvs: Sequence[FeatureVector],
+    table: np.recarray,
     labels: Sequence[GroundTruthLabel],
     kind: AnomalyKind,
     n_blocks: int = 4,
     l2: float = 1.0,
-    named: Sequence[dict[str, float]] | None = None,
 ) -> list[DetectionOutcome]:
-    """Cross-fitted linear detection for one anomaly kind over one mode.
+    """Cross-fitted linear detection for one anomaly kind over one mode's
+    feature table.
 
     Every window lands in exactly one test block and is scored by a model
     trained only on the other (temporally disjoint) blocks; thresholds are
-    tuned on training windows by max F1. ``named`` is passed through to
-    ``feature_matrix``, so one mode's rows serve every kind.
+    tuned on training windows by max F1.
     """
-    if not fvs:
+    if not len(table):
         return []
-    X, _ = feature_matrix(fvs, DEFAULT_FEATURE_MASKS[kind], named)
-    scopes = [fv.scope for fv in fvs]
-    windows = np.array([fv.window for fv in fvs])
+    X, _ = feature_matrix(table, DEFAULT_FEATURE_MASKS[kind])
+    scopes, windows = table.scope.tolist(), table.window
     labels_by_window: dict[int, list[GroundTruthLabel]] = {}
     for lb in labels:
         if lb.kind is kind:
@@ -443,8 +385,9 @@ def train_detectors(
     # windows where some other anomaly kind is active are neither clean
     # negatives nor positives for this detector; keep them out of training
     other_active = {lb.window for lb in labels if lb.kind is not kind}
-    y = np.array([-2 if (v := label_fv(fv, labels_by_window)) is None else v for fv in fvs])
-    in_other = np.array([fv.window in other_active for fv in fvs])
+    rows = list(zip(scopes, windows.tolist()))
+    y = np.array([-2 if (v := label_fv(s, w, labels_by_window)) is None else v for s, w in rows])
+    in_other = np.array([w in other_active for _, w in rows])
     y = np.where((y == 0) & in_other, -2, y)
 
     blocks = temporal_blocks(windows.tolist(), n_blocks)
@@ -460,13 +403,14 @@ def train_detectors(
                 f"{block[0]} have no {missing} examples"
             )
         norm = ScopeNormalizer()
-        norm.fit(X[train_mask], [scopes[i] for i in np.nonzero(train_mask)[0]])
-        xt = norm.transform(X[train_mask], [scopes[i] for i in np.nonzero(train_mask)[0]])
+        train_scopes = [scopes[i] for i in np.nonzero(train_mask)[0]]
+        norm.fit(X[train_mask], train_scopes)
+        xt = norm.transform(X[train_mask], train_scopes)
         det = LinearDetector(l2=l2).fit(xt, y[train_mask])
         train_scores = det.score(xt)
         thr = best_f1_threshold(
             _window_max(windows[train_mask], train_scores),
-            _window_any(windows[train_mask], y[train_mask] == 1),
+            set(windows[train_mask & (y == 1)].tolist()),
         )[0]
         xs = norm.transform(X[test_mask], [scopes[i] for i in np.nonzero(test_mask)[0]])
         test_scores = det.score(xs)
@@ -490,14 +434,6 @@ def _window_max(windows: np.ndarray, scores: np.ndarray) -> dict[int, float]:
     for w, s in zip(windows.tolist(), scores.tolist()):
         if w not in out or s > out[w]:
             out[w] = s
-    return out
-
-
-def _window_any(windows: np.ndarray, flags: np.ndarray) -> set[int]:
-    out: set[int] = set()
-    for w, f in zip(windows.tolist(), flags.tolist()):
-        if f:
-            out.add(int(w))
     return out
 
 

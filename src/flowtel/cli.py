@@ -234,7 +234,10 @@ def cmd_size(args) -> int:
         beta = {"beta": doc["beta_max"]} if "beta_max" in doc else {}
         params = _build(DetectabilityParams, {**beta, **doc})
         n_t_max = float(doc["n_t_max"])
-        k_bins = int(doc.get("k_bins", 3))
+        # a run's defaults: its rho (printed as read), and K = tail + head bins
+        rho = doc.get("rho", TelemetryConfig.rho)
+        k_bins = _value(int, doc.get("k_bins", TelemetryConfig.lat_tail_bins
+                                     + TelemetryConfig.iat_head_bins), "k_bins")
         classes = {  # and a class's n_T that of n_t_max
             name: _build(FlowBaseline, {"n_T": n_t_max, **c}, f"flow_classes.{name}")
             for name, c in doc.get("flow_classes", {}).items()
@@ -242,9 +245,8 @@ def cmd_size(args) -> int:
         rep = sizing_report(params, n_t_max, k_bins, classes)
         w_new = None
         if "rho_drift" in doc:
-            rho = _value(float, doc.get("rho", 0.01), "rho")
             rho_drift = _value(float, doc["rho_drift"], "rho_drift")
-            w_new = drift_width_scaling(rep.width, rho, rho_drift)
+            w_new = drift_width_scaling(rep.width, _value(float, rho, "rho"), rho_drift)
     except ScenarioError as e:  # names the field
         raise ScenarioError(f"params file {args.params}: {e}") from e
     except (KeyError, TypeError, ValueError, AttributeError) as e:
@@ -262,7 +264,7 @@ def cmd_size(args) -> int:
         shown = "NOT_DETECTABLE" if thr == NOT_DETECTABLE else f"{thr:.2f} pkts"
         print(f"threshold[{name}]: {shown}")
     if w_new is not None:
-        print(f"drift scaling   : rho {doc.get('rho', 0.01)} -> {doc['rho_drift']} "
+        print(f"drift scaling   : rho {rho} -> {doc['rho_drift']} "
               f"needs width {w_new}")
     succ3 = per_window_success(k_bins, 3)
     print(f"union-bound success at depth {rep.depth}: {rep.per_window_success_at_depth:.4f}")

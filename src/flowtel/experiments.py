@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import diag_lift_detector, FeatureVector
+from .analysis import diag_lift_detector, extract_sketch_features
 from .binning import DiagnosticRegion
 from .core import FlowKey, SketchConfig
 from .sizing import FlowBaseline, detectability_threshold
@@ -95,11 +95,8 @@ def detectability_trial(
         codes, lat, arrivals = codes[order], lat[order], arrivals[order]
 
     sk.update_batch(codes, np.full_like(lat, 500), arrivals, lat, np.zeros_like(lat))  # 500 B green
-    est = sk.query_flow(FlowKey.from_code(mon_code), region)
-    fv = FeatureVector(
-        scope=("flow", mon_code >> 6, mon_code & 63), window=0, mode="sketch",
-        pkts=float(est.pkt_est), bytes=float(est.byte_est), diag_pkts=float(est.diag_est),
-    )
+    key = FlowKey.from_code(mon_code)
+    (fv,) = extract_sketch_features({0: sk}, [key], region, 0, {key.qfi: 0})
     out = diag_lift_detector(fv, base, cfg.epsilon, beta)
     return TrialOutcome(fired=out.fired, threshold=thr, injected=injected, baseline=base)
 

@@ -22,11 +22,11 @@ import numpy as np
 from .analysis import (
     DetectionMetrics,
     DetectionOutcome,
-    FeatureVector,
     evaluate,
     extract_pm_features,
     extract_postcard_features,
     extract_sketch_features,
+    feature_table,
     train_detectors,
 )
 from .baselines import (
@@ -207,7 +207,7 @@ class ModeTelemetry:
     """Everything one telemetry mode produced over a run."""
 
     mode: TelemetryMode
-    features: list[FeatureVector] = field(default_factory=list)
+    features: np.recarray | None = None  # every window's feature rows, set once all are read
     bytes_per_window: list[int] = field(default_factory=list)
     record_lines: list[str] = field(default_factory=list)
     totals_per_window: list[WindowTotals] = field(default_factory=list)  # sketch only
@@ -281,6 +281,7 @@ def run_telemetry(
     sampler = DeltaSampler(delta_ns=cfg.dsmp_delta_ns) if TelemetryMode.DSMP in modes else None
 
     mode_data = {m: ModeTelemetry(mode=m) for m in modes}
+    tables: dict[TelemetryMode, list[np.recarray]] = {m: [] for m in modes}
     sketch_blobs: list[bytes] = []
     windows = list(range(stream.n_windows))
     if sampler is not None:
@@ -320,7 +321,7 @@ def run_telemetry(
                         flow_codes(stream.teid[idx], stream.qfi[idx]), stream.bytes[idx],
                         stream.arrival_ns[idx] + soj, soj, stream.color[idx],
                     )
-            md.features.extend(
+            tables[TelemetryMode.SKETCH].append(
                 extract_sketch_features(sketches, registered, region, w, spec.qfi_to_qid)
             )
             n_total = n_diag = 0
@@ -348,7 +349,7 @@ def run_telemetry(
             rows = pm_window(
                 stream.qfi[idx], stream.bytes[idx], stream.sojourn_ns[idx], drop_qfis[w], w
             )
-            md.features.extend(extract_pm_features(rows, w))
+            tables[TelemetryMode.PM].append(extract_pm_features(rows, w))
             md.record_lines.extend(r.to_line() for r in rows)
             md.bytes_per_window.append(export_cost(TelemetryMode.PM, active_qfis=len(rows)))
 
@@ -356,7 +357,7 @@ def run_telemetry(
             md = mode_data[TelemetryMode.DSMP]
             pc = stream.take(pc_idx[pc_bounds[w] : pc_bounds[w + 1]])
             pcs = (pc.teid, pc.qfi, pc.qid, pc.depart_ns(), pc.sojourn_ns, pc.color, pc.bytes)
-            md.features.extend(
+            tables[TelemetryMode.DSMP].append(
                 extract_postcard_features(
                     pc.codes(), *pcs[3:], registered, region, w, lat_edges, iat_edges,
                     spec.qfi_to_qid, cfg.bins_b,
@@ -366,16 +367,16 @@ def run_telemetry(
             md.bytes_per_window.append(export_cost(TelemetryMode.DSMP, postcards=len(pc)))
 
     del stream, queue_batches  # training reads the features only; free the columns
+    for m in modes:  # a run shorter than one nanosecond has no window, so no table
+        tables[m] = tables[m] or [feature_table(m.value, 0, [], False)]
+        mode_data[m].features = np.concatenate(tables[m]).view(np.recarray)
     kinds = active_kinds(spec)
     outcomes: dict[tuple[str, str], list[DetectionOutcome]] = {}
     metrics: list[DetectionMetrics] = []
-    # one mode's feature rows serve the fits of every kind
-    named = {m: [fv.named_values() for fv in mode_data[m].features] for m in modes if kinds}
     for kind in kinds:
         for mode in modes:
-            fvs = mode_data[mode].features
             found = train_detectors(
-                fvs, labels, kind, n_blocks=cfg.n_blocks, l2=cfg.l2, named=named[mode]
+                mode_data[mode].features, labels, kind, n_blocks=cfg.n_blocks, l2=cfg.l2
             )
             outcomes[(kind.value, mode.value)] = found
             metrics.append(
@@ -418,45 +419,27 @@ def run_scenario(
 # -- serialization ----------------------------------------------------------------
 
 
-FEATURE_HEADER = (
-    "# mode window scope pkts bytes diag_pkts tail_frac head_frac "
-    "teids_per_qfi drops mean_delay_ns green_frac yellow_frac red_frac unregistered"
+FEATURE_COLUMNS = (
+    "mode", "window", "scope", "pkts", "bytes", "diag_pkts", "tail_frac", "head_frac",
+    "teids_per_qfi", "drops", "mean_delay_ns", "green_frac", "yellow_frac", "red_frac",
+    "unregistered",
 )
+FEATURE_HEADER = "# " + " ".join(FEATURE_COLUMNS)
+_FORMAT_BY_KIND = {"U": "", "i": "d", "b": "d", "f": ".9g"}  # by dtype kind; bool as 0/1
 
 
-def _fmt(v: float | None) -> str:
-    if v is None:
-        return "NA"
-    return f"{v:.9g}"
+def _column_text(table: np.recarray, name: str) -> list[str]:
+    """One features.txt column as text: NA for a field the mode does not have."""
+    if name not in table.dtype.names:
+        return ["NA"] * len(table)
+    if name == "scope":
+        return [":".join(str(p) for p in scope) for scope in table.scope.tolist()]
+    spec = _FORMAT_BY_KIND[table.dtype[name].kind]
+    return [format(v, spec) for v in table[name].tolist()]
 
 
-def feature_lines(fvs: list[FeatureVector]) -> list[str]:
-    lines = []
-    for fv in fvs:
-        scope = ":".join(str(p) for p in fv.scope)
-        cf = fv.color_fracs or (None, None, None)
-        lines.append(
-            " ".join(
-                [
-                    fv.mode,
-                    str(fv.window),
-                    scope,
-                    _fmt(fv.pkts),
-                    _fmt(fv.bytes),
-                    _fmt(fv.diag_pkts),
-                    _fmt(fv.tail_frac),
-                    _fmt(fv.head_frac),
-                    _fmt(fv.teids_per_qfi),
-                    _fmt(fv.drops),
-                    _fmt(fv.mean_delay_ns),
-                    _fmt(cf[0]),
-                    _fmt(cf[1]),
-                    _fmt(cf[2]),
-                    "1" if fv.unregistered else "0",
-                ]
-            )
-        )
-    return lines
+def feature_lines(table: np.recarray) -> list[str]:
+    return [" ".join(row) for row in zip(*(_column_text(table, c) for c in FEATURE_COLUMNS))]
 
 
 def outcome_lines(outcomes: dict[tuple[str, str], list[DetectionOutcome]]) -> list[str]:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from flowtel.analysis import (
     DEFAULT_FEATURE_MASKS,
     DetectionOutcome,
-    FeatureVector,
     FitError,
     auprc,
     best_f1_threshold,
@@ -19,6 +18,7 @@ from flowtel.analysis import (
     extract_postcard_features,
     extract_sketch_features,
     feature_matrix,
+    feature_table,
     pareto_front,
     pooled_auprc,
     temporal_blocks,
@@ -28,6 +28,7 @@ from flowtel.analysis import (
 from flowtel.baselines import QfiCounters
 from flowtel.binning import DiagnosticRegion
 from flowtel.core import FlowKey, SketchConfig
+from flowtel.pipeline import FEATURE_HEADER, feature_lines
 from flowtel.simulator import AnomalyKind, GroundTruthLabel, flow_codes
 from flowtel.sizing import FlowBaseline
 from flowtel.sketch import HistogramSketch, bin_of
@@ -38,6 +39,14 @@ US = 1000
 LAT_EDGES = [int(u * US) for u in (0.5, 6.3, 82, 250, 800, 2000, 4970)]
 IAT_EDGES = [int(u * US) for u in (11.5, 16.2, 22.9, 40, 120, 500, 2_700_000)]
 REGION = DiagnosticRegion.build(8, lat_tail=2, iat_head=1)
+LAT = [f"lat{i}" for i in range(8)]
+IAT = [f"iat{i}" for i in range(8)]
+COLORS = ["green_frac", "yellow_frac", "red_frac"]
+
+
+def cols(fv, names):
+    """A feature row's values for the named fields, as a list."""
+    return [fv[n] for n in names]
 
 
 def make_sketch(qid=0, width=128, seed=9):
@@ -64,9 +73,9 @@ def test_collision_free_sketch_features_equal_full_sampling_postcards(rng):
     )[0]
     assert f_sketch.pkts == f_pc.pkts
     assert f_sketch.bytes == f_pc.bytes
-    assert f_sketch.lat_fracs == pytest.approx(f_pc.lat_fracs)
+    assert cols(f_sketch, LAT) == pytest.approx(cols(f_pc, LAT))
     assert f_sketch.tail_frac == pytest.approx(f_pc.tail_frac)
-    assert f_sketch.color_fracs == pytest.approx(f_pc.color_fracs)
+    assert cols(f_sketch, COLORS) == pytest.approx(cols(f_pc, COLORS))
 
 
 def postcard_columns(postcards):
@@ -88,8 +97,9 @@ def reference_postcard_features(postcards, keys, region, window, lat_edges, iat_
         by_key.setdefault(pc[0], []).append(pc)
     active = Counter(k.qfi for k, pcs in by_key.items() if pcs)
     tail, head = sorted(region.lat_tail_bins), sorted(region.iat_head_bins)
-    out = []
-    for k in sorted(by_key):
+    scopes = sorted(by_key)
+    rows = []
+    for k in scopes:
         qid = qfi_to_qid[k.qfi]
         lat, iat, colors = np.zeros(bins_b, int), np.zeros(bins_b, int), np.zeros(3, int)
         prev = None
@@ -100,16 +110,18 @@ def reference_postcard_features(postcards, keys, region, window, lat_edges, iat_
                 iat[bin_of(arrival - prev, iat_edges[qid])] += 1
             prev = arrival
         fracs = lambda c: tuple(float(x) / c.sum() if c.sum() else 0.0 for x in c)  # noqa: E731
-        out.append(FeatureVector(
-            scope=("flow", k.teid, k.qfi), window=window, mode="dsmp",
+        rows.append(dict(
             pkts=float(len(by_key[k])), bytes=float(sum(pc[4] for pc in by_key[k])),
             diag_pkts=float(lat[tail].sum() + iat[head].sum()),
             tail_frac=float(lat[tail].sum()) / lat.sum() if lat.sum() else 0.0,
             head_frac=float(iat[head].sum()) / iat.sum() if iat.sum() else 0.0,
-            lat_fracs=fracs(lat), iat_fracs=fracs(iat), color_fracs=fracs(colors),
-            teids_per_qfi=float(active[k.qfi]), unregistered=k not in keys,
+            **dict(zip(LAT, fracs(lat))), **dict(zip(IAT, fracs(iat))),
+            **dict(zip(COLORS, fracs(colors))), teids_per_qfi=float(active[k.qfi]),
         ))
-    return out
+    return feature_table(
+        "dsmp", window, [("flow", k.teid, k.qfi) for k in scopes], [k not in keys for k in scopes],
+        **{name: [row[name] for row in rows] for name in rows[0]},
+    )
 
 
 def test_columnar_postcard_features_match_per_postcard_loop(rng):
@@ -136,23 +148,27 @@ def test_columnar_postcard_features_match_per_postcard_loop(rng):
     expect = reference_postcard_features(
         postcards, keys, REGION, 5, lat_edges, iat_edges, qfi_to_qid, 8
     )
-    assert got == expect
+    assert got.dtype == expect.dtype and got.tolist() == expect.tolist()
     assert [fv.scope[1] for fv in got] == [1, 2, 3, 4, 9]
-    assert got[1].pkts == 0 and got[3].pkts == 1 and got[3].iat_fracs == (0.0,) * 8
+    assert got[1].pkts == 0 and got[3].pkts == 1 and cols(got[3], IAT) == [0.0] * 8
     assert got[4].unregistered and not any(fv.unregistered for fv in got[:4])
 
 
 def test_pm_features_mark_distributional_fields_absent():
     rows = [QfiCounters(qfi=1, window=3, pkt_count=10, byte_count=5000,
                         drop_count=2, sojourn_sum_ns=10**7)]
-    fv = extract_pm_features(rows, 3)[0]
+    table = extract_pm_features(rows, 3)
+    fv = table[0]
     assert fv.scope == ("qfi", 1)
-    assert fv.tail_frac is None and fv.head_frac is None
-    assert fv.lat_fracs is None and fv.iat_fracs is None
-    assert fv.color_fracs is None and fv.teids_per_qfi is None
+    absent = ["diag_pkts", "tail_frac", "head_frac", *LAT, *IAT, *COLORS, "teids_per_qfi"]
+    assert not set(absent) & set(table.dtype.names)
     assert fv.drops == 2 and fv.mean_delay_ns == pytest.approx(10**6)
-    named = fv.named_values()
-    assert "tail_frac" not in named and "mean_delay_ns" in named
+    assert "mean_delay_ns" in table.dtype.names
+    (line,) = feature_lines(table)
+    printed = dict(zip(FEATURE_HEADER.split()[1:], line.split()))
+    assert [n for n, v in printed.items() if v == "NA"] == [
+        "diag_pkts", "tail_frac", "head_frac", "teids_per_qfi", *COLORS]
+    assert printed["drops"] == "2" and printed["mean_delay_ns"] == "1000000"
 
 
 def test_sketch_tail_fraction_never_underestimates(rng):
@@ -186,8 +202,8 @@ def test_unknown_key_still_estimated_but_flagged(rng):
 
 
 def lift_fv(pkts, diag, window=0):
-    return FeatureVector(scope=("flow", 1, 1), window=window, mode="sketch",
-                         pkts=pkts, bytes=pkts * 500, diag_pkts=diag)
+    return feature_table("sketch", window, [("flow", 1, 1)], False,
+                         pkts=[pkts], bytes=[pkts * 500], diag_pkts=[diag])[0]
 
 
 def test_lift_rule_fires_above_ceiling():
@@ -258,23 +274,25 @@ def test_lift_rule_false_fire_rate_bounded(rng):
 
 
 def synth_fvs(n_windows, anomalous, rng, mode="sketch", separation=4.0):
-    fvs, labels = [], []
+    tables, labels = [], []
     for w in range(n_windows):
+        head, pkts = [], []
         for teid in (1, 2, 3):
             active = w in anomalous and teid == 1
-            head = rng.normal(separation if active else 0.0, 1.0)
-            fvs.append(
-                FeatureVector(scope=("flow", teid, 1), window=w, mode=mode,
-                              pkts=1000 + rng.normal(0, 30),
-                              bytes=5e5, diag_pkts=max(0.0, head * 10),
-                              tail_frac=abs(head) / 10, head_frac=abs(head) / 10,
-                              lat_fracs=tuple([0.125] * 8), iat_fracs=tuple([0.125] * 8),
-                              color_fracs=(1.0, 0.0, 0.0), teids_per_qfi=3.0)
-            )
+            head.append(rng.normal(separation if active else 0.0, 1.0))
+            pkts.append(1000 + rng.normal(0, 30))
+        head = np.array(head)
+        tables.append(feature_table(
+            mode, w, [("flow", teid, 1) for teid in (1, 2, 3)], False,
+            pkts=pkts, bytes=5e5, diag_pkts=np.maximum(0.0, head * 10),
+            tail_frac=abs(head) / 10, head_frac=abs(head) / 10,
+            **dict.fromkeys(LAT + IAT, 0.125), green_frac=1.0, yellow_frac=0.0, red_frac=0.0,
+            teids_per_qfi=3.0,
+        ))
     for w in anomalous:
         labels.append(GroundTruthLabel(window=w, kind=AnomalyKind.CONTENTION,
                                        scope=("flow", 1, 1)))
-    return fvs, labels
+    return np.concatenate(tables).view(np.recarray), labels
 
 
 def test_separable_features_reach_perfect_holdout_f1(rng):
@@ -316,14 +334,14 @@ def test_temporal_blocks_never_interleave():
 
 
 def test_feature_matrix_mask_and_fallback():
-    fv_pm = FeatureVector(scope=("qfi", 1), window=0, mode="pm", pkts=10, bytes=100,
-                          drops=0.0, mean_delay_ns=5.0)
-    X, names = feature_matrix([fv_pm], DEFAULT_FEATURE_MASKS[AnomalyKind.CONTENTION])
+    pm = feature_table("pm", 0, [("qfi", 1)], False, pkts=[10], bytes=[100],
+                       drops=[0.0], mean_delay_ns=[5.0])
+    X, names = feature_matrix(pm, DEFAULT_FEATURE_MASKS[AnomalyKind.CONTENTION])
     assert names == ["pkts", "bytes", "drops", "mean_delay_ns"]  # PM fallback
-    fv_sk = FeatureVector(scope=("flow", 1, 1), window=0, mode="sketch", pkts=10,
-                          bytes=100, diag_pkts=1.0, tail_frac=0.1, head_frac=0.2,
-                          iat_fracs=tuple([0.125] * 8))
-    X2, names2 = feature_matrix([fv_sk], DEFAULT_FEATURE_MASKS[AnomalyKind.CONTENTION])
+    sk = feature_table("sketch", 0, [("flow", 1, 1)], False, pkts=[10], bytes=[100],
+                       diag_pkts=[1.0], tail_frac=[0.1], head_frac=[0.2],
+                       **dict.fromkeys(IAT, [0.125]))
+    X2, names2 = feature_matrix(sk, DEFAULT_FEATURE_MASKS[AnomalyKind.CONTENTION])
     assert names2 == ["head_frac", "tail_frac", "iat0", "iat1", "iat2", "diag_pkts"]
 
 

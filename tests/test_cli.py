@@ -59,6 +59,40 @@ def test_run_smoke_emits_all_artifacts(tmp_path, capsys):
         "file": str(scenario), "sha": hashlib.sha256(scenario.read_bytes()).hexdigest()}
 
 
+def test_run_with_every_flow_unmonitored_has_no_feature_rows(tmp_path):
+    """No telemetry mode sees a monitored packet: each has zero feature rows,
+    no detector is trained, and every window scores 0 (AUPRC = prevalence)."""
+    flow = {"pattern": "poisson", "rate_pps": 800, "bytes_min": 300, "bytes_max": 700,
+            "monitored": False}
+    burst = {"kind": "microburst", "duration_s": 0.3, "burst_factor": 8.0,
+             "target_flows": [{"teid": 1, "qfi": 1}]}
+    doc = {**MINIMAL_SCENARIO, "duration_s": 8.0,
+           "flows": [{**flow, "teid": 1, "qfi": 1}, {**flow, "teid": 2, "qfi": 1}],
+           "anomalies": [{**burst, "start_s": 3.1}, {**burst, "start_s": 5.2}]}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    header = "# mode window scope pkts bytes diag_pkts tail_frac head_frac teids_per_qfi " \
+             "drops mean_delay_ns green_frac yellow_frac red_frac unregistered\n"
+    assert (out / "features.txt").read_text() == header
+    metrics = (out / "metrics.txt").read_text().splitlines()
+    for mode in ("dsmp", "pm", "sketch"):
+        assert f"microburst {mode} 0.250000 0.000000 2 8 NA 2" in metrics
+    assert "# cost dsmp bytes=0 mbps=0.0000" in metrics
+    assert "# cost pm bytes=0 mbps=0.0000" in metrics
+
+
+def test_run_shorter_than_one_nanosecond_has_no_window(tmp_path):
+    doc = {**MINIMAL_SCENARIO, "duration_s": 1e-10, "anomalies": []}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert (out / "features.txt").read_text().count("\n") == 1  # the header only
+    assert "# cost sketch bytes=0 mbps=0.0000" in (out / "metrics.txt").read_text()
+
+
 def test_run_twice_byte_identical(tmp_path):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(MINIMAL_SCENARIO))
@@ -281,6 +315,7 @@ def test_missing_or_malformed_params_file_exits_2_naming_it(tmp_path, capsys):
     ("rho", "x", "rho: could not convert"),
     ("rho_drift", [0.02], "rho_drift: float() argument"),
     ("rho", 0, "ValueError: all drift-scaling inputs must be positive"),
+    ("k_bins", "x", "k_bins: invalid literal"),
 ])
 def test_size_bad_drift_value_exits_2_naming_it(tmp_path, capsys, field, value, named):
     doc = {"beta_max": 0.3, "delta_t_min": 80, "n_t_max": 10000, "rho": 0.01, "rho_drift": 0.02}

@@ -378,8 +378,9 @@ def test_zero_traffic_window_has_zero_fractions(rng):
     assert len(fvs) == len(keys)
     for fv in fvs:
         assert fv.pkts == 0.0 and fv.tail_frac == 0.0 and fv.head_frac == 0.0
-        assert fv.lat_fracs == (0.0,) * 8 and fv.iat_fracs == (0.0,) * 8
-        assert fv.color_fracs == (0.0, 0.0, 0.0)
+        assert [fv[f"lat{i}"] for i in range(8)] == [0.0] * 8
+        assert [fv[f"iat{i}"] for i in range(8)] == [0.0] * 8
+        assert [fv[c] for c in ("green_frac", "yellow_frac", "red_frac")] == [0.0, 0.0, 0.0]
 
 
 def _fold_both(seq, bat, chunks):
