@@ -258,31 +258,49 @@ class ScopeNormalizer:
 
     Feature levels differ by orders of magnitude across flows; normalizing
     each scope by its own training median/IQR turns levels into lifts.
+
+    Scopes are integer ids below ``n_scopes``; ``med`` and ``iqr`` hold one
+    row per id. An id without training rows takes the statistics of all of
+    them, and an IQR <= 0 becomes 1.0. ``fit`` sorts each column by (id,
+    value) once and reads every group's order statistics by index with
+    numpy's own formulas (the ``np.median`` middle mean, the ``linear``
+    quantile's ``_lerp``), so the doubles equal per-scope ``np.median`` and
+    ``np.quantile`` calls. That needs finite features without -0.0, as
+    feature tables are: no NaN reaches the sort, and which of two equal
+    values is read cannot show.
     """
 
     def __init__(self) -> None:
-        self.by_scope: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self.global_stats: tuple[np.ndarray, np.ndarray] | None = None
+        self.med: np.ndarray | None = None
+        self.iqr: np.ndarray | None = None
 
-    def fit(self, X: np.ndarray, scopes: Sequence[tuple]) -> None:
+    def fit(self, X: np.ndarray, sid: np.ndarray, n_scopes: int) -> None:
         med = np.median(X, axis=0)
         iqr = np.quantile(X, 0.75, axis=0) - np.quantile(X, 0.25, axis=0)
-        self.global_stats = (med, np.where(iqr > 0, iqr, 1.0))
-        groups: dict[tuple, list[int]] = {}
-        for i, s in enumerate(scopes):
-            groups.setdefault(s, []).append(i)
-        for s, idx in groups.items():
-            sub = X[idx]
-            med = np.median(sub, axis=0)
-            iqr = np.quantile(sub, 0.75, axis=0) - np.quantile(sub, 0.25, axis=0)
-            self.by_scope[s] = (med, np.where(iqr > 0, iqr, 1.0))
+        self.med, self.iqr = np.tile(med, (n_scopes, 1)), np.tile(iqr, (n_scopes, 1))
+        count = np.bincount(sid, minlength=n_scopes)
+        (g,) = np.nonzero(count)
+        n, start = count[g], (np.cumsum(count) - count)[g]
+        # each column sorted by value within each scope's contiguous run
+        ranked = np.column_stack([X[np.lexsort((col, sid)), c] for c, col in enumerate(X.T)])
 
-    def transform(self, X: np.ndarray, scopes: Sequence[tuple]) -> np.ndarray:
-        out = np.empty_like(X, dtype=np.float64)
-        for i, s in enumerate(scopes):
-            med, iqr = self.by_scope.get(s, self.global_stats)
-            out[i] = (X[i] - med) / iqr
-        return out
+        def at(k):  # the k-th smallest of every group, one row per group
+            return ranked[start + k]
+
+        a, b = at((n - 1) // 2), at(n // 2)  # the middle value, or the two
+        self.med[g] = np.where((n % 2 == 1)[:, None], a / 1.0, (a + b) / 2.0)
+        q = []
+        for p in (0.75, 0.25):
+            vi = (n - 1) * p  # the virtual index; its neighbours are interpolated
+            k = np.floor(vi)
+            gamma = (vi - k)[:, None]
+            a, b = at(k.astype(np.intp)), at(np.minimum(k.astype(np.intp) + 1, n - 1))
+            q.append(np.where(gamma >= 0.5, b - (b - a) * (1 - gamma), a + (b - a) * gamma))
+        self.iqr[g] = q[0] - q[1]
+        self.iqr = np.where(self.iqr > 0, self.iqr, 1.0)
+
+    def transform(self, X: np.ndarray, sid: np.ndarray) -> np.ndarray:
+        return (X - self.med[sid]) / self.iqr[sid]
 
 
 class LinearDetector:
@@ -372,25 +390,34 @@ def train_detectors(
 
     Every window lands in exactly one test block and is scored by a model
     trained only on the other (temporally disjoint) blocks; thresholds are
-    tuned on training windows by max F1.
+    tuned on training windows by max F1. Scopes become integer ids once per
+    table, so each fold's normalizer fit and transform is a fixed number of
+    numpy calls however many scopes and rows the fold has.
     """
     if not len(table):
         return []
     X, _ = feature_matrix(table, DEFAULT_FEATURE_MASKS[kind])
     scopes, windows = table.scope.tolist(), table.window
+    ids: dict[tuple, int] = {}
+    sid = np.fromiter((ids.setdefault(s, len(ids)) for s in scopes), dtype=np.intp,
+                      count=len(scopes))
     labels_by_window: dict[int, list[GroundTruthLabel]] = {}
     for lb in labels:
         if lb.kind is kind:
             labels_by_window.setdefault(lb.window, []).append(lb)
+    # rows of windows without a label of this kind are clean (0); the rest
+    # are labelled by scope, with None (-2) kept out of training
+    y = np.zeros(len(table), dtype=np.int64)
+    for i in np.nonzero(np.isin(windows, list(labels_by_window)))[0].tolist():
+        v = label_fv(scopes[i], int(windows[i]), labels_by_window)
+        y[i] = -2 if v is None else v
     # windows where some other anomaly kind is active are neither clean
     # negatives nor positives for this detector; keep them out of training
-    other_active = {lb.window for lb in labels if lb.kind is not kind}
-    rows = list(zip(scopes, windows.tolist()))
-    y = np.array([-2 if (v := label_fv(s, w, labels_by_window)) is None else v for s, w in rows])
-    in_other = np.array([w in other_active for _, w in rows])
+    in_other = np.isin(windows, [lb.window for lb in labels if lb.kind is not kind])
     y = np.where((y == 0) & in_other, -2, y)
 
     blocks = temporal_blocks(windows.tolist(), n_blocks)
+    detector = f"linear:{kind.value}"
     outcomes: list[DetectionOutcome] = []
     for block in blocks:
         test_mask = np.isin(windows, block)
@@ -403,28 +430,20 @@ def train_detectors(
                 f"{block[0]} have no {missing} examples"
             )
         norm = ScopeNormalizer()
-        train_scopes = [scopes[i] for i in np.nonzero(train_mask)[0]]
-        norm.fit(X[train_mask], train_scopes)
-        xt = norm.transform(X[train_mask], train_scopes)
+        norm.fit(X[train_mask], sid[train_mask], len(ids))
+        xt = norm.transform(X[train_mask], sid[train_mask])
         det = LinearDetector(l2=l2).fit(xt, y[train_mask])
         train_scores = det.score(xt)
         thr = best_f1_threshold(
             _window_max(windows[train_mask], train_scores),
             set(windows[train_mask & (y == 1)].tolist()),
         )[0]
-        xs = norm.transform(X[test_mask], [scopes[i] for i in np.nonzero(test_mask)[0]])
-        test_scores = det.score(xs)
-        for i, idx in enumerate(np.nonzero(test_mask)[0]):
-            s = float(test_scores[i])
-            outcomes.append(
-                DetectionOutcome(
-                    window=int(windows[idx]),
-                    scope=scopes[idx],
-                    score=s,
-                    fired=s >= thr,
-                    detector=f"linear:{kind.value}",
-                )
-            )
+        (test,) = np.nonzero(test_mask)
+        test_scores = det.score(norm.transform(X[test], sid[test]))
+        outcomes.extend(
+            DetectionOutcome(w, scopes[i], s, s >= thr, detector)
+            for i, w, s in zip(test.tolist(), windows[test].tolist(), test_scores.tolist())
+        )
     outcomes.sort(key=lambda o: (o.window, o.scope))
     return outcomes
 

@@ -102,6 +102,9 @@ class TelemetryConfig:
                 if len(edges) != self.bins_b - 1:
                     raise ValueError(f"{name}_edges_ns: qid {qid} needs bins_b - 1 = "
                                      f"{self.bins_b - 1} edges, got {len(edges)}")
+                if not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)):
+                    raise ValueError(f"{name}_edges_ns: qid {qid} edges must be finite "
+                                     "and strictly increasing")
 
     def sketch_config(self, seed: int) -> SketchConfig:
         return SketchConfig.from_seed(seed, self.width, self.depth, self.bins_b)

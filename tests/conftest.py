@@ -93,6 +93,18 @@ def random_stream(
     ]
 
 
+def batch_columns(events: list[PacketEvent]) -> tuple[np.ndarray, ...]:
+    """The ``HistogramSketch.update_batch`` columns of a stream: flow codes,
+    bytes, arrival and sojourn times, colors."""
+    return (
+        np.array([ev.key.code() for ev in events], dtype=np.uint64),
+        np.array([ev.bytes for ev in events], dtype=np.int64),
+        np.array([ev.arrival_ns for ev in events], dtype=np.int64),
+        np.array([ev.sojourn_ns for ev in events], dtype=np.int64),
+        np.array([int(ev.color) for ev in events], dtype=np.int8),
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

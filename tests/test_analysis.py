@@ -10,6 +10,7 @@ from flowtel.analysis import (
     DEFAULT_FEATURE_MASKS,
     DetectionOutcome,
     FitError,
+    ScopeNormalizer,
     auprc,
     best_f1_threshold,
     diag_lift_detector,
@@ -33,7 +34,7 @@ from flowtel.simulator import AnomalyKind, GroundTruthLabel, flow_codes
 from flowtel.sizing import FlowBaseline
 from flowtel.sketch import HistogramSketch, bin_of
 
-from conftest import exact_truth, random_stream
+from conftest import batch_columns, exact_truth, random_stream
 
 US = 1000
 LAT_EDGES = [int(u * US) for u in (0.5, 6.3, 82, 250, 800, 2000, 4970)]
@@ -252,8 +253,7 @@ def test_lift_rule_false_fire_rate_bounded(rng):
         r = np.random.default_rng(t)
         sk = make_sketch(width=128, seed=t)
         events = random_stream(r, n_packets=2500, n_flows=120, qid=0)
-        for e in events:
-            sk.update(e)
+        sk.update_batch(*batch_columns(events))
         key = events[0].key
         truths = exact_truth(events, LAT_EDGES, IAT_EDGES, 8)
         tail = set(REGION.lat_tail_bins)
@@ -322,6 +322,69 @@ def test_single_class_training_raises_named_fit_error(rng):
     fvs, _ = synth_fvs(20, set(), rng)
     with pytest.raises(FitError, match="no positive"):
         train_detectors(fvs, [], AnomalyKind.CONTENTION, n_blocks=2)
+
+
+class PerScopeNormalizer:
+    """The per-scope loop the grouped ``ScopeNormalizer`` replaced: one
+    ``np.median`` and two ``np.quantile`` calls per scope, and one row at a
+    time. Kept as the oracle of the grouped fit, as ``per_packet_run_queues``
+    is kept for the queue loop; it calls numpy at run time, so a numpy whose
+    formulas move is caught."""
+
+    def fit(self, X, scopes):
+        med = np.median(X, axis=0)
+        iqr = np.quantile(X, 0.75, axis=0) - np.quantile(X, 0.25, axis=0)
+        self.global_stats = (med, np.where(iqr > 0, iqr, 1.0))
+        groups = {}
+        for i, s in enumerate(scopes):
+            groups.setdefault(s, []).append(i)
+        self.by_scope = {}
+        for s, idx in groups.items():
+            sub = X[idx]
+            med = np.median(sub, axis=0)
+            iqr = np.quantile(sub, 0.75, axis=0) - np.quantile(sub, 0.25, axis=0)
+            self.by_scope[s] = (med, np.where(iqr > 0, iqr, 1.0))
+
+    def transform(self, X, scopes):
+        out = np.empty_like(X, dtype=np.float64)
+        for i, s in enumerate(scopes):
+            med, iqr = self.by_scope.get(s, self.global_stats)
+            out[i] = (X[i] - med) / iqr
+        return out
+
+
+def test_grouped_normalizer_matches_the_per_scope_loop():
+    rng = np.random.default_rng(11)
+
+    def rows(n):
+        return np.column_stack([
+            rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-3, 6, n),  # many magnitudes
+            rng.integers(0, 3, n).astype(np.float64),  # ties
+            np.full(n, 7.0),  # constant: every IQR becomes 1.0
+            np.round(rng.exponential(2.0, n), 1),  # ties among fractions
+        ])
+
+    # six scopes each of 1..8 training rows and two large ones, interleaved
+    sizes = [n for n in range(1, 9) for _ in range(6)] + [33, 50]
+    train = [("flow", t, 1) for t, n in enumerate(sizes) for _ in range(n)]
+    train = [train[i] for i in rng.permutation(len(train))]
+    test = [("flow", t, 1) for t in range(0, len(sizes), 3)] + [("flow", 999, 1)] * 3
+    ids = {}
+    sid_train, sid_test = (
+        np.array([ids.setdefault(s, len(ids)) for s in scopes], dtype=np.intp)
+        for scopes in (train, test)
+    )
+    x_train, x_test = rows(len(train)), rows(len(test))
+    grouped, ref = ScopeNormalizer(), PerScopeNormalizer()
+    grouped.fit(x_train, sid_train, len(ids))
+    ref.fit(x_train, train)
+    for scope, i in ids.items():  # ("flow", 999, 1) is only in the test fold
+        med, iqr = ref.by_scope.get(scope, ref.global_stats)
+        assert grouped.med[i].tobytes() == med.tobytes(), scope
+        assert grouped.iqr[i].tobytes() == iqr.tobytes(), scope
+    assert (grouped.iqr[:, 2] == 1.0).all()
+    for x, sid, scopes in ((x_train, sid_train, train), (x_test, sid_test, test)):
+        assert grouped.transform(x, sid).tobytes() == ref.transform(x, scopes).tobytes()
 
 
 def test_temporal_blocks_never_interleave():

@@ -431,6 +431,24 @@ def test_explicit_edges_of_the_wrong_count_exit_2_naming_the_field(tmp_path, cap
     assert "lat_edges_ns: qid 0 needs bins_b - 1 = 7 edges, got 11" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["lat_edges_ns", "iat_edges_ns"])
+@pytest.mark.parametrize("edges", [
+    [700.0, 600.0, 500.0, 400.0, 300.0, 200.0, 100.0],  # decreasing
+    [100.0, 200.0, 300.0, 300.0, 500.0, 600.0, 700.0],  # a duplicated edge
+    [100.0, 200.0, float("nan"), 400.0, 500.0, 600.0, 700.0],
+], ids=["decreasing", "duplicated", "nan"])
+def test_explicit_edges_not_strictly_increasing_exit_2_naming_the_field(
+    tmp_path, capsys, key, edges
+):
+    doc = dict(MINIMAL_SCENARIO)
+    doc["telemetry"] = dict(doc["telemetry"], **{key: {"0": edges}})
+    scenario = tmp_path / "edges.json"
+    scenario.write_text(json.dumps(doc))  # a NaN is written as the literal NaN
+    rc = main(["run", "--scenario", str(scenario), "--modes", "dsmp", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"{key}: qid 0 edges must be finite and strictly increasing" in capsys.readouterr().err
+
+
 def test_window_count_follows_window_length():
     from flowtel.core import NS_PER_S
     from flowtel.pipeline import window_stream

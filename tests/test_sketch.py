@@ -16,7 +16,7 @@ from flowtel.sketch import (
     bin_of,
     record_dtype,
 )
-from conftest import exact_truth, random_stream
+from conftest import batch_columns, exact_truth, random_stream
 
 US = 1000  # ns per microsecond
 
@@ -314,16 +314,6 @@ def test_batch_update_matches_sequential(rng):
     assert seq.state_digest() == bat.state_digest()
 
 
-def _batch_columns(events):
-    return (
-        np.array([ev.key.code() for ev in events], dtype=np.uint64),
-        np.array([ev.bytes for ev in events], dtype=np.int64),
-        np.array([ev.arrival_ns for ev in events], dtype=np.int64),
-        np.array([ev.sojourn_ns for ev in events], dtype=np.int64),
-        np.array([int(ev.color) for ev in events], dtype=np.int8),
-    )
-
-
 # (width, depth) on both sides of the 16-bit sort key: d*w <= 65536 sorts a
 # uint16 key (16384 x 4 sits exactly at the limit), larger grids a uint32 one
 @pytest.mark.parametrize("width, depth", [(8, 3), (64, 6), (16384, 4), (16384, 6)])
@@ -337,7 +327,7 @@ def test_batch_matches_sequential_across_shapes(rng, width, depth):
     if width == 8:  # 150 flows in 8 columns: every row has colliding flows
         keys = {ev.key for ev in events}
         assert all(len({seq.columns_for(k)[i] for k in keys}) < len(keys) for i in range(depth))
-    cols = _batch_columns(events)
+    cols = batch_columns(events)
     # two windows of ragged chunks, an empty one included; a window reset
     # keeps the timestamps, so IAT chains continue into the second window
     for lo, hi in ((0, 700), (700, 700), (700, 701), (701, 1200), (1200, 2399), (2399, 2400)):
@@ -361,7 +351,7 @@ def test_batch_saturates_like_update():
     events = [PacketEvent(key=key, qid=3, bytes=100, arrival_ns=t, sojourn_ns=0) for t in (10, 20)]
     for ev in events:
         seq.update(ev)
-    bat.update_batch(*_batch_columns(events))
+    bat.update_batch(*batch_columns(events))
     assert bat.pkt[0, j] == PKT_COUNTER_MAX and bat.byt[0, j] == BYTE_COUNTER_MAX
     assert bat.saturated_units == 1 + 190  # one packet count, 90 + 100 bytes
     assert seq.state_digest() == bat.state_digest()
@@ -370,9 +360,9 @@ def test_batch_saturates_like_update():
 def test_zero_traffic_window_has_zero_fractions(rng):
     sk = make_sketch(width=32)
     events = random_stream(rng, n_packets=300, n_flows=5, qid=3)
-    sk.update_batch(*_batch_columns(events))
+    sk.update_batch(*batch_columns(events))
     sk.reset_window()
-    sk.update_batch(*_batch_columns([]))  # the next window carries no packet
+    sk.update_batch(*batch_columns([]))  # the next window carries no packet
     keys = sorted({ev.key for ev in events})
     fvs = extract_sketch_features({3: sk}, keys, REGION, 1, {k.qfi: 3 for k in keys})
     assert len(fvs) == len(keys)
@@ -389,7 +379,7 @@ def _fold_both(seq, bat, chunks):
     for events in chunks:
         for ev in events:
             seq.update(ev)
-        bat.update_batch(*_batch_columns(events))
+        bat.update_batch(*batch_columns(events))
         assert seq.state_digest() == bat.state_digest()
 
 
