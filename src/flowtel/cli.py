@@ -199,6 +199,20 @@ def _parse_modes(arg: str) -> tuple[TelemetryMode, ...]:
     return tuple(out)
 
 
+def _manifest(args, man_sc: dict, spec: ScenarioSpec, cfg: TelemetryConfig,
+              modes: tuple[TelemetryMode, ...], **extra) -> dict:
+    """What a run or a replay made its outputs from."""
+    return {
+        "command": args.cmd,
+        "scenario": man_sc,
+        "seed": spec.seed,
+        "modes": [m.value for m in modes],
+        "telemetry": {**asdict(cfg), "strategy": cfg.strategy.value},
+        "out": str(args.out),
+        **extra,
+    }
+
+
 # -- subcommands -------------------------------------------------------------------
 
 
@@ -212,15 +226,7 @@ def cmd_run(args) -> int:
                   f"the warmup windows (telemetry.fit_windows={cfg.fit_windows}); the edges are "
                   "fitted on its traffic", file=sys.stderr)
     result = run_scenario(spec, cfg, modes=modes, collect_sketch_records=not args.no_records)
-    manifest = {
-        "command": "run",
-        "scenario": man_sc,
-        "seed": spec.seed,
-        "modes": [m.value for m in modes],
-        "telemetry": {**asdict(cfg), "strategy": cfg.strategy.value},
-        "out": str(args.out),
-    }
-    write_outputs(result, Path(args.out), manifest)
+    write_outputs(result, Path(args.out), _manifest(args, man_sc, spec, cfg, modes))
     for line in metrics_lines(result):
         print(line)
     print(f"wrote {args.out}")
@@ -289,12 +295,16 @@ def cmd_sweep(args) -> int:
                 raise ScenarioError(f"{at} = {v!r}: {e}") from e
     cfgs = [replace(cfg, **dict(zip(axes, p))) for p in itertools.product(*axes.values())]
     delivered, drops, labels = simulate(spec)
-    results = [_sweep_job(delivered, drops, labels, spec, c) for c in cfgs]
+    done: dict[tuple, tuple[int, float | None]] = {}  # a mode's run, by the axes it reads
     rows = []
-    for c, (mode_costs, mode_auprc) in zip(cfgs, results):
-        for mode in ("sketch", "dsmp", "pm"):
-            mbps = mode_costs[mode] * 8 / spec.duration_s / 1e6
-            rows.append((mode, c.width, c.depth, c.rho, c.dsmp_delta_ns, mbps, mode_auprc[mode]))
+    for c in cfgs:
+        for mode, reads in _SWEEP_READS.items():
+            key = (mode, *(getattr(c, axis) for axis in reads))
+            if key not in done:
+                done[key] = _sweep_job(delivered, drops, labels, spec, c, mode)
+            nbytes, auprc = done[key]
+            mbps = nbytes * 8 / spec.duration_s / 1e6
+            rows.append((mode.value, c.width, c.depth, c.rho, c.dsmp_delta_ns, mbps, auprc))
     # Pareto flags computed over (cost, accuracy), higher accuracy cheaper wins
     from .analysis import pareto_front
 
@@ -306,10 +316,20 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _sweep_job(delivered, drops, labels, spec, cfg) -> tuple[dict, dict]:
-    result = run_telemetry(delivered, drops, labels, spec, cfg, collect_sketch_records=False)
-    costs = {m.value: result.total_bytes(m) for m in result.modes}
-    return costs, {m.value: pooled_auprc(result, m.value) for m in result.modes}
+# the sweep axes each mode's outputs depend on (rho through the fitted edges),
+# in the order the rows of a grid point are printed
+_SWEEP_READS = {
+    TelemetryMode.SKETCH: ("width", "depth", "rho"),
+    TelemetryMode.DSMP: ("rho", "dsmp_delta_ns"),
+    TelemetryMode.PM: (),
+}
+
+
+def _sweep_job(delivered, drops, labels, spec, cfg, mode) -> tuple[int, float | None]:
+    """One mode's export bytes and pooled AUPRC at one grid point."""
+    result = run_telemetry(delivered, drops, labels, spec, cfg, modes=(mode,),
+                           collect_sketch_records=False)
+    return result.total_bytes(mode), pooled_auprc(result, mode.value)
 
 
 # One row per delivered packet, then one per dropped packet. A drop row has
@@ -371,17 +391,11 @@ def cmd_replay(args) -> int:
         drops = DropRecord(teid=none, qfi=none, qid=none, time_ns=none,
                            reason=none.astype(np.int8), monitored=none.astype(bool))
     labels = label_windows(spec)
-    result = run_telemetry(delivered, drops, labels, spec, cfg,
-                           modes=_parse_modes(args.modes),
+    modes = _parse_modes(args.modes)
+    result = run_telemetry(delivered, drops, labels, spec, cfg, modes=modes,
                            collect_sketch_records=not args.no_records)
-    manifest = {
-        "command": "replay",
-        "scenario": man_sc,
-        "capture": str(args.capture),
-        "modes": args.modes,
-        "out": str(args.out),
-    }
-    write_outputs(result, Path(args.out), manifest)
+    write_outputs(result, Path(args.out),
+                  _manifest(args, man_sc, spec, cfg, modes, capture=str(args.capture)))
     for line in metrics_lines(result):
         print(line)
     return EXIT_OK

@@ -1,8 +1,8 @@
 """End-to-end run orchestration.
 
 One run: simulate a scenario, fit per-queue bin edges on the warmup windows,
-replay the delivered stream through every enabled telemetry mode window by
-window, extract features, run cross-fitted detectors per anomaly kind, and
+replay the delivered stream through each enabled telemetry mode in a pass of
+its own, extract features, run cross-fitted detectors per anomaly kind, and
 evaluate against ground truth. All randomness descends from the scenario
 seed, so a manifest fully determines every output byte.
 
@@ -46,7 +46,7 @@ from .binning import (
     deserialize_edges,
     fit_edges,
 )
-from .core import NS_PER_S, SketchConfig, WindowTotals
+from .core import NS_PER_S, SketchConfig
 from .simulator import (
     AnomalyKind,
     DropRecord,
@@ -209,17 +209,15 @@ def fit_qid_edges(
 class ModeTelemetry:
     """Everything one telemetry mode produced over a run."""
 
-    mode: TelemetryMode
-    features: np.recarray | None = None  # every window's feature rows, set once all are read
-    bytes_per_window: list[int] = field(default_factory=list)
+    features: np.recarray  # every window's feature rows
+    bytes_per_window: list[int]
     record_lines: list[str] = field(default_factory=list)
-    totals_per_window: list[WindowTotals] = field(default_factory=list)  # sketch only
+    record_chunks: list[bytes] = field(default_factory=list)  # sketch: records.bin, unjoined
 
 
 @dataclass
 class RunResult:
     spec: ScenarioSpec
-    telemetry: TelemetryConfig
     labels: list[GroundTruthLabel]
     windows: list[int]
     modes: dict[TelemetryMode, ModeTelemetry]
@@ -227,8 +225,6 @@ class RunResult:
     metrics: list[DetectionMetrics]
     lat_edges: dict[int, np.ndarray]
     iat_edges: dict[int, np.ndarray]
-    sketch_records_blob: bytes = b""
-    drops: DropRecord | None = None
 
     def metrics_by(self, kind: str, mode: str) -> DetectionMetrics:
         for m in self.metrics:
@@ -256,6 +252,94 @@ def anomaly_instances(spec: ScenarioSpec, kind: AnomalyKind) -> list[tuple[int, 
     ]
 
 
+def _by_window(stream: WindowStream, idx: np.ndarray) -> list[np.ndarray]:
+    """Stream indices cut at the window bounds, as the smallest type that
+    holds them: one view per window, no masks."""
+    compact = np.min_scalar_type(len(stream.window))
+    cuts = np.searchsorted(stream.window[idx], range(1, stream.n_windows))
+    return np.split(idx.astype(compact), cuts)
+
+
+def _table(mode: TelemetryMode, tables: list[np.recarray]) -> np.recarray:
+    # a run shorter than one nanosecond has no window, so no table
+    return np.concatenate(tables or [feature_table(mode.value, 0, [], False)]).view(np.recarray)
+
+
+def _sketch_pass(stream, spec, cfg, lat_edges, iat_edges, collect_records) -> ModeTelemetry:
+    """One histogram sketch per queue, exported and reset at each window's end."""
+    region = cfg.region()
+    registered = [fl.key for fl in spec.flows if fl.monitored]
+    sketches = {
+        qid: HistogramSketch(cfg.sketch_config(spec.seed), qid=qid, lat_edges=lat_edges[qid],
+                             iat_edges=iat_edges[qid])
+        for qid in sorted(spec.queue_policy)
+    }
+    batches = {q: _by_window(stream, np.flatnonzero(stream.monitored & (stream.qid == q)))
+               for q in sketches}
+    tables, chunks = [], []
+    for w in range(stream.n_windows):
+        for qid, sketch in sketches.items():
+            idx = batches[qid][w]
+            if len(idx):
+                # six columns, not a take() of all nine: faster on sketch-sweep
+                idx = idx.astype(np.intp)  # converted once, not by each gather
+                soj = stream.sojourn_ns[idx]
+                sketch.update_batch(
+                    flow_codes(stream.teid[idx], stream.qfi[idx]), stream.bytes[idx],
+                    stream.arrival_ns[idx] + soj, soj, stream.color[idx],
+                )
+        tables.append(extract_sketch_features(sketches, registered, region, w, spec.qfi_to_qid))
+        for sketch in sketches.values():
+            if collect_records:
+                chunks.append(sketch.export_window_array(w).tobytes())
+            sketch.reset_window()
+    cost = export_cost(TelemetryMode.SKETCH, width=cfg.width, depth=cfg.depth,
+                       bins_b=cfg.bins_b, num_qids=len(sketches))
+    return ModeTelemetry(_table(TelemetryMode.SKETCH, tables), [cost] * stream.n_windows,
+                         record_chunks=chunks)
+
+
+def _dsmp_pass(stream, spec, cfg, lat_edges, iat_edges) -> ModeTelemetry:
+    """Delta-triggered postcards: each flow's last export carries across
+    windows, so one sampler pass serves the run and a window's postcards are
+    the slice of its indices inside the window."""
+    region = cfg.region()
+    registered = [fl.key for fl in spec.flows if fl.monitored]
+    pc_idx = DeltaSampler(delta_ns=cfg.dsmp_delta_ns).offer_batch(stream, stream.monitored)
+    bounds = np.searchsorted(pc_idx, np.searchsorted(stream.window, range(stream.n_windows + 1)))
+    tables, lines, costs = [], [], []
+    for w in range(stream.n_windows):
+        pc = stream.take(pc_idx[bounds[w] : bounds[w + 1]])
+        pcs = (pc.teid, pc.qfi, pc.qid, pc.depart_ns(), pc.sojourn_ns, pc.color, pc.bytes)
+        tables.append(extract_postcard_features(
+            pc.codes(), *pcs[3:], registered, region, w, lat_edges, iat_edges,
+            spec.qfi_to_qid, cfg.bins_b,
+        ))
+        lines.extend(map(postcard_line, [w] * len(pc), *(c.tolist() for c in pcs)))
+        costs.append(export_cost(TelemetryMode.DSMP, postcards=len(pc)))
+    return ModeTelemetry(_table(TelemetryMode.DSMP, tables), costs, lines)
+
+
+def _pm_pass(stream, drops, spec) -> ModeTelemetry:
+    """Per-QFI counters of each window's monitored packets and drops."""
+    batches = _by_window(stream, np.flatnonzero(stream.monitored))
+    # monitored drops by window; the piece past the last window is never read
+    dwin = np.where(drops.monitored, drops.time_ns // spec.window_len_ns, stream.n_windows)
+    order = np.argsort(dwin, kind="stable")
+    cuts = np.searchsorted(dwin[order], range(1, stream.n_windows + 1))
+    drop_qfis = np.split(drops.qfi[order], cuts)
+    tables, lines, costs = [], [], []
+    for w in range(stream.n_windows):
+        idx = batches[w]
+        rows = pm_window(
+            stream.qfi[idx], stream.bytes[idx], stream.sojourn_ns[idx], drop_qfis[w], w
+        )
+        tables.append(extract_pm_features(rows, w))
+        lines.extend(r.to_line() for r in rows)
+        costs.append(export_cost(TelemetryMode.PM, active_qfis=len(rows)))
+    return ModeTelemetry(_table(TelemetryMode.PM, tables), costs, lines)
+
+
 def run_telemetry(
     delivered: PacketBatch,
     drops: DropRecord,
@@ -265,148 +349,33 @@ def run_telemetry(
     modes: tuple[TelemetryMode, ...] = ALL_MODES,
     collect_sketch_records: bool = True,
 ) -> RunResult:
-    """Replay a delivered stream through the enabled telemetry modes and
-    evaluate detection per anomaly kind."""
+    """Replay a delivered stream through each enabled telemetry mode, one
+    pass per mode, and evaluate detection per anomaly kind."""
     stream = window_stream(delivered, spec.window_len_ns, spec.duration_s)
     lat_edges, iat_edges = fit_qid_edges(stream, spec, cfg)
-    region = cfg.region()
-    registered = [fl.key for fl in spec.flows if fl.monitored]
-    qids = sorted(spec.queue_policy)
-    num_qids = len(qids)
-
-    sketches: dict[int, HistogramSketch] = {}
-    if TelemetryMode.SKETCH in modes:
-        for qid in qids:
-            sketches[qid] = HistogramSketch(
-                cfg.sketch_config(spec.seed), qid=qid, lat_edges=lat_edges[qid],
-                iat_edges=iat_edges[qid],
-            )
-    sampler = DeltaSampler(delta_ns=cfg.dsmp_delta_ns) if TelemetryMode.DSMP in modes else None
-
-    mode_data = {m: ModeTelemetry(mode=m) for m in modes}
-    tables: dict[TelemetryMode, list[np.recarray]] = {m: [] for m in modes}
-    sketch_blobs: list[bytes] = []
-    windows = list(range(stream.n_windows))
-    if sampler is not None:
-        # one pass, run before the index arrays below exist: each flow's last
-        # export carries across windows, so a window's postcards are the slice
-        # of the run's indices inside it
-        pc_idx = sampler.offer_batch(stream, stream.monitored)
-        pc_bounds = np.searchsorted(pc_idx, np.searchsorted(stream.window, range(len(windows) + 1)))
-
-    # monitored packets in stream order, as indices of the smallest type that
-    # holds them, cut at the window bounds: one view per batch, no masks
-    compact = np.min_scalar_type(len(stream.window))
-
-    def by_window(idx: np.ndarray) -> list[np.ndarray]:
-        return np.split(idx.astype(compact), np.searchsorted(stream.window[idx], windows[1:]))
-
-    queue_batches = {
-        q: by_window(np.flatnonzero(stream.monitored & (stream.qid == q))) for q in sketches
+    # DSMP first, as its sampler's transient columns then set no new memory peak
+    passes = {
+        TelemetryMode.DSMP: lambda: _dsmp_pass(stream, spec, cfg, lat_edges, iat_edges),
+        TelemetryMode.SKETCH: lambda: _sketch_pass(stream, spec, cfg, lat_edges, iat_edges,
+                                                   collect_sketch_records),
+        TelemetryMode.PM: lambda: _pm_pass(stream, drops, spec),
     }
-    if TelemetryMode.PM in modes:
-        pm_batches = by_window(np.flatnonzero(stream.monitored))
-        # monitored drops by window; the piece past the last window is never read
-        dwin = np.where(drops.monitored, drops.time_ns // spec.window_len_ns, len(windows))
-        order = np.argsort(dwin, kind="stable")
-        cuts = np.searchsorted(dwin[order], range(1, len(windows) + 1))
-        drop_qfis = np.split(drops.qfi[order], cuts)
-    for w in windows:
-        if TelemetryMode.SKETCH in modes:
-            md = mode_data[TelemetryMode.SKETCH]
-            for qid in qids:
-                idx = queue_batches[qid][w]
-                if len(idx):
-                    # six columns, not a take() of all nine: faster on sketch-sweep
-                    idx = idx.astype(np.intp)  # converted once, not by each gather
-                    soj = stream.sojourn_ns[idx]
-                    sketches[qid].update_batch(
-                        flow_codes(stream.teid[idx], stream.qfi[idx]), stream.bytes[idx],
-                        stream.arrival_ns[idx] + soj, soj, stream.color[idx],
-                    )
-            tables[TelemetryMode.SKETCH].append(
-                extract_sketch_features(sketches, registered, region, w, spec.qfi_to_qid)
-            )
-            n_total = n_diag = 0
-            for qid in qids:
-                totals = sketches[qid].window_totals(region)
-                n_total += totals.n_total
-                n_diag += totals.n_diag
-                if collect_sketch_records:
-                    sketch_blobs.append(sketches[qid].export_window_array(w).tobytes())
-                sketches[qid].reset_window()
-            md.totals_per_window.append(WindowTotals(n_total=n_total, n_diag=n_diag))
-            md.bytes_per_window.append(
-                export_cost(
-                    TelemetryMode.SKETCH,
-                    width=cfg.width,
-                    depth=cfg.depth,
-                    bins_b=cfg.bins_b,
-                    num_qids=num_qids,
-                )
-            )
-
-        if TelemetryMode.PM in modes:
-            md = mode_data[TelemetryMode.PM]
-            idx = pm_batches[w]
-            rows = pm_window(
-                stream.qfi[idx], stream.bytes[idx], stream.sojourn_ns[idx], drop_qfis[w], w
-            )
-            tables[TelemetryMode.PM].append(extract_pm_features(rows, w))
-            md.record_lines.extend(r.to_line() for r in rows)
-            md.bytes_per_window.append(export_cost(TelemetryMode.PM, active_qfis=len(rows)))
-
-        if sampler is not None:
-            md = mode_data[TelemetryMode.DSMP]
-            pc = stream.take(pc_idx[pc_bounds[w] : pc_bounds[w + 1]])
-            pcs = (pc.teid, pc.qfi, pc.qid, pc.depart_ns(), pc.sojourn_ns, pc.color, pc.bytes)
-            tables[TelemetryMode.DSMP].append(
-                extract_postcard_features(
-                    pc.codes(), *pcs[3:], registered, region, w, lat_edges, iat_edges,
-                    spec.qfi_to_qid, cfg.bins_b,
-                )
-            )
-            md.record_lines.extend(map(postcard_line, [w] * len(pc), *(c.tolist() for c in pcs)))
-            md.bytes_per_window.append(export_cost(TelemetryMode.DSMP, postcards=len(pc)))
-
-    del stream, queue_batches  # training reads the features only; free the columns
-    for m in modes:  # a run shorter than one nanosecond has no window, so no table
-        tables[m] = tables[m] or [feature_table(m.value, 0, [], False)]
-        mode_data[m].features = np.concatenate(tables[m]).view(np.recarray)
-    kinds = active_kinds(spec)
+    done = {m: run() for m, run in passes.items() if m in modes}
+    mode_data = {m: done[m] for m in modes}
+    windows = list(range(stream.n_windows))
+    del stream  # training reads the features only; free the columns
     outcomes: dict[tuple[str, str], list[DetectionOutcome]] = {}
     metrics: list[DetectionMetrics] = []
-    for kind in kinds:
+    for kind in active_kinds(spec):
         for mode in modes:
             found = train_detectors(
                 mode_data[mode].features, labels, kind, n_blocks=cfg.n_blocks, l2=cfg.l2
             )
             outcomes[(kind.value, mode.value)] = found
-            metrics.append(
-                evaluate(
-                    found,
-                    labels,
-                    kind,
-                    mode.value,
-                    windows,
-                    spec.window_len_ns,
-                    anomaly_instances(spec, kind),
-                )
-            )
-
-    return RunResult(
-        spec=spec,
-        telemetry=cfg,
-        labels=labels,
-        windows=windows,
-        modes=mode_data,
-        outcomes=outcomes,
-        metrics=metrics,
-        lat_edges=lat_edges,
-        iat_edges=iat_edges,
-        sketch_records_blob=b"".join(sketch_blobs),
-        drops=drops,
-    )
+            metrics.append(evaluate(found, labels, kind, mode.value, windows, spec.window_len_ns,
+                                    anomaly_instances(spec, kind)))
+    return RunResult(spec=spec, labels=labels, windows=windows, modes=mode_data,
+                     outcomes=outcomes, metrics=metrics, lat_edges=lat_edges, iat_edges=iat_edges)
 
 
 def run_scenario(
@@ -473,8 +442,12 @@ def write_outputs(result: RunResult, out_dir: Path, manifest: dict) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    if result.sketch_records_blob:
-        (out_dir / "records.bin").write_bytes(result.sketch_records_blob)
+    sketch = result.modes.get(TelemetryMode.SKETCH)
+    blob = b"".join(sketch.record_chunks) if sketch is not None else b""
+    if blob:
+        (out_dir / "records.bin").write_bytes(blob)
+    else:  # a run without sketch records leaves no earlier run's file behind
+        (out_dir / "records.bin").unlink(missing_ok=True)
     lines: list[str] = []
     for mode in sorted(result.modes, key=lambda m: m.value):
         lines.extend(result.modes[mode].record_lines)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import flowtel
+from flowtel.baselines import TelemetryMode
 from flowtel.cli import main, scenario_from_dict
 from flowtel.simulator import ScenarioError
 
@@ -277,17 +278,44 @@ def test_sweep_jobs_keep_pinned_edges(tmp_path, monkeypatch):
     scenario.write_text(json.dumps(doc))
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"width": [64, 128], "rho": [0.01, 0.05]}))
-    cfgs = []
+    jobs = []
 
-    def job(*j):
-        cfgs.append(j[-1])
-        return {m: 1 for m in ("sketch", "dsmp", "pm")}, {m: None for m in ("sketch", "dsmp", "pm")}
+    def job(delivered, drops, labels, spec, cfg, mode):
+        jobs.append((cfg, mode))
+        return 1, None
 
     monkeypatch.setattr(cli, "_sweep_job", job)
     assert main(["sweep", "--scenario", str(scenario), "--grid", str(grid)]) == 0
-    assert [(c.width, c.rho) for c in cfgs] == [(64, 0.01), (64, 0.05), (128, 0.01), (128, 0.05)]
-    for c in cfgs:
+    sketch = [(c.width, c.rho) for c, m in jobs if m is TelemetryMode.SKETCH]
+    assert sketch == [(64, 0.01), (64, 0.05), (128, 0.01), (128, 0.05)]
+    for c, _ in jobs:
         assert c.explicit_lat_edges == c.explicit_iat_edges == ((0, tuple(pinned)),)
+
+
+def test_sweep_runs_each_mode_once_per_setting_it_reads(tmp_path, capsys, monkeypatch):
+    """A grid over all four axes prints what the all-mode sweep printed
+    (recorded in golden_sweep.txt) from 8 sketch, 4 DSMP and 1 PM run
+    instead of 16 runs of every mode."""
+    from flowtel import cli
+
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(MINIMAL_SCENARIO))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"width": [64, 128], "depth": [2, 3], "rho": [0.01, 0.05],
+                                "dsmp_delta_ns": [1000000, 250000]}))
+    runs = []
+    sweep_job = cli._sweep_job
+
+    def job(*args):
+        runs.append(args[-1])
+        return sweep_job(*args)
+
+    monkeypatch.setattr(cli, "_sweep_job", job)
+    assert main(["sweep", "--scenario", str(scenario), "--grid", str(grid)]) == 0
+    recorded = (Path(__file__).parent / "golden_sweep.txt").read_text()
+    assert capsys.readouterr().out == recorded
+    assert [runs.count(m) for m in (TelemetryMode.SKETCH, TelemetryMode.DSMP,
+                                    TelemetryMode.PM)] == [8, 4, 1]
 
 
 def test_missing_or_malformed_grid_file_exits_2_naming_it(tmp_path, capsys):
@@ -353,6 +381,35 @@ def test_capture_replay_roundtrip(tmp_path, capsys):
     # telemetry over the replayed capture reproduces the direct run's records
     assert (out1 / "records.bin").read_bytes() == (out2 / "records.bin").read_bytes()
     assert (out1 / "features.txt").read_text() == (out2 / "features.txt").read_text()
+
+
+def test_replay_manifest_matches_the_run_manifest(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(MINIMAL_SCENARIO))
+    cap = tmp_path / "capture.txt"
+    assert main(["capture", "--scenario", str(scenario), "--out", str(cap)]) == 0
+    for cmd in ("run", "replay"):
+        given = ["--capture", str(cap)] if cmd == "replay" else []
+        assert main([cmd, "--scenario", str(scenario), "--modes", "pm,sketch", *given,
+                     "--out", str(tmp_path / cmd)]) == 0
+    run, replay = (json.loads((tmp_path / c / "manifest.json").read_text())
+                   for c in ("run", "replay"))
+    assert replay.pop("capture") == str(cap)
+    assert replay.keys() == run.keys()
+    for key in ("scenario", "seed", "modes", "telemetry"):
+        assert replay[key] == run[key]
+    assert run["modes"] == ["pm", "sketch"]
+
+
+@pytest.mark.parametrize("rerun", [["--modes", "pm"], ["--no-records"]])
+def test_rerun_without_sketch_records_removes_the_stale_file(tmp_path, rerun):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(MINIMAL_SCENARIO))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert (out / "records.bin").stat().st_size > 0
+    assert main(["run", "--scenario", str(scenario), *rerun, "--out", str(out)]) == 0
+    assert not (out / "records.bin").exists()
 
 
 def test_capture_replay_keeps_drops(tmp_path, capsys):
