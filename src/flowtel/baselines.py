@@ -13,8 +13,7 @@ Two references bracket the design space:
 Both replay over the columns of the pipeline's window stream: ``pm_window``
 sums one window's monitored packets and drops, and ``DeltaSampler.offer_batch``
 makes one pass over a run's stream (a flow's last export carries across
-windows). The per-packet ``offer`` (returning a ``Postcard``), ``pm_update``
-and ``pm_record_drop`` are references only the tests call, as oracles.
+windows). Their per-packet references live in tests/test_baselines.py.
 Records are text lines with a leading mode tag; ``postcard_line`` formats
 postcards.
 """
@@ -26,7 +25,6 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Color, FlowKey, PacketEvent
 from .simulator import PacketBatch, flow_codes
 from .sketch import record_dtype
 
@@ -71,41 +69,11 @@ class QfiCounters:
         )
 
 
-@dataclass(frozen=True)
-class Postcard:
-    """Stateless per-packet report emitted on trigger; carries no sketch state."""
-
-    key: FlowKey
-    qid: int
-    arrival_ns: int
-    sojourn_ns: int
-    color: Color
-    bytes: int
-
-    def to_line(self, window: int) -> str:
-        return postcard_line(
-            window, self.key.teid, self.key.qfi, self.qid, self.arrival_ns, self.sojourn_ns,
-            int(self.color), self.bytes,
-        )
-
-
 def postcard_line(
     window: int, teid: int, qfi: int, qid: int, arrival_ns: int, sojourn_ns: int, color: int,
     nbytes: int,
 ) -> str:
     return f"dsmp {window} {teid} {qfi} {qid} {arrival_ns} {sojourn_ns} {color} {nbytes}"
-
-
-def pm_update(counters: dict[int, QfiCounters], ev: PacketEvent, window: int) -> None:
-    """Fold one delivered packet into its QFI row (per-event reference API)."""
-    row = counters.setdefault(ev.key.qfi, QfiCounters(qfi=ev.key.qfi, window=window))
-    row.pkt_count += 1
-    row.byte_count += ev.bytes
-    row.sojourn_sum_ns += ev.sojourn_ns
-
-
-def pm_record_drop(counters: dict[int, QfiCounters], qfi: int, window: int) -> None:
-    counters.setdefault(qfi, QfiCounters(qfi=qfi, window=window)).drop_count += 1
 
 
 def pm_window(
@@ -143,21 +111,6 @@ class DeltaSampler:
     def __post_init__(self) -> None:
         if self.delta_ns <= 0:
             raise ValueError(f"delta_ns must be positive, got {self.delta_ns}")
-
-    def offer(self, ev: PacketEvent) -> Postcard | None:
-        code = ev.key.code()
-        last = self.last_exported.get(code)
-        if last is not None and abs(ev.sojourn_ns - last) <= self.delta_ns:
-            return None
-        self.last_exported[code] = ev.sojourn_ns
-        return Postcard(
-            key=ev.key,
-            qid=ev.qid,
-            arrival_ns=ev.arrival_ns,
-            sojourn_ns=ev.sojourn_ns,
-            color=ev.color,
-            bytes=ev.bytes,
-        )
 
     def offer_batch(self, batch: PacketBatch, sel: np.ndarray) -> np.ndarray:
         """Indices of the selected monitored packets that export postcards, in

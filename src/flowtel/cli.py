@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import functools
 import hashlib
 import itertools
@@ -23,7 +24,7 @@ import math
 import sys
 import types
 import typing
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,27 @@ def scenario_from_dict(doc: dict) -> tuple[ScenarioSpec, TelemetryConfig]:
     return spec, cfg
 
 
+def scenario_to_dict(spec: ScenarioSpec, cfg: TelemetryConfig) -> dict:
+    """The JSON scenario document that ``scenario_from_dict`` reads as (spec, cfg)."""
+    def doc(obj):  # a dataclass by the schema's keys, an enum by its value
+        if isinstance(obj, enum.Enum):
+            return obj.value
+        return {_FILE_KEYS.get(f.name, f.name): getattr(obj, f.name)
+                for f in dataclasses.fields(obj) if getattr(obj, f.name) is not None}
+
+    telemetry = doc(cfg)  # with pinned edges as an object from qid to edge list
+    telemetry.update({key: dict(telemetry[key]) for key in _FILE_KEYS.values()})
+    return json.loads(json.dumps({
+        **doc(spec), "telemetry": telemetry,
+        "flows": [{**doc(fl.key), **doc(replace(fl, key=None))} for fl in spec.flows],
+        "meters": [{**doc(key), **doc(m)} for key, m in spec.meters.items()],
+    }, default=doc))
+
+
+def _sha(doc: dict) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 def _read_json(path: Path, what: str) -> tuple[dict, bytes]:
     """The JSON object in a file named on the command line, and its bytes."""
     try:
@@ -180,6 +202,14 @@ def load_scenario(
         if not p.exists():
             raise ScenarioError(f"scenario: no such file or preset {path_or_preset!r}")
         doc, raw = _read_json(p, "scenario file")
+        if "command" in doc:  # a run's manifest.json: replay the scenario it embeds
+            if doc["command"] != "run":  # a replay's outputs come from its capture
+                raise ScenarioError(f"manifest {p}: command: {doc['command']!r}, not 'run'")
+            doc, sha = doc.get("resolved_scenario"), doc.get("resolved_sha256")
+            if not isinstance(doc, dict):
+                raise ScenarioError(f"manifest {p}: resolved_scenario: required, an object")
+            if _sha(doc) != sha:
+                raise ScenarioError(f"manifest {p}: resolved_sha256: not resolved_scenario's")
         if seed is not None:
             doc["seed"] = seed
         spec, cfg = scenario_from_dict(doc)
@@ -201,14 +231,16 @@ def _parse_modes(arg: str) -> tuple[TelemetryMode, ...]:
 
 def _manifest(args, man_sc: dict, spec: ScenarioSpec, cfg: TelemetryConfig,
               modes: tuple[TelemetryMode, ...], **extra) -> dict:
-    """What a run or a replay made its outputs from."""
+    """What a run or a replay made its outputs from; ``run --scenario`` replays it."""
+    doc = scenario_to_dict(spec, cfg)
     return {
         "command": args.cmd,
         "scenario": man_sc,
         "seed": spec.seed,
         "modes": [m.value for m in modes],
-        "telemetry": {**asdict(cfg), "strategy": cfg.strategy.value},
         "out": str(args.out),
+        "resolved_scenario": doc,
+        "resolved_sha256": _sha(doc),
         **extra,
     }
 

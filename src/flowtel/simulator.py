@@ -11,9 +11,12 @@ and breaks ties by that same order. Re-running a scenario reproduces every
 output array exactly.
 
 Packets travel as the columns of one type, ``PacketBatch``, so that
-multi-million-packet scenarios stay cheap. A per-packet ``PacketEvent`` is
-taken only by the per-packet reference paths (``HistogramSketch.update``,
-``DeltaSampler.offer``, ``pm_update``), which the tests use as oracles.
+multi-million-packet scenarios stay cheap; a per-packet ``PacketEvent`` is
+taken only by the reference paths the tests use as oracles, such as
+``HistogramSketch.update``. Injection (``inject_all``) touches only each
+anomaly's time slice: an additive anomaly merges its rows into the slice
+under the (time, flow code, sequence) tie rule, a remap re-sorts the slice,
+and the untouched stretches are copied once, when the slices are joined.
 
 Scheduling model: one egress port serving Q queues, non-preemptive. Queues
 are grouped into strict-priority tiers (lower tier number first); inside a
@@ -301,8 +304,7 @@ def _sizes(rng, fl: FlowSpec, n: int) -> np.ndarray:
 def _sorted_parts(parts: list[PacketBatch]) -> tuple[PacketBatch, np.ndarray]:
     """Rows of all parts ordered by (time, flow code, index within the part),
     ties kept in part order, together with each row's index within its part."""
-    cols = [p.columns() for p in parts]
-    batch = PacketBatch(**{name: np.concatenate([c[name] for c in cols]) for name in cols[0]})
+    batch = _concat(parts)
     seq = np.concatenate([np.arange(len(p), dtype=np.int64) for p in parts])
     order = np.lexsort((seq, batch.codes(), batch.arrival_ns))
     return batch.take(order), seq[order]
@@ -335,24 +337,13 @@ def generate_traffic(spec: ScenarioSpec) -> PacketBatch:
 # -- anomaly injection ------------------------------------------------------------
 
 
-def inject_anomaly(
-    batch: PacketBatch, ev: AnomalyEvent, spec: ScenarioSpec, anomaly_idx: int = 0
-) -> PacketBatch:
-    """Overlay one anomaly on an arrival stream; anomalies compose additively.
-
-    ``batch`` must be in arrival order. The result is ordered as if the
-    stream and the anomaly's new parts were concatenated and sorted by (time,
-    flow code, sequence), where a stream row's sequence is its position, a new
-    row's is its index within its part, and full ties keep the stream first.
-    """
-    if ev.duration_s <= 0:
-        return batch
+def _anomaly_parts(ev: AnomalyEvent, spec: ScenarioSpec, anomaly_idx: int) -> list[PacketBatch]:
+    """An additive anomaly's rows, one part per flow, all in [start, end)."""
     rng = _anomaly_rng(spec.seed, anomaly_idx)
     start_ns = int(ev.start_s * NS_PER_S)
     end_ns = int(ev.end_s * NS_PER_S)
     flows_by_key = {fl.key: fl for fl in spec.flows}
     parts = []
-
     if ev.kind is AnomalyKind.MICROBURST:
         for key in ev.target_flows:
             fl = flows_by_key[key]
@@ -360,7 +351,6 @@ def inject_anomaly(
             interval = max(1, round(NS_PER_S / extra_rate))
             times = _cbr_times(extra_rate, start_ns, end_ns, int(rng.integers(0, interval)))
             parts.append(_flow_part(fl, times, rng, injected=True))
-
     elif ev.kind is AnomalyKind.CONGESTION:
         for fl in spec.flows:
             if fl.key.qfi in ev.target_qfis and fl.monitored:
@@ -369,7 +359,6 @@ def inject_anomaly(
                     continue
                 times = _poisson_times(rng, extra_rate, start_ns, end_ns)
                 parts.append(_flow_part(fl, times, rng, injected=True))
-
     elif ev.kind is AnomalyKind.CONTENTION:
         # unmonitored cross traffic on a square wave: full rate for half of
         # each period, silent for the other half, shared into target queues
@@ -392,59 +381,76 @@ def inject_anomaly(
                 t += period_ns
             times = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
             parts.append(_flow_part(cross, times, rng, injected=True))
-
-    elif ev.kind is AnomalyKind.POLICY_ABUSE:
-        return _remap_class(batch, ev, start_ns, end_ns)
-
-    return _insert_rows(batch, *_sorted_parts(parts)) if parts else batch
+    return parts
 
 
-def _insert_rows(batch: PacketBatch, new: PacketBatch, new_seq: np.ndarray) -> PacketBatch:
-    """Merge sorted new rows (with their in-part sequence) into a sorted batch."""
-    arr = batch.arrival_ns
-    pos = np.searchsorted(arr, new.arrival_ns, side="left")
-    group_end = np.searchsorted(arr, new.arrival_ns, side="right")
-    # Inside a group of equal arrival times the batch is ordered by (code,
-    # position), so the batch rows that precede a new row form a prefix: those
-    # whose (code, position) is <= the new row's (code, sequence).
-    tied = np.flatnonzero(group_end > pos)
-    if len(tied):
-        new_code = new.codes()[tied]
-        seq = new_seq[tied]
-        first, last = pos[tied], group_end[tied]
-        before = np.zeros(len(tied), dtype=np.int64)
-        for k in range(int((last - first).max())):
-            row = first + k
-            live = row < last
-            row = np.where(live, row, first)
-            c = flow_codes(batch.teid[row], batch.qfi[row])
-            before += live & ((c < new_code) | ((c == new_code) & (row <= seq)))
-        pos[tied] += before
-    return PacketBatch(**{name: np.insert(col, pos, getattr(new, name))
-                          for name, col in batch.columns().items()})
-
-
-def _remap_class(batch: PacketBatch, ev: AnomalyEvent, start_ns: int, end_ns: int) -> PacketBatch:
-    """Move the target flows' packets inside [start, end) to ``ev.remapped_qfi``
-    (same tunnel, another class) and restore the order of that time slice."""
-    lo, hi = np.searchsorted(batch.arrival_ns, [start_ns, end_ns], side="left")
-    win = slice(lo, hi)
-    qfi = batch.qfi.copy()
-    inj = batch.injected.copy()
-    for key in ev.target_flows:
-        mask = (batch.teid[win] == key.teid) & (batch.qfi[win] == key.qfi)
-        qfi[win][mask] = ev.remapped_qfi
-        inj[win][mask] = True
-    # a stable sort keeps equal (time, code) rows in position order
-    order = np.arange(len(batch))
-    order[win] = lo + np.lexsort((flow_codes(batch.teid[win], qfi[win]), batch.arrival_ns[win]))
-    return batch.take(order, qfi=qfi[order], injected=inj[order])
+def inject_anomaly(batch: PacketBatch, ev: AnomalyEvent, spec: ScenarioSpec,
+                   anomaly_idx: int = 0) -> PacketBatch:
+    """``inject_all`` with one event, drawn as anomaly ``anomaly_idx``."""
+    return _inject(batch, spec, [(anomaly_idx, ev)])
 
 
 def inject_all(batch: PacketBatch, spec: ScenarioSpec) -> PacketBatch:
-    for idx, ev in enumerate(spec.anomalies):
-        batch = inject_anomaly(batch, ev, spec, anomaly_idx=idx)
-    return batch
+    """Overlay the anomalies, in the order listed, on a stream in arrival order.
+
+    An additive anomaly sorts the stream and its new rows by (time, flow code,
+    sequence): a stream row's sequence is its position, a new row's its index
+    in its flow's part, and a full tie keeps the stream row first. A remap
+    moves the target flows' packets in [start, end) to ``remapped_qfi``, marks
+    them injected and stably re-sorts that slice by (time, flow code).
+
+    Each anomaly touches only its own slice: the stream is cut at every start
+    and end into views of ``batch``; an anomaly joins the pieces of its slice,
+    merges or remaps there (the pieces before give each row's position) and
+    cuts the slice again. The pieces are joined once, at the end.
+    """
+    return _inject(batch, spec, enumerate(spec.anomalies))
+
+
+def _inject(batch: PacketBatch, spec: ScenarioSpec, events) -> PacketBatch:
+    spans = [(i, ev, int(ev.start_s * NS_PER_S), int(ev.end_s * NS_PER_S)) for i, ev in events]
+    spans = [span for span in spans if span[2] < span[3]]  # an empty [start, end) changes nothing
+    bounds = np.unique(np.array([span[2:] for span in spans], dtype=np.int64).reshape(-1))
+    cuts = [0, *np.searchsorted(batch.arrival_ns, bounds, side="left").tolist(), len(batch)]
+    pieces = [batch.take(slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]  # views
+    for idx, ev, start, end in spans:
+        a, b = np.searchsorted(bounds, [start, end]) + 1  # pieces[a:b] hold [start, end)
+        if ev.kind is AnomalyKind.POLICY_ABUSE:
+            win = _concat(pieces[a:b])
+            hit = np.isin(win.codes(), np.array([key.code() for key in ev.target_flows], np.uint64))
+            win.qfi[hit], win.injected[hit] = ev.remapped_qfi, True
+            order = _order(win.arrival_ns, win.codes())
+        else:
+            parts = _anomaly_parts(ev, spec, idx)
+            if not parts:
+                continue
+            new, new_seq = _sorted_parts(parts)
+            at, n = sum(map(len, pieces[:a])), sum(map(len, pieces[a:b]))
+            win = _concat([*pieces[a:b], new])
+            order = _order(win.arrival_ns, win.codes(), np.append(np.arange(at, at + n), new_seq))
+        win = win.take(order)
+        inner = np.searchsorted(win.arrival_ns, bounds[a:b - 1], side="left").tolist()
+        pieces[a:b] = [win.take(slice(lo, hi)) for lo, hi in zip([0, *inner], [*inner, len(win)])]
+    return _concat(pieces) if spans else batch
+
+
+def _concat(batches: list[PacketBatch]) -> PacketBatch:
+    """The rows of the batches, in order, as one new batch."""
+    cols = [p.columns() for p in batches]
+    return PacketBatch(**{name: np.concatenate([c[name] for c in cols]) for name in cols[0]})
+
+
+def _order(t: np.ndarray, *minor: np.ndarray) -> np.ndarray:
+    """The stable order by (t, *minor). A stable argsort of t merges sorted
+    runs in linear time; only the rows whose t ties are then lexsorted."""
+    order = np.argsort(t, kind="stable")
+    ts = t[order]
+    tie = np.flatnonzero(ts[1:] == ts[:-1])
+    if len(tie):
+        at = np.union1d(tie, tie + 1)
+        sub = order[at]
+        order[at] = sub[np.lexsort([k[sub] for k in (*minor[::-1], t)])]
+    return order
 
 
 def label_windows(spec: ScenarioSpec) -> list[GroundTruthLabel]:

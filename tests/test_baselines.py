@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -5,17 +7,59 @@ from flowtel.baselines import (
     PM_RECORD_BYTES,
     POSTCARD_BYTES,
     DeltaSampler,
-    Postcard,
     QfiCounters,
     TelemetryMode,
     export_cost,
-    pm_record_drop,
-    pm_update,
     pm_window,
+    postcard_line,
     sketch_record_bytes,
 )
 from flowtel.core import Color, FlowKey, PacketEvent
 from flowtel.simulator import DropRecord, PacketBatch
+
+# -- per-packet references: the oracles of pm_window and DeltaSampler.offer_batch
+
+
+@dataclass(frozen=True)
+class Postcard:
+    """Stateless per-packet report emitted on trigger; carries no sketch state."""
+
+    key: FlowKey
+    qid: int
+    arrival_ns: int
+    sojourn_ns: int
+    color: Color
+    bytes: int
+
+    def to_line(self, window: int) -> str:
+        return postcard_line(
+            window, self.key.teid, self.key.qfi, self.qid, self.arrival_ns, self.sojourn_ns,
+            int(self.color), self.bytes,
+        )
+
+
+def offer(sampler: DeltaSampler, ev: PacketEvent) -> Postcard | None:
+    """Offer one delivered packet to ``sampler``: its postcard, or None."""
+    code = ev.key.code()
+    last = sampler.last_exported.get(code)
+    if last is not None and abs(ev.sojourn_ns - last) <= sampler.delta_ns:
+        return None
+    sampler.last_exported[code] = ev.sojourn_ns
+    return Postcard(key=ev.key, qid=ev.qid, arrival_ns=ev.arrival_ns, sojourn_ns=ev.sojourn_ns,
+                    color=ev.color, bytes=ev.bytes)
+
+
+def pm_update(counters: dict[int, QfiCounters], ev: PacketEvent, window: int) -> None:
+    """Fold one delivered packet into its QFI row."""
+    row = counters.setdefault(ev.key.qfi, QfiCounters(qfi=ev.key.qfi, window=window))
+    row.pkt_count += 1
+    row.byte_count += ev.bytes
+    row.sojourn_sum_ns += ev.sojourn_ns
+
+
+def pm_record_drop(counters: dict[int, QfiCounters], qfi: int, window: int) -> None:
+    counters.setdefault(qfi, QfiCounters(qfi=qfi, window=window)).drop_count += 1
+
 
 
 def ev(teid, qfi, sojourn_ns, arrival_ns=0, size=500, color=Color.GREEN):
@@ -148,9 +192,9 @@ def test_pm_window_mean_delay_divides_exact_sums():
 
 def test_first_packet_always_exports_then_silence_on_constant_latency():
     s = DeltaSampler(delta_ns=1_000_000)
-    assert s.offer(ev(1, 1, sojourn_ns=5_000_000, arrival_ns=10)) is not None
+    assert offer(s, ev(1, 1, sojourn_ns=5_000_000, arrival_ns=10)) is not None
     for k in range(20):
-        assert s.offer(ev(1, 1, sojourn_ns=5_000_000, arrival_ns=20 + k)) is None
+        assert offer(s, ev(1, 1, sojourn_ns=5_000_000, arrival_ns=20 + k)) is None
 
 
 def test_step_of_twice_delta_exports_exactly_once():
@@ -158,27 +202,27 @@ def test_step_of_twice_delta_exports_exactly_once():
     s = DeltaSampler(delta_ns=delta)
     # hand-traced 5-packet stream: export, hold, hold, export at step, hold
     got = [
-        s.offer(ev(1, 1, sojourn_ns=3_000_000, arrival_ns=1)) is not None,
-        s.offer(ev(1, 1, sojourn_ns=3_400_000, arrival_ns=2)) is not None,
-        s.offer(ev(1, 1, sojourn_ns=2_800_000, arrival_ns=3)) is not None,
-        s.offer(ev(1, 1, sojourn_ns=5_000_000, arrival_ns=4)) is not None,  # +2 delta
-        s.offer(ev(1, 1, sojourn_ns=5_500_000, arrival_ns=5)) is not None,
+        offer(s, ev(1, 1, sojourn_ns=3_000_000, arrival_ns=1)) is not None,
+        offer(s, ev(1, 1, sojourn_ns=3_400_000, arrival_ns=2)) is not None,
+        offer(s, ev(1, 1, sojourn_ns=2_800_000, arrival_ns=3)) is not None,
+        offer(s, ev(1, 1, sojourn_ns=5_000_000, arrival_ns=4)) is not None,  # +2 delta
+        offer(s, ev(1, 1, sojourn_ns=5_500_000, arrival_ns=5)) is not None,
     ]
     assert got == [True, False, False, True, False]
 
 
 def test_change_at_or_below_delta_never_exports():
     s = DeltaSampler(delta_ns=1000)
-    s.offer(ev(1, 1, sojourn_ns=10_000, arrival_ns=1))
-    assert s.offer(ev(1, 1, sojourn_ns=11_000, arrival_ns=2)) is None  # == delta
-    assert s.offer(ev(1, 1, sojourn_ns=9_000, arrival_ns=3)) is None
+    offer(s, ev(1, 1, sojourn_ns=10_000, arrival_ns=1))
+    assert offer(s, ev(1, 1, sojourn_ns=11_000, arrival_ns=2)) is None  # == delta
+    assert offer(s, ev(1, 1, sojourn_ns=9_000, arrival_ns=3)) is None
 
 
 def test_per_flow_state_is_independent():
     s = DeltaSampler(delta_ns=1000)
-    assert s.offer(ev(1, 1, sojourn_ns=10_000, arrival_ns=1)) is not None
-    assert s.offer(ev(2, 1, sojourn_ns=10_000, arrival_ns=2)) is not None  # other flow
-    assert s.offer(ev(1, 1, sojourn_ns=10_000, arrival_ns=3)) is None
+    assert offer(s, ev(1, 1, sojourn_ns=10_000, arrival_ns=1)) is not None
+    assert offer(s, ev(2, 1, sojourn_ns=10_000, arrival_ns=2)) is not None  # other flow
+    assert offer(s, ev(1, 1, sojourn_ns=10_000, arrival_ns=3)) is None
 
 
 def test_offer_batch_matches_sequential(rng):
@@ -196,7 +240,7 @@ def test_offer_batch_matches_sequential(rng):
     batch_sampler = DeltaSampler(delta_ns=700_000)
     idx = set(batch_sampler.offer_batch(batch, sel).tolist())
     seq_sampler = DeltaSampler(delta_ns=700_000)
-    expect = {i for i in range(n) if seq_sampler.offer(row_event(batch, i)) is not None}
+    expect = {i for i in range(n) if offer(seq_sampler, row_event(batch, i)) is not None}
     assert idx == expect
 
 
@@ -221,7 +265,7 @@ def test_offer_batch_one_pass_matches_per_window_calls(rng):
     per_window = np.concatenate([per.offer_batch(batch, window == w) for w in range(3)])
     seq = DeltaSampler(delta_ns=700_000)
     expect = [i for i in range(n)
-              if batch.monitored[i] and seq.offer(row_event(batch, i)) is not None]
+              if batch.monitored[i] and offer(seq, row_event(batch, i)) is not None]
     assert one.tolist() == per_window.tolist() == expect
     assert 700 in expect and 350 not in expect and 400 not in expect
 
@@ -252,13 +296,13 @@ def test_dsmp_burst_cost_dominates_quiet_cost():
     t = 0
     for k in range(1000):  # quiet second: flat latency
         t += 1_000_000
-        if s.offer(ev(1, 1, sojourn_ns=200_000, arrival_ns=t)) is not None:
+        if offer(s, ev(1, 1, sojourn_ns=200_000, arrival_ns=t)) is not None:
             quiet += 1
     ramp = 200_000
     for k in range(1000):  # bursty second: latency ramps up and down
         t += 1_000_000
         ramp += 150_000 if k < 500 else -150_000
-        if s.offer(ev(1, 1, sojourn_ns=ramp, arrival_ns=t)) is not None:
+        if offer(s, ev(1, 1, sojourn_ns=ramp, arrival_ns=t)) is not None:
             burst += 1
     assert burst * POSTCARD_BYTES >= 5 * max(quiet, 1) * POSTCARD_BYTES
 

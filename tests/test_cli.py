@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import flowtel
 from flowtel.baselines import TelemetryMode
 from flowtel.cli import main, scenario_from_dict
+from flowtel.scenarios import PRESETS, build
 from flowtel.simulator import ScenarioError
 
 MINIMAL_SCENARIO = {
@@ -396,9 +398,62 @@ def test_replay_manifest_matches_the_run_manifest(tmp_path, capsys):
                    for c in ("run", "replay"))
     assert replay.pop("capture") == str(cap)
     assert replay.keys() == run.keys()
-    for key in ("scenario", "seed", "modes", "telemetry"):
+    for key in ("scenario", "seed", "modes", "resolved_scenario", "resolved_sha256"):
         assert replay[key] == run[key]
     assert run["modes"] == ["pm", "sketch"]
+    # a replay's outputs come from its capture, so `run` refuses its manifest
+    capsys.readouterr()
+    manifest = tmp_path / "replay" / "manifest.json"
+    assert main(["run", "--scenario", str(manifest), "--out", str(tmp_path / "again")]) == 2
+    assert f"manifest {manifest}: command: 'replay'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["smoke", "file"])
+def test_manifest_replays_the_run(tmp_path, capsys, source):
+    """``flowtel run --scenario <manifest.json>`` writes the run's other six
+    files byte for byte, and a manifest that embeds the same scenario."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(MINIMAL_SCENARIO))
+    given = "smoke" if source == "smoke" else str(scenario)
+    assert main(["run", "--scenario", given, "--out", str(tmp_path / "r1")]) == 0
+    manifest = tmp_path / "r1" / "manifest.json"
+    assert main(["run", "--scenario", str(manifest), "--out", str(tmp_path / "r2")]) == 0
+    first, again = tree_hash(tmp_path / "r1"), tree_hash(tmp_path / "r2")
+    assert first.pop("manifest.json") != again.pop("manifest.json")  # --out and the source
+    assert first == again and len(first) == 6
+    m1, m2 = (json.loads((tmp_path / r / "manifest.json").read_text()) for r in ("r1", "r2"))
+    assert m1["resolved_scenario"] == m2["resolved_scenario"]
+    assert m1["resolved_sha256"] == m2["resolved_sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_scenario_document_reads_back_as_the_scenario(name):
+    from flowtel.cli import scenario_to_dict
+
+    spec, cfg = build(name)
+    pinned = ((0, (1.5, 2.0, 3.25, 4.0, 5.0, 6.0, 7.0)),)
+    cfg = replace(cfg, explicit_lat_edges=pinned, explicit_iat_edges=pinned)
+    doc = json.loads(json.dumps(scenario_to_dict(spec, cfg)))
+    assert doc["telemetry"]["lat_edges_ns"] == {"0": [1.5, 2.0, 3.25, 4.0, 5.0, 6.0, 7.0]}
+    assert scenario_from_dict(doc) == (spec, cfg)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda m: m.pop("resolved_scenario"), "resolved_scenario"),
+    (lambda m: m.update(resolved_scenario=[]), "resolved_scenario"),
+    (lambda m: m["resolved_scenario"].update(seed=6), "resolved_sha256"),
+    (lambda m: m.pop("resolved_sha256"), "resolved_sha256"),
+    (lambda m: m.update(command="replay"), "command"),
+])
+def test_malformed_manifest_exits_2_naming_the_field(tmp_path, capsys, edit, field):
+    assert main(["run", "--scenario", "smoke", "--modes", "pm", "--out", str(tmp_path / "r1")]) == 0
+    path = tmp_path / "r1" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "r2")]) == 2
+    assert f"manifest {path}: {field}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rerun", [["--modes", "pm"], ["--no-records"]])

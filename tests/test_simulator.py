@@ -1,11 +1,15 @@
+import json
 import math
 from collections import Counter, deque
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from flowtel.cli import scenario_from_dict
 from flowtel.core import NS_PER_S, FlowKey
+from flowtel.scenarios import build
 from flowtel.simulator import (
     AnomalyEvent,
     AnomalyKind,
@@ -17,6 +21,8 @@ from flowtel.simulator import (
     ScenarioError,
     ScenarioSpec,
     TrafficPattern,
+    _anomaly_parts,
+    flow_codes,
     generate_traffic,
     inject_all,
     inject_anomaly,
@@ -24,6 +30,9 @@ from flowtel.simulator import (
     run_queues,
     simulate,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def one_queue_spec(flows, duration_s=1.0, seed=7, rate_bps=100e6, buffer_pkts=4000,
@@ -586,6 +595,138 @@ def test_inject_all_keeps_the_sequential_lexsort_tie_order():
     # the fixture really exercises every tie rule
     assert ties["time"] > 0 and ties["new_first"] > 0 and ties["stream_first"] > 0
     assert ties["full_key"] > 0 and ties["remapped_together"] > 0
+
+
+def sorted_parts(parts: list[PacketBatch]) -> tuple[PacketBatch, np.ndarray]:
+    """Rows of all parts ordered by (time, flow code, index within the part),
+    ties kept in part order, together with each row's index within its part."""
+    batch = PacketBatch(**{c: np.concatenate([getattr(p, c) for p in parts])
+                           for c in ARRIVAL_COLUMNS})
+    seq = np.concatenate([np.arange(len(p), dtype=np.int64) for p in parts])
+    order = np.lexsort((seq, batch.codes(), batch.arrival_ns))
+    return batch.take(order), seq[order]
+
+
+def insert_rows(batch: PacketBatch, new: PacketBatch, new_seq: np.ndarray) -> PacketBatch:
+    """Merge sorted new rows (with their in-part sequence) into a sorted batch."""
+    arr = batch.arrival_ns
+    pos = np.searchsorted(arr, new.arrival_ns, side="left")
+    group_end = np.searchsorted(arr, new.arrival_ns, side="right")
+    # Inside a group of equal arrival times the batch is ordered by (code,
+    # position), so the batch rows that precede a new row form a prefix: those
+    # whose (code, position) is <= the new row's (code, sequence).
+    tied = np.flatnonzero(group_end > pos)
+    if len(tied):
+        new_code = new.codes()[tied]
+        seq = new_seq[tied]
+        first, last = pos[tied], group_end[tied]
+        before = np.zeros(len(tied), dtype=np.int64)
+        for k in range(int((last - first).max())):
+            row = first + k
+            live = row < last
+            row = np.where(live, row, first)
+            c = flow_codes(batch.teid[row], batch.qfi[row])
+            before += live & ((c < new_code) | ((c == new_code) & (row <= seq)))
+        pos[tied] += before
+    return PacketBatch(**{name: np.insert(col, pos, getattr(new, name))
+                          for name, col in batch.columns().items()})
+
+
+def remap_class(batch: PacketBatch, ev: AnomalyEvent, start_ns: int, end_ns: int) -> PacketBatch:
+    """Move the target flows' packets inside [start, end) to ``ev.remapped_qfi``
+    (same tunnel, another class) and restore the order of that time slice."""
+    lo, hi = np.searchsorted(batch.arrival_ns, [start_ns, end_ns], side="left")
+    win = slice(lo, hi)
+    qfi = batch.qfi.copy()
+    inj = batch.injected.copy()
+    for key in ev.target_flows:
+        mask = (batch.teid[win] == key.teid) & (batch.qfi[win] == key.qfi)
+        qfi[win][mask] = ev.remapped_qfi
+        inj[win][mask] = True
+    # a stable sort keeps equal (time, code) rows in position order
+    order = np.arange(len(batch))
+    order[win] = lo + np.lexsort((flow_codes(batch.teid[win], qfi[win]), batch.arrival_ns[win]))
+    return batch.take(order, qfi=qfi[order], injected=inj[order])
+
+
+def sequential_inject_all(batch: PacketBatch, spec: ScenarioSpec) -> PacketBatch:
+    """The oracle of inject_all: one anomaly at a time over the whole stream,
+    each additive one inserting its rows into every column (``insert_rows``),
+    each remap re-taking every column (``remap_class``)."""
+    for idx, ev in enumerate(spec.anomalies):
+        if ev.duration_s <= 0:
+            continue
+        start_ns, end_ns = int(ev.start_s * NS_PER_S), int(ev.end_s * NS_PER_S)
+        if ev.kind is AnomalyKind.POLICY_ABUSE:
+            batch = remap_class(batch, ev, start_ns, end_ns)
+        elif parts := _anomaly_parts(ev, spec, idx):
+            batch = insert_rows(batch, *sorted_parts(parts))
+    return batch
+
+
+def ns_spec(*anomalies: AnomalyEvent, duration_us: float = 10.0) -> ScenarioSpec:
+    """Three 10 ns CBR flows on one queue: packets of one flow, of several
+    flows and of new and old rows meet at the same nanosecond."""
+    flows = (FlowKey(1, 5), FlowKey(1, 3), FlowKey(1, 4))
+    return ScenarioSpec(
+        duration_s=duration_us * 1e-6, seed=2,
+        flows=tuple(FlowSpec(k, TrafficPattern.CBR, 1e8, 100, 100) for k in flows),
+        qfi_to_qid={2: 0, 3: 0, 4: 0, 5: 0},
+        queue_policy={0: QueuePolicy(tier=0, weight=1, service_rate_bps=1e12, buffer_pkts=10)},
+        anomalies=anomalies,
+    )
+
+
+US = 1e-6
+A, B = FlowKey(1, 5), FlowKey(1, 3)
+
+
+def burst(start_us, dur_us, key=A):
+    return AnomalyEvent(AnomalyKind.MICROBURST, start_us * US, dur_us * US, target_flows=(key,),
+                        burst_factor=11.0)
+
+
+def cong(start_us, dur_us):
+    return AnomalyEvent(AnomalyKind.CONGESTION, start_us * US, dur_us * US, target_qfis=(4, 5))
+
+
+def remap(start_us, dur_us, keys, to):
+    return AnomalyEvent(AnomalyKind.POLICY_ABUSE, start_us * US, dur_us * US, target_flows=keys,
+                        remapped_qfi=to)
+
+
+INJECTION_CASES = {
+    "ties_at_t0": lambda: ns_spec(burst(0, 4), cong(0, 3), burst(0, 2, B)),
+    "ending_at_duration": lambda: ns_spec(burst(6, 4), cong(3, 7), remap(8, 2, (A,), 2)),
+    "overlapping_additive": lambda: ns_spec(burst(1, 4), cong(3, 5), burst(4, 2, B)),
+    "remap_of_added_rows": lambda: ns_spec(
+        burst(2, 4), cong(1, 3), remap(3, 6, (A, B), 2),
+        remap(4, 3, (FlowKey(1, 2),), 4), burst(5, 2, FlowKey(1, 4))),
+    "zero_duration": lambda: ns_spec(burst(2, 0), cong(3, 0), remap(1, 0, (A,), 2), burst(4, 3)),
+    # positive durations under 1 ns: [start, end) truncates to no nanosecond
+    "sub_ns_duration": lambda: ns_spec(burst(2, 0.0004), remap(2.5, 0.0004, (A,), 2),
+                                       remap(3, 2, (A,), 2), burst(4, 2, B)),
+    "sub_ns_additive": lambda: ns_spec(burst(2, 0.0004), remap(3, 2, (A,), 2), burst(4, 2, B)),
+    "mixed_short": lambda: scenario_from_dict(json.loads(
+        (ROOT / "perfbench" / "mixed_short.json").read_text()))[0],
+    "golden_drops": lambda: scenario_from_dict(json.loads(
+        (ROOT / "tests" / "golden_drops.json").read_text()))[0],
+    "policy_abuse": lambda: build("policy_abuse")[0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INJECTION_CASES))
+def test_inject_all_matches_the_sequential_oracle(case):
+    spec = INJECTION_CASES[case]()
+    base = generate_traffic(spec)
+    expected = sequential_inject_all(base, spec)
+    got = inject_all(base, spec)
+    for col in ARRIVAL_COLUMNS:
+        want, have = getattr(expected, col), getattr(got, col)
+        assert have.dtype == want.dtype and np.array_equal(have, want), col
+    assert got.qid is got.sojourn_ns is got.color is None
+    if any(ev.duration_s > 0 for ev in spec.anomalies):
+        assert int(got.injected.sum()) > 0
 
 
 def test_overlapping_anomalies_compose():
