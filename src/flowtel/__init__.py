@@ -14,7 +14,6 @@ from .core import (
     FlowKey,
     PacketEvent,
     SketchConfig,
-    WindowTotals,
     window_index,
 )
 from .sketch import FlowEstimate, HistogramSketch, bin_of, record_dtype
@@ -24,10 +23,7 @@ from .binning import (
     DegenerateDistributionError,
     DiagnosticRegion,
     EdgeKind,
-    RebinDecision,
-    diagnostic_occupancy,
     fit_edges,
-    maybe_rebin,
 )
 from .sizing import (
     NOT_DETECTABLE,

@@ -1,4 +1,4 @@
-"""Bin-edge construction, diagnostic-region bookkeeping, and drift triggers.
+"""Bin-edge construction and diagnostic-region bookkeeping.
 
 The diagnostic region T is the set of histogram bins where trouble shows up:
 the top latency bins (tail) and the bottom IAT bins (head). Detection quality
@@ -10,19 +10,17 @@ quantile, the IAT boundary at the rho quantile. Three reference strategies
 comparison.
 
 Quantiles are exact sorts over the fitting sample; at the sample sizes used
-here (1e5 by default) streaming estimators buy nothing.
+here (1e5 by default) streaming estimators buy nothing. A run fits its edges
+once, on its warmup windows, and never refits them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from statistics import median
 from typing import Sequence
 
 import numpy as np
-
-from .core import WindowTotals
 
 
 class BinStrategy(Enum):
@@ -35,11 +33,6 @@ class BinStrategy(Enum):
 class EdgeKind(Enum):
     LATENCY = "latency"  # diagnostic bins sit at the high end
     IAT = "iat"  # diagnostic bins sit at the low end
-
-
-class RebinDecision(Enum):
-    REBIN = "rebin"
-    NO_REBIN = "no_rebin"
 
 
 class DegenerateDistributionError(ValueError):
@@ -182,33 +175,6 @@ def fit_edges(
     else:
         half = frozenset(range(region_size))
     return edges, half
-
-
-def diagnostic_occupancy(totals: WindowTotals) -> float:
-    """Fraction of the window's packets that landed in T (0 for empty windows)."""
-    if totals.n_total == 0:
-        return 0.0
-    return totals.n_diag / totals.n_total
-
-
-def maybe_rebin(
-    history: Sequence[float],
-    cfg: BinningConfig,
-    anomaly_free: bool,
-) -> RebinDecision:
-    """Trigger a refit when occupancy has drifted above rho.
-
-    The median over recent windows damps single-window noise, and re-binning
-    is only allowed while the stream is certified anomaly-free; otherwise an
-    ongoing anomaly would be folded into the new baseline. The caller must
-    refit from fresh baseline samples before the next window when REBIN is
-    returned.
-    """
-    if not history:
-        raise ValueError("occupancy history must be non-empty")
-    if median(history) > cfg.rho and anomaly_free:
-        return RebinDecision.REBIN
-    return RebinDecision.NO_REBIN
 
 
 def deserialize_edges(values: Sequence[float]) -> np.ndarray:

@@ -42,7 +42,6 @@ from .pipeline import (
 )
 from .scenarios import PRESETS, build
 from .simulator import (
-    DropRecord,
     FlowSpec,
     MeterSpec,
     PacketBatch,
@@ -77,6 +76,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _FILE_KEYS = {"explicit_lat_edges": "lat_edges_ns", "explicit_iat_edges": "iat_edges_ns"}
+_FLOW_KEY_FIELDS = ("teid", "qfi")  # a flow's or meter's FlowKey, beside its own fields
 _hints = functools.cache(typing.get_type_hints)  # each call evals every annotation string
 
 
@@ -105,21 +105,25 @@ def _value(hint, raw, where: str):
         raise ScenarioError(f"{where}: {e}") from e
 
 
-def _build(cls, doc: dict, where: str = "", **given):
+def _build(cls, doc: dict, where: str = "", extra=(), **given):
     """A ``cls`` from the keys of ``doc`` that name its fields, each read by
-    its type hint, and the ``given`` fields; a key left out keeps its default."""
+    its type hint, and the ``given`` fields; a key left out keeps its default.
+    Any other key of ``doc`` must be in ``extra``."""
     if not isinstance(doc, dict):
         raise ScenarioError(f"{where or 'scenario'}: expected an object")
     hints = _hints(cls)
-    for f in dataclasses.fields(cls):
-        key = _FILE_KEYS.get(f.name, f.name)
-        path = f"{where}.{key}" if where else key
+    fields = {_FILE_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    path = lambda key: f"{where}.{key}" if where else key  # noqa: E731
+    for key in doc:
+        if key not in fields and key not in extra:
+            raise ScenarioError(f"{path(key)}: unknown key")
+    for key, f in fields.items():
         if f.name in given:
             continue
         if key in doc:
-            given[f.name] = _value(hints[f.name], doc[key], path)
+            given[f.name] = _value(hints[f.name], doc[key], path(key))
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise ScenarioError(f"{path}: required")
+            raise ScenarioError(f"{path(key)}: required")
     try:
         return cls(**given)
     except ValueError as e:
@@ -133,26 +137,33 @@ def scenario_from_dict(doc: dict) -> tuple[ScenarioSpec, TelemetryConfig]:
     default, and a field without one is required. Unlike the dataclasses, a
     flow (or meter) gives its FlowKey as its own teid and qfi, a flow's
     bytes_max defaults to its bytes_min, and pinned edges are lat_edges_ns
-    and iat_edges_ns, objects from qid to edge list."""
+    and iat_edges_ns, objects from qid to edge list, whose qids must be
+    queue_policy's. A key that names nothing here is invalid."""
     try:
         flows = []
         for i, f in enumerate(doc["flows"]):
             where = f"flows[{i}]"
             one_size = {"bytes_max": f["bytes_min"]} if "bytes_min" in f else {}
-            flows.append(_build(FlowSpec, {**one_size, **f}, where, key=_build(FlowKey, f, where)))
+            key = _build(FlowKey, f, where, f)  # the FlowSpec checks the other keys
+            flows.append(_build(FlowSpec, {**one_size, **f}, where, _FLOW_KEY_FIELDS, key=key))
         given = {"flows": tuple(flows)}
         if "meters" in doc:
             given["meters"] = {
-                _build(FlowKey, m, f"meters[{i}]"): _build(MeterSpec, m, f"meters[{i}]")
+                _build(FlowKey, m, f"meters[{i}]", m):
+                    _build(MeterSpec, m, f"meters[{i}]", _FLOW_KEY_FIELDS)
                 for i, m in enumerate(doc["meters"])
             }
-        spec = _build(ScenarioSpec, doc, **given)
+        spec = _build(ScenarioSpec, doc, "", ("telemetry",), **given)
         cfg = _build(TelemetryConfig, doc.get("telemetry", {}), "telemetry")
     except ScenarioError as e:
         raise ScenarioError(f"scenario file: {e}") from e
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise ScenarioError(f"scenario file: {e.__class__.__name__}: {e}") from e
     spec.validate()
+    for name, key in _FILE_KEYS.items():
+        for qid, _ in getattr(cfg, name):
+            if qid not in spec.queue_policy:
+                raise ScenarioError(f"telemetry.{key}: qid {qid} is not in queue_policy")
     return spec, cfg
 
 
@@ -270,7 +281,9 @@ def cmd_size(args) -> int:
     try:
         # each key left out takes the dataclass default, but beta that of beta_max
         beta = {"beta": doc["beta_max"]} if "beta_max" in doc else {}
-        params = _build(DetectabilityParams, {**beta, **doc})
+        # the other keys of a params file, read below
+        others = ("n_t_max", "rho", "k_bins", "flow_classes", "rho_drift")
+        params = _build(DetectabilityParams, {**beta, **doc}, "", others)
         n_t_max = float(doc["n_t_max"])
         # a run's defaults: its rho (printed as read), and K = tail + head bins
         rho = doc.get("rho", TelemetryConfig.rho)
@@ -316,8 +329,12 @@ def cmd_sweep(args) -> int:
     spec, cfg, man_sc = load_scenario(args.scenario, args.seed)
     grid_doc = _read_json(Path(args.grid), "grid file")[0] if args.grid else {}
     hints = _hints(TelemetryConfig)
+    unknown = [key for key in grid_doc if key not in _SWEEP_AXES]
+    if unknown:
+        raise ScenarioError(f"grid file {args.grid}: {unknown[0]}: unknown key, not one of "
+                            + ", ".join(_SWEEP_AXES))
     axes = {}
-    for axis in ("width", "depth", "rho", "dsmp_delta_ns"):
+    for axis in _SWEEP_AXES:
         at = f"grid file {args.grid}: {axis}"
         axes[axis] = _value(tuple[hints[axis], ...], grid_doc.get(axis, [getattr(cfg, axis)]), at)
         for v in axes[axis]:
@@ -348,6 +365,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# the grid keys of a sweep, in the order its rows print them
+_SWEEP_AXES = ("width", "depth", "rho", "dsmp_delta_ns")
+
 # the sweep axes each mode's outputs depend on (rho through the fitted edges),
 # in the order the rows of a grid point are printed
 _SWEEP_READS = {
@@ -365,24 +385,24 @@ def _sweep_job(delivered, drops, labels, spec, cfg, mode) -> tuple[int, float | 
 
 
 # One row per delivered packet, then one per dropped packet. A drop row has
-# drop_reason >= 0 (simulator.DropRecord.reason), its drop time as arrival_ns
+# drop_reason >= 0 (the drops' PacketBatch.reason), its drop time as arrival_ns
 # and 0 for bytes, sojourn_ns and color; a delivered row has drop_reason -1.
 # A capture without the drop_reason column (an older capture) holds no drops.
 CAPTURE_COLUMNS = ("teid", "qfi", "qid", "bytes", "arrival_ns", "sojourn_ns", "color", "monitored",
                    "drop_reason")
 
 
-def dump_capture(delivered: PacketBatch, drops: DropRecord, path: Path) -> None:
+def dump_capture(delivered: PacketBatch, drops: PacketBatch, path: Path) -> None:
     rows = [getattr(delivered, name) for name in CAPTURE_COLUMNS[:-1]]
     rows.append(np.full(len(delivered), -1))
     zero = np.zeros(len(drops), dtype=np.int64)
-    drop_rows = [drops.teid, drops.qfi, drops.qid, zero, drops.time_ns, zero, zero,
+    drop_rows = [drops.teid, drops.qfi, drops.qid, zero, drops.arrival_ns, zero, zero,
                  drops.monitored, drops.reason]
     arr = np.concatenate([np.column_stack(rows), np.column_stack(drop_rows)])
     np.savetxt(path, arr, fmt="%d", header=" ".join(CAPTURE_COLUMNS))
 
 
-def load_capture(path: Path) -> tuple[PacketBatch, DropRecord | None]:
+def load_capture(path: Path) -> tuple[PacketBatch, PacketBatch | None]:
     """The delivered packets and the drops of a capture file; the drops are
     None for a capture without the drop_reason column."""
     try:
@@ -396,13 +416,11 @@ def load_capture(path: Path) -> tuple[PacketBatch, DropRecord | None]:
     cols["color"] = cols["color"].astype(np.int8)
     cols["monitored"] = cols["monitored"].astype(bool)
     reason = cols.pop("drop_reason", None)
+    batch = PacketBatch(**cols, injected=None)  # a capture does not record injection
     if reason is None:
-        return PacketBatch(**cols, injected=None), None  # a capture does not record injection
+        return batch, None
     lost = reason >= 0
-    drops = DropRecord(teid=cols["teid"][lost], qfi=cols["qfi"][lost], qid=cols["qid"][lost],
-                       time_ns=cols["arrival_ns"][lost], reason=reason[lost].astype(np.int8),
-                       monitored=cols["monitored"][lost])
-    return PacketBatch(**{name: col[~lost] for name, col in cols.items()}, injected=None), drops
+    return batch.take(~lost), batch.take(lost, reason=reason[lost].astype(np.int8))
 
 
 def cmd_capture(args) -> int:
@@ -419,9 +437,7 @@ def cmd_replay(args) -> int:
     if drops is None:
         print(f"flowtel: capture file {args.capture} has no drop_reason column; "
               "replaying it without drops", file=sys.stderr)
-        none = np.empty(0, dtype=np.int64)
-        drops = DropRecord(teid=none, qfi=none, qid=none, time_ns=none,
-                           reason=none.astype(np.int8), monitored=none.astype(bool))
+        drops = delivered.take(slice(0, 0), reason=np.empty(0, dtype=np.int8))
     labels = label_windows(spec)
     modes = _parse_modes(args.modes)
     result = run_telemetry(delivered, drops, labels, spec, cfg, modes=modes,

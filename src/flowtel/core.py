@@ -188,18 +188,3 @@ class SketchConfig:
     @property
     def epsilon(self) -> float:
         return math.e / self.width_w
-
-
-@dataclass(frozen=True)
-class WindowTotals:
-    """Per-window packet totals of one sketch: everything, and the slice that
-    landed in the diagnostic region."""
-
-    n_total: int
-    n_diag: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.n_diag <= self.n_total:
-            raise ValueError(
-                f"need 0 <= n_diag <= n_total, got n_diag={self.n_diag} n_total={self.n_total}"
-            )

@@ -49,7 +49,6 @@ from .binning import (
 from .core import NS_PER_S, SketchConfig
 from .simulator import (
     AnomalyKind,
-    DropRecord,
     GroundTruthLabel,
     PacketBatch,
     ScenarioSpec,
@@ -158,7 +157,11 @@ def fit_qid_edges(
     """Per-queue latency/IAT edges fitted on the warmup windows.
 
     Latency samples are sojourns; IAT samples are per-flow gaps between
-    observations. Queues silent during warmup get fallback log edges.
+    observations. A pinned edge list is used as given. Otherwise a
+    distribution takes generic log edges (``_fallback_edges``) in three
+    cases: too few warmup latencies, too few positive IAT gaps, or a
+    degenerate sample (near-constant values) that cannot carry strictly
+    increasing edges.
     """
     bincfg = cfg.binning_config()
     warm = (stream.window < cfg.fit_windows) & stream.monitored
@@ -167,17 +170,20 @@ def fit_qid_edges(
     pinned_lat = {qid: deserialize_edges(vals) for qid, vals in cfg.explicit_lat_edges}
     pinned_iat = {qid: deserialize_edges(vals) for qid, vals in cfg.explicit_iat_edges}
     stride = lambda arr: arr[:: max(1, len(arr) // cfg.fit_sample_size)]  # noqa: E731
+
+    def fit(samples: np.ndarray, region_size: int, kind: EdgeKind) -> np.ndarray:
+        if len(samples) >= 10 * cfg.bins_b:
+            # a queue whose warmup latencies are (near-)constant cannot carry a
+            # fitted distribution; fall back to generic log edges rather than die
+            try:
+                return fit_edges(stride(samples), bincfg, region_size, kind)[0]
+            except DegenerateDistributionError:
+                pass
+        return _fallback_edges(cfg.bins_b)
+
     for qid in sorted(spec.queue_policy):
-        if qid in pinned_lat and qid in pinned_iat:
-            lat_by_qid[qid] = pinned_lat[qid]
-            iat_by_qid[qid] = pinned_iat[qid]
-            continue
         sel = warm & (stream.qid == qid)
         soj = stream.sojourn_ns[sel]
-        if len(soj) < 10 * cfg.bins_b:
-            lat_by_qid[qid] = _fallback_edges(cfg.bins_b)
-            iat_by_qid[qid] = _fallback_edges(cfg.bins_b)
-            continue
         codes = flow_codes(stream.teid[sel], stream.qfi[sel])
         obs = stream.arrival_ns[sel] + soj
         order = np.lexsort((obs, codes))
@@ -185,23 +191,10 @@ def fit_qid_edges(
         same = scodes[1:] == scodes[:-1]
         gaps = (sobs[1:] - sobs[:-1])[same]
         gaps = gaps[gaps > 0]
-        # a queue whose warmup latencies are (near-)constant cannot carry a
-        # fitted distribution; fall back to generic log edges rather than die
-        try:
-            lat_edges, _ = fit_edges(stride(soj), bincfg, cfg.lat_tail_bins, EdgeKind.LATENCY)
-        except DegenerateDistributionError:
-            lat_edges = _fallback_edges(cfg.bins_b)
-        if len(gaps) < 10 * cfg.bins_b:
-            iat_by_qid[qid] = _fallback_edges(cfg.bins_b)
-        else:
-            try:
-                iat_edges, _ = fit_edges(stride(gaps), bincfg, cfg.iat_head_bins, EdgeKind.IAT)
-            except DegenerateDistributionError:
-                iat_edges = _fallback_edges(cfg.bins_b)
-            iat_by_qid[qid] = iat_edges
-        lat_by_qid[qid] = lat_edges
-    lat_by_qid.update(pinned_lat)
-    iat_by_qid.update(pinned_iat)
+        lat_by_qid[qid] = (pinned_lat[qid] if qid in pinned_lat
+                           else fit(soj, cfg.lat_tail_bins, EdgeKind.LATENCY))
+        iat_by_qid[qid] = (pinned_iat[qid] if qid in pinned_iat
+                           else fit(gaps, cfg.iat_head_bins, EdgeKind.IAT))
     return lat_by_qid, iat_by_qid
 
 
@@ -324,7 +317,7 @@ def _pm_pass(stream, drops, spec) -> ModeTelemetry:
     """Per-QFI counters of each window's monitored packets and drops."""
     batches = _by_window(stream, np.flatnonzero(stream.monitored))
     # monitored drops by window; the piece past the last window is never read
-    dwin = np.where(drops.monitored, drops.time_ns // spec.window_len_ns, stream.n_windows)
+    dwin = np.where(drops.monitored, drops.arrival_ns // spec.window_len_ns, stream.n_windows)
     order = np.argsort(dwin, kind="stable")
     cuts = np.searchsorted(dwin[order], range(1, stream.n_windows + 1))
     drop_qfis = np.split(drops.qfi[order], cuts)
@@ -342,7 +335,7 @@ def _pm_pass(stream, drops, spec) -> ModeTelemetry:
 
 def run_telemetry(
     delivered: PacketBatch,
-    drops: DropRecord,
+    drops: PacketBatch,
     labels: list[GroundTruthLabel],
     spec: ScenarioSpec,
     cfg: TelemetryConfig,

@@ -93,6 +93,54 @@ def smoke(seed: int = 1) -> tuple[ScenarioSpec, TelemetryConfig]:
     return spec, cfg
 
 
+# the fabric presets' anomalies, one factory per kind, shared by ``mixed``
+BURST_TARGET = FlowKey(500, 2)
+ABUSER = FlowKey(700, 5)
+# CIR/PIR sized at half the abuser's offered rate: ~50% red under
+# its own class, full delivery once remapped
+ABUSER_METERS = {ABUSER: MeterSpec(cir_bps=4.8e6, cbs_bytes=30_000,
+                                   pir_bps=9.6e6, pbs_bytes=60_000)}
+
+
+def _burst(s: float) -> AnomalyEvent:
+    return AnomalyEvent(AnomalyKind.MICROBURST, start_s=s, duration_s=0.05,
+                        target_flows=(BURST_TARGET,), burst_factor=6.0)
+
+
+def _congestion(s: float, d: float) -> AnomalyEvent:
+    return AnomalyEvent(AnomalyKind.CONGESTION, start_s=s, duration_s=d,
+                        target_qfis=(2, 3), overload_factor=2.2)
+
+
+def _contention(s: float, d: float) -> AnomalyEvent:
+    # cross traffic enters through the priority class, so the whole port
+    # oscillates; labels cover every class that shares it
+    return AnomalyEvent(AnomalyKind.CONTENTION, start_s=s, duration_s=d,
+                        target_qfis=(1, 2, 3, 4, 5), cross_qfis=(1,),
+                        cross_rate_pps=5_600.0, cross_bytes=1100,
+                        cross_period_ms=10.0)
+
+
+def _abuse(s: float, d: float) -> AnomalyEvent:
+    return AnomalyEvent(AnomalyKind.POLICY_ABUSE, start_s=s, duration_s=d,
+                        target_flows=(ABUSER,), remapped_qfi=7)
+
+
+def _fabric(seed: int, duration_s: float, flows: list[FlowSpec], anomalies,
+            meters: dict[FlowKey, MeterSpec] | None = None) -> tuple[ScenarioSpec, TelemetryConfig]:
+    """A preset on the four-queue fabric, with the default telemetry config."""
+    spec = ScenarioSpec(
+        duration_s=duration_s,
+        seed=seed,
+        flows=tuple(flows),
+        qfi_to_qid=FABRIC_QFI_TO_QID,
+        queue_policy=FABRIC_QUEUES,
+        meters=meters or {},
+        anomalies=tuple(anomalies),
+    )
+    return spec, TelemetryConfig()
+
+
 def microburst(seed: int = 11, duration_s: float = 120.0) -> tuple[ScenarioSpec, TelemetryConfig]:
     """Scenario 1: short high-rate bursts on one tunnel.
 
@@ -101,159 +149,65 @@ def microburst(seed: int = 11, duration_s: float = 120.0) -> tuple[ScenarioSpec,
     during the burst (latency spikes into the tail, spacing collapses into
     the IAT head).
     """
-    target = FlowKey(500, 2)
     # keep the port comfortably below saturation in baseline so the burst's
     # own latency spike stands alone (mean load ~80 Mbps of 100)
     flows = _fabric_flows(streaming=3, best_effort=4, bulk=1) + [
-        FlowSpec(target, TrafficPattern.CBR, 10_000.0, 300, 300),
+        FlowSpec(BURST_TARGET, TrafficPattern.CBR, 10_000.0, 300, 300),
     ]
     # the burst class carries enough steady tunnels that 2500 extra packets
     # move its one-second average by well under 10%
     for i in range(9):
         flows.append(FlowSpec(FlowKey(600 + i, 2), TrafficPattern.CBR, 1700.0, 120, 120))
     starts = [10.3, 25.6, 40.2, 55.7, 70.4, 85.1, 100.9, 112.5]
-    anomalies = tuple(
-        AnomalyEvent(AnomalyKind.MICROBURST, start_s=s, duration_s=0.05,
-                     target_flows=(target,), burst_factor=6.0)
-        for s in starts
-        if s + 1 < duration_s
-    )
-    spec = ScenarioSpec(
-        duration_s=duration_s,
-        seed=seed,
-        flows=tuple(flows),
-        qfi_to_qid=FABRIC_QFI_TO_QID,
-        queue_policy=FABRIC_QUEUES,
-        anomalies=anomalies,
-    )
-    return spec, TelemetryConfig(width=256, depth=3)
+    return _fabric(seed, duration_s, flows, (_burst(s) for s in starts if s + 1 < duration_s))
 
 
 def congestion(seed: int = 22, duration_s: float = 180.0) -> tuple[ScenarioSpec, TelemetryConfig]:
     """Scenario 2: sustained overload of the streaming class."""
-    flows = _fabric_flows(streaming=8)
-    anomalies = tuple(
-        AnomalyEvent(AnomalyKind.CONGESTION, start_s=s, duration_s=d,
-                     target_qfis=(2, 3), overload_factor=2.2)
-        for s, d in ((20.0, 10.0), (60.0, 12.0), (105.0, 9.0), (150.0, 11.0))
-        if s + d < duration_s
-    )
-    spec = ScenarioSpec(
-        duration_s=duration_s,
-        seed=seed,
-        flows=tuple(flows),
-        qfi_to_qid=FABRIC_QFI_TO_QID,
-        queue_policy=FABRIC_QUEUES,
-        anomalies=anomalies,
-    )
-    return spec, TelemetryConfig(width=256, depth=3)
+    spans = ((20.0, 10.0), (60.0, 12.0), (105.0, 9.0), (150.0, 11.0))
+    return _fabric(seed, duration_s, _fabric_flows(streaming=8),
+                   (_congestion(s, d) for s, d in spans if s + d < duration_s))
 
 
 def contention(seed: int = 33, duration_s: float = 180.0) -> tuple[ScenarioSpec, TelemetryConfig]:
     """Scenario 3: unmonitored cross traffic seizing the priority queue on a
     square wave, distorting service for everything below."""
-    flows = _fabric_flows()
-    # cross traffic enters through the priority class, so the whole port
-    # oscillates; labels cover every class that shares it
-    anomalies = tuple(
-        AnomalyEvent(AnomalyKind.CONTENTION, start_s=s, duration_s=d,
-                     target_qfis=(1, 2, 3, 4, 5), cross_qfis=(1,),
-                     cross_rate_pps=5_600.0, cross_bytes=1100,
-                     cross_period_ms=10.0)
-        for s, d in ((20.0, 12.0), (62.0, 14.0), (104.0, 10.0), (148.0, 13.0))
-        if s + d < duration_s
-    )
-    spec = ScenarioSpec(
-        duration_s=duration_s,
-        seed=seed,
-        flows=tuple(flows),
-        qfi_to_qid=FABRIC_QFI_TO_QID,
-        queue_policy=FABRIC_QUEUES,
-        anomalies=anomalies,
-    )
-    return spec, TelemetryConfig(width=256, depth=3)
+    spans = ((20.0, 12.0), (62.0, 14.0), (104.0, 10.0), (148.0, 13.0))
+    return _fabric(seed, duration_s, _fabric_flows(),
+                   (_contention(s, d) for s, d in spans if s + d < duration_s))
 
 
 def policy_abuse(seed: int = 44, duration_s: float = 180.0) -> tuple[ScenarioSpec, TelemetryConfig]:
     """Scenario 4: a policed best-effort tunnel remaps itself into the
     premium class, escaping its meter and pressuring the priority queue."""
-    abuser = FlowKey(700, 5)
     # the premium class carries enough tunnels that one abuser's move barely
     # shifts the class aggregate while its own delivered rate doubles
     flows = _fabric_flows(gaming_pps=1200.0) + [
-        FlowSpec(abuser, TrafficPattern.CBR, 4000.0, 600, 600),
+        FlowSpec(ABUSER, TrafficPattern.CBR, 4000.0, 600, 600),
     ]
-    meters = {
-        # CIR/PIR sized at half the abuser's offered rate: ~50% red under
-        # its own class, full delivery once remapped
-        abuser: MeterSpec(cir_bps=4.8e6, cbs_bytes=30_000, pir_bps=9.6e6, pbs_bytes=60_000),
-    }
-    anomalies = tuple(
-        AnomalyEvent(AnomalyKind.POLICY_ABUSE, start_s=s, duration_s=d,
-                     target_flows=(abuser,), remapped_qfi=7)
-        for s, d in ((20.0, 15.0), (65.0, 18.0), (110.0, 20.0), (152.0, 16.0))
-        if s + d < duration_s
-    )
-    spec = ScenarioSpec(
-        duration_s=duration_s,
-        seed=seed,
-        flows=tuple(flows),
-        qfi_to_qid=FABRIC_QFI_TO_QID,
-        queue_policy=FABRIC_QUEUES,
-        meters=meters,
-        anomalies=anomalies,
-    )
-    return spec, TelemetryConfig(width=256, depth=3)
+    spans = ((20.0, 15.0), (65.0, 18.0), (110.0, 20.0), (152.0, 16.0))
+    return _fabric(seed, duration_s, flows,
+                   (_abuse(s, d) for s, d in spans if s + d < duration_s), ABUSER_METERS)
 
 
 def mixed(seed: int = 55, duration_s: float = 240.0) -> tuple[ScenarioSpec, TelemetryConfig]:
     """Scenario 5: all four anomaly kinds staggered, some overlapping."""
-    burst_target = FlowKey(500, 2)
-    abuser = FlowKey(700, 5)
     flows = _fabric_flows() + [
-        FlowSpec(burst_target, TrafficPattern.CBR, 10_000.0, 500, 500),
-        FlowSpec(abuser, TrafficPattern.CBR, 4000.0, 600, 600),
+        FlowSpec(BURST_TARGET, TrafficPattern.CBR, 10_000.0, 500, 500),
+        FlowSpec(ABUSER, TrafficPattern.CBR, 4000.0, 600, 600),
     ]
-    meters = {
-        abuser: MeterSpec(cir_bps=4.8e6, cbs_bytes=30_000, pir_bps=9.6e6, pbs_bytes=60_000),
-    }
-    def burst(s):
-        return AnomalyEvent(AnomalyKind.MICROBURST, start_s=s, duration_s=0.05,
-                            target_flows=(burst_target,), burst_factor=6.0)
-
-    def cong(s, d):
-        return AnomalyEvent(AnomalyKind.CONGESTION, start_s=s, duration_s=d,
-                            target_qfis=(2, 3), overload_factor=2.2)
-
-    def cont(s, d):
-        return AnomalyEvent(AnomalyKind.CONTENTION, start_s=s, duration_s=d,
-                            target_qfis=(1, 2, 3, 4, 5), cross_qfis=(1,),
-                            cross_rate_pps=5_600.0, cross_bytes=1100,
-                            cross_period_ms=10.0)
-
-    def abuse(s, d):
-        return AnomalyEvent(AnomalyKind.POLICY_ABUSE, start_s=s, duration_s=d,
-                            target_flows=(abuser,), remapped_qfi=7)
-
     # each kind hits every quarter of the run so no cross-fit fold goes
     # single-class; congestion/contention overlap in the 170s stretch
     anomalies = (
-        burst(15.3), burst(28.7), burst(90.6), burst(112.4),
-        burst(150.2), burst(166.8), burst(201.5), burst(228.4),
-        cong(35.0, 10.0), cong(75.0, 8.0), cong(170.0, 12.0), cong(212.0, 10.0),
-        cont(55.0, 8.0), cont(100.0, 10.0), cont(175.0, 10.0), cont(225.0, 8.0),
-        abuse(8.0, 10.0), abuse(62.0, 12.0), abuse(125.0, 15.0), abuse(185.0, 12.0),
+        _burst(15.3), _burst(28.7), _burst(90.6), _burst(112.4),
+        _burst(150.2), _burst(166.8), _burst(201.5), _burst(228.4),
+        _congestion(35.0, 10.0), _congestion(75.0, 8.0),
+        _congestion(170.0, 12.0), _congestion(212.0, 10.0),
+        _contention(55.0, 8.0), _contention(100.0, 10.0),
+        _contention(175.0, 10.0), _contention(225.0, 8.0),
+        _abuse(8.0, 10.0), _abuse(62.0, 12.0), _abuse(125.0, 15.0), _abuse(185.0, 12.0),
     )
-    spec = ScenarioSpec(
-        duration_s=duration_s,
-        seed=seed,
-        flows=tuple(flows),
-        qfi_to_qid=FABRIC_QFI_TO_QID,
-        queue_policy=FABRIC_QUEUES,
-        meters=meters,
-        anomalies=anomalies,
-    )
-    return spec, TelemetryConfig(width=256, depth=3)
+    return _fabric(seed, duration_s, flows, anomalies, ABUSER_METERS)
 
 
 def burst_cost(seed: int = 66) -> tuple[ScenarioSpec, TelemetryConfig]:
@@ -276,16 +230,11 @@ def burst_cost(seed: int = 66) -> tuple[ScenarioSpec, TelemetryConfig]:
     flows.append(FlowSpec(driver_b, TrafficPattern.CBR, 50.0, 200, 200))
     # the port moves 25 kpps at 200 B; bursts offer ~1.6x that, so latency
     # ramps through each burst window and drains in the window after
-    anomalies = []
-    for w in (3, 5, 7, 9):
-        anomalies.append(
-            AnomalyEvent(AnomalyKind.MICROBURST, start_s=float(w), duration_s=1.0,
-                         target_flows=(driver_a,), burst_factor=365.0)
-        )
-        anomalies.append(
-            AnomalyEvent(AnomalyKind.MICROBURST, start_s=float(w), duration_s=1.0,
-                         target_flows=(driver_b,), burst_factor=365.0)
-        )
+    anomalies = [
+        AnomalyEvent(AnomalyKind.MICROBURST, start_s=float(w), duration_s=1.0,
+                     target_flows=(driver,), burst_factor=365.0)
+        for w in (3, 5, 7, 9) for driver in (driver_a, driver_b)
+    ]
     spec = ScenarioSpec(
         duration_s=11.0,
         seed=seed,

@@ -2,7 +2,7 @@
 
 Pipeline: per-flow traffic generation -> anomaly injection on the arrival
 stream -> metering, queueing, and scheduling -> delivered packets with
-sojourn times and meter colors, plus per-flow drop accounting.
+sojourn times and meter colors, plus the dropped packets with their reasons.
 
 Determinism rules: one master seed; every flow and every anomaly draws from
 its own child generator keyed by (seed, index); merged arrivals are ordered
@@ -11,8 +11,9 @@ and breaks ties by that same order. Re-running a scenario reproduces every
 output array exactly.
 
 Packets travel as the columns of one type, ``PacketBatch``, so that
-multi-million-packet scenarios stay cheap; a per-packet ``PacketEvent`` is
-taken only by the reference paths the tests use as oracles, such as
+multi-million-packet scenarios stay cheap; the dropped packets are rows of
+it too, with a ``reason`` column. A per-packet ``PacketEvent`` is taken only
+by the reference paths the tests use as oracles, such as
 ``HistogramSketch.update``. Injection (``inject_all``) touches only each
 anomaly's time slice: an additive anomaly merges its rows into the slice
 under the (time, flow code, sequence) tie rule, a remap re-sorts the slice,
@@ -132,8 +133,9 @@ def flow_codes(teid: np.ndarray, qfi: np.ndarray) -> np.ndarray:
 @dataclass
 class PacketBatch:
     """Packets as columns. Arrivals are ordered by (time, flow code, per-flow
-    sequence) and leave ``qid``, ``sojourn_ns`` and ``color`` unset;
-    ``run_queues`` fills them in for the packets it delivers, in that order."""
+    sequence) and leave ``qid``, ``sojourn_ns``, ``color`` and ``reason``
+    unset; ``run_queues`` fills in the first three for the packets it
+    delivers and ``qid`` and ``reason`` for those it drops, in that order."""
 
     teid: np.ndarray
     qfi: np.ndarray
@@ -144,6 +146,7 @@ class PacketBatch:
     qid: np.ndarray | None = None
     sojourn_ns: np.ndarray | None = None
     color: np.ndarray | None = None
+    reason: np.ndarray | None = None  # drops only: DROP_METER or DROP_OVERFLOW
 
     def __len__(self) -> int:
         return len(self.arrival_ns)
@@ -163,19 +166,6 @@ class PacketBatch:
 
     def depart_ns(self) -> np.ndarray:
         return self.arrival_ns + self.sojourn_ns
-
-
-@dataclass
-class DropRecord:
-    teid: np.ndarray
-    qfi: np.ndarray
-    qid: np.ndarray
-    time_ns: np.ndarray
-    reason: np.ndarray  # 0 = meter red, 1 = buffer overflow
-    monitored: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.time_ns)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -480,9 +470,9 @@ DROP_OVERFLOW = 1
 _DRR_QUANTUM_BYTES = 2000  # per weight unit; a larger packet waits for more turns
 
 
-def run_queues(batch: PacketBatch, spec: ScenarioSpec) -> tuple[PacketBatch, DropRecord]:
-    """Meter, enqueue, and serve an arrival stream; returns delivered packets
-    and the drop record, both in arrival order.
+def run_queues(batch: PacketBatch, spec: ScenarioSpec) -> tuple[PacketBatch, PacketBatch]:
+    """Meter, enqueue, and serve an arrival stream; returns the delivered
+    packets and the dropped ones (their ``reason`` set), both in arrival order.
 
     The outputs are those of one loop that meters, enqueues and serves each
     packet in arrival order. Three steps give them, each for a reason that
@@ -506,7 +496,7 @@ def run_queues(batch: PacketBatch, spec: ScenarioSpec) -> tuple[PacketBatch, Dro
        which packet leaves.
 
     Meter drops and overflow drops are merged by packet index, which keeps
-    the drop record in arrival order.
+    the drops in arrival order.
     """
     spec.validate()
     n = len(batch)
@@ -533,15 +523,7 @@ def run_queues(batch: PacketBatch, spec: ScenarioSpec) -> tuple[PacketBatch, Dro
     mask = depart >= 0
     delivered = batch.take(mask, qid=pkt_qid[mask], sojourn_ns=depart[mask], color=color[mask])
     delivered.sojourn_ns -= delivered.arrival_ns  # departure to sojourn, in place
-    drop_rec = DropRecord(
-        teid=batch.teid[drops],
-        qfi=batch.qfi[drops],
-        qid=pkt_qid[drops],
-        time_ns=batch.arrival_ns[drops],
-        reason=reason[drops],
-        monitored=batch.monitored[drops],
-    )
-    return delivered, drop_rec
+    return delivered, batch.take(drops, qid=pkt_qid[drops], reason=reason[drops], injected=None)
 
 
 def _meter_colors(batch: PacketBatch, spec: ScenarioSpec) -> np.ndarray:
@@ -688,7 +670,7 @@ def _serve(batch: PacketBatch, pkt_q: np.ndarray, passed: np.ndarray,
     return depart, overflow
 
 
-def simulate(spec: ScenarioSpec) -> tuple[PacketBatch, DropRecord, list[GroundTruthLabel]]:
+def simulate(spec: ScenarioSpec) -> tuple[PacketBatch, PacketBatch, list[GroundTruthLabel]]:
     """generate -> inject -> queues -> labels, all from one seed."""
     arrivals = inject_all(generate_traffic(spec), spec)
     delivered, drops = run_queues(arrivals, spec)

@@ -166,16 +166,11 @@ def per_window_success(k_bins: int, depth: int) -> float:
 
 @dataclass(frozen=True)
 class SizingReport:
-    """Everything the ``size`` CLI subcommand prints, machine-readable."""
+    """What sizing computes for the ``size`` CLI subcommand, machine-readable;
+    its inputs (the params, N_T_max and K) stay stated where they are given."""
 
-    n_t_max: float
-    beta_max: float
-    delta_t_min: float
-    k_bins: int
-    zeta: float
     width: int
     depth: int
-    eps_at_width: float
     collision_floor_at_width: float
     sparse_threshold_at_width: float
     per_window_success_at_depth: float
@@ -196,14 +191,8 @@ def sizing_report(
         for name, base in flow_classes.items():
             thresholds[name] = detectability_threshold(base, eps, params.beta)
     return SizingReport(
-        n_t_max=n_t_max,
-        beta_max=params.beta_max,
-        delta_t_min=params.delta_t_min,
-        k_bins=k_bins,
-        zeta=params.zeta,
         width=w,
         depth=d,
-        eps_at_width=eps,
         collision_floor_at_width=collision_floor(w, n_t_max),
         sparse_threshold_at_width=sparse_threshold(eps, n_t_max, params.beta_max),
         per_window_success_at_depth=per_window_success(k_bins, d),

@@ -43,7 +43,6 @@ from .core import (
     FlowKey,
     PacketEvent,
     SketchConfig,
-    WindowTotals,
     bucket_index,
     bucket_index_array,
 )
@@ -314,13 +313,6 @@ class HistogramSketch:
         out["diag"] = (out["lat"][:, list(region.lat_tail_bins)].sum(axis=1)
                        + out["iat"][:, list(region.iat_head_bins)].sum(axis=1))
         return out
-
-    def window_totals(self, region: "DiagnosticRegion") -> WindowTotals:
-        """Totals from row 0; every row sees every packet, so any row works."""
-        n_total = int(self.pkt[0].sum())
-        n_diag = int(self.lat[0][:, list(region.lat_tail_bins)].sum())
-        n_diag += int(self.iat[0][:, list(region.iat_head_bins)].sum())
-        return WindowTotals(n_total=n_total, n_diag=min(n_diag, n_total))
 
     def export_window_array(self, window: int) -> np.ndarray:
         """Full d*w bucket grid as a structured array (fixed cardinality)."""

@@ -105,6 +105,16 @@ def batch_columns(events: list[PacketEvent]) -> tuple[np.ndarray, ...]:
     )
 
 
+def row0_totals(sk, region) -> tuple[int, int]:
+    """A sketch's packets this window and, of those, the ones in the
+    diagnostic region, read from row 0 of ``counts``: every row sees every
+    packet, so any row works."""
+    n_total = int(sk.pkt[0].sum())
+    n_diag = int(sk.lat[0][:, list(region.lat_tail_bins)].sum())
+    n_diag += int(sk.iat[0][:, list(region.iat_head_bins)].sum())
+    return n_total, min(n_diag, n_total)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

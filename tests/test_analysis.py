@@ -34,7 +34,7 @@ from flowtel.simulator import AnomalyKind, GroundTruthLabel, flow_codes
 from flowtel.sizing import FlowBaseline
 from flowtel.sketch import HistogramSketch, bin_of
 
-from conftest import batch_columns, exact_truth, random_stream
+from conftest import batch_columns, exact_truth, random_stream, row0_totals
 
 US = 1000
 LAT_EDGES = [int(u * US) for u in (0.5, 6.3, 82, 250, 800, 2000, 4970)]
@@ -258,11 +258,11 @@ def test_lift_rule_false_fire_rate_bounded(rng):
         truths = exact_truth(events, LAT_EDGES, IAT_EDGES, 8)
         tail = set(REGION.lat_tail_bins)
         head = set(REGION.iat_head_bins)
-        totals = sk.window_totals(REGION)
+        n_total, n_diag = row0_totals(sk, REGION)
         x_k = truths[key].pkt
         x_k_t = truths[key].tail_count(tail) + truths[key].head_count(IAT_EDGES, head)
-        base = FlowBaseline(x_k=x_k, x_k_T=min(x_k_t, x_k), n_T=max(totals.n_diag, x_k_t),
-                            n_prime=max(totals.n_total, x_k))
+        base = FlowBaseline(x_k=x_k, x_k_T=min(x_k_t, x_k), n_T=max(n_diag, x_k_t),
+                            n_prime=max(n_total, x_k))
         est = sk.query_flow(key, REGION)
         fv = lift_fv(est.pkt_est, est.diag_est)
         if diag_lift_detector(fv, base, sk.config.epsilon).fired:

@@ -15,7 +15,7 @@ from flowtel.baselines import (
     sketch_record_bytes,
 )
 from flowtel.core import Color, FlowKey, PacketEvent
-from flowtel.simulator import DropRecord, PacketBatch
+from flowtel.simulator import PacketBatch
 
 # -- per-packet references: the oracles of pm_window and DeltaSampler.offer_batch
 
@@ -145,11 +145,12 @@ def test_pm_windows_match_per_event_fold(rng):
     )
     # qfi 6 only ever drops (a drop-only row); the last drop is past the last window
     m = 400
-    drops = DropRecord(
+    drops = PacketBatch(
         teid=rng.integers(1, 30, size=m), qfi=rng.choice([1, 3, 6], size=m),
-        qid=np.zeros(m, dtype=np.int64),
-        time_ns=np.append(rng.integers(0, n_windows * W, size=m - 1), n_windows * W + 5),
+        qid=np.zeros(m, dtype=np.int64), bytes=np.full(m, 100),
+        arrival_ns=np.append(rng.integers(0, n_windows * W, size=m - 1), n_windows * W + 5),
         reason=rng.integers(0, 2, size=m), monitored=np.append(rng.random(m - 1) < 0.7, True),
+        injected=None,
     )
     flow = FlowSpec(key=FlowKey(1, 1), pattern=TrafficPattern.CBR, rate_pps=1.0)
     spec = ScenarioSpec(
@@ -166,7 +167,7 @@ def test_pm_windows_match_per_event_fold(rng):
         w = int(depart[i]) // W
         if batch.monitored[i] and w < n_windows:
             pm_update(ref[w], row_event(batch, i), w)
-    for q, t, mon in zip(drops.qfi.tolist(), drops.time_ns.tolist(), drops.monitored.tolist()):
+    for q, t, mon in zip(drops.qfi.tolist(), drops.arrival_ns.tolist(), drops.monitored.tolist()):
         if mon and t // W < n_windows:
             pm_record_drop(ref[t // W], q, t // W)
     expect = [ref[w][q].to_line() for w in range(n_windows) for q in sorted(ref[w])]

@@ -9,13 +9,9 @@ from flowtel.binning import (
     DegenerateDistributionError,
     DiagnosticRegion,
     EdgeKind,
-    RebinDecision,
     deserialize_edges,
-    diagnostic_occupancy,
     fit_edges,
-    maybe_rebin,
 )
-from flowtel.core import WindowTotals
 from flowtel.sketch import bin_of
 
 
@@ -139,32 +135,6 @@ def test_all_strategies_emit_strictly_increasing_edges(seed, strategy, kind, reg
     # bin_of stays total over the fitted edges
     for v in (0.0, float(samples.min()), float(samples.max()), 1e15):
         assert 0 <= bin_of(v, edges) <= 7
-
-
-# -- occupancy and drift -------------------------------------------------------
-
-
-def test_diagnostic_occupancy_values():
-    assert diagnostic_occupancy(WindowTotals(n_total=10**6, n_diag=10**4)) == pytest.approx(0.01)
-    assert diagnostic_occupancy(WindowTotals(n_total=0, n_diag=0)) == 0.0
-    assert diagnostic_occupancy(WindowTotals(n_total=50, n_diag=0)) == 0.0
-
-
-def test_maybe_rebin_decisions():
-    cfg = BinningConfig(rho=0.01)
-    assert maybe_rebin([0.015, 0.016, 0.014], cfg, anomaly_free=True) is RebinDecision.REBIN
-    # never re-bin while a window is flagged anomalous
-    assert maybe_rebin([0.015, 0.016, 0.014], cfg, anomaly_free=False) is RebinDecision.NO_REBIN
-    assert maybe_rebin([0.009, 0.008, 0.01], cfg, anomaly_free=True) is RebinDecision.NO_REBIN
-    with pytest.raises(ValueError):
-        maybe_rebin([], cfg, anomaly_free=True)
-
-
-def test_maybe_rebin_uses_median_not_mean():
-    cfg = BinningConfig(rho=0.01)
-    # one spiky window must not trigger a refit
-    history = [0.005, 0.006, 0.9, 0.006, 0.005]
-    assert maybe_rebin(history, cfg, anomaly_free=True) is RebinDecision.NO_REBIN
 
 
 # -- serialization ---------------------------------------------------------------

@@ -438,6 +438,27 @@ def test_scenario_document_reads_back_as_the_scenario(name):
     assert scenario_from_dict(doc) == (spec, cfg)
 
 
+# sha256 of json.dumps(scenario_to_dict(*build(name)), sort_keys=True), recorded
+# while each preset still declared its own anomalies and telemetry config
+PRESET_DIGESTS = {
+    "smoke": "79051ed5ba9e3c0d7750e76e744f1f6e57fb9a21d338ee2fa05fabb84bc3526e",
+    "microburst": "0ab551a83d487d80df2f8f280f0bb6a85a964c95398a64389fe32a55264f5aa1",
+    "congestion": "4909f5456d76168d4ba54021a0bb3786c82a1de1d823f1a6b91e678c9961bc84",
+    "contention": "68525237e7eb6eb2520537ad553a138015ac04d0bf35e92ac3924621405f03a0",
+    "policy_abuse": "db4d98bc5de2f5a8964536ff076304b4c90ba566d5ebbfd35fddc15698f12f89",
+    "mixed": "8aea2767ce052fef12028ca61e70a01d7a3e315902115b755f5c99a0d048a2e1",
+    "burst_cost": "ea201373533f241eeef9ce9ef7e8616ed969a18a73950cac0cc1f1960204cacb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_resolves_to_its_recorded_scenario(name):
+    from flowtel.cli import scenario_to_dict
+
+    doc = json.dumps(scenario_to_dict(*build(name)), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == PRESET_DIGESTS[name]
+
+
 @pytest.mark.parametrize("edit, field", [
     (lambda m: m.pop("resolved_scenario"), "resolved_scenario"),
     (lambda m: m.update(resolved_scenario=[]), "resolved_scenario"),
@@ -559,6 +580,83 @@ def test_explicit_edges_not_strictly_increasing_exit_2_naming_the_field(
     rc = main(["run", "--scenario", str(scenario), "--modes", "dsmp", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"{key}: qid 0 edges must be finite and strictly increasing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["lat_edges_ns", "iat_edges_ns"])
+def test_explicit_edges_for_a_qid_without_a_queue_exit_2_naming_it(tmp_path, capsys, key):
+    doc = dict(MINIMAL_SCENARIO)
+    doc["telemetry"] = dict(doc["telemetry"], **{key: {"9": [float(v) for v in range(1, 8)]}})
+    scenario = tmp_path / "edges.json"
+    scenario.write_text(json.dumps(doc))
+    rc = main(["run", "--scenario", str(scenario), "--modes", "pm", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"telemetry.{key}: qid 9 is not in queue_policy" in capsys.readouterr().err
+
+
+METER = {"teid": 1, "qfi": 1, "cir_bps": 5e6, "cbs_bytes": 30000, "pir_bps": 1e7,
+         "pbs_bytes": 60000}
+
+
+# a key that names no field, at each level of a scenario file, and its path
+@pytest.mark.parametrize("edit, path", [
+    (lambda d: d["telemetry"].update(widht=64), "telemetry.widht"),
+    (lambda d: d.update(durations_s=6.0), "durations_s"),
+    (lambda d: d["flows"][0].update(rate=10), "flows[0].rate"),
+    (lambda d: d["queue_policy"]["0"].update(rate_bps=1e6), "queue_policy.0.rate_bps"),
+    (lambda d: d["anomalies"][0].update(factor=2.0), "anomalies[0].factor"),
+    (lambda d: d["anomalies"][0]["target_flows"][0].update(tied=1),
+     "anomalies[0].target_flows[0].tied"),
+    (lambda d: d.update(meters=[dict(METER, cir=5e6)]), "meters[0].cir"),
+    (lambda d: d.update(default_meter=dict(METER)), "default_meter.teid"),
+], ids=["telemetry", "top", "flow", "queue", "anomaly", "target", "meter", "default_meter"])
+def test_unknown_scenario_key_exits_2_naming_its_path(tmp_path, capsys, edit, path):
+    doc = json.loads(json.dumps(MINIMAL_SCENARIO))
+    edit(doc)
+    scenario = tmp_path / "keys.json"
+    scenario.write_text(json.dumps(doc))
+    rc = main(["run", "--scenario", str(scenario), "--modes", "pm", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"scenario file: {path}: unknown key" in capsys.readouterr().err
+
+
+def test_flow_and_meter_keys_and_telemetry_are_known(tmp_path):
+    """The schema's own extras: a flow's and a meter's teid and qfi, and the
+    top-level telemetry object."""
+    spec, cfg = scenario_from_dict(dict(MINIMAL_SCENARIO, meters=[METER]))
+    assert [fl.key for fl in spec.flows] == list(spec.meters) == [flowtel.FlowKey(1, 1)]
+    assert cfg.width == 64
+
+
+@pytest.mark.parametrize("path", [
+    "tests/golden_drops.json", "perfbench/mixed_short.json", "perfbench/contention_short.json",
+])
+def test_committed_scenario_files_use_only_known_keys(path):
+    scenario_from_dict(json.loads((Path(__file__).parent.parent / path).read_text()))
+
+
+def test_unknown_sweep_grid_key_exits_2_before_simulating(tmp_path, capsys, monkeypatch):
+    from flowtel import cli
+
+    def no_simulation(spec):
+        raise AssertionError("simulated before the grid was checked")
+
+    monkeypatch.setattr(cli, "simulate", no_simulation)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"widht": [64, 128]}))
+    assert main(["sweep", "--scenario", "smoke", "--grid", str(grid)]) == 2
+    assert f"grid file {grid}: widht: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given, path", [
+    ({"zeta_": 0.05}, "zeta_"),
+    ({"flow_classes": {"small": {"x_k": 5000, "x_k_T": 50, "n_prime": 1e6, "nT": 1}}},
+     "flow_classes.small.nT"),
+], ids=["top", "flow_class"])
+def test_unknown_params_key_exits_2_naming_its_path(tmp_path, capsys, given, path):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"beta_max": 0.3, "delta_t_min": 80, "n_t_max": 1e4, **given}))
+    assert main(["size", "--params", str(params)]) == 2
+    assert f"params file {params}: {path}: unknown key" in capsys.readouterr().err
 
 
 def test_window_count_follows_window_length():

@@ -8,7 +8,6 @@ from flowtel.core import (
     FlowKey,
     PacketEvent,
     SketchConfig,
-    WindowTotals,
     bucket_index,
     bucket_index_array,
     mix64,
@@ -107,11 +106,3 @@ def test_sketch_config_validation_and_epsilon():
         SketchConfig(width_w=4, depth_d=2, seeds=(5, 5))
     with pytest.raises(ConfigError):
         SketchConfig(width_w=4, depth_d=3, seeds=(1, 2))
-
-
-def test_window_totals_invariant():
-    WindowTotals(n_total=10, n_diag=10)
-    with pytest.raises(ValueError):
-        WindowTotals(n_total=5, n_diag=6)
-    with pytest.raises(ValueError):
-        WindowTotals(n_total=5, n_diag=-1)
