@@ -3,6 +3,7 @@
 trigger), printed as a Pareto table. Thin wrapper over `flowtel sweep`."""
 
 import json
+import os
 import sys
 import tempfile
 
@@ -17,7 +18,10 @@ def main():
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         json.dump(DEFAULT_GRID, fh)
         grid_path = fh.name
-    return cli_main(["sweep", "--scenario", scenario, "--grid", grid_path])
+    try:
+        return cli_main(["sweep", "--scenario", scenario, "--grid", grid_path])
+    finally:
+        os.unlink(grid_path)
 
 
 if __name__ == "__main__":

@@ -84,8 +84,10 @@ def pm_window(
     order = np.argsort(qfi, kind="stable")
     qfis, starts, pkts = np.unique(qfi[order], return_index=True, return_counts=True)
     # exact int64 sums handed over as Python ints: mean_delay_ns divides them
-    # exactly, where a float64 sum would round once it passes 2**53
-    sums = (np.add.reduceat(col[order], starts).tolist() for col in (nbytes, sojourn_ns))
+    # exactly, where a float64 sum would round once it passes 2**53 (and a
+    # uint16 byte sum, in the column's own type, would wrap at 2**16)
+    sums = (np.add.reduceat(col[order].astype(np.int64, copy=False), starts).tolist()
+            for col in (nbytes, sojourn_ns))
     rows = {
         q: QfiCounters(q, window, pkt_count=n, byte_count=b, sojourn_sum_ns=s)
         for q, n, b, s in zip(qfis.tolist(), pkts.tolist(), *sums)

@@ -35,6 +35,7 @@ from .core import FlowKey, NS_PER_S
 from .pipeline import (
     ALL_MODES,
     TelemetryConfig,
+    check_pinned_qids,
     metrics_lines,
     run_scenario,
     run_telemetry,
@@ -42,11 +43,13 @@ from .pipeline import (
 )
 from .scenarios import PRESETS, build
 from .simulator import (
+    COLUMN_DTYPES,
     FlowSpec,
     MeterSpec,
     PacketBatch,
     ScenarioError,
     ScenarioSpec,
+    column_bounds,
     label_windows,
     simulate,
 )
@@ -160,10 +163,7 @@ def scenario_from_dict(doc: dict) -> tuple[ScenarioSpec, TelemetryConfig]:
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise ScenarioError(f"scenario file: {e.__class__.__name__}: {e}") from e
     spec.validate()
-    for name, key in _FILE_KEYS.items():
-        for qid, _ in getattr(cfg, name):
-            if qid not in spec.queue_policy:
-                raise ScenarioError(f"telemetry.{key}: qid {qid} is not in queue_policy")
+    check_pinned_qids(spec, cfg)
     return spec, cfg
 
 
@@ -412,15 +412,20 @@ def load_capture(path: Path) -> tuple[PacketBatch, PacketBatch | None]:
     if arr.shape[1] not in (len(CAPTURE_COLUMNS) - 1, len(CAPTURE_COLUMNS)):
         raise ScenarioError(f"capture file {path}: expected {len(CAPTURE_COLUMNS)} columns per "
                             f"row ({len(CAPTURE_COLUMNS) - 1} without drop_reason)")
-    cols = dict(zip(CAPTURE_COLUMNS, arr.T))
-    cols["color"] = cols["color"].astype(np.int8)
-    cols["monitored"] = cols["monitored"].astype(bool)
-    reason = cols.pop("drop_reason", None)
+    cols = {}
+    for name, col in zip(CAPTURE_COLUMNS, arr.T):
+        key = "reason" if name == "drop_reason" else name
+        lo, hi = column_bounds(key)
+        bad = col[(col < lo) | (col > hi)]  # values the column's type would wrap
+        if len(bad):
+            raise ScenarioError(f"capture file {path}: {name}: {bad[0]} outside {lo} to {hi}")
+        cols[key] = col.astype(COLUMN_DTYPES[key])
+    reason = cols.pop("reason", None)
     batch = PacketBatch(**cols, injected=None)  # a capture does not record injection
     if reason is None:
         return batch, None
     lost = reason >= 0
-    return batch.take(~lost), batch.take(lost, reason=reason[lost].astype(np.int8))
+    return batch.take(~lost), batch.take(lost, reason=reason[lost])
 
 
 def cmd_capture(args) -> int:
@@ -437,7 +442,7 @@ def cmd_replay(args) -> int:
     if drops is None:
         print(f"flowtel: capture file {args.capture} has no drop_reason column; "
               "replaying it without drops", file=sys.stderr)
-        drops = delivered.take(slice(0, 0), reason=np.empty(0, dtype=np.int8))
+        drops = delivered.take(slice(0, 0), reason=np.empty(0, COLUMN_DTYPES["reason"]))
     labels = label_windows(spec)
     modes = _parse_modes(args.modes)
     result = run_telemetry(delivered, drops, labels, spec, cfg, modes=modes,

@@ -51,6 +51,7 @@ from .simulator import (
     AnomalyKind,
     GroundTruthLabel,
     PacketBatch,
+    ScenarioError,
     ScenarioSpec,
     flow_codes,
     simulate,
@@ -118,6 +119,15 @@ class TelemetryConfig:
 
     def region(self) -> DiagnosticRegion:
         return DiagnosticRegion.build(self.bins_b, self.lat_tail_bins, self.iat_head_bins)
+
+
+def check_pinned_qids(spec: ScenarioSpec, cfg: TelemetryConfig) -> None:
+    """A pinned edge list must name one of the scenario's queues; one that
+    names no queue would otherwise be ignored."""
+    for name, pinned in (("lat", cfg.explicit_lat_edges), ("iat", cfg.explicit_iat_edges)):
+        for qid, _ in pinned:
+            if qid not in spec.queue_policy:
+                raise ScenarioError(f"telemetry.{name}_edges_ns: qid {qid} is not in queue_policy")
 
 
 ALL_MODES = (TelemetryMode.SKETCH, TelemetryMode.DSMP, TelemetryMode.PM)
@@ -246,10 +256,10 @@ def anomaly_instances(spec: ScenarioSpec, kind: AnomalyKind) -> list[tuple[int, 
 
 
 def _by_window(stream: WindowStream, idx: np.ndarray) -> list[np.ndarray]:
-    """Stream indices cut at the window bounds, as the smallest type that
-    holds them: one view per window, no masks."""
+    """Ascending stream indices cut at the window bounds, as the smallest
+    type that holds them: one view per window, no masks."""
     compact = np.min_scalar_type(len(stream.window))
-    cuts = np.searchsorted(stream.window[idx], range(1, stream.n_windows))
+    cuts = np.searchsorted(idx, np.searchsorted(stream.window, range(1, stream.n_windows)))
     return np.split(idx.astype(compact), cuts)
 
 
@@ -344,6 +354,7 @@ def run_telemetry(
 ) -> RunResult:
     """Replay a delivered stream through each enabled telemetry mode, one
     pass per mode, and evaluate detection per anomaly kind."""
+    check_pinned_qids(spec, cfg)
     stream = window_stream(delivered, spec.window_len_ns, spec.duration_s)
     lat_edges, iat_edges = fit_qid_edges(stream, spec, cfg)
     # DSMP first, as its sampler's transient columns then set no new memory peak

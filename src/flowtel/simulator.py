@@ -12,9 +12,10 @@ output array exactly.
 
 Packets travel as the columns of one type, ``PacketBatch``, so that
 multi-million-packet scenarios stay cheap; the dropped packets are rows of
-it too, with a ``reason`` column. A per-packet ``PacketEvent`` is taken only
-by the reference paths the tests use as oracles, such as
-``HistogramSketch.update``. Injection (``inject_all``) touches only each
+it too, with a ``reason`` column. Each column has one type
+(``COLUMN_DTYPES``), the narrowest that holds every value validation lets
+in. A per-packet ``PacketEvent`` is taken only by the reference paths the
+tests use as oracles, such as ``HistogramSketch.update``. Injection (``inject_all``) touches only each
 anomaly's time slice: an additive anomaly merges its rows into the slice
 under the (time, flow code, sequence) tie rule, a remap re-sorts the slice,
 and the untouched stretches are copied once, when the slices are joined.
@@ -126,16 +127,53 @@ class GroundTruthLabel:
 
 
 def flow_codes(teid: np.ndarray, qfi: np.ndarray) -> np.ndarray:
-    """Per-packet FlowKey.code() of teid/qfi columns."""
-    return (teid.astype(np.uint64) << np.uint64(QFI_BITS)) | qfi.astype(np.uint64)
+    """Per-packet FlowKey.code() of teid/qfi columns, built in one uint64 array."""
+    codes = teid.astype(np.uint64)
+    codes <<= np.uint64(QFI_BITS)
+    return np.bitwise_or(codes, qfi, out=codes, dtype=np.uint64, casting="unsafe")
+
+
+# the one type of each PacketBatch column; PacketBatch says what each holds
+COLUMN_DTYPES = {
+    "teid": np.dtype(np.uint32),
+    "qfi": np.dtype(np.uint8),
+    "qid": np.dtype(np.uint8),
+    "bytes": np.dtype(np.uint16),
+    "arrival_ns": np.dtype(np.int64),
+    "sojourn_ns": np.dtype(np.int64),
+    "color": np.dtype(np.int8),
+    "reason": np.dtype(np.int8),
+    "monitored": np.dtype(bool),
+    "injected": np.dtype(bool),
+}
+
+
+def column_bounds(name: str) -> tuple[int, int]:
+    """The least and the greatest value column ``name``'s type holds."""
+    dtype = COLUMN_DTYPES[name]
+    if dtype == bool:
+        return 0, 1
+    return int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+
+
+MAX_QID = column_bounds("qid")[1]
+MAX_BYTES = column_bounds("bytes")[1]
 
 
 @dataclass
 class PacketBatch:
-    """Packets as columns. Arrivals are ordered by (time, flow code, per-flow
-    sequence) and leave ``qid``, ``sojourn_ns``, ``color`` and ``reason``
-    unset; ``run_queues`` fills in the first three for the packets it
-    delivers and ``qid`` and ``reason`` for those it drops, in that order."""
+    """Packets as columns, each of its ``COLUMN_DTYPES`` type, 27 bytes a
+    delivered packet: ``teid`` uint32 (to MAX_TEID) and ``qfi`` uint8 (to
+    MAX_QFI), both checked by FlowKey; ``qid`` uint8 (0 to MAX_QID) and
+    ``bytes`` uint16 (to MAX_BYTES), both checked by ScenarioSpec.validate
+    and cli.load_capture; ``color`` and ``reason`` int8; ``arrival_ns`` and
+    ``sojourn_ns`` int64; ``monitored`` and ``injected`` bool. Code that sums
+    a narrow column casts it to int64 first: a uint16 byte sum would wrap.
+
+    Arrivals are ordered by (time, flow code, per-flow sequence) and leave
+    ``qid``, ``sojourn_ns``, ``color`` and ``reason`` unset; ``run_queues``
+    fills in the first three for the packets it delivers and ``qid`` and
+    ``reason`` for those it drops, in that order."""
 
     teid: np.ndarray
     qfi: np.ndarray
@@ -194,14 +232,19 @@ class ScenarioSpec:
                 raise ScenarioError(f"qfi_to_qid: qfi {qfi} out of range")
             if qid not in self.queue_policy:
                 raise ScenarioError(f"qfi_to_qid: qfi {qfi} maps to unknown qid {qid}")
-        for fl in self.flows:
+        for i, fl in enumerate(self.flows):
             if fl.key.qfi not in self.qfi_to_qid:
                 raise ScenarioError(f"flows: flow {fl.key} has unmapped qfi {fl.key.qfi}")
             if fl.rate_pps <= 0:
                 raise ScenarioError(f"flows: flow {fl.key} rate_pps must be positive")
             if not 1 <= fl.bytes_min <= fl.bytes_max:
                 raise ScenarioError(f"flows: flow {fl.key} byte range invalid")
+            if fl.bytes_max > MAX_BYTES:
+                raise ScenarioError(f"flows[{i}].bytes_max: {fl.bytes_max} is above the "
+                                    f"{MAX_BYTES}-byte packet limit")
         for qid, pol in self.queue_policy.items():
+            if not 0 <= qid <= MAX_QID:
+                raise ScenarioError(f"queue_policy: qid {qid} outside 0 to {MAX_QID}")
             if pol.service_rate_bps <= 0:
                 raise ScenarioError(f"queue_policy: qid {qid} service_rate_bps must be positive")
             if pol.buffer_pkts < 1:
@@ -217,6 +260,9 @@ class ScenarioSpec:
                 raise ScenarioError(f"anomalies[{i}]: remapped_qfi {an.remapped_qfi} unmapped")
             if an.kind is AnomalyKind.CONTENTION and not an.target_qfis:
                 raise ScenarioError(f"anomalies[{i}]: contention needs target_qfis")
+            if an.kind is AnomalyKind.CONTENTION and not 1 <= an.cross_bytes <= MAX_BYTES:
+                raise ScenarioError(f"anomalies[{i}].cross_bytes: {an.cross_bytes} outside "
+                                    f"1 to {MAX_BYTES}")
         # runaway guard: offered load versus what the port can move
         offered = sum(fl.rate_pps * fl.mean_bytes() * 8 for fl in self.flows)
         capacity = max(pol.service_rate_bps for pol in self.queue_policy.values())
@@ -287,8 +333,9 @@ def _flow_arrivals(fl: FlowSpec, rng, start_ns: int, end_ns: int) -> np.ndarray:
 
 def _sizes(rng, fl: FlowSpec, n: int) -> np.ndarray:
     if fl.bytes_min == fl.bytes_max:
-        return np.full(n, fl.bytes_min, dtype=np.int64)
-    return rng.integers(fl.bytes_min, fl.bytes_max + 1, size=n).astype(np.int64)
+        return np.full(n, fl.bytes_min, dtype=COLUMN_DTYPES["bytes"])
+    # drawn as int64 and then narrowed: the draw's type fixes the generator's stream
+    return rng.integers(fl.bytes_min, fl.bytes_max + 1, size=n).astype(COLUMN_DTYPES["bytes"])
 
 
 def _sorted_parts(parts: list[PacketBatch]) -> tuple[PacketBatch, np.ndarray]:
@@ -302,13 +349,14 @@ def _sorted_parts(parts: list[PacketBatch]) -> tuple[PacketBatch, np.ndarray]:
 
 def _flow_part(fl: FlowSpec, times: np.ndarray, rng, injected: bool) -> PacketBatch:
     n = len(times)
+    dt = COLUMN_DTYPES
     return PacketBatch(
-        teid=np.full(n, fl.key.teid, dtype=np.int64),
-        qfi=np.full(n, fl.key.qfi, dtype=np.int64),
+        teid=np.full(n, fl.key.teid, dtype=dt["teid"]),
+        qfi=np.full(n, fl.key.qfi, dtype=dt["qfi"]),
         bytes=_sizes(rng, fl, n),
-        arrival_ns=times.astype(np.int64),
-        monitored=np.full(n, fl.monitored, dtype=bool),
-        injected=np.full(n, injected, dtype=bool),
+        arrival_ns=times.astype(dt["arrival_ns"]),
+        monitored=np.full(n, fl.monitored, dtype=dt["monitored"]),
+        injected=np.full(n, injected, dtype=dt["injected"]),
     )
 
 
@@ -500,13 +548,14 @@ def run_queues(batch: PacketBatch, spec: ScenarioSpec) -> tuple[PacketBatch, Pac
     """
     spec.validate()
     n = len(batch)
-    qid_of_qfi = np.full(MAX_QFI + 1, -1, dtype=np.int64)
+    qid_of_qfi = np.full(MAX_QFI + 1, -1, dtype=np.int16)  # -1: unmapped
     for qfi, qid in spec.qfi_to_qid.items():
         qid_of_qfi[qfi] = qid
     pkt_qid = qid_of_qfi[batch.qfi]
     if (pkt_qid < 0).any():
         bad = int(batch.qfi[pkt_qid < 0][0])
         raise ScenarioError(f"qfi_to_qid: stream contains unmapped qfi {bad}")
+    pkt_qid = pkt_qid.astype(COLUMN_DTYPES["qid"])
 
     color = _meter_colors(batch, spec)
     red = color == 2
@@ -516,7 +565,7 @@ def run_queues(batch: PacketBatch, spec: ScenarioSpec) -> tuple[PacketBatch, Pac
     depart, overflow = _serve(batch, dense_of_qfi[batch.qfi], ~red,
                               [spec.queue_policy[q] for q in qids])
 
-    reason = np.full(n, -1, dtype=np.int8)
+    reason = np.full(n, -1, dtype=COLUMN_DTYPES["reason"])
     reason[red] = DROP_METER
     reason[overflow] = DROP_OVERFLOW
     drops = np.flatnonzero(reason >= 0)
@@ -528,7 +577,7 @@ def run_queues(batch: PacketBatch, spec: ScenarioSpec) -> tuple[PacketBatch, Pac
 
 def _meter_colors(batch: PacketBatch, spec: ScenarioSpec) -> np.ndarray:
     """Each packet's meter color: 0 green (or unmetered), 1 yellow, 2 red."""
-    color = np.zeros(len(batch), dtype=np.int8)
+    color = np.zeros(len(batch), dtype=COLUMN_DTYPES["color"])
     codes = batch.codes()
     meters = {key.code(): m for key, m in spec.meters.items()}
     if spec.default_meter is None:

@@ -11,6 +11,7 @@ from flowtel.cli import scenario_from_dict
 from flowtel.core import NS_PER_S, FlowKey
 from flowtel.scenarios import build
 from flowtel.simulator import (
+    COLUMN_DTYPES,
     AnomalyEvent,
     AnomalyKind,
     FlowSpec,
@@ -263,6 +264,7 @@ def per_packet_run_queues(batch: PacketBatch, spec: ScenarioSpec, seen: Counter)
     for qfi, qid in spec.qfi_to_qid.items():
         qid_of_qfi[qfi] = qid
     pkt_qid = qid_of_qfi[batch.qfi]
+    qid_col = pkt_qid.astype(COLUMN_DTYPES["qid"])
     qids = sorted(spec.queue_policy)
     tiers: dict[int, list[int]] = {}
     for j, q in enumerate(qids):
@@ -285,8 +287,8 @@ def per_packet_run_queues(batch: PacketBatch, spec: ScenarioSpec, seen: Counter)
     dense = {q: j for j, q in enumerate(qids)}
     queue_of = [dense[q] for q in pkt_qid.tolist()]
     n = len(batch)
-    sojourn = np.full(n, -1, dtype=np.int64)
-    color = np.zeros(n, dtype=np.int8)
+    sojourn = np.full(n, -1, dtype=COLUMN_DTYPES["sojourn_ns"])
+    color = np.zeros(n, dtype=COLUMN_DTYPES["color"])
     drop_idx, drop_reason = [], []
 
     def begin_service(start_ns: int) -> int:
@@ -351,12 +353,12 @@ def per_packet_run_queues(batch: PacketBatch, spec: ScenarioSpec, seen: Counter)
     kept = sojourn >= 0
     drops = np.array(drop_idx, dtype=np.int64)
     delivered = PacketBatch(
-        teid=batch.teid[kept], qfi=batch.qfi[kept], qid=pkt_qid[kept], bytes=batch.bytes[kept],
+        teid=batch.teid[kept], qfi=batch.qfi[kept], qid=qid_col[kept], bytes=batch.bytes[kept],
         arrival_ns=batch.arrival_ns[kept], sojourn_ns=sojourn[kept], color=color[kept],
         monitored=batch.monitored[kept], injected=batch.injected[kept],
     )
-    return delivered, batch.take(drops, qid=pkt_qid[drops], injected=None,
-                                 reason=np.array(drop_reason, dtype=np.int8))
+    return delivered, batch.take(drops, qid=qid_col[drops], injected=None,
+                                 reason=np.array(drop_reason, dtype=COLUMN_DTYPES["reason"]))
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -373,8 +375,10 @@ def test_run_queues_matches_the_per_packet_loop(seed):
     qfi = np.array([k.qfi for k in keys])[pick]
     arrival = np.sort(rng.integers(0, 11 * n, n)) * 100
     order = np.lexsort(((teid << 6) | qfi, arrival))
+    dt = COLUMN_DTYPES  # the arrival columns as inject_all leaves them
     batch = PacketBatch(
-        teid=teid[order], qfi=qfi[order], bytes=rng.integers(1, 31, n) * 100,
+        teid=teid[order].astype(dt["teid"]), qfi=qfi[order].astype(dt["qfi"]),
+        bytes=(rng.integers(1, 31, n) * 100).astype(dt["bytes"]),
         arrival_ns=arrival[order], monitored=rng.random(n) < 0.8,
         injected=np.zeros(n, dtype=bool),
     )
@@ -545,7 +549,7 @@ def sequential_lexsort_inject_all(batch: PacketBatch, spec: ScenarioSpec, ties: 
             cols = {c: np.concatenate([cols[c], getattr(new, c)]) for c in ARRIVAL_COLUMNS}
             seq = np.concatenate([seq, new_seq])
             is_new = np.concatenate([is_new, np.ones(len(new), dtype=bool)])
-        code = (cols["teid"] << 6) | cols["qfi"]
+        code = flow_codes(cols["teid"], cols["qfi"])  # a uint32 teid << 6 would wrap
         order = np.lexsort((seq, code, cols["arrival_ns"]))
         t, k, s, f = cols["arrival_ns"][order], code[order], seq[order], is_new[order]
         same = (t[1:] == t[:-1]) & (k[1:] == k[:-1])
