@@ -15,12 +15,15 @@ Detection is per (window, scope). Two built-in scorers:
   trained and applied under temporally blocked cross-fitting so train and
   test windows never interleave.
 
+The cross-fitted outcomes are a record array aligned row for row with the
+feature table; a block whose training folds lack a class stays unscored.
 External ML stays pluggable: features and outcomes serialize to columnar
 text, and anything that can score a feature file can act as a detector.
 
-Window-level evaluation reduces scope scores by max, then computes AUPRC by
-step interpolation over the score ranking (ties grouped), F1 at a tuned
-threshold, and time-to-first-detection per anomaly instance.
+Window-level evaluation reduces scope scores by max over the scored
+windows, then computes AUPRC by step interpolation over the score ranking
+(ties grouped), F1 at a tuned threshold, and time-to-first-detection per
+anomaly instance.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .binning import DiagnosticRegion
-from .baselines import QfiCounters
 from .core import MAX_QFI, QFI_BITS, FlowKey
 from .simulator import AnomalyKind, GroundTruthLabel
 from .sizing import FlowBaseline
@@ -43,7 +45,13 @@ if TYPE_CHECKING:
 
 
 class FitError(ValueError):
-    """Detector training is impossible on the given fold."""
+    """Detector training is impossible on the given fold. From
+    ``train_detectors`` it carries every row (``outcomes``) and the blocks
+    left unscored: (first window, last window, missing class) each."""
+
+    def __init__(self, message: str, outcomes: np.recarray | None = None, unscored=()):
+        super().__init__(message)
+        self.outcomes, self.unscored = outcomes, list(unscored)
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,6 @@ class DetectionOutcome:
     scope: tuple
     score: float  # in [0, 1]
     fired: bool
-    detector: str
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -67,12 +74,12 @@ def _fracs(counts: np.ndarray) -> np.ndarray:
 
 
 def feature_table(
-    mode: str, window: int, scopes: Sequence[tuple], unregistered: bool | Sequence[bool],
-    **features,
+    mode: str, window: int | np.ndarray, scopes: Sequence[tuple],
+    unregistered: bool | Sequence[bool], **features,
 ) -> np.recarray:
-    """One window's feature rows: ``mode``, ``window``, ``scope`` (the scope
-    tuple) and ``unregistered``, then one float64 field per feature in the
-    order given. A feature the mode cannot observe gets no field."""
+    """Feature rows: ``mode``, ``window``, ``scope`` (the scope tuple) and
+    ``unregistered``, then one float64 field per feature in the order given.
+    A feature the mode cannot observe gets no field."""
     table = np.recarray(len(scopes), dtype=[
         ("mode", "U6"), ("window", np.int64), ("scope", object), ("unregistered", bool),
         *((name, np.float64) for name in features),
@@ -186,24 +193,20 @@ def _flow_table(
     )
 
 
-def extract_pm_features(rows: Sequence[QfiCounters], window: int) -> np.recarray:
-    """QFI-scope rows only; per-flow and distributional features have no field."""
-    rows = sorted(rows, key=lambda r: r.qfi)
+def extract_pm_features(rows: np.recarray) -> np.recarray:
+    """The PM table of ``pm_window``'s counters, row for row: QFI scopes
+    only; per-flow and distributional features have no field."""
     return feature_table(
-        "pm", window, [("qfi", r.qfi) for r in rows], False,
-        pkts=[r.pkt_count for r in rows],
-        bytes=[r.byte_count for r in rows],
-        drops=[r.drop_count for r in rows],
-        mean_delay_ns=[r.mean_delay_ns for r in rows],
+        "pm", rows.window, [("qfi", q) for q in rows.qfi.tolist()], False,
+        pkts=rows.pkt_count, bytes=rows.byte_count, drops=rows.drop_count,
+        mean_delay_ns=rows.mean_delay_ns,
     )
 
 
 # -- diagnostic-lift rule ------------------------------------------------------
 
 
-def diag_lift_detector(
-    fv: np.record, base: FlowBaseline, eps: float, beta: float = 0.0
-) -> DetectionOutcome:
+def diag_lift_detector(fv: np.record, base: FlowBaseline, eps: float) -> DetectionOutcome:
     """Fire when the estimated diagnostic ratio of a feature row exceeds the
     baseline ceiling.
 
@@ -216,14 +219,14 @@ def diag_lift_detector(
     window, scope, pkts = int(fv.window), fv.scope, float(fv.pkts)
     ceiling = (base.x_k_T + eps * base.n_T) / base.x_k
     if pkts <= 0:
-        return DetectionOutcome(window, scope, 0.0, False, "diag_lift")
+        return DetectionOutcome(window, scope, 0.0, False)
     ratio = float(fv.diag_pkts) / pkts
     fired = ratio > ceiling
     if ceiling >= 1.0:
         score = 0.0
     else:
         score = min(1.0, max(0.0, (ratio - ceiling) / (1.0 - ceiling)))
-    return DetectionOutcome(window, scope, score, fired, "diag_lift")
+    return DetectionOutcome(window, scope, score, fired)
 
 
 # -- linear detector with temporal blocking ---------------------------------------
@@ -378,24 +381,34 @@ def temporal_blocks(windows: Sequence[int], n_blocks: int) -> list[list[int]]:
     return [uniq[i : i + size] for i in range(0, len(uniq), size)]
 
 
+OUTCOME_DTYPE = np.dtype([("window", np.int64), ("scope", object), ("score", np.float64),
+                          ("fired", bool)])
+
+
 def train_detectors(
     table: np.recarray,
     labels: Sequence[GroundTruthLabel],
     kind: AnomalyKind,
     n_blocks: int = 4,
     l2: float = 1.0,
-) -> list[DetectionOutcome]:
+) -> np.recarray:
     """Cross-fitted linear detection for one anomaly kind over one mode's
-    feature table.
+    feature table: one ``OUTCOME_DTYPE`` row per table row, in table order.
 
     Every window lands in exactly one test block and is scored by a model
     trained only on the other (temporally disjoint) blocks; thresholds are
     tuned on training windows by max F1. Scopes become integer ids once per
     table, so each fold's normalizer fit and transform is a fixed number of
     numpy calls however many scopes and rows the fold has.
+
+    A block whose training folds lack a class is left unscored (NaN, not
+    fired) while the others are scored; then ``FitError`` is raised with
+    every row and the unscored blocks.
     """
+    out = np.zeros(len(table), dtype=OUTCOME_DTYPE).view(np.recarray)
     if not len(table):
-        return []
+        return out
+    out.window, out.scope, out.score = table.window, table.scope, np.nan
     X, _ = feature_matrix(table, DEFAULT_FEATURE_MASKS[kind])
     scopes, windows = table.scope.tolist(), table.window
     ids: dict[tuple, int] = {}
@@ -416,44 +429,41 @@ def train_detectors(
     in_other = np.isin(windows, [lb.window for lb in labels if lb.kind is not kind])
     y = np.where((y == 0) & in_other, -2, y)
 
-    blocks = temporal_blocks(windows.tolist(), n_blocks)
-    detector = f"linear:{kind.value}"
-    outcomes: list[DetectionOutcome] = []
-    for block in blocks:
+    unscored: list[tuple[int, int, str]] = []
+    for block in temporal_blocks(windows.tolist(), n_blocks):
         test_mask = np.isin(windows, block)
         train_mask = ~test_mask & (y >= 0)
         assert not np.isin(windows[train_mask], block).any()
         if not train_mask.any() or len(np.unique(y[train_mask])) < 2:
             missing = "positive" if not (y[train_mask] == 1).any() else "negative"
-            raise FitError(
-                f"{kind.value}: training folds for block starting at window "
-                f"{block[0]} have no {missing} examples"
-            )
+            unscored.append((block[0], block[-1], missing))
+            continue
         norm = ScopeNormalizer()
         norm.fit(X[train_mask], sid[train_mask], len(ids))
         xt = norm.transform(X[train_mask], sid[train_mask])
         det = LinearDetector(l2=l2).fit(xt, y[train_mask])
-        train_scores = det.score(xt)
+        train_windows = np.unique(windows[train_mask])
+        train_max = _window_max(windows[train_mask], det.score(xt), train_windows[-1] + 1)
         thr = best_f1_threshold(
-            _window_max(windows[train_mask], train_scores),
+            dict(zip(train_windows.tolist(), train_max[train_windows].tolist())),
             set(windows[train_mask & (y == 1)].tolist()),
         )[0]
-        (test,) = np.nonzero(test_mask)
-        test_scores = det.score(norm.transform(X[test], sid[test]))
-        outcomes.extend(
-            DetectionOutcome(w, scopes[i], s, s >= thr, detector)
-            for i, w, s in zip(test.tolist(), windows[test].tolist(), test_scores.tolist())
-        )
-    outcomes.sort(key=lambda o: (o.window, o.scope))
-    return outcomes
-
-
-def _window_max(windows: np.ndarray, scores: np.ndarray) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for w, s in zip(windows.tolist(), scores.tolist()):
-        if w not in out or s > out[w]:
-            out[w] = s
+        score = det.score(norm.transform(X[test_mask], sid[test_mask]))
+        out.score[test_mask], out.fired[test_mask] = score, score >= thr
+    if unscored:
+        first, _, missing = unscored[0]
+        raise FitError(f"{kind.value}: training folds for block starting at window {first} "
+                       f"have no {missing} examples", out, unscored)
     return out
+
+
+def _window_max(windows: np.ndarray, scores: np.ndarray, n_windows: int) -> np.ndarray:
+    """The largest score of each window 0 to ``n_windows`` - 1 over rows
+    (``windows``, ``scores``); 0.0 for a window without a scored row, as an
+    unscored row's NaN never counts."""
+    best = np.zeros(n_windows)
+    np.fmax.at(best, windows, scores)
+    return best
 
 
 # -- metrics -------------------------------------------------------------------
@@ -535,6 +545,12 @@ class DetectionMetrics:
     ttfd_instances: int
 
 
+def _instance_windows(onset_ns: int, end_ns: int, window_len_ns: int) -> range:
+    """The windows an anomaly instance overlaps (its onset window at least)."""
+    w0 = onset_ns // window_len_ns
+    return range(w0, max(w0, (end_ns - 1) // window_len_ns) + 1)
+
+
 def ttfd_seconds(
     fired_windows: set[int],
     instances: Sequence[tuple[int, int]],
@@ -549,13 +565,8 @@ def ttfd_seconds(
     values: list[float] = []
     censored = 0
     for onset_ns, end_ns in instances:
-        w0 = onset_ns // window_len_ns
-        w1 = max(w0, (end_ns - 1) // window_len_ns)
-        hit = None
-        for w in range(int(w0), int(w1) + 1):
-            if w in fired_windows:
-                hit = w
-                break
+        hit = next((w for w in _instance_windows(onset_ns, end_ns, window_len_ns)
+                    if w in fired_windows), None)
         if hit is None:
             censored += 1
         else:
@@ -566,7 +577,7 @@ def ttfd_seconds(
 
 
 def evaluate(
-    outcomes: Sequence[DetectionOutcome],
+    outcomes: np.recarray,
     labels: Sequence[GroundTruthLabel],
     kind: AnomalyKind,
     mode: str,
@@ -574,29 +585,26 @@ def evaluate(
     window_len_ns: int,
     instances: Sequence[tuple[int, int]] = (),
 ) -> DetectionMetrics:
-    """Window-level metrics: scope scores reduce by max per window."""
-    scores: dict[int, float] = {w: 0.0 for w in all_windows}
-    fired: set[int] = set()
-    for o in outcomes:
-        if o.window in scores:
-            scores[o.window] = max(scores[o.window], o.score)
-        if o.fired:
-            fired.add(o.window)
-    positive = {lb.window for lb in labels if lb.kind is kind}
-    y = [1 if w in positive else 0 for w in sorted(scores)]
-    s = [scores[w] for w in sorted(scores)]
-    area = auprc(y, s)
-    tp = len(fired & positive)
-    fp = len(fired - positive)
-    fn = len(positive - fired)
+    """Window-level metrics over the scored windows ``all_windows``: scope
+    scores reduce by max per window, and an anomaly instance without a
+    scored window is left out of TTFD."""
+    scored_set = set(all_windows)
+    scored = sorted(scored_set)
+    rows = outcomes[np.isin(outcomes.window, scored)]
+    scores = _window_max(rows.window, rows.score, max(scored, default=-1) + 1)[scored]
+    fired = set(rows.window[rows.fired].tolist())
+    positive = {lb.window for lb in labels if lb.kind is kind} & scored_set
+    area = auprc([1 if w in positive else 0 for w in scored], scores)
+    instances = [inst for inst in instances
+                 if not scored_set.isdisjoint(_instance_windows(*inst, window_len_ns))]
     median_s, censored, _ = ttfd_seconds(fired, instances, window_len_ns)
     return DetectionMetrics(
         kind=kind.value,
         mode=mode,
         auprc=area,
-        f1=f1_from_counts(tp, fp, fn),
+        f1=f1_from_counts(len(fired & positive), len(fired - positive), len(positive - fired)),
         positives=len(positive),
-        windows=len(scores),
+        windows=len(scored),
         ttfd_median_s=median_s,
         ttfd_censored=censored,
         ttfd_instances=len(instances),
@@ -607,15 +615,11 @@ def pooled_auprc(result: RunResult, mode: str) -> float | None:
     """Any-anomaly AUPRC of one mode: a window scores the max over every
     kind's outcomes (0.0 without any) and is positive when any label falls
     in it."""
-    scores = {w: 0.0 for w in result.windows}
-    for (_, md), outs in result.outcomes.items():
-        if md != mode:
-            continue
-        for o in outs:
-            scores[o.window] = max(scores[o.window], o.score)
+    rows = np.concatenate([np.zeros(0, OUTCOME_DTYPE),
+                           *(o for (_, md), o in result.outcomes.items() if md == mode)])
     positive = {lb.window for lb in result.labels}
     return auprc([1 if w in positive else 0 for w in result.windows],
-                 [scores[w] for w in result.windows])
+                 _window_max(rows["window"], rows["score"], len(result.windows)))
 
 
 def pareto_front(points: Sequence[tuple[float, float]]) -> list[bool]:

@@ -10,12 +10,12 @@ Two references bracket the design space:
   export (first packet of a flow always exports). Cost follows traffic
   dynamics, which is exactly the property the fixed-size sketch avoids.
 
-Both replay over the columns of the pipeline's window stream: ``pm_window``
-sums one window's monitored packets and drops, and ``DeltaSampler.offer_batch``
-makes one pass over a run's stream (a flow's last export carries across
-windows). Their per-packet references live in tests/test_baselines.py.
-Records are text lines with a leading mode tag; ``postcard_line`` formats
-postcards.
+Both make one pass over the columns of a run's window stream:
+``pm_window`` groups the monitored packets and drops into one record array
+of (window, QFI) counters, and ``DeltaSampler.offer_batch`` picks the
+postcards (a flow's last export carries across windows). Their per-packet
+references live in tests/test_baselines.py. Records are text lines with a
+leading mode tag; ``postcard_line`` formats postcards.
 """
 
 from __future__ import annotations
@@ -45,30 +45,6 @@ def sketch_record_bytes(bins_b: int) -> int:
     return record_dtype(bins_b).itemsize - 8
 
 
-@dataclass
-class QfiCounters:
-    """One QFI's aggregate counters for one window (tunnel identity erased)."""
-
-    qfi: int
-    window: int
-    pkt_count: int = 0
-    byte_count: int = 0
-    drop_count: int = 0
-    sojourn_sum_ns: int = 0
-
-    @property
-    def mean_delay_ns(self) -> float:
-        if self.pkt_count == 0:
-            return 0.0
-        return self.sojourn_sum_ns / self.pkt_count
-
-    def to_line(self) -> str:
-        return (
-            f"pm {self.window} {self.qfi} {self.pkt_count} {self.byte_count} "
-            f"{self.drop_count} {self.mean_delay_ns:.3f}"
-        )
-
-
 def postcard_line(
     window: int, teid: int, qfi: int, qid: int, arrival_ns: int, sojourn_ns: int, color: int,
     nbytes: int,
@@ -76,25 +52,42 @@ def postcard_line(
     return f"dsmp {window} {teid} {qfi} {qid} {arrival_ns} {sojourn_ns} {color} {nbytes}"
 
 
+PM_DTYPE = np.dtype([(name, np.int64) for name in (
+    "window", "qfi", "pkt_count", "byte_count", "drop_count")] + [("mean_delay_ns", np.float64)])
+
+
 def pm_window(
-    qfi: np.ndarray, nbytes: np.ndarray, sojourn_ns: np.ndarray, drop_qfi: np.ndarray, window: int
-) -> list[QfiCounters]:
-    """Aggregate one window by QFI: ``qfi``/``nbytes``/``sojourn_ns`` are the
-    window's monitored delivered packets, ``drop_qfi`` its monitored drops."""
-    order = np.argsort(qfi, kind="stable")
-    qfis, starts, pkts = np.unique(qfi[order], return_index=True, return_counts=True)
-    # exact int64 sums handed over as Python ints: mean_delay_ns divides them
-    # exactly, where a float64 sum would round once it passes 2**53 (and a
-    # uint16 byte sum, in the column's own type, would wrap at 2**16)
-    sums = (np.add.reduceat(col[order].astype(np.int64, copy=False), starts).tolist()
-            for col in (nbytes, sojourn_ns))
-    rows = {
-        q: QfiCounters(q, window, pkt_count=n, byte_count=b, sojourn_sum_ns=s)
-        for q, n, b, s in zip(qfis.tolist(), pkts.tolist(), *sums)
-    }
-    for q, n in zip(*(a.tolist() for a in np.unique(drop_qfi, return_counts=True))):
-        rows.setdefault(q, QfiCounters(qfi=q, window=window)).drop_count = n
-    return [rows[q] for q in sorted(rows)]
+    window: np.ndarray, qfi: np.ndarray, nbytes: np.ndarray, sojourn_ns: np.ndarray,
+    sel: np.ndarray, drop_window: np.ndarray, drop_qfi: np.ndarray,
+) -> np.recarray:
+    """A run's per-QFI counters, one ``PM_DTYPE`` record per (window, QFI)
+    with a monitored packet or drop, in (window, qfi) order: ``sel`` marks
+    the monitored rows of the delivered columns, and ``drop_window`` and
+    ``drop_qfi`` are the monitored drops inside the run's windows. A record
+    without packets has a mean delay of 0.0."""
+    seen = np.zeros(256, dtype=bool)  # qfi fits its column's 8 bits
+    seen[qfi], seen[drop_qfi] = True, True
+    n_q = int(seen.sum())
+    col = (np.cumsum(seen) - 1).astype(np.uint8)  # each QFI's column in a window's row
+    n_cells = (max(window.max(initial=-1), drop_window.max(initial=-1)) + 1) * n_q
+    # one cell per (window, QFI), as the smallest type that holds them; the
+    # unmonitored packets land in the spare cell n_cells
+    cell = window.astype(np.min_scalar_type(n_cells)) * n_q + col[qfi]
+    cell[~sel] = n_cells
+    # exact int64 sums: a uint16 byte sum would wrap at 2**16, and a float64
+    # sojourn sum would round past 2**53, where the mean divides Python ints
+    pkts, drops, nbyte, soj = np.zeros((4, n_cells + 1), dtype=np.int64)
+    np.add.at(pkts, cell, 1)
+    np.add.at(drops, drop_window * n_q + col[drop_qfi], 1)
+    np.add.at(nbyte, cell, nbytes.astype(np.int64))
+    np.add.at(soj, cell, sojourn_ns)
+    (keep,) = np.nonzero((pkts[:-1] > 0) | (drops[:-1] > 0))  # cell order is (window, qfi) order
+    rows = np.recarray(len(keep), dtype=PM_DTYPE)
+    rows.window, rows.qfi = keep // n_q, np.flatnonzero(seen)[keep % n_q]
+    rows.pkt_count, rows.byte_count, rows.drop_count = pkts[keep], nbyte[keep], drops[keep]
+    rows.mean_delay_ns = [s / n if n else 0.0
+                          for s, n in zip(soj[keep].tolist(), pkts[keep].tolist())]
+    return rows
 
 
 @dataclass

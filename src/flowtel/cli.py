@@ -270,6 +270,8 @@ def cmd_run(args) -> int:
                   "fitted on its traffic", file=sys.stderr)
     result = run_scenario(spec, cfg, modes=modes, collect_sketch_records=not args.no_records)
     write_outputs(result, Path(args.out), _manifest(args, man_sc, spec, cfg, modes))
+    for line in result.unscored:  # blocks whose training lacks a class
+        print(line, file=sys.stderr)
     for line in metrics_lines(result):
         print(line)
     print(f"wrote {args.out}")
@@ -387,7 +389,6 @@ def _sweep_job(delivered, drops, labels, spec, cfg, mode) -> tuple[int, float | 
 # One row per delivered packet, then one per dropped packet. A drop row has
 # drop_reason >= 0 (the drops' PacketBatch.reason), its drop time as arrival_ns
 # and 0 for bytes, sojourn_ns and color; a delivered row has drop_reason -1.
-# A capture without the drop_reason column (an older capture) holds no drops.
 CAPTURE_COLUMNS = ("teid", "qfi", "qid", "bytes", "arrival_ns", "sojourn_ns", "color", "monitored",
                    "drop_reason")
 
@@ -402,16 +403,15 @@ def dump_capture(delivered: PacketBatch, drops: PacketBatch, path: Path) -> None
     np.savetxt(path, arr, fmt="%d", header=" ".join(CAPTURE_COLUMNS))
 
 
-def load_capture(path: Path) -> tuple[PacketBatch, PacketBatch | None]:
-    """The delivered packets and the drops of a capture file; the drops are
-    None for a capture without the drop_reason column."""
+def load_capture(path: Path) -> tuple[PacketBatch, PacketBatch]:
+    """The delivered packets and the drops of a capture file."""
     try:
         arr = np.loadtxt(path, dtype=np.int64, ndmin=2)
     except (OSError, ValueError) as e:  # unreadable, not integers, or ragged
         raise ScenarioError(f"capture file {path}: {e}") from e
-    if arr.shape[1] not in (len(CAPTURE_COLUMNS) - 1, len(CAPTURE_COLUMNS)):
+    if arr.shape[1] != len(CAPTURE_COLUMNS):
         raise ScenarioError(f"capture file {path}: expected {len(CAPTURE_COLUMNS)} columns per "
-                            f"row ({len(CAPTURE_COLUMNS) - 1} without drop_reason)")
+                            f"row ({' '.join(CAPTURE_COLUMNS)}), got {arr.shape[1]}")
     cols = {}
     for name, col in zip(CAPTURE_COLUMNS, arr.T):
         key = "reason" if name == "drop_reason" else name
@@ -420,10 +420,8 @@ def load_capture(path: Path) -> tuple[PacketBatch, PacketBatch | None]:
         if len(bad):
             raise ScenarioError(f"capture file {path}: {name}: {bad[0]} outside {lo} to {hi}")
         cols[key] = col.astype(COLUMN_DTYPES[key])
-    reason = cols.pop("reason", None)
+    reason = cols.pop("reason")
     batch = PacketBatch(**cols, injected=None)  # a capture does not record injection
-    if reason is None:
-        return batch, None
     lost = reason >= 0
     return batch.take(~lost), batch.take(lost, reason=reason[lost])
 
@@ -439,16 +437,14 @@ def cmd_capture(args) -> int:
 def cmd_replay(args) -> int:
     spec, cfg, man_sc = load_scenario(args.scenario, args.seed)
     delivered, drops = load_capture(Path(args.capture))
-    if drops is None:
-        print(f"flowtel: capture file {args.capture} has no drop_reason column; "
-              "replaying it without drops", file=sys.stderr)
-        drops = delivered.take(slice(0, 0), reason=np.empty(0, COLUMN_DTYPES["reason"]))
     labels = label_windows(spec)
     modes = _parse_modes(args.modes)
     result = run_telemetry(delivered, drops, labels, spec, cfg, modes=modes,
                            collect_sketch_records=not args.no_records)
     write_outputs(result, Path(args.out),
                   _manifest(args, man_sc, spec, cfg, modes, capture=str(args.capture)))
+    for line in result.unscored:  # blocks whose training lacks a class
+        print(line, file=sys.stderr)
     for line in metrics_lines(result):
         print(line)
     return EXIT_OK

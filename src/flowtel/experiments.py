@@ -97,7 +97,7 @@ def detectability_trial(
     sk.update_batch(codes, np.full_like(lat, 500), arrivals, lat, np.zeros_like(lat))  # 500 B green
     key = FlowKey.from_code(mon_code)
     (fv,) = extract_sketch_features({0: sk}, [key], region, 0, {key.qfi: 0})
-    out = diag_lift_detector(fv, base, cfg.epsilon, beta)
+    out = diag_lift_detector(fv, base, cfg.epsilon)
     return TrialOutcome(fired=out.fired, threshold=thr, injected=injected, baseline=base)
 
 

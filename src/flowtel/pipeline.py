@@ -21,7 +21,7 @@ import numpy as np
 
 from .analysis import (
     DetectionMetrics,
-    DetectionOutcome,
+    FitError,
     evaluate,
     extract_pm_features,
     extract_postcard_features,
@@ -224,10 +224,11 @@ class RunResult:
     labels: list[GroundTruthLabel]
     windows: list[int]
     modes: dict[TelemetryMode, ModeTelemetry]
-    outcomes: dict[tuple[str, str], list[DetectionOutcome]]
+    outcomes: dict[tuple[str, str], np.recarray]  # train_detectors' rows
     metrics: list[DetectionMetrics]
     lat_edges: dict[int, np.ndarray]
     iat_edges: dict[int, np.ndarray]
+    unscored: list[str] = field(default_factory=list)  # metrics.txt's "# unscored" lines
 
     def metrics_by(self, kind: str, mode: str) -> DetectionMetrics:
         for m in self.metrics:
@@ -325,22 +326,14 @@ def _dsmp_pass(stream, spec, cfg, lat_edges, iat_edges) -> ModeTelemetry:
 
 def _pm_pass(stream, drops, spec) -> ModeTelemetry:
     """Per-QFI counters of each window's monitored packets and drops."""
-    batches = _by_window(stream, np.flatnonzero(stream.monitored))
-    # monitored drops by window; the piece past the last window is never read
-    dwin = np.where(drops.monitored, drops.arrival_ns // spec.window_len_ns, stream.n_windows)
-    order = np.argsort(dwin, kind="stable")
-    cuts = np.searchsorted(dwin[order], range(1, stream.n_windows + 1))
-    drop_qfis = np.split(drops.qfi[order], cuts)
-    tables, lines, costs = [], [], []
-    for w in range(stream.n_windows):
-        idx = batches[w]
-        rows = pm_window(
-            stream.qfi[idx], stream.bytes[idx], stream.sojourn_ns[idx], drop_qfis[w], w
-        )
-        tables.append(extract_pm_features(rows, w))
-        lines.extend(r.to_line() for r in rows)
-        costs.append(export_cost(TelemetryMode.PM, active_qfis=len(rows)))
-    return ModeTelemetry(_table(TelemetryMode.PM, tables), costs, lines)
+    dwin = drops.arrival_ns // spec.window_len_ns
+    dsel = drops.monitored & (dwin < stream.n_windows)
+    rows = pm_window(stream.window, stream.qfi, stream.bytes, stream.sojourn_ns,
+                     stream.monitored, dwin[dsel], drops.qfi[dsel])
+    lines = [f"pm {w} {q} {n} {b} {d} {m:.3f}" for w, q, n, b, d, m in rows.tolist()]
+    costs = [export_cost(TelemetryMode.PM, active_qfis=n)
+             for n in np.bincount(rows.window, minlength=stream.n_windows).tolist()]
+    return ModeTelemetry(extract_pm_features(rows), costs, lines)
 
 
 def run_telemetry(
@@ -368,18 +361,25 @@ def run_telemetry(
     mode_data = {m: done[m] for m in modes}
     windows = list(range(stream.n_windows))
     del stream  # training reads the features only; free the columns
-    outcomes: dict[tuple[str, str], list[DetectionOutcome]] = {}
+    outcomes: dict[tuple[str, str], np.recarray] = {}
     metrics: list[DetectionMetrics] = []
+    unscored: list[str] = []
     for kind in active_kinds(spec):
         for mode in modes:
-            found = train_detectors(
-                mode_data[mode].features, labels, kind, n_blocks=cfg.n_blocks, l2=cfg.l2
-            )
+            try:
+                found, poor = train_detectors(mode_data[mode].features, labels, kind,
+                                              n_blocks=cfg.n_blocks, l2=cfg.l2), []
+            except FitError as e:  # a block whose training folds lack a class stays unscored
+                found, poor = e.outcomes, e.unscored
             outcomes[(kind.value, mode.value)] = found
-            metrics.append(evaluate(found, labels, kind, mode.value, windows, spec.window_len_ns,
+            unscored += [f"# unscored {kind.value} {mode.value} windows={first}-{last} "
+                         f"reason=no {missing} examples" for first, last, missing in poor]
+            scored = [w for w in windows if not any(a <= w <= b for a, b, _ in poor)]
+            metrics.append(evaluate(found, labels, kind, mode.value, scored, spec.window_len_ns,
                                     anomaly_instances(spec, kind)))
     return RunResult(spec=spec, labels=labels, windows=windows, modes=mode_data,
-                     outcomes=outcomes, metrics=metrics, lat_edges=lat_edges, iat_edges=iat_edges)
+                     outcomes=outcomes, metrics=metrics, lat_edges=lat_edges, iat_edges=iat_edges,
+                     unscored=unscored)
 
 
 def run_scenario(
@@ -418,12 +418,13 @@ def feature_lines(table: np.recarray) -> list[str]:
     return [" ".join(row) for row in zip(*(_column_text(table, c) for c in FEATURE_COLUMNS))]
 
 
-def outcome_lines(outcomes: dict[tuple[str, str], list[DetectionOutcome]]) -> list[str]:
+def outcome_lines(outcomes: dict[tuple[str, str], np.recarray]) -> list[str]:
+    """The scored rows of each (kind, mode); an unscored row is left out."""
     lines = ["# kind mode window scope score fired"]
     for (kind, mode) in sorted(outcomes):
-        for o in outcomes[(kind, mode)]:
-            scope = ":".join(str(p) for p in o.scope)
-            lines.append(f"{kind} {mode} {o.window} {scope} {o.score:.9g} {int(o.fired)}")
+        rows = outcomes[(kind, mode)]
+        lines += [f"{kind} {mode} {w} {':'.join(map(str, scope))} {s:.9g} {int(f)}"
+                  for w, scope, s, f in rows[~np.isnan(rows.score)].tolist()]
     return lines
 
 
@@ -439,7 +440,7 @@ def metrics_lines(result: RunResult) -> list[str]:
         total = result.total_bytes(mode)
         mbps = total * 8 / result.spec.duration_s / 1e6
         lines.append(f"# cost {mode.value} bytes={total} mbps={mbps:.4f}")
-    return lines
+    return lines + result.unscored
 
 
 def write_outputs(result: RunResult, out_dir: Path, manifest: dict) -> None:

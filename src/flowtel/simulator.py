@@ -343,7 +343,7 @@ def _sorted_parts(parts: list[PacketBatch]) -> tuple[PacketBatch, np.ndarray]:
     ties kept in part order, together with each row's index within its part."""
     batch = _concat(parts)
     seq = np.concatenate([np.arange(len(p), dtype=np.int64) for p in parts])
-    order = np.lexsort((seq, batch.codes(), batch.arrival_ns))
+    order = _order(batch.arrival_ns, batch.codes(), seq)
     return batch.take(order), seq[order]
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from flowtel.analysis import (
     DEFAULT_FEATURE_MASKS,
-    DetectionOutcome,
+    OUTCOME_DTYPE,
     FitError,
     ScopeNormalizer,
     auprc,
@@ -26,7 +26,7 @@ from flowtel.analysis import (
     train_detectors,
     ttfd_seconds,
 )
-from flowtel.baselines import QfiCounters
+from flowtel.baselines import pm_window
 from flowtel.binning import DiagnosticRegion
 from flowtel.core import FlowKey, SketchConfig
 from flowtel.pipeline import FEATURE_HEADER, feature_lines
@@ -156,9 +156,11 @@ def test_columnar_postcard_features_match_per_postcard_loop(rng):
 
 
 def test_pm_features_mark_distributional_fields_absent():
-    rows = [QfiCounters(qfi=1, window=3, pkt_count=10, byte_count=5000,
-                        drop_count=2, sojourn_sum_ns=10**7)]
-    table = extract_pm_features(rows, 3)
+    # ten packets of 500 bytes with a 1 ms sojourn, and two drops, in window 3
+    rows = pm_window(np.full(10, 3), np.full(10, 1), np.full(10, 500), np.full(10, 10**6),
+                     np.ones(10, bool), np.full(2, 3), np.full(2, 1))
+    table = extract_pm_features(rows)
+    assert len(table) == 1 and table.window[0] == 3 and table.pkts[0] == 10
     fv = table[0]
     assert fv.scope == ("qfi", 1)
     absent = ["diag_pkts", "tail_frac", "head_frac", *LAT, *IAT, *COLORS, "teids_per_qfi"]
@@ -324,6 +326,22 @@ def test_single_class_training_raises_named_fit_error(rng):
         train_detectors(fvs, [], AnomalyKind.CONTENTION, n_blocks=2)
 
 
+def test_class_poor_block_stays_unscored_and_its_neighbours_keep_their_scores(rng):
+    # every anomalous window is in the second of four blocks (windows 15-29),
+    # so that block's training folds hold no positive example
+    fvs, labels = synth_fvs(60, {17, 18, 22, 23}, rng, separation=25.0)
+    with pytest.raises(FitError, match="block starting at window 15 have no positive") as err:
+        train_detectors(fvs, labels, AnomalyKind.CONTENTION, n_blocks=4)
+    found = err.value.outcomes
+    assert err.value.unscored == [(15, 29, "positive")]
+    assert found.window.tolist() == fvs.window.tolist()
+    assert found.scope.tolist() == fvs.scope.tolist()
+    in_poor = (found.window >= 15) & (found.window <= 29)
+    assert np.isnan(found.score[in_poor]).all() and not found.fired[in_poor].any()
+    kept = found.score[~in_poor]
+    assert np.isfinite(kept).all() and ((kept > 0) & (kept < 1)).all()
+
+
 class PerScopeNormalizer:
     """The per-scope loop the grouped ``ScopeNormalizer`` replaced: one
     ``np.median`` and two ``np.quantile`` calls per scope, and one row at a
@@ -411,19 +429,21 @@ def test_feature_matrix_mask_and_fallback():
 # -- evaluation -------------------------------------------------------------------
 
 
-def outcome(w, score, fired=None):
-    return DetectionOutcome(window=w, scope=("flow", 1, 1), score=score,
-                            fired=score >= 0.5 if fired is None else fired,
-                            detector="test")
+def outcomes(scores, fired=None):
+    """Outcome rows of one scope for windows 0, 1, ..., as train_detectors
+    returns them; a row fires at 0.5 unless told otherwise."""
+    fired = [s >= 0.5 for s in scores] if fired is None else fired
+    return np.rec.array([(w, ("flow", 1, 1), s, f) for w, (s, f) in enumerate(zip(scores, fired))],
+                        dtype=OUTCOME_DTYPE)
 
 
 def test_evaluate_perfect_and_constant():
     labels = [GroundTruthLabel(window=w, kind=AnomalyKind.MICROBURST, scope=("all",))
               for w in (2, 3)]
-    outs = [outcome(w, 1.0 if w in (2, 3) else 0.0) for w in range(10)]
+    outs = outcomes([1.0 if w in (2, 3) else 0.0 for w in range(10)])
     m = evaluate(outs, labels, AnomalyKind.MICROBURST, "sketch", list(range(10)), 10**9)
     assert m.auprc == 1.0 and m.f1 == 1.0
-    const = [outcome(w, 0.7, fired=True) for w in range(10)]
+    const = outcomes([0.7] * 10, fired=[True] * 10)
     m2 = evaluate(const, labels, AnomalyKind.MICROBURST, "sketch", list(range(10)), 10**9)
     assert m2.auprc == pytest.approx(0.2)  # prevalence of a constant ranker
 
@@ -447,9 +467,23 @@ def test_pooled_auprc_matches_the_inline_window_max():
 
 
 def test_evaluate_no_positives_reports_none():
-    outs = [outcome(w, 0.1) for w in range(5)]
+    outs = outcomes([0.1] * 5)
     m = evaluate(outs, [], AnomalyKind.MICROBURST, "pm", list(range(5)), 10**9)
     assert m.auprc is None
+
+
+def test_evaluate_counts_only_the_scored_windows():
+    """Windows 5-9 belong to an unscored block: NaN rows, left out of every
+    count, and the anomaly instance inside them is left out of TTFD."""
+    labels = [GroundTruthLabel(window=w, kind=AnomalyKind.MICROBURST, scope=("all",))
+              for w in (2, 7)]
+    outs = outcomes([0.9 if w == 2 else 0.1 for w in range(5)] + [math.nan] * 5)
+    instances = [(2 * 10**9, 3 * 10**9), (7 * 10**9, 8 * 10**9)]
+    m = evaluate(outs, labels, AnomalyKind.MICROBURST, "pm", range(5), 10**9, instances)
+    assert (m.auprc, m.f1, m.positives, m.windows) == (1.0, 1.0, 1, 5)
+    assert (m.ttfd_median_s, m.ttfd_censored, m.ttfd_instances) == (0.0, 0, 1)
+    none = evaluate(outs, labels, AnomalyKind.MICROBURST, "pm", [], 10**9, instances)
+    assert (none.auprc, none.positives, none.windows, none.ttfd_instances) == (None, 0, 0, 0)
 
 
 def test_ttfd_same_window_within_resolution():

@@ -7,7 +7,6 @@ from flowtel.baselines import (
     PM_RECORD_BYTES,
     POSTCARD_BYTES,
     DeltaSampler,
-    QfiCounters,
     TelemetryMode,
     export_cost,
     pm_window,
@@ -47,6 +46,31 @@ def offer(sampler: DeltaSampler, ev: PacketEvent) -> Postcard | None:
     sampler.last_exported[code] = ev.sojourn_ns
     return Postcard(key=ev.key, qid=ev.qid, arrival_ns=ev.arrival_ns, sojourn_ns=ev.sojourn_ns,
                     color=ev.color, bytes=ev.bytes)
+
+
+@dataclass
+class QfiCounters:
+    """One QFI's aggregate counters for one window (tunnel identity erased),
+    folded one packet at a time."""
+
+    qfi: int
+    window: int
+    pkt_count: int = 0
+    byte_count: int = 0
+    drop_count: int = 0
+    sojourn_sum_ns: int = 0
+
+    @property
+    def mean_delay_ns(self) -> float:
+        if self.pkt_count == 0:
+            return 0.0
+        return self.sojourn_sum_ns / self.pkt_count
+
+    def to_line(self) -> str:
+        return (
+            f"pm {self.window} {self.qfi} {self.pkt_count} {self.byte_count} "
+            f"{self.drop_count} {self.mean_delay_ns:.3f}"
+        )
 
 
 def pm_update(counters: dict[int, QfiCounters], ev: PacketEvent, window: int) -> None:
@@ -178,14 +202,16 @@ def test_pm_windows_match_per_event_fold(rng):
 def test_pm_window_mean_delay_divides_exact_sums():
     # three sojourns just past 2**53: their float64 sum rounds, the int sum does not
     soj = np.array([2**53 + 1, 2**53 + 3, 2**53 + 5], dtype=np.int64)
-    (row,) = pm_window(np.full(3, 2), np.full(3, 100), soj, np.array([2, 2]), window=4)
+    (row,) = pm_window(np.full(3, 4), np.full(3, 2), np.full(3, 100), soj, np.ones(3, bool),
+                       np.array([4, 4]), np.array([2, 2])).tolist()
     ref: dict[int, QfiCounters] = {}
     for s in soj.tolist():
         pm_update(ref, ev(1, 2, sojourn_ns=s, size=100), window=4)
     pm_record_drop(ref, 2, 4)
     pm_record_drop(ref, 2, 4)
-    assert row == ref[2]
-    assert row.mean_delay_ns == (3 * 2**53 + 9) / 3 != float(soj.sum(dtype=np.float64)) / 3
+    r = ref[2]
+    assert row == (r.window, r.qfi, r.pkt_count, r.byte_count, r.drop_count, r.mean_delay_ns)
+    assert row[-1] == (3 * 2**53 + 9) / 3 != float(soj.sum(dtype=np.float64)) / 3
 
 
 # -- delta-triggered postcards -------------------------------------------------------

@@ -96,6 +96,35 @@ def test_run_shorter_than_one_nanosecond_has_no_window(tmp_path):
     assert "# cost sketch bytes=0 mbps=0.0000" in (out / "metrics.txt").read_text()
 
 
+def test_class_poor_training_folds_leave_blocks_unscored_and_the_run_finishes(tmp_path, capsys):
+    """Two windows, the anomaly fills the first: the first block's training
+    fold has no positive example and the second's no negative one. Both
+    blocks are reported unscored, in metrics.txt and on stderr, and the run
+    exits 0 instead of 3."""
+    doc = {"duration_s": 2.0, "seed": 1,
+           "flows": [{"teid": 1, "qfi": 1, "pattern": "cbr", "rate_pps": 100}],
+           "qfi_to_qid": {"1": 0}, "queue_policy": {"0": {"tier": 0, "service_rate_bps": 1e7}},
+           "anomalies": [{"kind": "microburst", "start_s": 0.5, "duration_s": 0.5,
+                          "target_flows": [{"teid": 1, "qfi": 1}]}]}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    unscored = [f"# unscored microburst {mode} windows={w}-{w} reason=no {cls} examples"
+                for mode in ("sketch", "dsmp", "pm")
+                for w, cls in ((0, "positive"), (1, "negative"))]
+    cap = tmp_path / "capture.txt"
+    assert main(["capture", "--scenario", str(scenario), "--out", str(cap)]) == 0
+    for cmd in (["run"], ["replay", "--capture", str(cap)]):
+        out = tmp_path / cmd[0]
+        capsys.readouterr()
+        assert main([*cmd, "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines()[-len(unscored):] == unscored
+        metrics = (out / "metrics.txt").read_text().splitlines()
+        assert [ln for ln in metrics if ln.startswith("# unscored")] == unscored
+        for mode in ("dsmp", "pm", "sketch"):  # no window is scored
+            assert f"microburst {mode} NA 0.000000 0 0 NA 0" in metrics
+        assert (out / "outcomes.txt").read_text() == "# kind mode window scope score fired\n"
+
+
 def test_run_twice_byte_identical(tmp_path):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(MINIMAL_SCENARIO))
@@ -490,7 +519,7 @@ def test_rerun_without_sketch_records_removes_the_stale_file(tmp_path, rerun):
 
 def test_capture_replay_keeps_drops(tmp_path, capsys):
     """With meter and overflow drops, capture + replay writes the six files of
-    run; a capture without the drop_reason column replays without drops."""
+    run; a capture without the drop_reason column is refused."""
     scenario = str(Path(__file__).parent / "golden_drops.json")
     cap = tmp_path / "capture.txt"
     assert main(["capture", "--scenario", scenario, "--out", str(cap)]) == 0
@@ -506,10 +535,10 @@ def test_capture_replay_keeps_drops(tmp_path, capsys):
     old = tmp_path / "old.txt"  # the earlier format: delivered rows, eight columns
     np.savetxt(old, rows[rows[:, -1] < 0, :-1], fmt="%d")
     assert main(["replay", "--scenario", scenario, "--capture", str(old),
-                 "--out", str(tmp_path / "old")]) == 0
-    assert f"capture file {old} has no drop_reason column" in capsys.readouterr().err
-    assert (tmp_path / "old" / "records.bin").read_bytes() == \
-        (tmp_path / "direct" / "records.bin").read_bytes()
+                 "--out", str(tmp_path / "old")]) == 2
+    err = capsys.readouterr().err
+    assert f"capture file {old}" in err and "drop_reason" in err and "got 8" in err
+    assert not (tmp_path / "old").exists()
 
 
 def test_explicit_edges_override_fitting(tmp_path):

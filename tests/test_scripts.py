@@ -1,5 +1,6 @@
-"""The scripts under scripts/ reach into flowtel's API; loading each one
-(without running its main) fails as soon as a name it imports is gone."""
+"""The scripts under scripts/ and the benchmark's tracer reach into
+flowtel's API; loading each one (without running its main) fails as soon as
+a name it imports is gone."""
 
 import os
 import runpy
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).parents[1] / "scripts").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=[p.name for p in SCRIPTS])
@@ -37,3 +39,23 @@ def test_sweep_pareto_removes_its_grid_file(tmp_path, monkeypatch, capsys):
     assert len(seen) == 1 and seen[0].endswith(".json")
     assert os.listdir(tmp) == []
     assert "# mode width depth rho dsmp_delta_ns export_mbps auprc pareto" in capsys.readouterr().out
+
+
+def test_benchmark_tracer_wraps_names_every_run_calls(tmp_path):
+    """perfbench/spans.py replaces flowtel functions by name; a deleted or
+    renamed one raises in install(), and one the run stops calling records
+    no span."""
+    from flowtel import cli, pipeline
+
+    spans = runpy.run_path(str(ROOT / "perfbench" / "spans.py"), run_name="spans")
+    tracer = spans["Tracer"]()
+    before = pipeline.train_detectors
+    spans["install"](tracer)
+    try:
+        wrapped = len(tracer._patches)
+        assert cli.main(["run", "--scenario", "smoke", "--out", str(tmp_path / "out")]) == 0
+    finally:
+        tracer.unwrap_all()
+    assert pipeline.train_detectors is before
+    called = {s[1] for s in tracer.spans} - {spans["COUNTS_SPAN"]}
+    assert len(called) == wrapped, called
