@@ -15,15 +15,15 @@ Detection is per (window, scope). Two built-in scorers:
   trained and applied under temporally blocked cross-fitting so train and
   test windows never interleave.
 
-The cross-fitted outcomes are a record array aligned row for row with the
-feature table; a block whose training folds lack a class stays unscored.
-External ML stays pluggable: features and outcomes serialize to columnar
-text, and anything that can score a feature file can act as a detector.
+Both give ``OUTCOME_DTYPE`` records, the one outcome type; cross-fitting
+gives one per feature row, and a block whose training folds lack a class
+stays unscored. External ML stays pluggable: features and outcomes
+serialize to columnar text, and anything that can score a feature file can
+act as a detector.
 
 Window-level evaluation reduces scope scores by max over the scored
-windows, then computes AUPRC by step interpolation over the score ranking
-(ties grouped), F1 at a tuned threshold, and time-to-first-detection per
-anomaly instance.
+windows. One ranking of them (ties grouped) gives both the AUPRC, by step
+interpolation, and the max-F1 threshold; TTFD is per anomaly instance.
 """
 
 from __future__ import annotations
@@ -54,12 +54,9 @@ class FitError(ValueError):
         self.outcomes, self.unscored = outcomes, list(unscored)
 
 
-@dataclass(frozen=True)
-class DetectionOutcome:
-    window: int
-    scope: tuple
-    score: float  # in [0, 1]
-    fired: bool
+# one detection outcome per (window, scope); score in [0, 1], NaN where unscored
+OUTCOME_DTYPE = np.dtype([("window", np.int64), ("scope", object), ("score", np.float64),
+                          ("fired", bool)])
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -206,9 +203,9 @@ def extract_pm_features(rows: np.recarray) -> np.recarray:
 # -- diagnostic-lift rule ------------------------------------------------------
 
 
-def diag_lift_detector(fv: np.record, base: FlowBaseline, eps: float) -> DetectionOutcome:
+def diag_lift_detector(fv: np.record, base: FlowBaseline, eps: float) -> np.record:
     """Fire when the estimated diagnostic ratio of a feature row exceeds the
-    baseline ceiling.
+    baseline ceiling; one ``OUTCOME_DTYPE`` record.
 
     The ceiling is (x_k_T + eps*N_T) / x_k: the largest ratio collision noise
     alone can produce for this flow. Spillover beta does not change the rule,
@@ -216,17 +213,12 @@ def diag_lift_detector(fv: np.record, base: FlowBaseline, eps: float) -> Detecti
     """
     if "diag_pkts" not in fv.dtype.names:
         raise ValueError("diagnostic-lift rule needs a mode with diag_pkts")
-    window, scope, pkts = int(fv.window), fv.scope, float(fv.pkts)
+    pkts = float(fv.pkts)
     ceiling = (base.x_k_T + eps * base.n_T) / base.x_k
-    if pkts <= 0:
-        return DetectionOutcome(window, scope, 0.0, False)
-    ratio = float(fv.diag_pkts) / pkts
-    fired = ratio > ceiling
-    if ceiling >= 1.0:
-        score = 0.0
-    else:
-        score = min(1.0, max(0.0, (ratio - ceiling) / (1.0 - ceiling)))
-    return DetectionOutcome(window, scope, score, fired)
+    ratio = float(fv.diag_pkts) / pkts if pkts > 0 else -math.inf  # no volume: no lift
+    score = min(1.0, max(0.0, (ratio - ceiling) / (1.0 - ceiling))) if ceiling < 1.0 else 0.0
+    return np.array((fv.window, fv.scope, score, ratio > ceiling),
+                    OUTCOME_DTYPE).view(np.recarray)[()]
 
 
 # -- linear detector with temporal blocking ---------------------------------------
@@ -345,32 +337,33 @@ class LinearDetector:
         return 1.0 / (1.0 + np.exp(-np.clip(raw, -60, 60)))
 
 
-def _scope_matches(fv_scope: tuple, label: GroundTruthLabel) -> bool:
-    ls = label.scope
-    if ls == ("all",):
-        return True
-    if ls[0] == "flow":
-        if fv_scope[0] == "flow":
-            # tunnel-level attribution: a flow that remaps its class is
-            # still the same culprit tunnel
-            return fv_scope[1] == ls[1]
-        return fv_scope == ("qfi", ls[2])  # QFI-scope view of a flow target
-    if ls[0] == "qfi":
-        if fv_scope[0] == "qfi":
-            return fv_scope[1] == ls[1]
-        return fv_scope[2] == ls[1]  # flow inside the targeted class
-    return False
+def _row_labels(table: np.recarray, labels: Sequence[GroundTruthLabel],
+                kind: AnomalyKind) -> np.ndarray:
+    """Training labels for ``kind``: -2 (kept out of training) in any
+    labelled window and 0 in the others, then 1 where a label of ``kind``
+    matches the row. ``("all",)`` matches every row; a flow label the flow
+    rows of its TEID (a flow that remaps its class is still the culprit
+    tunnel) and the QFI row of its QFI; a QFI label every row whose last
+    scope element is that QFI."""
+    y = np.where(np.isin(table.window, [lb.window for lb in labels]), -2, 0)
+    mine = [lb for lb in labels if lb.kind is kind]
+    rows = np.flatnonzero(np.isin(table.window, [lb.window for lb in mine]))
+    scopes = table.scope[rows].tolist()
+    flow = np.array([s[0] == "flow" for s in scopes], dtype=bool)
+    # (window, id) keys in int64: a run lists its windows (far fewer than 2**31), ids < 2**32
+    window = table.window[rows] << 32
+    second = window | np.array([s[1] for s in scopes], dtype=np.int64)  # TEID, or a QFI row's QFI
+    last = window | np.array([s[-1] for s in scopes], dtype=np.int64)  # the row's QFI
 
+    def keys(scope_kind: str, part: int) -> list[int]:
+        return [lb.window << 32 | lb.scope[part] for lb in mine if lb.scope[0] == scope_kind]
 
-def label_fv(
-    scope: tuple, window: int, labels_by_window: dict[int, list[GroundTruthLabel]]
-) -> int | None:
-    """1 = scope targeted in an active window, 0 = clean window,
-    None = active window but different scope (excluded from training)."""
-    active = labels_by_window.get(window, [])
-    if not active:
-        return 0
-    return 1 if any(_scope_matches(scope, lb) for lb in active) else None
+    hit = np.isin(table.window[rows], [lb.window for lb in mine if lb.scope == ("all",)])
+    hit |= flow & np.isin(second, keys("flow", 1))
+    hit |= ~flow & np.isin(second, keys("flow", 2))
+    hit |= np.isin(last, keys("qfi", 1))
+    y[rows[hit]] = 1
+    return y
 
 
 def temporal_blocks(windows: Sequence[int], n_blocks: int) -> list[list[int]]:
@@ -379,10 +372,6 @@ def temporal_blocks(windows: Sequence[int], n_blocks: int) -> list[list[int]]:
     n_blocks = max(1, min(n_blocks, len(uniq)))
     size = math.ceil(len(uniq) / n_blocks)
     return [uniq[i : i + size] for i in range(0, len(uniq), size)]
-
-
-OUTCOME_DTYPE = np.dtype([("window", np.int64), ("scope", object), ("score", np.float64),
-                          ("fired", bool)])
 
 
 def train_detectors(
@@ -414,20 +403,7 @@ def train_detectors(
     ids: dict[tuple, int] = {}
     sid = np.fromiter((ids.setdefault(s, len(ids)) for s in scopes), dtype=np.intp,
                       count=len(scopes))
-    labels_by_window: dict[int, list[GroundTruthLabel]] = {}
-    for lb in labels:
-        if lb.kind is kind:
-            labels_by_window.setdefault(lb.window, []).append(lb)
-    # rows of windows without a label of this kind are clean (0); the rest
-    # are labelled by scope, with None (-2) kept out of training
-    y = np.zeros(len(table), dtype=np.int64)
-    for i in np.nonzero(np.isin(windows, list(labels_by_window)))[0].tolist():
-        v = label_fv(scopes[i], int(windows[i]), labels_by_window)
-        y[i] = -2 if v is None else v
-    # windows where some other anomaly kind is active are neither clean
-    # negatives nor positives for this detector; keep them out of training
-    in_other = np.isin(windows, [lb.window for lb in labels if lb.kind is not kind])
-    y = np.where((y == 0) & in_other, -2, y)
+    y = _row_labels(table, labels, kind)
 
     unscored: list[tuple[int, int, str]] = []
     for block in temporal_blocks(windows.tolist(), n_blocks):
@@ -444,10 +420,8 @@ def train_detectors(
         det = LinearDetector(l2=l2).fit(xt, y[train_mask])
         train_windows = np.unique(windows[train_mask])
         train_max = _window_max(windows[train_mask], det.score(xt), train_windows[-1] + 1)
-        thr = best_f1_threshold(
-            dict(zip(train_windows.tolist(), train_max[train_windows].tolist())),
-            set(windows[train_mask & (y == 1)].tolist()),
-        )[0]
+        thr = best_f1_threshold(np.isin(train_windows, windows[train_mask & (y == 1)]),
+                                train_max[train_windows])[0]
         score = det.score(norm.transform(X[test_mask], sid[test_mask]))
         out.score[test_mask], out.fired[test_mask] = score, score >= thr
     if unscored:
@@ -469,6 +443,17 @@ def _window_max(windows: np.ndarray, scores: np.ndarray, n_windows: int) -> np.n
 # -- metrics -------------------------------------------------------------------
 
 
+def _ranked(y: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct scores, highest first, with the true and false positives
+    at or above each: one stable descending sort, ties grouped. ``y`` is 1
+    for a positive, 0 for a negative; neither may be empty."""
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    last = np.flatnonzero(np.append(s[1:] != s[:-1], True))  # each tie group's last rank
+    tp = np.cumsum(y[order])[last]
+    return s[last], tp, last + 1 - tp
+
+
 def auprc(y_true: Sequence[int], scores: Sequence[float]) -> float | None:
     """Area under precision-recall by step interpolation, ties grouped.
 
@@ -476,30 +461,13 @@ def auprc(y_true: Sequence[int], scores: Sequence[float]) -> float | None:
     scorer collapses to one group and scores exactly the prevalence.
     """
     y = np.asarray(y_true, dtype=np.int64)
-    s = np.asarray(scores, dtype=np.float64)
     pos = int(y.sum())
     if pos == 0:
         return None
-    order = np.argsort(-s, kind="stable")
-    y = y[order]
-    s = s[order]
-    area = 0.0
-    tp = fp = 0
-    prev_recall = 0.0
-    i = 0
-    n = len(y)
-    while i < n:
-        j = i
-        while j < n and s[j] == s[i]:
-            j += 1
-        tp += int(y[i:j].sum())
-        fp += (j - i) - int(y[i:j].sum())
-        recall = tp / pos
-        precision = tp / (tp + fp)
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j
-    return area
+    _, tp, fp = _ranked(y, np.asarray(scores, dtype=np.float64))
+    recall = tp / pos
+    # cumsum adds left to right, as a running sum does; np.sum's pairwise order differs
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * (tp / (tp + fp)))[-1])
 
 
 def f1_from_counts(tp: int, fp: int, fn: int) -> float:
@@ -507,29 +475,26 @@ def f1_from_counts(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / denom if denom else 0.0
 
 
-def best_f1_threshold(
-    scores_by_window: dict[int, float], positive_windows: set[int]
-) -> tuple[float, float]:
-    """Threshold (over window-max scores) maximizing F1.
+def best_f1_threshold(y: np.ndarray, scores: np.ndarray) -> tuple[float, float]:
+    """Threshold over window-max ``scores`` maximizing F1 against the
+    positive windows ``y`` (bool or 0/1), and that F1.
 
     Candidate thresholds sit midway between adjacent distinct scores, so the
     chosen cut carries margin on both sides instead of grazing a training
     score; ties prefer the higher threshold.
     """
-    items = sorted(scores_by_window.items())
-    if not items:
+    if not len(scores):
         return 1.0, 0.0
-    uniq = sorted({s for _, s in items}, reverse=True)
-    candidates = [(a + b) / 2 for a, b in zip(uniq, uniq[1:])] + [uniq[-1]]
-    best = (1.0, -1.0)
-    for thr in candidates:
-        tp = sum(1 for w, s in items if s >= thr and w in positive_windows)
-        fp = sum(1 for w, s in items if s >= thr and w not in positive_windows)
-        fn = sum(1 for w, s in items if s < thr and w in positive_windows)
-        f1 = f1_from_counts(tp, fp, fn)
-        if f1 > best[1]:
-            best = (thr, f1)
-    return best
+    s, tp, fp = _ranked(np.asarray(y, dtype=np.int64), np.asarray(scores, dtype=np.float64))
+    candidates = np.append((s[:-1] + s[1:]) / 2, s[-1])
+    # the groups at or above each candidate: a midpoint of two neighbouring
+    # doubles rounds onto one of them, so it is not always the group above
+    above = np.searchsorted(-s, -candidates, side="right")
+    pos = tp[-1]
+    tp, fp = np.append(0, tp)[above], np.append(0, fp)[above]
+    f1 = _ratio(2 * tp, 2 * tp + fp + (pos - tp))  # f1_from_counts, one candidate each
+    best = int(np.argmax(f1))  # the first maximum: the highest threshold
+    return float(candidates[best]), float(f1[best])
 
 
 @dataclass
@@ -614,12 +579,18 @@ def evaluate(
 def pooled_auprc(result: RunResult, mode: str) -> float | None:
     """Any-anomaly AUPRC of one mode: a window scores the max over every
     kind's outcomes (0.0 without any) and is positive when any label falls
-    in it."""
+    in it. A window inside a block that any kind left unscored in this mode
+    is left out, so it cannot count as a 0.0; None when no positive window
+    is left."""
     rows = np.concatenate([np.zeros(0, OUTCOME_DTYPE),
                            *(o for (_, md), o in result.outcomes.items() if md == mode)])
-    positive = {lb.window for lb in result.labels}
-    return auprc([1 if w in positive else 0 for w in result.windows],
-                 _window_max(rows["window"], rows["score"], len(result.windows)))
+    scored = np.ones(len(result.windows), dtype=bool)
+    for _, md, first, last, _ in result.unscored:
+        if md == mode:
+            scored[first : last + 1] = False
+    positive = np.isin(result.windows, [lb.window for lb in result.labels])
+    best = _window_max(rows["window"], rows["score"], len(result.windows))
+    return auprc(positive[scored], best[scored])
 
 
 def pareto_front(points: Sequence[tuple[float, float]]) -> list[bool]:

@@ -39,6 +39,7 @@ from .pipeline import (
     metrics_lines,
     run_scenario,
     run_telemetry,
+    unscored_lines,
     write_outputs,
 )
 from .scenarios import PRESETS, build
@@ -270,7 +271,7 @@ def cmd_run(args) -> int:
                   "fitted on its traffic", file=sys.stderr)
     result = run_scenario(spec, cfg, modes=modes, collect_sketch_records=not args.no_records)
     write_outputs(result, Path(args.out), _manifest(args, man_sc, spec, cfg, modes))
-    for line in result.unscored:  # blocks whose training lacks a class
+    for line in unscored_lines(result):  # blocks whose training lacks a class
         print(line, file=sys.stderr)
     for line in metrics_lines(result):
         print(line)
@@ -443,7 +444,7 @@ def cmd_replay(args) -> int:
                            collect_sketch_records=not args.no_records)
     write_outputs(result, Path(args.out),
                   _manifest(args, man_sc, spec, cfg, modes, capture=str(args.capture)))
-    for line in result.unscored:  # blocks whose training lacks a class
+    for line in unscored_lines(result):  # blocks whose training lacks a class
         print(line, file=sys.stderr)
     for line in metrics_lines(result):
         print(line)

@@ -98,7 +98,7 @@ def detectability_trial(
     key = FlowKey.from_code(mon_code)
     (fv,) = extract_sketch_features({0: sk}, [key], region, 0, {key.qfi: 0})
     out = diag_lift_detector(fv, base, cfg.epsilon)
-    return TrialOutcome(fired=out.fired, threshold=thr, injected=injected, baseline=base)
+    return TrialOutcome(fired=bool(out.fired), threshold=thr, injected=injected, baseline=base)
 
 
 def detectability_rates(

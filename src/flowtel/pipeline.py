@@ -228,7 +228,8 @@ class RunResult:
     metrics: list[DetectionMetrics]
     lat_edges: dict[int, np.ndarray]
     iat_edges: dict[int, np.ndarray]
-    unscored: list[str] = field(default_factory=list)  # metrics.txt's "# unscored" lines
+    # blocks train_detectors left unscored: (kind, mode, first window, last window, missing class)
+    unscored: list[tuple[str, str, int, int, str]] = field(default_factory=list)
 
     def metrics_by(self, kind: str, mode: str) -> DetectionMetrics:
         for m in self.metrics:
@@ -363,7 +364,7 @@ def run_telemetry(
     del stream  # training reads the features only; free the columns
     outcomes: dict[tuple[str, str], np.recarray] = {}
     metrics: list[DetectionMetrics] = []
-    unscored: list[str] = []
+    unscored: list[tuple[str, str, int, int, str]] = []
     for kind in active_kinds(spec):
         for mode in modes:
             try:
@@ -372,8 +373,7 @@ def run_telemetry(
             except FitError as e:  # a block whose training folds lack a class stays unscored
                 found, poor = e.outcomes, e.unscored
             outcomes[(kind.value, mode.value)] = found
-            unscored += [f"# unscored {kind.value} {mode.value} windows={first}-{last} "
-                         f"reason=no {missing} examples" for first, last, missing in poor]
+            unscored += [(kind.value, mode.value, *block) for block in poor]
             scored = [w for w in windows if not any(a <= w <= b for a, b, _ in poor)]
             metrics.append(evaluate(found, labels, kind, mode.value, scored, spec.window_len_ns,
                                     anomaly_instances(spec, kind)))
@@ -440,7 +440,13 @@ def metrics_lines(result: RunResult) -> list[str]:
         total = result.total_bytes(mode)
         mbps = total * 8 / result.spec.duration_s / 1e6
         lines.append(f"# cost {mode.value} bytes={total} mbps={mbps:.4f}")
-    return lines + result.unscored
+    return lines + unscored_lines(result)
+
+
+def unscored_lines(result: RunResult) -> list[str]:
+    """One line per block left unscored, as metrics.txt ends."""
+    return [f"# unscored {kind} {mode} windows={first}-{last} reason=no {missing} examples"
+            for kind, mode, first, last, missing in result.unscored]
 
 
 def write_outputs(result: RunResult, out_dir: Path, manifest: dict) -> None:

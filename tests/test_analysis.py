@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from flowtel.analysis import (
     DEFAULT_FEATURE_MASKS,
     OUTCOME_DTYPE,
     FitError,
+    _row_labels,
     ScopeNormalizer,
     auprc,
     best_f1_threshold,
@@ -506,8 +508,7 @@ def test_ttfd_censoring():
 
 
 def test_best_f1_threshold_splits_with_margin():
-    scores = {0: 0.9, 1: 0.8, 2: 0.1, 3: 0.05}
-    thr, f1 = best_f1_threshold(scores, {0, 1})
+    thr, f1 = best_f1_threshold(np.array([1, 1, 0, 0]), np.array([0.9, 0.8, 0.1, 0.05]))
     assert f1 == 1.0
     assert 0.1 < thr <= 0.8  # cut sits between the classes, not on a score
 
@@ -525,3 +526,205 @@ def test_auprc_tie_grouping_exact():
     # group 1: tp=1 fp=1 -> recall .5 precision .5 ; group 2: tp=2 fp=1 -> r=1, p=2/3
     expect = 0.5 * 0.5 + 0.5 * (2 / 3)
     assert auprc(y, s) == pytest.approx(expect)
+
+
+# -- the per-row and per-threshold paths, kept as oracles ----------------------------
+
+
+def reference_auprc(y_true, scores):
+    """The tie-group ``while`` loop ``auprc`` replaced with one ranking."""
+    y = np.asarray(y_true, dtype=np.int64)
+    s = np.asarray(scores, dtype=np.float64)
+    pos = int(y.sum())
+    if pos == 0:
+        return None
+    order = np.argsort(-s, kind="stable")
+    y, s = y[order], s[order]
+    area, tp, fp, prev_recall, i = 0.0, 0, 0, 0.0, 0
+    while i < len(y):
+        j = i
+        while j < len(y) and s[j] == s[i]:
+            j += 1
+        tp += int(y[i:j].sum())
+        fp += (j - i) - int(y[i:j].sum())
+        recall = tp / pos
+        area += (recall - prev_recall) * (tp / (tp + fp))
+        prev_recall = recall
+        i = j
+    return area
+
+
+def reference_best_f1_threshold(scores_by_window, positive_windows):
+    """The dict/set search that recounted every window for every candidate."""
+    items = sorted(scores_by_window.items())
+    if not items:
+        return 1.0, 0.0
+    uniq = sorted({s for _, s in items}, reverse=True)
+    candidates = [(a + b) / 2 for a, b in zip(uniq, uniq[1:])] + [uniq[-1]]
+    best = (1.0, -1.0)
+    for thr in candidates:
+        tp = sum(1 for w, s in items if s >= thr and w in positive_windows)
+        fp = sum(1 for w, s in items if s >= thr and w not in positive_windows)
+        fn = sum(1 for w, s in items if s < thr and w in positive_windows)
+        denom = 2 * tp + fp + fn
+        f1 = 2 * tp / denom if denom else 0.0
+        if f1 > best[1]:
+            best = (thr, f1)
+    return best
+
+
+def reference_scope_matches(fv_scope, ls):
+    if ls == ("all",):
+        return True
+    if ls[0] == "flow":
+        if fv_scope[0] == "flow":
+            return fv_scope[1] == ls[1]  # tunnel-level: a remapped flow keeps its TEID
+        return fv_scope == ("qfi", ls[2])
+    if ls[0] == "qfi":
+        if fv_scope[0] == "qfi":
+            return fv_scope[1] == ls[1]
+        return fv_scope[2] == ls[1]
+    return False
+
+
+def reference_row_labels(table, labels, kind):
+    """The per-row loop ``_row_labels`` replaced: 1 for a matched scope in a
+    window of the kind, -2 for the rest of such a window and for a window of
+    another kind only, 0 elsewhere."""
+    by_window = {}
+    for lb in labels:
+        if lb.kind is kind:
+            by_window.setdefault(lb.window, []).append(lb)
+    other = {lb.window for lb in labels if lb.kind is not kind}
+    y = []
+    for scope, w in zip(table.scope.tolist(), table.window.tolist()):
+        if w in by_window:
+            y.append(1 if any(reference_scope_matches(scope, lb.scope) for lb in by_window[w])
+                     else -2)
+        else:
+            y.append(-2 if w in other else 0)
+    return np.array(y, dtype=np.int64)
+
+
+@st.composite
+def ranked_scores(draw):
+    """Window labels and scores with ties, runs of neighbouring doubles (whose
+    midpoints round onto one of them) and enough distinct values for a
+    pairwise sum to part from a running one."""
+    value = draw(st.sampled_from([0.0, 1e-300, 0.1, 0.5, 1.0, 3.0, 1e300]))
+    pool = [value]
+    for step in draw(st.lists(st.sampled_from([-np.inf, np.inf]), max_size=6)):
+        pool.append(float(np.nextafter(pool[-1], step)))
+    pool += draw(st.lists(st.floats(0.0, 1.0), max_size=12))
+    scores = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    y = draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores)))
+    return np.array(y), np.array(scores)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranked_scores())
+def test_one_ranking_gives_the_reference_doubles(case):
+    y, scores = case
+    assert auprc(y, scores) == reference_auprc(y, scores)
+    thr, f1 = best_f1_threshold(y, scores)
+    assert (thr, f1) == reference_best_f1_threshold(
+        dict(enumerate(scores.tolist())), set(np.flatnonzero(y).tolist()))
+    assert type(thr) is float and type(f1) is float
+
+
+def test_f1_threshold_counts_the_group_a_midpoint_rounds_onto():
+    """The midpoint of 1 + 2**-52 and 1.0 rounds to 1.0, so the cut there
+    takes both windows: F1 2/3, not the 1.0 of a cut between them."""
+    hi = float(np.nextafter(1.0, 2.0))
+    y, scores = np.array([1, 0]), np.array([hi, 1.0])
+    assert (hi + 1.0) / 2 == 1.0
+    assert best_f1_threshold(y, scores) == (1.0, 2 / 3)
+    assert best_f1_threshold(y, scores) == reference_best_f1_threshold({0: hi, 1: 1.0}, {0})
+
+
+@pytest.mark.parametrize("name", ["smoke", "tests/golden_drops.json",
+                                  "perfbench/mixed_short.json"])
+def test_row_labels_match_the_per_row_loop(name):
+    """Every kind against every mode's table; mixed_short's kinds overlap."""
+    from flowtel.cli import load_scenario
+    from flowtel.pipeline import run_scenario
+
+    path = Path(__file__).parent.parent / name  # a preset name is not a file
+    spec, cfg, _ = load_scenario(str(path) if path.is_file() else name, None)
+    res = run_scenario(spec, cfg, collect_sketch_records=False)
+    assert res.labels
+    for mode, telemetry in res.modes.items():
+        for kind in AnomalyKind:
+            got = _row_labels(telemetry.features, res.labels, kind)
+            assert got.tolist() == reference_row_labels(telemetry.features, res.labels,
+                                                        kind).tolist(), (mode, kind)
+
+
+def test_row_labels_follow_a_remapped_tunnel_and_a_labelled_qfi():
+    """Policy abuse moves TEID 7 from QFI 1 to QFI 3: its flow label still
+    marks the tunnel's rows under either QFI, and the QFI row of its own
+    class. A QFI label marks that class's PM row and every flow inside it."""
+    flows = [("flow", 7, 1), ("flow", 7, 3), ("flow", 8, 3), ("flow", 9, 1)]
+    pm = [("qfi", 1), ("qfi", 3)]
+    table = feature_table("dsmp", np.repeat([0, 1, 2, 3, 4], 6), (flows + pm) * 5, False)
+    P, Q = AnomalyKind.POLICY_ABUSE, AnomalyKind.CONGESTION
+    labels = [GroundTruthLabel(1, P, ("flow", 7, 1)), GroundTruthLabel(2, P, ("qfi", 3)),
+              GroundTruthLabel(3, P, ("all",)), GroundTruthLabel(4, Q, ("qfi", 3)),
+              GroundTruthLabel(2, Q, ("flow", 9, 1))]
+    got = _row_labels(table, labels, P).reshape(5, 6)
+    assert got.tolist() == [
+        [0, 0, 0, 0, 0, 0],  # no label
+        [1, 1, -2, -2, 1, -2],  # the tunnel under both classes, and QFI 1's row
+        [-2, 1, 1, -2, -2, 1],  # QFI 3: its flows and its row
+        [1, 1, 1, 1, 1, 1],  # every row
+        [-2, -2, -2, -2, -2, -2],  # another kind only
+    ]
+    for kind in (P, Q):
+        assert (_row_labels(table, labels, kind) == reference_row_labels(table, labels, kind)).all()
+
+
+def pooled_result(outcomes, labels, n_windows, unscored=()):
+    """The parts of a RunResult that ``pooled_auprc`` reads."""
+    from types import SimpleNamespace
+
+    return SimpleNamespace(outcomes=outcomes, labels=labels, windows=list(range(n_windows)),
+                           unscored=list(unscored))
+
+
+def test_pooled_auprc_leaves_out_unscored_blocks_not_only_their_rows():
+    """PM window 3 has no row (no monitored traffic) and lies in an unscored
+    block of one kind: it is left out, not scored 0.0. Window 5 has no row
+    either but every kind scored it, so it stays at 0.0."""
+    M, C = AnomalyKind.MICROBURST, AnomalyKind.CONGESTION
+    burst = np.rec.array([(w, ("qfi", 1), s, False) for w, s in
+                          [(0, 0.1), (1, 0.9), (2, math.nan), (4, 0.2), (6, 0.8)]],
+                         dtype=OUTCOME_DTYPE)
+    cong = np.rec.array([(w, ("qfi", 1), 0.3, False) for w in (0, 1, 2, 4, 6)],
+                        dtype=OUTCOME_DTYPE)
+    labels = [GroundTruthLabel(w, kind, ("all",)) for w, kind in [(1, M), (3, M), (5, C)]]
+    res = pooled_result({(M.value, "pm"): burst, (C.value, "pm"): cong}, labels, 7,
+                        [(M.value, "pm", 2, 3, "positive"), (C.value, "sketch", 6, 6, "negative")])
+    # windows 0, 1, 4, 5, 6: max scores 0.3, 0.9, 0.3, 0.0, 0.8
+    assert pooled_auprc(res, "pm") == auprc([0, 1, 0, 1, 0], [0.3, 0.9, 0.3, 0.0, 0.8])
+    everything_unscored = [(M.value, "pm", 0, 6, "positive")]
+    assert pooled_auprc(pooled_result(res.outcomes, labels, 7, everything_unscored), "pm") is None
+
+
+def test_pooled_auprc_of_a_one_kind_run_is_evaluates_auprc():
+    """Windows 1-3 of 4 are anomalous, so the first block's training folds
+    lack a negative and it is unscored; its windows must not count as 0.0."""
+    from flowtel.cli import scenario_from_dict
+    from flowtel.pipeline import run_scenario
+
+    doc = {"duration_s": 4.0, "seed": 1,
+           "flows": [{"teid": 1, "qfi": 1, "pattern": "poisson", "rate_pps": 300}],
+           "qfi_to_qid": {"1": 0}, "queue_policy": {"0": {"tier": 0, "service_rate_bps": 1e7}},
+           "anomalies": [{"kind": "microburst", "start_s": 1.5, "duration_s": 2.5,
+                          "target_flows": [{"teid": 1, "qfi": 1}]}],
+           "telemetry": {"n_blocks": 2, "fit_windows": 1}}
+    res = run_scenario(*scenario_from_dict(doc), collect_sketch_records=False)
+    for mode in ("sketch", "dsmp", "pm"):
+        m = res.metrics_by("microburst", mode)
+        assert m.windows == 2
+        assert ("microburst", mode, 0, 1, "negative") in res.unscored
+        assert pooled_auprc(res, mode) == m.auprc == 1.0

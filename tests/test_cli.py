@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowtel
 from flowtel.baselines import TelemetryMode
@@ -100,7 +103,7 @@ def test_class_poor_training_folds_leave_blocks_unscored_and_the_run_finishes(tm
     """Two windows, the anomaly fills the first: the first block's training
     fold has no positive example and the second's no negative one. Both
     blocks are reported unscored, in metrics.txt and on stderr, and the run
-    exits 0 instead of 3."""
+    exits 0 instead of 3. The sweep has no scored window to pool either."""
     doc = {"duration_s": 2.0, "seed": 1,
            "flows": [{"teid": 1, "qfi": 1, "pattern": "cbr", "rate_pps": 100}],
            "qfi_to_qid": {"1": 0}, "queue_policy": {"0": {"tier": 0, "service_rate_bps": 1e7}},
@@ -123,6 +126,11 @@ def test_class_poor_training_folds_leave_blocks_unscored_and_the_run_finishes(tm
         for mode in ("dsmp", "pm", "sketch"):  # no window is scored
             assert f"microburst {mode} NA 0.000000 0 0 NA 0" in metrics
         assert (out / "outcomes.txt").read_text() == "# kind mode window scope score fired\n"
+    # the sweep's pooled AUPRC leaves the unscored windows out too: none is left
+    capsys.readouterr()
+    assert main(["sweep", "--scenario", str(scenario)]) == 0
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert [(row[0], row[6]) for row in rows] == [("sketch", "NA"), ("dsmp", "NA"), ("pm", "NA")]
 
 
 def test_run_twice_byte_identical(tmp_path):
@@ -747,3 +755,78 @@ def test_cli_entrypoint_runs_as_module():
     )
     assert proc.returncode == 2  # an invalid input, not a crash
     assert "/nonexistent.json" in proc.stderr
+
+
+# -- fuzzing: a valid scenario runs to the end or is refused, never crashes ---------
+
+
+@st.composite
+def scenario_docs(draw):
+    """A small valid scenario document: 1-4 flows of every pattern on 1-2
+    queues, 0-2 anomalies of every kind, and the window length and telemetry
+    keys a run reads, with a small sweep grid beside it."""
+    n_queues = draw(st.integers(1, 2))
+    qfis = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))
+    flows = [
+        {"teid": teid, "qfi": draw(st.sampled_from(qfis)),
+         "pattern": draw(st.sampled_from(["cbr", "onoff", "poisson"])),
+         "rate_pps": draw(st.sampled_from([5, 60, 400])),
+         "bytes_min": draw(st.sampled_from([40, 300])),
+         "bytes_max": draw(st.sampled_from([300, 1500])),
+         "monitored": draw(st.booleans())}
+        for teid in range(1, draw(st.integers(1, 4)) + 1)
+    ]
+    duration = draw(st.sampled_from([0.7, 2.0, 3.5]))
+    anomalies = []
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["microburst", "congestion", "contention", "policy_abuse"]))
+        start = draw(st.floats(0.0, 0.9)) * duration
+        an = {"kind": kind, "start_s": start,
+              "duration_s": draw(st.floats(0.0, 1.0)) * (duration - start)}
+        if kind in ("microburst", "policy_abuse"):
+            target = draw(st.sampled_from(flows))
+            an["target_flows"] = [{"teid": target["teid"], "qfi": target["qfi"]}]
+        else:
+            an["target_qfis"] = [draw(st.sampled_from(qfis))]
+        if kind == "microburst":
+            an["burst_factor"] = draw(st.sampled_from([2.0, 8.0]))
+        elif kind == "policy_abuse":
+            an["remapped_qfi"] = draw(st.sampled_from(qfis))
+        elif kind == "congestion":
+            an["overload_factor"] = draw(st.sampled_from([1.5, 3.0]))
+        else:
+            an |= {"cross_rate_pps": draw(st.sampled_from([500.0, 5000.0])),
+                   "cross_period_ms": draw(st.sampled_from([50.0, 200.0]))}
+        anomalies.append(an)
+    doc = {
+        "duration_s": duration, "seed": draw(st.integers(0, 3)), "flows": flows,
+        "qfi_to_qid": {str(q): draw(st.integers(0, n_queues - 1)) for q in qfis},
+        "queue_policy": {str(q): {"tier": draw(st.integers(0, 1)),
+                                  "service_rate_bps": draw(st.sampled_from([2e6, 1e8])),
+                                  "buffer_pkts": draw(st.sampled_from([8, 4000]))}
+                         for q in range(n_queues)},
+        "anomalies": anomalies,
+        "window_len_ns": draw(st.sampled_from([250_000_000, 500_000_000, 1_000_000_000])),
+        "telemetry": {"width": draw(st.sampled_from([2, 16, 256])),
+                      "depth": draw(st.integers(1, 3)), "n_blocks": draw(st.integers(2, 4)),
+                      "fit_windows": draw(st.integers(1, 3)),
+                      "strategy": draw(st.sampled_from(
+                          ["target_occupancy", "p90_log", "log_uniform", "quantile"]))},
+    }
+    grid = {"width": draw(st.sampled_from([[2], [2, 64]])),
+            "dsmp_delta_ns": draw(st.sampled_from([[1], [1_000_000, 50_000_000]]))}
+    return doc, grid
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenario_docs())
+def test_fuzzed_scenarios_run_and_sweep_without_a_runtime_failure(case):
+    """A valid scenario either runs to the end (0) or is refused with a
+    message naming the field (2); a runtime failure (3) is a program bug."""
+    doc, grid = case
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, grid_file = Path(tmp, "scenario.json"), Path(tmp, "grid.json")
+        scenario.write_text(json.dumps(doc))
+        grid_file.write_text(json.dumps(grid))
+        assert main(["run", "--scenario", str(scenario), "--out", str(Path(tmp, "out"))]) in (0, 2)
+        assert main(["sweep", "--scenario", str(scenario), "--grid", str(grid_file)]) in (0, 2)
