@@ -38,7 +38,6 @@ from .binning import DiagnosticRegion
 from .core import MAX_QFI, QFI_BITS, FlowKey
 from .simulator import AnomalyKind, GroundTruthLabel
 from .sizing import FlowBaseline
-from .sketch import HistogramSketch
 
 if TYPE_CHECKING:
     from .pipeline import RunResult
@@ -89,26 +88,17 @@ def feature_table(
 
 
 def extract_sketch_features(
-    sketches: dict[int, HistogramSketch],
-    keys: Sequence[FlowKey],
-    region: DiagnosticRegion,
-    window: int,
-    qfi_to_qid: dict[int, int],
+    windows: np.ndarray, codes: np.ndarray, est: dict[str, np.ndarray], region: DiagnosticRegion,
 ) -> np.recarray:
-    """Row-minimum estimates for each key, queried on its queue's sketch.
+    """The sketch's rows, in (window, scope) order, from the row-minimum
+    estimates (``HistogramSketch.query_flows``) of each (window, code) pair.
 
-    The keys are the registered flows, so no row is flagged unregistered;
+    The codes are the registered flows, so no row is flagged unregistered;
     the sketch would answer any key.
     """
-    codes = np.array([k.code() for k in keys], dtype=np.uint64)
-    qids = np.array([qfi_to_qid[k.qfi] for k in keys], dtype=np.int64)
-    # every queue is asked, for no key too, so an empty table keeps its fields
-    ests = [sketches[q].query_flows(codes[qids == q], region) for q in sorted(sketches)]
-    est = {name: np.concatenate([e[name] for e in ests]) for name in ests[0]}
     return _flow_table(
-        "sketch", window, region, codes[np.argsort(qids, kind="stable")], est["pkt"],
-        est["bytes"], est["diag"], est["lat"], est["iat"], est["color"],
-        np.zeros(len(keys), dtype=bool),
+        "sketch", windows, region, codes, est["pkt"], est["bytes"], est["diag"], est["lat"],
+        est["iat"], est["color"], np.zeros(len(codes), dtype=bool),
     )
 
 
@@ -162,15 +152,19 @@ def _binned(
 
 
 def _flow_table(
-    mode: str, window: int, region: DiagnosticRegion, codes: np.ndarray, pkts: np.ndarray,
-    nbytes: np.ndarray, diag: np.ndarray, lat: np.ndarray, iat: np.ndarray, colors: np.ndarray,
-    unregistered: np.ndarray,
+    mode: str, window: int | np.ndarray, region: DiagnosticRegion, codes: np.ndarray,
+    pkts: np.ndarray, nbytes: np.ndarray, diag: np.ndarray, lat: np.ndarray, iat: np.ndarray,
+    colors: np.ndarray, unregistered: np.ndarray,
 ) -> np.recarray:
-    """A per-flow table, in scope order, from per-flow counts: packets, bytes,
-    diagnostic mass and the latency, IAT and color histograms."""
-    order = np.argsort(codes, kind="stable")  # code order is scope order
-    codes, pkts, lat, iat = codes[order], pkts[order], lat[order], iat[order]
+    """A per-flow table, in (window, scope) order, from per-flow counts in
+    one window or in each row's own: packets, bytes, diagnostic mass and the
+    latency, IAT and color histograms."""
+    window = np.broadcast_to(window, codes.shape)
+    order = np.lexsort((codes, window))  # code order is scope order
+    window, codes, pkts, lat, iat = window[order], codes[order], pkts[order], lat[order], iat[order]
     qfi = (codes & MAX_QFI).astype(np.int64)
+    # flows of the row's QFI that carried packets in the row's window
+    _, group = np.unique(window * (MAX_QFI + 1) + qfi, return_inverse=True)
     lat_fracs, iat_fracs, color_fracs = _fracs(lat), _fracs(iat), _fracs(colors[order])
     return feature_table(
         mode, window, [("flow", c >> QFI_BITS, c & MAX_QFI) for c in codes.tolist()],
@@ -185,8 +179,7 @@ def _flow_table(
         green_frac=color_fracs[:, 0],
         yellow_frac=color_fracs[:, 1],
         red_frac=color_fracs[:, 2],
-        # flows of the row's QFI that carried packets this window
-        teids_per_qfi=np.bincount(qfi[pkts > 0], minlength=MAX_QFI + 1)[qfi],
+        teids_per_qfi=np.bincount(group[pkts > 0], minlength=len(codes))[group],
     )
 
 

@@ -25,6 +25,7 @@ from enum import Enum
 
 import numpy as np
 
+from .core import CHUNK_PKTS
 from .simulator import PacketBatch, flow_codes
 from .sketch import record_dtype
 
@@ -112,16 +113,18 @@ class DeltaSampler:
         batch order. The batch needs its ``sojourn_ns`` column: a delivered
         batch, or the pipeline's window stream."""
         idx = np.flatnonzero(sel & batch.monitored)
-        codes = memoryview(flow_codes(batch.teid[idx], batch.qfi[idx]))
-        soj = memoryview(batch.sojourn_ns[idx])
         delta = self.delta_ns
         last = self.last_exported
         out = []
-        for j, (code, s) in enumerate(zip(codes, soj)):
-            prev = last.get(code)
-            if prev is None or abs(s - prev) > delta:
-                last[code] = s
-                out.append(j)
+        for lo in range(0, len(idx), CHUNK_PKTS):  # flow codes and sojourns a chunk at a time
+            at = idx[lo : lo + CHUNK_PKTS]
+            codes = memoryview(flow_codes(batch.teid[at], batch.qfi[at]))
+            soj = memoryview(batch.sojourn_ns[at])
+            for j, (code, s) in enumerate(zip(codes, soj), lo):
+                prev = last.get(code)
+                if prev is None or abs(s - prev) > delta:
+                    last[code] = s
+                    out.append(j)
         return idx[out]
 
 

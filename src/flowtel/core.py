@@ -28,6 +28,10 @@ MAX_TEID = (1 << 32) - 1
 NS_PER_S = 1_000_000_000
 DEFAULT_WINDOW_NS = NS_PER_S
 
+# the most packets a columnar pass over a run (a sketch fold, the delta
+# sampler's loop) takes at once, so its transient columns stay small
+CHUNK_PKTS = 1 << 16
+
 
 class ConfigError(ValueError):
     """Invalid static configuration (window length, sketch dimensions, seeds)."""

@@ -12,7 +12,7 @@ import numpy as np
 
 from .analysis import diag_lift_detector, extract_sketch_features
 from .binning import DiagnosticRegion
-from .core import FlowKey, SketchConfig
+from .core import SketchConfig
 from .sizing import FlowBaseline, detectability_threshold
 from .sketch import HistogramSketch
 
@@ -95,8 +95,8 @@ def detectability_trial(
         codes, lat, arrivals = codes[order], lat[order], arrivals[order]
 
     sk.update_batch(codes, np.full_like(lat, 500), arrivals, lat, np.zeros_like(lat))  # 500 B green
-    key = FlowKey.from_code(mon_code)
-    (fv,) = extract_sketch_features({0: sk}, [key], region, 0, {key.qfi: 0})
+    mon = np.array([mon_code], dtype=np.uint64)
+    (fv,) = extract_sketch_features(np.zeros(1, np.int64), mon, sk.query_flows(mon, region), region)
     out = diag_lift_detector(fv, base, cfg.epsilon)
     return TrialOutcome(fired=bool(out.fired), threshold=thr, injected=injected, baseline=base)
 

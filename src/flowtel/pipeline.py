@@ -13,6 +13,7 @@ modes on those timestamps.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,7 +47,7 @@ from .binning import (
     deserialize_edges,
     fit_edges,
 )
-from .core import NS_PER_S, SketchConfig
+from .core import CHUNK_PKTS, NS_PER_S, SketchConfig
 from .simulator import (
     AnomalyKind,
     GroundTruthLabel,
@@ -257,51 +258,64 @@ def anomaly_instances(spec: ScenarioSpec, kind: AnomalyKind) -> list[tuple[int, 
     ]
 
 
-def _by_window(stream: WindowStream, idx: np.ndarray) -> list[np.ndarray]:
-    """Ascending stream indices cut at the window bounds, as the smallest
-    type that holds them: one view per window, no masks."""
-    compact = np.min_scalar_type(len(stream.window))
-    cuts = np.searchsorted(idx, np.searchsorted(stream.window, range(1, stream.n_windows)))
-    return np.split(idx.astype(compact), cuts)
-
-
 def _table(mode: TelemetryMode, tables: list[np.recarray]) -> np.recarray:
     # a run shorter than one nanosecond has no window, so no table
     return np.concatenate(tables or [feature_table(mode.value, 0, [], False)]).view(np.recarray)
 
 
+def _chunks(starts: list[int]) -> list[tuple[int, int]]:
+    """Cut a queue's packets at window starts into chunks of at most
+    ``CHUNK_PKTS`` packets; a window with more is a chunk of its own.
+    ``starts[w]`` is window w's first packet and the last entry the number
+    of packets. Gives each chunk's first and end window: every window is in
+    one chunk."""
+    out, a = [], 0
+    while a < len(starts) - 1:
+        b = max(a + 1, bisect.bisect_right(starts, starts[a] + CHUNK_PKTS) - 1)
+        out.append((a, b))
+        a = b
+    return out
+
+
 def _sketch_pass(stream, spec, cfg, lat_edges, iat_edges, collect_records) -> ModeTelemetry:
-    """One histogram sketch per queue, exported and reset at each window's end."""
+    """One histogram sketch per queue, fed the queue's monitored packets in
+    chunks of whole windows (``_chunks``): one fold and one query answer
+    every window of a chunk, and one table holds the run's feature rows."""
     region = cfg.region()
     registered = [fl.key for fl in spec.flows if fl.monitored]
-    sketches = {
-        qid: HistogramSketch(cfg.sketch_config(spec.seed), qid=qid, lat_edges=lat_edges[qid],
-                             iat_edges=iat_edges[qid])
-        for qid in sorted(spec.queue_policy)
-    }
-    batches = {q: _by_window(stream, np.flatnonzero(stream.monitored & (stream.qid == q)))
-               for q in sketches}
-    tables, chunks = [], []
-    for w in range(stream.n_windows):
-        for qid, sketch in sketches.items():
-            idx = batches[qid][w]
-            if len(idx):
-                # six columns, not a take() of all nine: faster on sketch-sweep
-                idx = idx.astype(np.intp)  # converted once, not by each gather
-                soj = stream.sojourn_ns[idx]
-                sketch.update_batch(
-                    flow_codes(stream.teid[idx], stream.qfi[idx]), stream.bytes[idx],
-                    stream.arrival_ns[idx] + soj, soj, stream.color[idx],
-                )
-        tables.append(extract_sketch_features(sketches, registered, region, w, spec.qfi_to_qid))
-        for sketch in sketches.values():
+    codes = np.array([k.code() for k in registered], dtype=np.uint64)
+    key_qid = np.array([spec.qfi_to_qid[k.qfi] for k in registered], dtype=np.int64)
+    starts = np.searchsorted(stream.window, range(stream.n_windows + 1))
+    rows, records = [], {}
+    for qid in sorted(spec.queue_policy):
+        sketch = HistogramSketch(cfg.sketch_config(spec.seed), qid=qid, lat_edges=lat_edges[qid],
+                                 iat_edges=iat_edges[qid])
+        mine = codes[key_qid == qid]
+        idx = np.flatnonzero(stream.monitored & (stream.qid == qid))
+        at = np.searchsorted(idx, starts).tolist()  # each window's first packet of the queue
+        for a, b in _chunks(at):
+            # six columns, not a take() of all nine: faster on sketch-sweep
+            sel = idx[at[a] : at[b]]
+            soj = stream.sojourn_ns[sel]
+            sketch.update_batch(flow_codes(stream.teid[sel], stream.qfi[sel]), stream.bytes[sel],
+                                stream.arrival_ns[sel] + soj, soj, stream.color[sel],
+                                window=stream.window[sel])
+            wins = np.arange(a, b)
+            rows.append((np.repeat(wins, len(mine)), np.tile(mine, b - a),
+                         sketch.query_flows(mine, region, wins)))
             if collect_records:
-                chunks.append(sketch.export_window_array(w).tobytes())
-            sketch.reset_window()
+                records.update(((w, qid), sketch.export_window_array(w).tobytes())
+                               for w in range(a, b))
+    tables = []
+    if rows:
+        windows, scopes, ests = zip(*rows)
+        tables.append(extract_sketch_features(
+            np.concatenate(windows), np.concatenate(scopes),
+            {name: np.concatenate([e[name] for e in ests]) for name in ests[0]}, region))
     cost = export_cost(TelemetryMode.SKETCH, width=cfg.width, depth=cfg.depth,
-                       bins_b=cfg.bins_b, num_qids=len(sketches))
+                       bins_b=cfg.bins_b, num_qids=len(spec.queue_policy))
     return ModeTelemetry(_table(TelemetryMode.SKETCH, tables), [cost] * stream.n_windows,
-                         record_chunks=chunks)
+                         record_chunks=[records[key] for key in sorted(records)])
 
 
 def _dsmp_pass(stream, spec, cfg, lat_edges, iat_edges) -> ModeTelemetry:

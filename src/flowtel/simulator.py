@@ -42,6 +42,7 @@ between the queues of one tier).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -251,7 +252,23 @@ class ScenarioSpec:
                 raise ScenarioError(f"queue_policy: qid {qid} buffer_pkts must be >= 1")
             if pol.weight <= 0:
                 raise ScenarioError(f"queue_policy: qid {qid} weight must be positive")
+        keys = {fl.key for fl in self.flows}
         for i, an in enumerate(self.anomalies):
+            at = f"anomalies[{i}]"
+            # a microburst speeds up a flow's own traffic; a policy-abuse target
+            # may be rows an earlier remap made, so it need not be in flows
+            for key in an.target_flows if an.kind is AnomalyKind.MICROBURST else ():
+                if key not in keys:
+                    raise ScenarioError(f"{at}.target_flows: flow {key} is not in flows")
+            if an.kind is AnomalyKind.MICROBURST and not 1 < an.burst_factor < math.inf:
+                raise ScenarioError(f"{at}.burst_factor: must be finite and above 1, "
+                                    f"got {an.burst_factor}")
+            if an.kind is AnomalyKind.CONTENTION and not 0 < an.cross_rate_pps < math.inf:
+                raise ScenarioError(f"{at}.cross_rate_pps: must be finite and positive, "
+                                    f"got {an.cross_rate_pps}")
+            if an.kind is AnomalyKind.CONTENTION and not 2 <= an.cross_period_ms * 1e6 < math.inf:
+                raise ScenarioError(f"{at}.cross_period_ms: the period must be finite and at "
+                                    f"least 2 ns, got {an.cross_period_ms} ms")
             if an.duration_s < 0:
                 raise ScenarioError(f"anomalies[{i}]: negative duration")
             if an.start_s < 0 or an.end_s > self.duration_s + 1e-9:

@@ -26,9 +26,13 @@ bit-identically for the same event order (tests pin the equivalence). It
 hashes only a batch's distinct codes, and its one fold (``_fold``) sums each
 group of packets once for every cell the group feeds: a flow feeds the cells
 it has to itself in a row, and a cell that several flows share in a row is a
-group of its own. Each cell also takes one IAT sample against its last-seen
-stamp. An increment beyond a counter's headroom is clipped to it and the
-excess tallied, which equals per-packet saturation since increments are
+group of its own. Given each packet's window, a batch is a chunk of whole
+windows, each starting from zero counters, and the groups are per window:
+the sketch then holds the chunk's (window, cell) records, sorted by key, so
+that one fold and one query serve all its windows and export writes any one
+of them out. Each cell also takes one IAT sample per window against the last
+stamp it saw. An increment beyond a counter's headroom is clipped to it and
+the excess tallied, which equals per-packet saturation since increments are
 never negative; no add can overflow.
 """
 
@@ -158,6 +162,7 @@ class HistogramSketch:
         self.saturated_units = 0
         self.monotonicity_warnings = 0
         self._query_memo: tuple[np.ndarray, np.ndarray] | None = None
+        self._held: tuple[np.ndarray, np.ndarray] | None = None  # a chunk's keys and records
 
     # -- update paths ------------------------------------------------------
 
@@ -203,49 +208,55 @@ class HistogramSketch:
         arrival_ns: np.ndarray,
         sojourn_ns: np.ndarray,
         colors: np.ndarray,
+        window: np.ndarray | None = None,
     ) -> None:
         """Fold a run of packets, in stream order, equivalently to ``update``.
 
-        Only the distinct codes are hashed, giving each flow one flat cell
-        row*w + col per row. ``_fold`` runs with the flows as groups for the
-        cells that one flow has to itself in a row, and with the shared cells
-        as groups, fed by the packets of the flows that share them. The two
-        kinds of cell are disjoint, so the two folds commute.
-        """
-        if len(codes) == 0:
-            return
-        d, w = self.config.depth_d, self.config.width_w
-        ucodes, fid = np.unique(codes, return_inverse=True)
-        nf = len(ucodes)
-        cells = self.bucket_columns(ucodes) + np.arange(0, d * w, w)[:, None]  # [d, nf]
-        _, inv, n_flows = np.unique(cells, return_inverse=True, return_counts=True)
-        shared = n_flows[inv].reshape(d, nf) > 1
-        lat_b = np.searchsorted(self.lat_edges, sojourn_ns, side="right")
-        if not shared.all():
-            lone = ~shared
-            self._fold(fid, nf, cells[lone], np.nonzero(lone)[1], byts, arrival_ns, lat_b, colors)
-        if shared.any():
-            ucells, sid = np.unique(cells[shared], return_inverse=True)
-            group = np.zeros((d, nf), dtype=np.intp)
-            group[shared] = sid
-            hit = shared.take(fid, axis=1)  # [d, n]: row by row, in stream order
-            pk = np.nonzero(hit)[1]
-            self._fold(group.take(fid, axis=1)[hit], len(ucells), ucells, np.arange(len(ucells)),
-                       byts[pk], arrival_ns[pk], lat_b[pk], colors[pk])
+        Without ``window`` the run adds to ``counts``. With each packet's
+        window id, the run is a chunk of whole windows, each of whose counters
+        start at zero, as after ``reset_window``: the sketch then holds the
+        chunk's (window, cell) records, which ``query_flows`` (given windows)
+        and ``export_window_array`` read, and leaves ``counts`` alone.
 
-    def _fold(self, gid: np.ndarray, ng: int, cell: np.ndarray, of: np.ndarray, byts: np.ndarray,
-              arrival_ns: np.ndarray, lat_b: np.ndarray, colors: np.ndarray) -> None:
-        """Add ng groups of packets to distinct flat cells: packet k of the
-        columns (in stream order) is in group gid[k], and cell[j] takes the
-        sums of group of[j].
+        Only the distinct codes are hashed, giving each (window, flow) pair
+        one flat cell row*w + col per row. One ``_fold`` sums two kinds of
+        group: a pair's packets, taken by the cells that one flow has to
+        itself in a row and window, and a shared (window, cell)'s, fed by the
+        packets of the flows that share it. The two kinds of cell are
+        disjoint.
+        """
+        d, w = self.config.depth_d, self.config.width_w
+        win = np.zeros(len(codes), np.int64) if window is None else np.asarray(window, np.int64)
+        ucodes, fid = np.unique(codes, return_inverse=True)
+        pairs, pid = np.unique(win * len(ucodes) + fid, return_inverse=True)
+        pwin, pflow = np.divmod(pairs, max(len(ucodes), 1))
+        flat = self.bucket_columns(ucodes) + np.arange(0, d * w, w)[:, None]  # [d, flows]
+        keys = flat[:, pflow] + pwin * (d * w)  # [d, pairs]: window * d*w + cell
+        _, inv, n_flows = np.unique(keys, return_inverse=True, return_counts=True)
+        shared = n_flows[inv].reshape(keys.shape) > 1
+        ukeys, sid = np.unique(keys[shared], return_inverse=True)
+        group = np.zeros(keys.shape, dtype=np.intp)
+        group[shared] = len(pairs) + sid
+        hit = shared.take(pid, axis=1)  # [d, n]: row by row, in stream order
+        # every packet in its pair's group, then again in each shared group it feeds
+        pk = np.concatenate([np.arange(len(codes)), np.nonzero(hit)[1]])
+        sums = self._fold(np.concatenate([pid, group.take(pid, axis=1)[hit]]),
+                          len(pairs) + len(ukeys), byts[pk], arrival_ns[pk],
+                          np.searchsorted(self.lat_edges, sojourn_ns[pk], side="right"), colors[pk])
+        of = np.concatenate([np.nonzero(~shared)[1], len(pairs) + np.arange(len(ukeys))])
+        self._settle(np.concatenate([keys[~shared], ukeys]), *(a[of] for a in sums),
+                     into_counts=window is None)
+
+    def _fold(self, gid: np.ndarray, ng: int, byts: np.ndarray, arrival_ns: np.ndarray,
+              lat_b: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Sum ng groups of packets: packet k of the columns (in stream order)
+        is in group gid[k]. Gives each group's record, its first and last
+        stamps and its count of negative inner gaps.
 
         A stable radix sort of the group ids lists each group's packets in
         stream order. Its packet count, exact byte sum, latency and color
         histograms and the histogram of its inner gaps (negative gaps clamped
-        to 0 and counted) are summed once, however many cells take them. Each
-        cell adds one more IAT sample, the gap from its last-seen stamp to the
-        group's first packet, keeps the group's last stamp, and adds the whole
-        record at once, saturating at ``caps``.
+        to 0 and counted) are summed once, however many cells take them.
         """
         f, nc = self.fields, self.counts.shape[-1]
         order = np.argsort(gid.astype(np.min_scalar_type(ng - 1)), kind="stable")
@@ -256,7 +267,7 @@ class HistogramSketch:
         ggid = np.repeat(np.arange(ng), cnt)[1:]  # the group of each gap's later packet
         ggid[first[1:] - 1] = ng  # a gap between two groups goes to a group that is dropped
         neg = gaps < 0
-        neg_g = np.bincount(ggid[neg], minlength=ng + 1)
+        neg_g = np.bincount(ggid[neg], minlength=ng + 1)[:ng]
         gaps[neg] = 0
         inc = np.zeros((ng, nc), dtype=np.int64)
         inc[:, f["pkt"]] = cnt
@@ -265,24 +276,47 @@ class HistogramSketch:
                          (f["iat"], ggid, np.searchsorted(self.iat_edges, gaps, side="right"))):
             nv = at.stop - at.start
             inc[:, at] = np.bincount(g * nv + v, minlength=(ng + 1) * nv)[: ng * nv].reshape(ng, nv)
+        return inc, sarr[first], sarr[first + cnt - 1], neg_g
 
-        inc = inc[of]
-        last_seen = self.last_seen.reshape(-1)
-        prev = last_seen[cell]
+    def _settle(self, key: np.ndarray, inc: np.ndarray, first: np.ndarray, last: np.ndarray,
+                neg: np.ndarray, into_counts: bool) -> None:
+        """Take the folded records of distinct (window, cell) keys.
+
+        Each record adds one more IAT sample: the gap to its first stamp from
+        the last stamp of the same cell's previous window, or from the cell's
+        last-seen stamp for its first window here, which then keeps the last
+        window's last stamp. A record adds to ``counts`` (``into_counts``) or
+        starts from zero, and saturates at ``caps``.
+        """
+        f, dw = self.fields, self.last_seen.size
+        order = np.argsort(key)
+        key, inc, first, last = key[order], inc[order], first[order], last[order]
+        by_cell = np.argsort(key % dw, kind="stable")  # each cell's records window by window
+        cell = key[by_cell] % dw
+        head = np.ones(len(cell), dtype=bool)
+        head[1:] = cell[1:] != cell[:-1]
+        last_seen, ends = self.last_seen.reshape(-1), last[by_cell]
+        prev = np.where(head, last_seen[cell], np.roll(ends, 1))
         seen = prev != UNSET_NS
-        gap = sarr[first[of]] - prev
-        neg = seen & (gap < 0)
-        self.monotonicity_warnings += int(np.count_nonzero(neg)) + int(neg_g[of].sum())
-        gap[neg] = 0
-        inc[np.flatnonzero(seen),
-            f["iat"].start + np.searchsorted(self.iat_edges, gap[seen], side="right")] += 1
-        last_seen[cell] = sarr[first[of] + cnt[of] - 1]
+        gap = first[by_cell] - prev
+        neg_first = seen & (gap < 0)
+        self.monotonicity_warnings += int(np.count_nonzero(neg_first)) + int(neg.sum())
+        gap[neg_first] = 0
+        iat_b = np.searchsorted(self.iat_edges, gap[seen], side="right")
+        inc[by_cell[seen], f["iat"].start + iat_b] += 1
+        tail = np.ones_like(head)
+        tail[:-1] = head[1:]
+        last_seen[cell[tail]] = ends[tail]
 
-        grid = self.counts.reshape(-1, nc)
-        cur = grid[cell]
+        grid = self.counts.reshape(dw, -1)
+        cur = grid[key] if into_counts else 0
         add = np.minimum(inc, self.caps - cur)
         self.saturated_units += int((inc - add).sum())
-        grid[cell] = cur + add
+        if into_counts:
+            grid[key] = cur + add
+        else:  # a sentinel key past every window, whose record is zero, ends the chunk
+            self._held = (np.append(key, np.iinfo(np.int64).max),
+                          np.concatenate([add, np.zeros((1, grid.shape[1]), np.int64)]))
 
     # -- query and export --------------------------------------------------
 
@@ -299,23 +333,37 @@ class HistogramSketch:
         )
 
     def query_flows(
-        self, codes: np.ndarray, region: "DiagnosticRegion"
+        self, codes: np.ndarray, region: "DiagnosticRegion", windows: np.ndarray | None = None,
     ) -> dict[str, np.ndarray]:
         """Vectorized row-minimum estimates for many packed keys at once:
-        each field of ``counter_slices`` plus ``diag``.
+        each field of ``counter_slices`` plus ``diag``. Without ``windows``
+        they read ``counts``. With them they read the held chunk
+        (``update_batch``): one row per (window, code), window by window, and
+        a (window, cell) the chunk has no record of reads as zero.
 
         Columns are kept from the previous call: the same keys hash once."""
         memo = self._query_memo
         if memo is None or not np.array_equal(memo[0], codes):
             memo = self._query_memo = (codes.copy(), self.bucket_columns(codes))
-        est = self.counts[np.arange(self.config.depth_d)[:, None], memo[1]].min(axis=0)  # [n, 2B+5]
+        d, w = self.config.depth_d, self.config.width_w
+        cells = memo[1] + np.arange(0, d * w, w)[:, None]  # [d, n]
+        if windows is None:
+            est = self.counts.reshape(d * w, -1)[cells].min(axis=0)  # [n, 2B+5]
+        else:
+            keys, recs = self._held
+            probe = np.asarray(windows, np.int64)[:, None, None] * (d * w) + cells  # [wins, d, n]
+            pos = np.searchsorted(keys, probe)
+            pos[keys[pos] != probe] = len(keys) - 1  # the sentinel's zero record
+            est = recs[pos].min(axis=1).reshape(-1, recs.shape[1])
         out = {name: est[:, at] for name, at in self.fields.items()}
         out["diag"] = (out["lat"][:, list(region.lat_tail_bins)].sum(axis=1)
                        + out["iat"][:, list(region.iat_head_bins)].sum(axis=1))
         return out
 
     def export_window_array(self, window: int) -> np.ndarray:
-        """Full d*w bucket grid as a structured array (fixed cardinality)."""
+        """Full d*w bucket grid as a structured array (fixed cardinality):
+        the held chunk's records of ``window`` if ``update_batch`` holds a
+        chunk, else ``counts``."""
         d, w, b = self.config.depth_d, self.config.width_w, self.config.bins_B
         out = np.zeros(d * w, dtype=record_dtype(b))
         out["window"] = window
@@ -323,6 +371,11 @@ class HistogramSketch:
         out["row"] = np.repeat(np.arange(d), w)
         out["col"] = np.tile(np.arange(w), d)
         c = self.counts.reshape(d * w, -1)
+        if self._held is not None:
+            keys, recs = self._held
+            lo, hi = np.searchsorted(keys, [window * d * w, (window + 1) * d * w])
+            c = np.zeros_like(c)
+            c[keys[lo:hi] - window * d * w] = recs[lo:hi]
         for name in ("pkt", "bytes", "lat", "iat"):
             out[name] = c[:, self.fields[name]]
         out["green"], out["yellow"], out["red"] = c[:, self.fields["color"]].T

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+from flowtel.analysis import extract_sketch_features
 from flowtel.core import Color, FlowKey, PacketEvent
 
 
@@ -103,6 +104,19 @@ def batch_columns(events: list[PacketEvent]) -> tuple[np.ndarray, ...]:
         np.array([ev.sojourn_ns for ev in events], dtype=np.int64),
         np.array([int(ev.color) for ev in events], dtype=np.int8),
     )
+
+
+def sketch_window_table(sketches, keys, region, window, qfi_to_qid):
+    """One window's sketch rows from dense sketches (``counts``): each key
+    queried on its queue's sketch, as the run did window by window before it
+    folded chunks of windows."""
+    codes = np.array([k.code() for k in keys], dtype=np.uint64)
+    qids = np.array([qfi_to_qid[k.qfi] for k in keys], dtype=np.int64)
+    # every queue is asked, for no key too, so an empty table keeps its fields
+    ests = [sketches[q].query_flows(codes[qids == q], region) for q in sorted(sketches)]
+    est = {name: np.concatenate([e[name] for e in ests]) for name in ests[0]}
+    return extract_sketch_features(np.full(len(keys), window, dtype=np.int64),
+                                   codes[np.argsort(qids, kind="stable")], est, region)
 
 
 def row0_totals(sk, region) -> tuple[int, int]:

@@ -19,7 +19,6 @@ from flowtel.analysis import (
     evaluate,
     extract_pm_features,
     extract_postcard_features,
-    extract_sketch_features,
     feature_matrix,
     feature_table,
     pareto_front,
@@ -36,7 +35,7 @@ from flowtel.simulator import AnomalyKind, GroundTruthLabel, flow_codes
 from flowtel.sizing import FlowBaseline
 from flowtel.sketch import HistogramSketch, bin_of
 
-from conftest import batch_columns, exact_truth, random_stream, row0_totals
+from conftest import batch_columns, exact_truth, random_stream, row0_totals, sketch_window_table
 
 US = 1000
 LAT_EDGES = [int(u * US) for u in (0.5, 6.3, 82, 250, 800, 2000, 4970)]
@@ -68,7 +67,7 @@ def test_collision_free_sketch_features_equal_full_sampling_postcards(rng):
     for e in events:
         sk.update(e)
     (key,) = {e.key for e in events}
-    f_sketch = extract_sketch_features({0: sk}, [key], REGION, 0, {key.qfi: 0})[0]
+    f_sketch = sketch_window_table({0: sk}, [key], REGION, 0, {key.qfi: 0})[0]
     postcards = [(e.key, e.arrival_ns, e.sojourn_ns, int(e.color), e.bytes) for e in events]
     f_pc = extract_postcard_features(
         *postcard_columns(postcards), [key], REGION, 0, {0: np.array(LAT_EDGES, float)},
@@ -183,7 +182,7 @@ def test_sketch_tail_fraction_never_underestimates(rng):
         sk.update(e)
     truths = exact_truth(events, LAT_EDGES, IAT_EDGES, 8)
     keys = sorted(truths)
-    fvs = extract_sketch_features({0: sk}, keys, REGION, 0, {k.qfi: 0 for k in keys})
+    fvs = sketch_window_table({0: sk}, keys, REGION, 0, {k.qfi: 0 for k in keys})
     tail_bins = set(REGION.lat_tail_bins)
     by_scope = {fv.scope: fv for fv in fvs}
     for key, t in truths.items():
@@ -197,7 +196,7 @@ def test_unknown_key_still_estimated_but_flagged(rng):
     for e in random_stream(rng, n_packets=500, n_flows=20, qid=0):
         sk.update(e)
     ghost = FlowKey(999_999, 5)
-    fvs = extract_sketch_features({0: sk}, [ghost], REGION, 0, {5: 0})
+    fvs = sketch_window_table({0: sk}, [ghost], REGION, 0, {5: 0})
     assert len(fvs) == 1
     est = sk.query_flow(ghost, REGION)
     assert (fvs[0].pkts, fvs[0].diag_pkts) == (est.pkt_est, est.diag_est)

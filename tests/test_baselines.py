@@ -3,6 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from flowtel import baselines
 from flowtel.baselines import (
     PM_RECORD_BYTES,
     POSTCARD_BYTES,
@@ -295,6 +296,23 @@ def test_offer_batch_one_pass_matches_per_window_calls(rng):
               if batch.monitored[i] and offer(seq, row_event(batch, i)) is not None]
     assert one.tolist() == per_window.tolist() == expect
     assert 700 in expect and 350 not in expect and 400 not in expect
+
+
+def test_offer_batch_gives_the_same_indices_whatever_its_chunk_budget(rng, monkeypatch):
+    """The sampler's loop reads flow codes and sojourns a chunk at a time; a
+    budget of one packet and one above the run's size pick the same packets."""
+    n = 700
+    batch = delivered_batch(
+        teid=rng.integers(1, 9, size=n), qfi=np.ones(n), qid=np.zeros(n), nbytes=np.full(n, 500),
+        arrival_ns=np.arange(n) * 3 + 1, sojourn_ns=rng.integers(0, 5_000_000, size=n),
+        monitored=rng.random(n) < 0.8,
+    )
+    sel = rng.random(n) < 0.9
+    picked = []
+    for budget in (1, n + 1):
+        monkeypatch.setattr(baselines, "CHUNK_PKTS", budget)
+        picked.append(DeltaSampler(delta_ns=700_000).offer_batch(batch, sel).tolist())
+    assert picked[0] == picked[1] and 0 < len(picked[0]) < n
 
 
 # -- export cost ---------------------------------------------------------------------

@@ -211,6 +211,34 @@ def test_invalid_scenario_value_exits_2_naming_the_key(tmp_path, capsys, keys, v
     assert keys[-1] in err
 
 
+# anomaly values the simulator cannot run, each by the field the refusal names
+MICROBURST = {"kind": "microburst", "start_s": 2.1, "duration_s": 0.3,
+              "target_flows": [{"teid": 1, "qfi": 1}]}
+CONTENTION = {"kind": "contention", "start_s": 2.1, "duration_s": 0.3, "target_qfis": [1]}
+INVALID_ANOMALIES = [
+    (MICROBURST | {"burst_factor": 1.0}, "burst_factor"),
+    (MICROBURST | {"burst_factor": 0.5}, "burst_factor"),
+    (MICROBURST | {"target_flows": [{"teid": 9, "qfi": 1}]}, "target_flows"),
+    (CONTENTION | {"cross_period_ms": 0.0}, "cross_period_ms"),
+    (CONTENTION | {"cross_period_ms": 1e-6}, "cross_period_ms"),  # 1 ns
+    (CONTENTION | {"cross_rate_pps": 0.0}, "cross_rate_pps"),
+    (CONTENTION | {"cross_rate_pps": -5.0}, "cross_rate_pps"),
+]
+
+
+@pytest.mark.parametrize("anomaly, key", INVALID_ANOMALIES,
+                         ids=[f"{a['kind']}-{k}-{n}" for n, (a, k) in enumerate(INVALID_ANOMALIES)])
+def test_invalid_anomaly_value_exits_2_naming_the_field(tmp_path, capsys, anomaly, key):
+    doc = json.loads(json.dumps(MINIMAL_SCENARIO))
+    doc["anomalies"] = [doc["anomalies"][0], anomaly]
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    rc = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert f"anomalies[1].{key}" in err
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # missing required flags

@@ -5,11 +5,22 @@ sweep` relies on it when it runs each mode once per setting it reads."""
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowtel import pipeline
 from flowtel.baselines import TelemetryMode
 from flowtel.cli import load_scenario
-from flowtel.pipeline import ALL_MODES, run_scenario, run_telemetry
+from flowtel.pipeline import (
+    ALL_MODES,
+    TelemetryConfig,
+    WindowStream,
+    feature_lines,
+    run_scenario,
+    run_telemetry,
+)
 from flowtel.core import FlowKey
 from flowtel.scenarios import build
 from flowtel.simulator import (
@@ -20,8 +31,12 @@ from flowtel.simulator import (
     ScenarioError,
     ScenarioSpec,
     TrafficPattern,
+    flow_codes,
     simulate,
 )
+from flowtel.sketch import HistogramSketch
+
+from conftest import sketch_window_table
 
 
 @pytest.mark.parametrize("scenario", ["smoke", str(Path(__file__).parent / "golden_drops.json")])
@@ -90,3 +105,129 @@ def test_every_feature_table_is_in_window_scope_order(scenario):
     if scenario == "remapped":
         dsmp = result.modes[TelemetryMode.DSMP].features
         assert ("flow", 1, 2) in dsmp.scope[dsmp.unregistered].tolist()
+
+
+# -- the chunked sketch pass against the per-window loop it replaced ---------------
+
+
+def per_window_sketch_pass(stream, spec, cfg, lat_edges, iat_edges, sketch_type):
+    """The oracle: each queue's packets of a window folded into ``counts``,
+    every key queried, every bucket exported, then ``reset_window``, window by
+    window. Gives the feature table, the records.bin bytes and the sketches."""
+    region = cfg.region()
+    registered = [fl.key for fl in spec.flows if fl.monitored]
+    sketches = {qid: sketch_type(cfg.sketch_config(spec.seed), qid=qid, lat_edges=lat_edges[qid],
+                                 iat_edges=iat_edges[qid])
+                for qid in sorted(spec.queue_policy)}
+    tables, records = [], b""
+    for w in range(stream.n_windows):
+        for qid, sketch in sketches.items():
+            idx = np.flatnonzero(stream.monitored & (stream.qid == qid) & (stream.window == w))
+            if len(idx):
+                soj = stream.sojourn_ns[idx]
+                sketch.update_batch(flow_codes(stream.teid[idx], stream.qfi[idx]),
+                                    stream.bytes[idx], stream.arrival_ns[idx] + soj, soj,
+                                    stream.color[idx])
+        tables.append(sketch_window_table(sketches, registered, region, w, spec.qfi_to_qid))
+        for sketch in sketches.values():
+            records += sketch.export_window_array(w).tobytes()
+            sketch.reset_window()
+    return np.concatenate(tables).view(np.recarray), records, sketches
+
+
+@st.composite
+def small_streams(draw):
+    """A window stream over 1-3 queues and 1-6 flows, some unmonitored, that
+    w = 2 or 4 columns make share cells: each window has a drawn subset of
+    the flows (none at times, so a flow skips windows and a cell changes
+    owner), and stamps drawn around the window's start, so gaps go negative
+    inside a window and across windows. Also the sketch's lowered counter
+    cap and the chunk budget, 1 and 3 cutting at every window and leaving
+    some windows over the budget."""
+    n_queues = draw(st.integers(1, 3))
+    flows = tuple(FlowSpec(FlowKey(teid, draw(st.integers(1, n_queues))), TrafficPattern.CBR,
+                           100.0, monitored=draw(st.booleans()) or teid == 1)
+                  for teid in range(1, draw(st.integers(1, 6)) + 1))
+    n_windows = draw(st.integers(1, 6))
+    window_len = 1_000
+    rows = []  # (window, flow, stamp, sojourn, bytes, color)
+    for w in range(n_windows):
+        for f in draw(st.lists(st.integers(0, len(flows) - 1), max_size=12)):
+            rows.append((w, f, w * window_len + draw(st.integers(-window_len // 2, window_len)),
+                         draw(st.integers(0, 400)), draw(st.integers(40, 1500)),
+                         draw(st.integers(0, 2))))
+    spec = ScenarioSpec(
+        duration_s=n_windows * window_len / 1e9, seed=draw(st.integers(0, 5)), flows=flows,
+        qfi_to_qid={q: q - 1 for q in range(1, n_queues + 1)},
+        queue_policy={q: QueuePolicy(tier=0, service_rate_bps=1e9) for q in range(n_queues)},
+        window_len_ns=window_len,
+    )
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 6).T
+    keys = [flows[f].key for f in cols[1].tolist()]
+    stream = WindowStream(
+        teid=np.array([k.teid for k in keys], np.uint32),
+        qfi=np.array([k.qfi for k in keys], np.uint8),
+        bytes=cols[4].astype(np.uint16), arrival_ns=cols[2] - cols[3],
+        monitored=np.array([flows[f].monitored for f in cols[1].tolist()], bool), injected=None,
+        qid=np.array([k.qfi - 1 for k in keys], np.uint8), sojourn_ns=cols[3],
+        color=cols[5].astype(np.int8), window=cols[0], n_windows=n_windows)
+    cfg = TelemetryConfig(width=draw(st.sampled_from([2, 4])), depth=draw(st.integers(1, 3)))
+    return spec, cfg, stream, draw(st.sampled_from([3, 40, None])), draw(
+        st.sampled_from([1, 3, pipeline.CHUNK_PKTS]))
+
+
+def assert_chunked_pass_matches_the_oracle(stream, spec, cfg, lat_edges, iat_edges, budget,
+                                           cap=None):
+    """The chunked pass, under a chunk budget and, if given, a lowered
+    counter cap, gives the oracle's feature rows, records.bin bytes and, per
+    queue, lost units, clamped gaps and last-seen stamps."""
+    made: list[HistogramSketch] = []
+
+    class Recorded(HistogramSketch):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if cap is not None:
+                self.caps = np.minimum(self.caps, cap)
+            made.append(self)
+
+    table, records, oracle = per_window_sketch_pass(stream, spec, cfg, lat_edges, iat_edges,
+                                                    Recorded)
+    made.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "HistogramSketch", Recorded)
+        mp.setattr(pipeline, "CHUNK_PKTS", budget)
+        got = pipeline._sketch_pass(stream, spec, cfg, lat_edges, iat_edges, collect_records=True)
+    assert feature_lines(got.features) == feature_lines(table)
+    assert b"".join(got.record_chunks) == records
+    assert [sk.qid for sk in made] == list(oracle)
+    for sk, ref in zip(made, oracle.values()):
+        assert (sk.saturated_units, sk.monotonicity_warnings) == (
+            ref.saturated_units, ref.monotonicity_warnings)
+        assert sk.last_seen.tolist() == ref.last_seen.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_streams())
+def test_chunked_sketch_pass_matches_the_per_window_oracle(case):
+    spec, cfg, stream, cap, budget = case
+    edges = {q: np.array([1, 2, 4, 8, 16, 64, 256], float) for q in spec.queue_policy}
+    assert_chunked_pass_matches_the_oracle(stream, spec, cfg, edges, edges, budget, cap)
+
+
+@pytest.mark.parametrize("budget", [3000, pipeline.CHUNK_PKTS])
+@pytest.mark.parametrize("scenario", ["smoke", str(Path(__file__).parent / "golden_drops.json")])
+def test_chunked_sketch_pass_matches_the_per_window_oracle_on_scenarios(scenario, budget):
+    spec, cfg, _ = load_scenario(scenario, None)
+    delivered, _, _ = simulate(spec)
+    stream = pipeline.window_stream(delivered, spec.window_len_ns, spec.duration_s)
+    assert_chunked_pass_matches_the_oracle(stream, spec, cfg, *pipeline.fit_qid_edges(
+        stream, spec, cfg), budget)
+
+
+def test_chunks_cut_at_window_starts_within_the_budget(monkeypatch):
+    """Windows of 2, 0, 5 and 1 packets under a budget of 3: the empty window
+    joins the first chunk, and the 5-packet window is a chunk of its own."""
+    monkeypatch.setattr(pipeline, "CHUNK_PKTS", 3)
+    assert pipeline._chunks([0, 2, 2, 7, 8]) == [(0, 2), (2, 3), (3, 4)]
+    assert pipeline._chunks([0, 0, 0]) == [(0, 2)]
+    assert pipeline._chunks([0]) == []

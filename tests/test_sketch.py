@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtel.analysis import extract_sketch_features
 from flowtel.binning import DiagnosticRegion
 from flowtel.core import Color, FlowKey, PacketEvent, SketchConfig
 from flowtel.sketch import (
@@ -16,7 +15,7 @@ from flowtel.sketch import (
     bin_of,
     record_dtype,
 )
-from conftest import batch_columns, exact_truth, random_stream, row0_totals
+from conftest import batch_columns, exact_truth, random_stream, row0_totals, sketch_window_table
 
 US = 1000  # ns per microsecond
 
@@ -364,7 +363,7 @@ def test_zero_traffic_window_has_zero_fractions(rng):
     sk.reset_window()
     sk.update_batch(*batch_columns([]))  # the next window carries no packet
     keys = sorted({ev.key for ev in events})
-    fvs = extract_sketch_features({3: sk}, keys, REGION, 1, {k.qfi: 3 for k in keys})
+    fvs = sketch_window_table({3: sk}, keys, REGION, 1, {k.qfi: 3 for k in keys})
     assert len(fvs) == len(keys)
     for fv in fvs:
         assert fv.pkts == 0.0 and fv.tail_frac == 0.0 and fv.head_frac == 0.0
