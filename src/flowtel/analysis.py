@@ -44,13 +44,7 @@ if TYPE_CHECKING:
 
 
 class FitError(ValueError):
-    """Detector training is impossible on the given fold. From
-    ``train_detectors`` it carries every row (``outcomes``) and the blocks
-    left unscored: (first window, last window, missing class) each."""
-
-    def __init__(self, message: str, outcomes: np.recarray | None = None, unscored=()):
-        super().__init__(message)
-        self.outcomes, self.unscored = outcomes, list(unscored)
+    """Detector training is impossible on the given fold."""
 
 
 # one detection outcome per (window, scope); score in [0, 1], NaN where unscored
@@ -103,38 +97,50 @@ def extract_sketch_features(
 
 
 def extract_postcard_features(
-    codes: np.ndarray, arrival_ns: np.ndarray, sojourn_ns: np.ndarray, color: np.ndarray,
-    nbytes: np.ndarray, keys: Sequence[FlowKey], region: DiagnosticRegion, window: int,
-    lat_edges_by_qid: dict[int, np.ndarray], iat_edges_by_qid: dict[int, np.ndarray],
-    qfi_to_qid: dict[int, int], bins_b: int,
+    windows: np.ndarray, codes: np.ndarray, arrival_ns: np.ndarray, sojourn_ns: np.ndarray,
+    color: np.ndarray, nbytes: np.ndarray, keys: Sequence[FlowKey], region: DiagnosticRegion,
+    n_windows: int, lat_edges_by_qid: dict[int, np.ndarray],
+    iat_edges_by_qid: dict[int, np.ndarray], qfi_to_qid: dict[int, int], bins_b: int,
 ) -> np.recarray:
-    """Exact per-flow stats over the sampled packets only.
+    """Exact per-flow stats over the sampled packets only, every window's
+    rows in (window, scope) order.
 
-    The columns are one window's postcards in arrival order. Every key gets a
-    row, and postcards expose exact identities, so a flow outside the keys (a
-    remapped tunnel, say) gets one too. IAT samples are gaps between
-    consecutive postcards of the same flow, the only spacing the collector
-    can see.
+    The columns are a run's postcards in arrival order, each with its window
+    below ``n_windows``. Every key gets a row in every window, and postcards
+    expose exact identities, so a flow outside the keys (a remapped tunnel,
+    say) gets one in each window it shows up in. IAT samples are gaps between
+    consecutive postcards of the same flow in the same window, the only
+    spacing the collector can see.
     """
     registered = np.array([k.code() for k in keys], dtype=np.uint64)
-    order = np.argsort(codes, kind="stable")  # stable: each flow keeps arrival order
-    codes, arrival_ns = codes[order].astype(np.uint64), arrival_ns[order]
+    codes = codes.astype(np.uint64)
     scopes = np.union1d(registered, codes)  # sorted, and code order is FlowKey order
-    n, flow = len(scopes), np.searchsorted(scopes, codes)  # each postcard's row
-    qid = np.array([qfi_to_qid[c & MAX_QFI] for c in scopes.tolist()], dtype=np.int64)[flow]
-    same = flow[1:] == flow[:-1]  # the gap to the next postcard stays in its flow
-    gaps = np.diff(arrival_ns)[same]
-    lat = _binned(flow, qid, sojourn_ns[order], lat_edges_by_qid, n, bins_b)
-    iat = _binned(flow[1:][same], qid[1:][same], gaps, iat_edges_by_qid, n, bins_b)
+    n = max(len(scopes), 1)  # no scope, no row: n only needs to be nonzero
+    # (window, scope) ids: each postcard's, and each key's in every window
+    pair = np.asarray(windows, np.int64) * n + np.searchsorted(scopes, codes)
+    rows = np.union1d(np.add.outer(np.arange(n_windows) * n,
+                                   np.searchsorted(scopes, registered)).ravel(), pair)
+    order = np.argsort(pair, kind="stable")  # stable: each row keeps arrival order
+    row = np.searchsorted(rows, pair[order])  # each postcard's row
+    row_window, row_scope = np.divmod(rows, n)
+    row_code = scopes[row_scope]
+    qid = np.array([qfi_to_qid[c & MAX_QFI] for c in scopes.tolist()], dtype=np.int64)
+    qid = qid[row_scope[row]]  # each postcard's queue
+    same = row[1:] == row[:-1]  # the gap to the next postcard stays in its row
+    gaps = np.diff(arrival_ns[order])[same]
+    m = len(rows)
+    lat = _binned(row, qid, sojourn_ns[order], lat_edges_by_qid, m, bins_b)
+    iat = _binned(row[1:][same], qid[1:][same], gaps, iat_edges_by_qid, m, bins_b)
     diag = lat[:, sorted(region.lat_tail_bins)].sum(axis=1)
     diag += iat[:, sorted(region.iat_head_bins)].sum(axis=1)
-    # exact per-flow byte sums, as differences of one running int64 sum
-    lo, hi = np.searchsorted(codes, scopes), np.searchsorted(codes, scopes, side="right")
+    # exact per-row byte sums, as differences of one running int64 sum
+    pkts = np.bincount(row, minlength=m)
     byte_csum = np.concatenate(([0], np.cumsum(nbytes[order], dtype=np.int64)))
+    end = np.cumsum(pkts)
     return _flow_table(
-        "dsmp", window, region, scopes, hi - lo, byte_csum[hi] - byte_csum[lo], diag,
-        lat, iat, np.bincount(flow * 3 + color[order], minlength=3 * n).reshape(n, 3),
-        np.isin(scopes, registered, invert=True),
+        "dsmp", row_window, region, row_code, pkts, byte_csum[end] - byte_csum[end - pkts], diag,
+        lat, iat, np.bincount(row * 3 + color[order], minlength=3 * m).reshape(m, 3),
+        np.isin(row_code, registered, invert=True),
     )
 
 
@@ -373,9 +379,10 @@ def train_detectors(
     kind: AnomalyKind,
     n_blocks: int = 4,
     l2: float = 1.0,
-) -> np.recarray:
+) -> tuple[np.recarray, list[tuple[int, int, str]]]:
     """Cross-fitted linear detection for one anomaly kind over one mode's
-    feature table: one ``OUTCOME_DTYPE`` row per table row, in table order.
+    feature table: one ``OUTCOME_DTYPE`` row per table row, in table order,
+    and the blocks left unscored.
 
     Every window lands in exactly one test block and is scored by a model
     trained only on the other (temporally disjoint) blocks; thresholds are
@@ -384,12 +391,13 @@ def train_detectors(
     numpy calls however many scopes and rows the fold has.
 
     A block whose training folds lack a class is left unscored (NaN, not
-    fired) while the others are scored; then ``FitError`` is raised with
-    every row and the unscored blocks.
+    fired) while the others are scored. It is listed as (first window, last
+    window, missing class); the list is empty when every block is scored.
     """
     out = np.zeros(len(table), dtype=OUTCOME_DTYPE).view(np.recarray)
+    unscored: list[tuple[int, int, str]] = []
     if not len(table):
-        return out
+        return out, unscored
     out.window, out.scope, out.score = table.window, table.scope, np.nan
     X, _ = feature_matrix(table, DEFAULT_FEATURE_MASKS[kind])
     scopes, windows = table.scope.tolist(), table.window
@@ -398,7 +406,6 @@ def train_detectors(
                       count=len(scopes))
     y = _row_labels(table, labels, kind)
 
-    unscored: list[tuple[int, int, str]] = []
     for block in temporal_blocks(windows.tolist(), n_blocks):
         test_mask = np.isin(windows, block)
         train_mask = ~test_mask & (y >= 0)
@@ -417,11 +424,7 @@ def train_detectors(
                                 train_max[train_windows])[0]
         score = det.score(norm.transform(X[test_mask], sid[test_mask]))
         out.score[test_mask], out.fired[test_mask] = score, score >= thr
-    if unscored:
-        first, _, missing = unscored[0]
-        raise FitError(f"{kind.value}: training folds for block starting at window {first} "
-                       f"have no {missing} examples", out, unscored)
-    return out
+    return out, unscored
 
 
 def _window_max(windows: np.ndarray, scores: np.ndarray, n_windows: int) -> np.ndarray:

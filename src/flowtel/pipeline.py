@@ -22,12 +22,10 @@ import numpy as np
 
 from .analysis import (
     DetectionMetrics,
-    FitError,
     evaluate,
     extract_pm_features,
     extract_postcard_features,
     extract_sketch_features,
-    feature_table,
     train_detectors,
 )
 from .baselines import (
@@ -258,11 +256,6 @@ def anomaly_instances(spec: ScenarioSpec, kind: AnomalyKind) -> list[tuple[int, 
     ]
 
 
-def _table(mode: TelemetryMode, tables: list[np.recarray]) -> np.recarray:
-    # a run shorter than one nanosecond has no window, so no table
-    return np.concatenate(tables or [feature_table(mode.value, 0, [], False)]).view(np.recarray)
-
-
 def _chunks(starts: list[int]) -> list[tuple[int, int]]:
     """Cut a queue's packets at window starts into chunks of at most
     ``CHUNK_PKTS`` packets; a window with more is a chunk of its own.
@@ -306,37 +299,32 @@ def _sketch_pass(stream, spec, cfg, lat_edges, iat_edges, collect_records) -> Mo
             if collect_records:
                 records.update(((w, qid), sketch.export_window_array(w).tobytes())
                                for w in range(a, b))
-    tables = []
-    if rows:
-        windows, scopes, ests = zip(*rows)
-        tables.append(extract_sketch_features(
-            np.concatenate(windows), np.concatenate(scopes),
-            {name: np.concatenate([e[name] for e in ests]) for name in ests[0]}, region))
+    if not rows:  # a run shorter than one nanosecond has no window: ask for no key
+        rows.append((np.zeros(0, np.int64), mine[:0], sketch.query_flows(mine[:0], region)))
+    windows, scopes, ests = zip(*rows)
+    table = extract_sketch_features(
+        np.concatenate(windows), np.concatenate(scopes),
+        {name: np.concatenate([e[name] for e in ests]) for name in ests[0]}, region)
     cost = export_cost(TelemetryMode.SKETCH, width=cfg.width, depth=cfg.depth,
                        bins_b=cfg.bins_b, num_qids=len(spec.queue_policy))
-    return ModeTelemetry(_table(TelemetryMode.SKETCH, tables), [cost] * stream.n_windows,
+    return ModeTelemetry(table, [cost] * stream.n_windows,
                          record_chunks=[records[key] for key in sorted(records)])
 
 
 def _dsmp_pass(stream, spec, cfg, lat_edges, iat_edges) -> ModeTelemetry:
     """Delta-triggered postcards: each flow's last export carries across
-    windows, so one sampler pass serves the run and a window's postcards are
-    the slice of its indices inside the window."""
-    region = cfg.region()
-    registered = [fl.key for fl in spec.flows if fl.monitored]
-    pc_idx = DeltaSampler(delta_ns=cfg.dsmp_delta_ns).offer_batch(stream, stream.monitored)
-    bounds = np.searchsorted(pc_idx, np.searchsorted(stream.window, range(stream.n_windows + 1)))
-    tables, lines, costs = [], [], []
-    for w in range(stream.n_windows):
-        pc = stream.take(pc_idx[bounds[w] : bounds[w + 1]])
-        pcs = (pc.teid, pc.qfi, pc.qid, pc.depart_ns(), pc.sojourn_ns, pc.color, pc.bytes)
-        tables.append(extract_postcard_features(
-            pc.codes(), *pcs[3:], registered, region, w, lat_edges, iat_edges,
-            spec.qfi_to_qid, cfg.bins_b,
-        ))
-        lines.extend(map(postcard_line, [w] * len(pc), *(c.tolist() for c in pcs)))
-        costs.append(export_cost(TelemetryMode.DSMP, postcards=len(pc)))
-    return ModeTelemetry(_table(TelemetryMode.DSMP, tables), costs, lines)
+    windows, so one sampler pass, one take of its postcards and one feature
+    table serve the run."""
+    pc = stream.take(DeltaSampler(delta_ns=cfg.dsmp_delta_ns).offer_batch(stream, stream.monitored))
+    pcs = (pc.window, pc.teid, pc.qfi, pc.qid, pc.depart_ns(), pc.sojourn_ns, pc.color, pc.bytes)
+    table = extract_postcard_features(
+        pc.window, pc.codes(), *pcs[4:], [fl.key for fl in spec.flows if fl.monitored],
+        cfg.region(), stream.n_windows, lat_edges, iat_edges, spec.qfi_to_qid, cfg.bins_b,
+    )
+    lines = list(map(postcard_line, *(c.tolist() for c in pcs)))
+    costs = [export_cost(TelemetryMode.DSMP, postcards=n)
+             for n in np.bincount(pc.window, minlength=stream.n_windows).tolist()]
+    return ModeTelemetry(table, costs, lines)
 
 
 def _pm_pass(stream, drops, spec) -> ModeTelemetry:
@@ -381,11 +369,8 @@ def run_telemetry(
     unscored: list[tuple[str, str, int, int, str]] = []
     for kind in active_kinds(spec):
         for mode in modes:
-            try:
-                found, poor = train_detectors(mode_data[mode].features, labels, kind,
-                                              n_blocks=cfg.n_blocks, l2=cfg.l2), []
-            except FitError as e:  # a block whose training folds lack a class stays unscored
-                found, poor = e.outcomes, e.unscored
+            found, poor = train_detectors(mode_data[mode].features, labels, kind,
+                                          n_blocks=cfg.n_blocks, l2=cfg.l2)
             outcomes[(kind.value, mode.value)] = found
             unscored += [(kind.value, mode.value, *block) for block in poor]
             scored = [w for w in windows if not any(a <= w <= b for a, b, _ in poor)]

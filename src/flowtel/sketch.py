@@ -161,7 +161,6 @@ class HistogramSketch:
         self.last_seen = np.full((d, w), UNSET_NS, dtype=np.int64)
         self.saturated_units = 0
         self.monotonicity_warnings = 0
-        self._query_memo: tuple[np.ndarray, np.ndarray] | None = None
         self._held: tuple[np.ndarray, np.ndarray] | None = None  # a chunk's keys and records
 
     # -- update paths ------------------------------------------------------
@@ -197,10 +196,6 @@ class HistogramSketch:
             new = cap
         arr[idx] = new
 
-    def bucket_columns(self, codes: np.ndarray) -> np.ndarray:
-        """Bucket column of each packed key in every row, shape [d, n]."""
-        return bucket_index_array(codes, self.config.seeds, self.config.width_w)
-
     def update_batch(
         self,
         codes: np.ndarray,
@@ -230,7 +225,7 @@ class HistogramSketch:
         ucodes, fid = np.unique(codes, return_inverse=True)
         pairs, pid = np.unique(win * len(ucodes) + fid, return_inverse=True)
         pwin, pflow = np.divmod(pairs, max(len(ucodes), 1))
-        flat = self.bucket_columns(ucodes) + np.arange(0, d * w, w)[:, None]  # [d, flows]
+        flat = bucket_index_array(ucodes, self.config.seeds, w) + np.arange(0, d * w, w)[:, None]
         keys = flat[:, pflow] + pwin * (d * w)  # [d, pairs]: window * d*w + cell
         _, inv, n_flows = np.unique(keys, return_inverse=True, return_counts=True)
         shared = n_flows[inv].reshape(keys.shape) > 1
@@ -339,14 +334,9 @@ class HistogramSketch:
         each field of ``counter_slices`` plus ``diag``. Without ``windows``
         they read ``counts``. With them they read the held chunk
         (``update_batch``): one row per (window, code), window by window, and
-        a (window, cell) the chunk has no record of reads as zero.
-
-        Columns are kept from the previous call: the same keys hash once."""
-        memo = self._query_memo
-        if memo is None or not np.array_equal(memo[0], codes):
-            memo = self._query_memo = (codes.copy(), self.bucket_columns(codes))
+        a (window, cell) the chunk has no record of reads as zero."""
         d, w = self.config.depth_d, self.config.width_w
-        cells = memo[1] + np.arange(0, d * w, w)[:, None]  # [d, n]
+        cells = bucket_index_array(codes, self.config.seeds, w) + np.arange(0, d * w, w)[:, None]
         if windows is None:
             est = self.counts.reshape(d * w, -1)[cells].min(axis=0)  # [n, 2B+5]
         else:

@@ -11,6 +11,7 @@ from flowtel.analysis import (
     DEFAULT_FEATURE_MASKS,
     OUTCOME_DTYPE,
     FitError,
+    LinearDetector,
     _row_labels,
     ScopeNormalizer,
     auprc,
@@ -70,8 +71,8 @@ def test_collision_free_sketch_features_equal_full_sampling_postcards(rng):
     f_sketch = sketch_window_table({0: sk}, [key], REGION, 0, {key.qfi: 0})[0]
     postcards = [(e.key, e.arrival_ns, e.sojourn_ns, int(e.color), e.bytes) for e in events]
     f_pc = extract_postcard_features(
-        *postcard_columns(postcards), [key], REGION, 0, {0: np.array(LAT_EDGES, float)},
-        {0: np.array(IAT_EDGES, float)}, {key.qfi: 0}, 8,
+        np.zeros(len(postcards), np.int64), *postcard_columns(postcards), [key], REGION, 1,
+        {0: np.array(LAT_EDGES, float)}, {0: np.array(IAT_EDGES, float)}, {key.qfi: 0}, 8,
     )[0]
     assert f_sketch.pkts == f_pc.pkts
     assert f_sketch.bytes == f_pc.bytes
@@ -82,12 +83,13 @@ def test_collision_free_sketch_features_equal_full_sampling_postcards(rng):
 
 def postcard_columns(postcards):
     """(key, arrival_ns, sojourn_ns, color, bytes) tuples in arrival order as
-    the columns extract_postcard_features reads."""
-    keys, arrival, sojourn, color, nbytes = zip(*postcards)
+    the columns extract_postcard_features reads after each postcard's window."""
+    keys = [pc[0] for pc in postcards]
     return (
-        flow_codes(np.array([k.teid for k in keys]), np.array([k.qfi for k in keys])),
-        np.array(arrival, dtype=np.int64), np.array(sojourn, dtype=np.int64),
-        np.array(color, dtype=np.int8), np.array(nbytes, dtype=np.int64),
+        flow_codes(np.array([k.teid for k in keys], np.uint32),
+                   np.array([k.qfi for k in keys], np.uint8)),
+        *(np.array([pc[i] for pc in postcards], dtype=dtype)
+          for i, dtype in enumerate((np.int64, np.int64, np.int8, np.int64), start=1)),
     )
 
 
@@ -126,34 +128,94 @@ def reference_postcard_features(postcards, keys, region, window, lat_edges, iat_
     )
 
 
+PC_LAT_EDGES = {0: np.array(LAT_EDGES, float), 1: np.array([50.0, 500, 5e3, 5e4, 5e5, 5e6, 5e7])}
+PC_IAT_EDGES = {0: np.array(IAT_EDGES, float), 1: np.array([10.0, 20, 40, 80, 160, 320, 640])}
+PC_QFI_TO_QID = {1: 0, 2: 1}
+# (2, 1) registered but silent, (4, 2) a single postcard, (9, 1) unregistered
+PC_KEYS = [FlowKey(1, 1), FlowKey(2, 1), FlowKey(3, 2), FlowKey(4, 2)]
+
+
+def postcard_pools(key):
+    """A flow's sojourn and gap pools: mostly exact bin edges of its queue,
+    one off either side."""
+    qid = PC_QFI_TO_QID[key.qfi]
+    lat, iat = PC_LAT_EDGES[qid], PC_IAT_EDGES[qid]
+    return (np.concatenate([lat, lat - 1, [0, 7, 10**9]]).astype(np.int64),
+            np.concatenate([iat, iat + 1, [0, 3]]).astype(np.int64))
+
+
 def test_columnar_postcard_features_match_per_postcard_loop(rng):
-    lat_edges = {0: np.array(LAT_EDGES, float), 1: np.array([50.0, 500, 5e3, 5e4, 5e5, 5e6, 5e7])}
-    iat_edges = {0: np.array(IAT_EDGES, float), 1: np.array([10.0, 20, 40, 80, 160, 320, 640])}
-    qfi_to_qid = {1: 0, 2: 1}
-    # (2, 1) registered but silent, (4, 2) a single postcard, (9, 1) unregistered
-    keys = [FlowKey(1, 1), FlowKey(2, 1), FlowKey(3, 2), FlowKey(4, 2)]
     rows = []
     sizes = {FlowKey(1, 1): 60, FlowKey(3, 2): 60, FlowKey(4, 2): 1, FlowKey(9, 1): 30}
     for key, n in sizes.items():
-        qid = qfi_to_qid[key.qfi]
-        # gaps and sojourns drawn mostly from exact bin edges, one off either side
-        lat_pool = np.concatenate([lat_edges[qid], lat_edges[qid] - 1, [0, 7, 10**9]])
-        iat_pool = np.concatenate([iat_edges[qid], iat_edges[qid] + 1, [0, 3]])
+        lat_pool, iat_pool = postcard_pools(key)
         arrival = 1000 + np.cumsum(rng.choice(iat_pool, size=n)).astype(np.int64)
         sojourn = rng.choice(lat_pool, size=n).astype(np.int64)
         rows += [(key, int(a), int(s), int(rng.integers(0, 3)), int(rng.integers(64, 1500)))
                  for a, s in zip(arrival, sojourn)]
     postcards = [rows[i] for i in np.argsort([r[1] for r in rows], kind="stable")]
     got = extract_postcard_features(
-        *postcard_columns(postcards), keys, REGION, 5, lat_edges, iat_edges, qfi_to_qid, 8
+        np.zeros(len(postcards), np.int64), *postcard_columns(postcards), PC_KEYS, REGION, 1,
+        PC_LAT_EDGES, PC_IAT_EDGES, PC_QFI_TO_QID, 8,
     )
     expect = reference_postcard_features(
-        postcards, keys, REGION, 5, lat_edges, iat_edges, qfi_to_qid, 8
+        postcards, PC_KEYS, REGION, 0, PC_LAT_EDGES, PC_IAT_EDGES, PC_QFI_TO_QID, 8
     )
     assert got.dtype == expect.dtype and got.tolist() == expect.tolist()
     assert [fv.scope[1] for fv in got] == [1, 2, 3, 4, 9]
     assert got[1].pkts == 0 and got[3].pkts == 1 and cols(got[3], IAT) == [0.0] * 8
     assert got[4].unregistered and not any(fv.unregistered for fv in got[:4])
+
+
+PC_WINDOW_NS = 10**11  # longer than the sum of any window's drawn gaps
+
+
+@st.composite
+def run_postcards(draw):
+    """0-5 windows of postcards, each window's in arrival order: (1, 1) and
+    (3, 2) in any number per window (none at times, so windows go empty and
+    flows skip windows), (4, 2) once in the run, and the unregistered (9, 1)
+    only in the first and last windows, which are not adjacent from three
+    windows on, so a gap across windows would show. (2, 1) stays silent.
+    Gives the window count, each postcard's window and the postcards."""
+    n_windows = draw(st.integers(0, 5))
+    per_window = [draw(st.lists(st.sampled_from([FlowKey(1, 1), FlowKey(3, 2)]), max_size=6))
+                  for _ in range(n_windows)]
+    if n_windows:
+        per_window[draw(st.integers(0, n_windows - 1))].append(FlowKey(4, 2))
+        for w in {0, n_windows - 1}:
+            per_window[w] += [FlowKey(9, 1)] * draw(st.integers(1, 3))
+    windows, postcards = [], []
+    for w, keys in enumerate(per_window):
+        stamp = w * PC_WINDOW_NS
+        for key in draw(st.permutations(keys)):
+            lat_pool, iat_pool = postcard_pools(key)
+            stamp += draw(st.sampled_from(iat_pool.tolist()))
+            postcards.append((key, stamp, draw(st.sampled_from(lat_pool.tolist())),
+                              draw(st.integers(0, 2)), draw(st.integers(64, 1500))))
+            windows.append(w)
+    return n_windows, windows, postcards
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_postcards())
+def test_run_wide_postcard_features_match_the_per_window_oracle(case):
+    """One call over a run's postcards gives the per-window oracle's tables,
+    window after window."""
+    n_windows, windows, postcards = case
+    got = extract_postcard_features(
+        np.array(windows, np.int64), *postcard_columns(postcards), PC_KEYS, REGION, n_windows,
+        PC_LAT_EDGES, PC_IAT_EDGES, PC_QFI_TO_QID, 8,
+    )
+    expect = [reference_postcard_features(
+        [pc for pc, at in zip(postcards, windows) if at == w], PC_KEYS, REGION, w,
+        PC_LAT_EDGES, PC_IAT_EDGES, PC_QFI_TO_QID, 8,
+    ) for w in range(n_windows)]
+    if not expect:
+        assert len(got) == 0
+        return
+    expect = np.concatenate(expect)
+    assert got.dtype == expect.dtype and got.tolist() == expect.tolist()
 
 
 def test_pm_features_mark_distributional_fields_absent():
@@ -301,7 +363,8 @@ def synth_fvs(n_windows, anomalous, rng, mode="sketch", separation=4.0):
 def test_separable_features_reach_perfect_holdout_f1(rng):
     anomalous = {7, 8, 22, 23, 37, 38, 52, 53}
     fvs, labels = synth_fvs(60, anomalous, rng, separation=25.0)
-    found = train_detectors(fvs, labels, AnomalyKind.CONTENTION, n_blocks=4)
+    found, unscored = train_detectors(fvs, labels, AnomalyKind.CONTENTION, n_blocks=4)
+    assert unscored == []
     metrics = evaluate(found, labels, AnomalyKind.CONTENTION, "sketch",
                        list(range(60)), 10**9)
     assert metrics.auprc == pytest.approx(1.0)
@@ -314,7 +377,8 @@ def test_shuffled_labels_give_prevalence_auprc(rng):
         r = np.random.default_rng(t)
         anomalous = set(r.choice(60, size=12, replace=False).tolist())
         fvs, labels = synth_fvs(60, anomalous, r, separation=0.0)  # no signal
-        found = train_detectors(fvs, labels, AnomalyKind.CONTENTION, n_blocks=3)
+        found, unscored = train_detectors(fvs, labels, AnomalyKind.CONTENTION, n_blocks=3)
+        assert unscored == []
         m = evaluate(found, labels, AnomalyKind.CONTENTION, "sketch",
                      list(range(60)), 10**9)
         vals.append(m.auprc)
@@ -322,19 +386,23 @@ def test_shuffled_labels_give_prevalence_auprc(rng):
 
 
 def test_single_class_training_raises_named_fit_error(rng):
+    """Cross-fitting names the missing class of every block it leaves
+    unscored; the detector's own fit raises it."""
     fvs, _ = synth_fvs(20, set(), rng)
+    found, unscored = train_detectors(fvs, [], AnomalyKind.CONTENTION, n_blocks=2)
+    assert unscored == [(0, 9, "positive"), (10, 19, "positive")]
+    assert np.isnan(found.score).all() and not found.fired.any()
+    X, _ = feature_matrix(fvs, DEFAULT_FEATURE_MASKS[AnomalyKind.CONTENTION])
     with pytest.raises(FitError, match="no positive"):
-        train_detectors(fvs, [], AnomalyKind.CONTENTION, n_blocks=2)
+        LinearDetector().fit(X, np.zeros(len(X)))
 
 
 def test_class_poor_block_stays_unscored_and_its_neighbours_keep_their_scores(rng):
     # every anomalous window is in the second of four blocks (windows 15-29),
     # so that block's training folds hold no positive example
     fvs, labels = synth_fvs(60, {17, 18, 22, 23}, rng, separation=25.0)
-    with pytest.raises(FitError, match="block starting at window 15 have no positive") as err:
-        train_detectors(fvs, labels, AnomalyKind.CONTENTION, n_blocks=4)
-    found = err.value.outcomes
-    assert err.value.unscored == [(15, 29, "positive")]
+    found, unscored = train_detectors(fvs, labels, AnomalyKind.CONTENTION, n_blocks=4)
+    assert unscored == [(15, 29, "positive")]
     assert found.window.tolist() == fvs.window.tolist()
     assert found.scope.tolist() == fvs.scope.tolist()
     in_poor = (found.window >= 15) & (found.window <= 29)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtel import pipeline
+from flowtel.analysis import extract_postcard_features
 from flowtel.baselines import TelemetryMode
 from flowtel.cli import load_scenario
 from flowtel.pipeline import (
@@ -231,3 +232,33 @@ def test_chunks_cut_at_window_starts_within_the_budget(monkeypatch):
     assert pipeline._chunks([0, 2, 2, 7, 8]) == [(0, 2), (2, 3), (3, 4)]
     assert pipeline._chunks([0, 0, 0]) == [(0, 2)]
     assert pipeline._chunks([0]) == []
+
+
+# -- the sketch against the exact per-flow table it estimates ----------------------
+
+
+def test_sketch_volumes_never_undercount_the_exact_per_flow_table():
+    """The exact table is one extract_postcard_features call over every
+    monitored packet of the window stream, its unregistered rows dropped: it
+    has the sketch table's rows in the same order. At width 2 and at the
+    default width every packet and byte estimate is at least exact, and at
+    width 2 collisions push some above it."""
+    spec, cfg, _ = load_scenario(str(Path(__file__).parent / "golden_drops.json"), None)
+    delivered, _, _ = simulate(spec)
+    stream = pipeline.window_stream(delivered, spec.window_len_ns, spec.duration_s)
+    lat_edges, iat_edges = pipeline.fit_qid_edges(stream, spec, cfg)
+    seen = stream.take(np.flatnonzero(stream.monitored))
+    exact = extract_postcard_features(
+        seen.window, seen.codes(), seen.depart_ns(), seen.sojourn_ns, seen.color, seen.bytes,
+        [fl.key for fl in spec.flows if fl.monitored], cfg.region(), stream.n_windows,
+        lat_edges, iat_edges, spec.qfi_to_qid, cfg.bins_b,
+    )
+    exact = exact[~exact.unregistered]
+    for width in (2, cfg.width):
+        est = pipeline._sketch_pass(stream, spec, replace(cfg, width=width), lat_edges, iat_edges,
+                                    collect_records=False).features
+        assert est.window.tolist() == exact.window.tolist()
+        assert est.scope.tolist() == exact.scope.tolist()
+        assert (est.pkts >= exact.pkts).all() and (est.bytes >= exact.bytes).all()
+        if width == 2:
+            assert (est.pkts > exact.pkts).any()
