@@ -36,12 +36,13 @@ class EdgeKind(Enum):
 
 
 class DegenerateDistributionError(ValueError):
-    """Fitting sample cannot support strictly increasing edges."""
+    """Fitting sample cannot support strictly increasing edges, or an edge
+    list is not finite and strictly increasing."""
 
     def __init__(self, duplicated: Sequence[float]):
         self.duplicated = sorted(set(float(v) for v in duplicated))
         super().__init__(
-            "degenerate distribution: duplicated edge values "
+            "degenerate distribution: duplicated or non-finite edge values "
             + ", ".join(f"{v:g}" for v in self.duplicated)
         )
 
@@ -96,10 +97,10 @@ def check_region_size(region_size: int, bins_b: int) -> None:
 
 
 def _check_strict(edges: np.ndarray) -> np.ndarray:
-    diffs = np.diff(edges)
-    if np.any(diffs <= 0):
-        bad = edges[:-1][diffs <= 0]
-        raise DegenerateDistributionError(bad.tolist())
+    bad = ~np.isfinite(edges)
+    bad[:-1] |= ~(np.diff(edges) > 0)
+    if bad.any():
+        raise DegenerateDistributionError(edges[bad].tolist())
     return edges
 
 

@@ -29,7 +29,8 @@ NS_PER_S = 1_000_000_000
 DEFAULT_WINDOW_NS = NS_PER_S
 
 # the most packets a columnar pass over a run (a sketch fold, the delta
-# sampler's loop) takes at once, so its transient columns stay small
+# sampler's loop, the simulator's search for tied stamps) takes at once, so
+# its transient columns stay small
 CHUNK_PKTS = 1 << 16
 
 

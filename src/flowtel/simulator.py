@@ -49,7 +49,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import MAX_QFI, NS_PER_S, QFI_BITS, FlowKey, window_index
+from .core import CHUNK_PKTS, MAX_QFI, NS_PER_S, QFI_BITS, FlowKey, window_index
 
 
 class ScenarioError(ValueError):
@@ -497,10 +497,15 @@ def _concat(batches: list[PacketBatch]) -> PacketBatch:
 
 def _order(t: np.ndarray, *minor: np.ndarray) -> np.ndarray:
     """The stable order by (t, *minor). A stable argsort of t merges sorted
-    runs in linear time; only the rows whose t ties are then lexsorted."""
+    runs in linear time; only the rows whose t ties are then lexsorted. The
+    ties are found ``CHUNK_PKTS`` rows at a time, so no sorted copy of t is
+    held."""
     order = np.argsort(t, kind="stable")
-    ts = t[order]
-    tie = np.flatnonzero(ts[1:] == ts[:-1])
+    ties = [np.zeros(0, np.intp)]
+    for lo in range(0, len(t), CHUNK_PKTS):
+        ts = t[order[lo : lo + CHUNK_PKTS + 1]]  # one row past the chunk: ties across its end
+        ties.append(lo + np.flatnonzero(ts[1:] == ts[:-1]))
+    tie = np.concatenate(ties)
     if len(tie):
         at = np.union1d(tie, tie + 1)
         sub = order[at]

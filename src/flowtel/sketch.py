@@ -23,10 +23,13 @@ windows; the UNSET sentinel only marks buckets that have never seen a packet.
 Two update paths exist: ``update`` consumes one PacketEvent (the reference
 semantics) and ``update_batch`` folds column arrays into all d rows,
 bit-identically for the same event order (tests pin the equivalence). It
-hashes only a batch's distinct codes, and its one fold (``_fold``) sums each
-group of packets once for every cell the group feeds: a flow feeds the cells
-it has to itself in a row, and a cell that several flows share in a row is a
-group of its own. Given each packet's window, a batch is a chunk of whole
+hashes only a batch's distinct codes. It ranks the codes and the (window,
+flow) pairs as ``np.unique`` would, but without sorting the batch
+(``_rank``), and bins latencies and gaps by one comparison per edge
+(``_count_le``). Its one fold (``_fold``) sums each group of packets once
+for every cell the group feeds: a flow feeds the cells it has to itself in
+a row, and a cell that several flows share in a row is a group of its own.
+Given each packet's window, a batch is a chunk of whole
 windows, each starting from zero counters, and the groups are per window:
 the sketch then holds the chunk's (window, cell) records, sorted by key, so
 that one fold and one query serve all its windows and export writes any one
@@ -123,6 +126,43 @@ def record_dtype(bins_b: int) -> np.dtype:
     )
 
 
+def _count_le(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(edges, values, side="right")`` for ascending edges:
+    how many edges are at or below each value, compared in their common
+    type. One comparison per edge, counted in the narrowest type that holds
+    the count, beats a binary search over a histogram's few edges; its cost
+    grows with the number of edges."""
+    v = np.asarray(values, np.result_type(values, edges))
+    out = np.zeros(len(v), np.min_scalar_type(len(edges)))
+    for e in edges:
+        out += v >= e
+    return out
+
+
+def _rank(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(v, return_inverse=True)`` of integers, without sorting v
+    when its values are dense or few.
+
+    Values whose range is no wider than v are counted over that range.
+    Otherwise a strided sample's distinct values rank v by ``_count_le``,
+    and any value the sample missed is merged in for a second pass; more
+    than 32 distinct values, where comparing stops paying, are sorted.
+    """
+    if len(v) and int(v.max()) - int(v.min()) < len(v):
+        lo = v.min()
+        off = (v - lo).astype(np.intp)
+        seen = np.bincount(off) > 0
+        return np.flatnonzero(seen).astype(v.dtype) + lo, (np.cumsum(seen) - 1)[off]
+    u = np.unique(v[:: max(1, len(v) // 1024)])
+    while len(u) <= 32:
+        at = _count_le(u[1:], v)
+        missed = v[u[at] != v]
+        if not len(missed):
+            return u, at.astype(np.intp)
+        u = np.union1d(u, missed)
+    return np.unique(v, return_inverse=True)
+
+
 class HistogramSketch:
     """One per-queue sketch: d rows of w enriched buckets plus bin edges.
 
@@ -147,8 +187,8 @@ class HistogramSketch:
                 f"{len(self.lat_edges)} latency / {len(self.iat_edges)} IAT"
             )
         for name, edges in (("lat", self.lat_edges), ("iat", self.iat_edges)):
-            if np.any(np.diff(edges) <= 0):
-                raise ValueError(f"{name} edges must be strictly increasing")
+            if not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)):
+                raise ValueError(f"{name} edges must be finite and strictly increasing")
 
         d, w = config.depth_d, config.width_w
         self.fields = counter_slices(b)
@@ -214,16 +254,21 @@ class HistogramSketch:
         and ``export_window_array`` read, and leaves ``counts`` alone.
 
         Only the distinct codes are hashed, giving each (window, flow) pair
-        one flat cell row*w + col per row. One ``_fold`` sums two kinds of
-        group: a pair's packets, taken by the cells that one flow has to
+        one flat cell row*w + col per row. ``_rank`` numbers the codes and
+        the pairs in ascending order, as a sort would, but without one: a
+        count ranks a (window x flow) grid no larger than the chunk,
+        comparison with a strided sample's values ranks a few sparse codes,
+        and only more varied values are sorted. One ``_fold`` sums two kinds
+        of group: a pair's packets, taken by the cells that one flow has to
         itself in a row and window, and a shared (window, cell)'s, fed by the
         packets of the flows that share it. The two kinds of cell are
-        disjoint.
+        disjoint. Each packet's latency bin is found once, before the packets
+        of shared cells are appended to the columns.
         """
         d, w = self.config.depth_d, self.config.width_w
         win = np.zeros(len(codes), np.int64) if window is None else np.asarray(window, np.int64)
-        ucodes, fid = np.unique(codes, return_inverse=True)
-        pairs, pid = np.unique(win * len(ucodes) + fid, return_inverse=True)
+        ucodes, fid = _rank(codes)
+        pairs, pid = _rank(win * len(ucodes) + fid)
         pwin, pflow = np.divmod(pairs, max(len(ucodes), 1))
         flat = bucket_index_array(ucodes, self.config.seeds, w) + np.arange(0, d * w, w)[:, None]
         keys = flat[:, pflow] + pwin * (d * w)  # [d, pairs]: window * d*w + cell
@@ -232,12 +277,12 @@ class HistogramSketch:
         ukeys, sid = np.unique(keys[shared], return_inverse=True)
         group = np.zeros(keys.shape, dtype=np.intp)
         group[shared] = len(pairs) + sid
-        hit = shared.take(pid, axis=1)  # [d, n]: row by row, in stream order
-        # every packet in its pair's group, then again in each shared group it feeds
-        pk = np.concatenate([np.arange(len(codes)), np.nonzero(hit)[1]])
-        sums = self._fold(np.concatenate([pid, group.take(pid, axis=1)[hit]]),
-                          len(pairs) + len(ukeys), byts[pk], arrival_ns[pk],
-                          np.searchsorted(self.lat_edges, sojourn_ns[pk], side="right"), colors[pk])
+        ext = np.flatnonzero(shared.any(axis=0)[pid])  # the packets of pairs with a shared cell
+        row, j = np.nonzero(shared[:, pid[ext]])  # row by row, in stream order
+        extra = ext[j]  # every packet once in its pair's group, then in each shared one it feeds
+        lat_b = _count_le(self.lat_edges, sojourn_ns)
+        sums = self._fold(np.concatenate([pid, group[row, pid[extra]]]), len(pairs) + len(ukeys),
+                          *(np.concatenate([c, c[extra]]) for c in (byts, arrival_ns, lat_b, colors)))
         of = np.concatenate([np.nonzero(~shared)[1], len(pairs) + np.arange(len(ukeys))])
         self._settle(np.concatenate([keys[~shared], ukeys]), *(a[of] for a in sums),
                      into_counts=window is None)
@@ -268,7 +313,7 @@ class HistogramSketch:
         inc[:, f["pkt"]] = cnt
         inc[:, f["bytes"]] = np.add.reduceat(byts.astype(np.int64, copy=False)[order], first)
         for at, g, v in ((f["lat"], gid, lat_b), (f["color"], gid, colors),
-                         (f["iat"], ggid, np.searchsorted(self.iat_edges, gaps, side="right"))):
+                         (f["iat"], ggid, _count_le(self.iat_edges, gaps))):
             nv = at.stop - at.start
             inc[:, at] = np.bincount(g * nv + v, minlength=(ng + 1) * nv)[: ng * nv].reshape(ng, nv)
         return inc, sarr[first], sarr[first + cnt - 1], neg_g
@@ -297,8 +342,7 @@ class HistogramSketch:
         neg_first = seen & (gap < 0)
         self.monotonicity_warnings += int(np.count_nonzero(neg_first)) + int(neg.sum())
         gap[neg_first] = 0
-        iat_b = np.searchsorted(self.iat_edges, gap[seen], side="right")
-        inc[by_cell[seen], f["iat"].start + iat_b] += 1
+        inc[:, f["iat"]][by_cell[seen], _count_le(self.iat_edges, gap[seen])] += 1
         tail = np.ones_like(head)
         tail[:-1] = head[1:]
         last_seen[cell[tail]] = ends[tail]

@@ -147,3 +147,11 @@ def test_edges_roundtrip(rng):
     assert np.array_equal(back, edges)
     with pytest.raises(DegenerateDistributionError):
         deserialize_edges([1.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("edges", [[1.0, float("nan"), 3.0], [1.0, 2.0, float("inf")],
+                                   [float("-inf"), 2.0], [float("nan")]])
+def test_deserialize_edges_rejects_edges_that_are_not_finite(edges):
+    with pytest.raises(DegenerateDistributionError) as exc:
+        deserialize_edges(edges)
+    assert any(not np.isfinite(v) for v in exc.value.duplicated)

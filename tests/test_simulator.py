@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flowtel import simulator
 from flowtel.cli import scenario_from_dict
 from flowtel.core import NS_PER_S, FlowKey
 from flowtel.scenarios import build
@@ -22,6 +23,7 @@ from flowtel.simulator import (
     ScenarioSpec,
     TrafficPattern,
     _anomaly_parts,
+    _order,
     flow_codes,
     generate_traffic,
     inject_all,
@@ -562,6 +564,17 @@ def sequential_lexsort_inject_all(batch: PacketBatch, spec: ScenarioSpec, ties: 
             ties["remapped_together"] += int(np.sum(same & (old_qfi[1:] != old_qfi[:-1])))
         batch = PacketBatch(**{c: cols[c][order] for c in ARRIVAL_COLUMNS})
     return batch
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 16])
+def test_order_finds_ties_across_the_ends_of_its_chunks(monkeypatch, chunk):
+    """``_order`` looks for tied stamps ``CHUNK_PKTS`` sorted rows at a time;
+    a tie that straddles the end of a chunk is still broken by the minor keys."""
+    rng = np.random.default_rng(4)
+    t = rng.integers(0, 20, 200)
+    minor = rng.integers(0, 5, 200), rng.integers(0, 3, 200)
+    monkeypatch.setattr(simulator, "CHUNK_PKTS", chunk)
+    assert _order(t, *minor).tolist() == np.lexsort([*minor[::-1], t]).tolist()
 
 
 def test_inject_all_keeps_the_sequential_lexsort_tie_order():

@@ -3,15 +3,17 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowtel.binning import DiagnosticRegion
-from flowtel.core import Color, FlowKey, PacketEvent, SketchConfig
+from flowtel.core import MAX_QFI, MAX_TEID, Color, FlowKey, PacketEvent, SketchConfig
 from flowtel.sketch import (
     BYTE_COUNTER_MAX,
     PKT_COUNTER_MAX,
     HistogramSketch,
+    _count_le,
+    _rank,
     bin_of,
     record_dtype,
 )
@@ -81,6 +83,15 @@ def test_update_worked_example():
         assert sk.iat[i, j, 2] == 1 and sk.iat[i, j].sum() == 1
         assert sk.last_seen[i, j] == 1_000_000 + 18 * US
         assert sk.col[i, j].tolist() == [1, 1, 0]
+
+
+@pytest.mark.parametrize("edges", [[1.0, float("nan"), 3.0], [1.0, 2.0, float("inf")],
+                                   [float("-inf"), 2.0, 3.0], [1.0, 3.0, 3.0]])
+def test_sketch_rejects_edges_that_are_not_finite_and_strictly_increasing(edges):
+    cfg = SketchConfig.from_seed(1, width_w=8, depth_d=2, bins_B=4)
+    for lat, iat in ((edges, [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], edges)):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            HistogramSketch(cfg, 0, lat, iat)
 
 
 def test_update_rejects_wrong_qid():
@@ -480,6 +491,139 @@ def test_batch_equivalence_property(seed):
         np.array([int(ev.color) for ev in events], dtype=np.int64),
     )
     assert seq.state_digest() == bat.state_digest()
+
+
+# -- ranking and binning without a sort --------------------------------------
+
+
+def _missed_by_the_sample(n, common, rare, dtype):
+    """n values: the common ones everywhere the sample looks, the rare ones
+    only at positions it skips (``_rank`` samples every n // 1024th)."""
+    v = np.array(common, dtype)[np.arange(n) % len(common)]
+    off = np.flatnonzero(np.arange(n) % max(1, n // 1024))
+    v[off[: len(rare)]] = rare
+    return v
+
+
+@st.composite
+def rank_inputs(draw):
+    """Integer arrays as ``update_batch`` ranks them (uint64 flow codes,
+    int64 (window, flow) ids): empty, one value repeated, every value
+    distinct, values over a range no wider than the array, and a few common
+    values with rarer ones where the strided sample does not look, few
+    enough to be merged or so many that the values are sorted."""
+    dtype = draw(st.sampled_from([np.uint64, np.int64]))
+    info = np.iinfo(dtype)
+    value = st.integers(int(info.min), int(info.max))
+    shape = draw(st.sampled_from(["empty", "one", "distinct", "dense", "missed"]))
+    if shape == "empty":
+        return np.zeros(0, dtype)
+    if shape == "one":
+        return np.full(draw(st.integers(1, 3000)), draw(value), dtype)
+    if shape == "distinct":  # from 33 on, more than _rank compares against
+        return np.array(draw(st.lists(value, min_size=draw(st.sampled_from([1, 33])),
+                                      max_size=200, unique=True)), dtype)
+    if shape == "dense":
+        n = draw(st.integers(1, 3000))
+        offsets = np.random.default_rng(draw(st.integers(0, 99))).integers(0, n, n)
+        return offsets.astype(dtype) + dtype(draw(st.integers(int(info.min), int(info.max) - n)))
+    vals = draw(st.lists(value, min_size=2, max_size=60, unique=True))
+    k = draw(st.integers(1, len(vals) - 1))
+    return _missed_by_the_sample(draw(st.integers(2048, 5000)), vals[:k], vals[k:], dtype)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_inputs())
+@example(np.zeros(0, np.uint64))
+@example(np.full(70_000, 1 << 40, np.uint64))
+@example(np.arange(1, 3001, dtype=np.uint64) << np.uint64(30))
+@example(_missed_by_the_sample(4096, [7 << 40, 3 << 40], [5 << 40, 1, 9 << 40], np.uint64))
+@example(_missed_by_the_sample(4096, [7 << 40, 3 << 40], [i << 30 for i in range(40)], np.uint64))
+def test_rank_matches_np_unique(v):
+    got, want = _rank(v), np.unique(v, return_inverse=True)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tolist() == w.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-2.0**70, 2.0**70), max_size=20, unique=True),
+       st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-10**4, 10**4), max_size=100))
+@example([2.0**53, 2.0**53 + 2], [2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2, 2**53 + 3])
+@example(np.geomspace(1.0, 2.0**62, 300).tolist(), [0, 1, 10**6, 2**53 + 1, 2**62, 2**63 - 1])
+def test_count_le_matches_searchsorted_on_float_edges(edges, values):
+    """int64 values past 2**53 meet float64 edges as searchsorted compares
+    them, after rounding; more than 255 edges need a wider count."""
+    edges, values = np.array(sorted(edges), np.float64), np.array(values, np.int64)
+    want = np.searchsorted(edges, values, side="right")
+    assert _count_le(edges, values).tolist() == want.tolist()
+
+
+def _fold_chunks_and_replay_per_packet(cfg, chunks):
+    """Fold each chunk of windows (start, number of windows, packets sorted by
+    window) with one ``update_batch``, and feed its packets one by one into a
+    second sketch with ``update`` and ``reset_window`` window by window: every
+    window's export and the sketches' last-seen stamps, lost units and clamped
+    gaps must agree."""
+    chunked, oracle = (HistogramSketch(cfg, 3, LAT_EDGES_NS, IAT_EDGES_NS) for _ in range(2))
+    for start, n_windows, packets in chunks:
+        win, byts, stamps, soj, colors = (np.array([p[i] for p in packets], np.int64)
+                                          for i in (0, 2, 3, 4, 5))
+        chunked.update_batch(np.array([p[1].code() for p in packets], np.uint64), byts, stamps,
+                             soj, colors.astype(np.int8), window=win)
+        for w in range(start, start + n_windows):
+            for _, key, b, t, s, c in (p for p in packets if p[0] == w):
+                oracle.update(PacketEvent(key, 3, b, t, s, Color(c)))
+            assert chunked.export_window_array(w).tobytes() == oracle.export_window_array(w).tobytes()
+            oracle.reset_window()
+    assert chunked.last_seen.tolist() == oracle.last_seen.tolist()
+    assert (chunked.saturated_units, chunked.monotonicity_warnings) == (
+        oracle.saturated_units, oracle.monotonicity_warnings)
+
+
+@st.composite
+def chunked_streams(draw):
+    """Consecutive chunks of 1-40 windows over 1-40 flows, with teids from a
+    few small values (dense codes) or all of them (sparse codes), packets in
+    a drawn subset of windows (long runs of empty ones, chunks with none)
+    and stamps that go backwards: a chunk's (window x flow) grid is often
+    larger than its packet count. Also the width and depth."""
+    top = draw(st.sampled_from([3, MAX_TEID]))
+    keys = draw(st.lists(st.builds(FlowKey, st.integers(0, top), st.integers(0, MAX_QFI)),
+                         min_size=1, max_size=40, unique=True))
+    window_len, start, chunks = 100_000, 0, []
+    for _ in range(draw(st.integers(1, 3))):
+        n_windows = draw(st.integers(1, 40))
+        packets = draw(st.lists(st.tuples(
+            st.integers(start, start + n_windows - 1), st.sampled_from(keys),
+            st.integers(1, 1500), st.integers(-window_len // 2, 3 * window_len // 2),
+            st.integers(0, 6_000_000), st.integers(0, 2)), max_size=150))
+        packets = sorted(((w, k, b, w * window_len + t, s, c) for w, k, b, t, s, c in packets),
+                         key=lambda p: p[0])
+        chunks.append((start, n_windows, packets))
+        start += n_windows
+    cfg = SketchConfig.from_seed(draw(st.integers(0, 9)), width_w=draw(st.sampled_from([2, 8, 64])),
+                                 depth_d=draw(st.integers(1, 3)), bins_B=8)
+    return cfg, chunks
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunked_streams())
+def test_chunk_fold_matches_per_packet_updates_window_by_window(case):
+    _fold_chunks_and_replay_per_packet(*case)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_chunk_fold_over_a_grid_larger_than_the_chunk(sparse):
+    """30 flows in windows 0 and 25 of a 26-window chunk: 780 (window, flow)
+    pairs against 60 packets, with codes over a narrow or a wide range. A
+    one-packet chunk follows, after the flows' stamps."""
+    keys = [FlowKey((t << 20 if sparse else t) + 1, 1) for t in range(30)]
+    packets = [(w, key, 100 + i, w * 100_000 + 7 * i, 1_000 * i, i % 3)
+               for w in (0, 25) for i, key in enumerate(keys)]
+    for width in (2, 64):
+        cfg = SketchConfig.from_seed(5, width_w=width, depth_d=3, bins_B=8)
+        _fold_chunks_and_replay_per_packet(
+            cfg, [(0, 26, packets), (26, 3, [(27, keys[0], 100, 2_700_000, 0, 0)])])
 
 
 # -- records -----------------------------------------------------------------
