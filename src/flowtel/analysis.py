@@ -105,8 +105,9 @@ def extract_postcard_features(
     """Exact per-flow stats over the sampled packets only, every window's
     rows in (window, scope) order.
 
-    The columns are a run's postcards in arrival order, each with its window
-    below ``n_windows``. Every key gets a row in every window, and postcards
+    The columns are a run's postcards in egress order, each with its window
+    below ``n_windows``; ``arrival_ns`` holds the stamp each postcard carries,
+    its departure time. Every key gets a row in every window, and postcards
     expose exact identities, so a flow outside the keys (a remapped tunnel,
     say) gets one in each window it shows up in. IAT samples are gaps between
     consecutive postcards of the same flow in the same window, the only
@@ -120,7 +121,7 @@ def extract_postcard_features(
     pair = np.asarray(windows, np.int64) * n + np.searchsorted(scopes, codes)
     rows = np.union1d(np.add.outer(np.arange(n_windows) * n,
                                    np.searchsorted(scopes, registered)).ravel(), pair)
-    order = np.argsort(pair, kind="stable")  # stable: each row keeps arrival order
+    order = np.argsort(pair, kind="stable")  # stable: each row keeps egress order
     row = np.searchsorted(rows, pair[order])  # each postcard's row
     row_window, row_scope = np.divmod(rows, n)
     row_code = scopes[row_scope]

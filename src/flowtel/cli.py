@@ -405,7 +405,10 @@ def dump_capture(delivered: PacketBatch, drops: PacketBatch, path: Path) -> None
 
 
 def load_capture(path: Path) -> tuple[PacketBatch, PacketBatch]:
-    """The delivered packets and the drops of a capture file."""
+    """The delivered packets and the drops of a capture file, each in file
+    order, unless some queue's departures decrease in file order: then the
+    delivered rows are stable-sorted by departure, as the window stream
+    takes each queue's delivered order for its egress order."""
     try:
         arr = np.loadtxt(path, dtype=np.int64, ndmin=2)
     except (OSError, ValueError) as e:  # unreadable, not integers, or ragged
@@ -424,7 +427,13 @@ def load_capture(path: Path) -> tuple[PacketBatch, PacketBatch]:
     reason = cols.pop("reason")
     batch = PacketBatch(**cols, injected=None)  # a capture does not record injection
     lost = reason >= 0
-    return batch.take(~lost), batch.take(lost, reason=reason[lost])
+    delivered = batch.take(~lost)
+    depart = delivered.depart_ns()
+    by_queue = np.argsort(delivered.qid, kind="stable")  # each queue's rows in file order
+    qid, dep = delivered.qid[by_queue], depart[by_queue]
+    if ((dep[1:] < dep[:-1]) & (qid[1:] == qid[:-1])).any():
+        delivered = delivered.take(np.argsort(depart, kind="stable"))
+    return delivered, batch.take(lost, reason=reason[lost])
 
 
 def cmd_capture(args) -> int:

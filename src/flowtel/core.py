@@ -66,10 +66,6 @@ class FlowKey:
         """Pack into one integer; this is the value fed to the hash family."""
         return (self.teid << QFI_BITS) | self.qfi
 
-    @staticmethod
-    def from_code(code: int) -> "FlowKey":
-        return FlowKey(teid=code >> QFI_BITS, qfi=code & MAX_QFI)
-
 
 @dataclass(frozen=True)
 class PacketEvent:

@@ -6,9 +6,12 @@ its own, extract features, run cross-fitted detectors per anomaly kind, and
 evaluate against ground truth. All randomness descends from the scenario
 seed, so a manifest fully determines every output byte.
 
-Telemetry observes packets in egress order at their departure timestamps
-(the observation point sits after the queues); windows are aligned across
-modes on those timestamps.
+Telemetry observes packets at their departure timestamps (the observation
+point sits after the queues); windows are aligned across modes on those
+timestamps. The window stream is queue-major: a queue is FIFO, so its
+packets are already in egress order, and the edge fit and the sketch read
+each queue as one slice. Only DSMP's postcards are put back into the port's
+egress order, the order of its records.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .binning import (
 )
 from .core import CHUNK_PKTS, NS_PER_S, SketchConfig
 from .simulator import (
+    MAX_QID,
     AnomalyKind,
     GroundTruthLabel,
     PacketBatch,
@@ -134,24 +138,41 @@ ALL_MODES = (TelemetryMode.SKETCH, TelemetryMode.DSMP, TelemetryMode.PM)
 
 @dataclass(kw_only=True)
 class WindowStream(PacketBatch):
-    """The delivered batch in egress order (ties keep arrival order), cut at
-    the last window's end; ``injected`` is unset, as telemetry cannot see it."""
+    """The delivered batch queue-major (``_queue_major``), cut at the last
+    window's end. A queue is FIFO, so its delivered order is its egress order
+    (``load_capture`` sorts a capture whose queue departs out of order), and
+    ``monitored_rows`` gives each queue's monitored rows as one slice;
+    ``injected`` is unset, as telemetry cannot see it."""
 
     window: np.ndarray
     n_windows: int
+
+    def monitored_rows(self, qid: int) -> slice:
+        """Queue ``qid``'s monitored rows, in egress order."""
+        lo, hi = np.searchsorted(self.qid, (qid, qid + 1)).tolist()
+        return slice(lo, lo + int(np.count_nonzero(self.monitored[lo:hi])))
+
+
+def _queue_major(delivered: PacketBatch, end_ns: int) -> np.ndarray:
+    """The delivered rows that depart before ``end_ns``, by qid, each queue's
+    monitored rows before its unmonitored ones, both in delivered order: one
+    stable sort on a 16-bit key, in which the rows departing later take the
+    largest key, sort last and are cut."""
+    outside = delivered.depart_ns() >= end_ns
+    key = delivered.qid.astype(np.uint16) << 1  # uint8 would overflow past qid 127
+    key |= ~delivered.monitored
+    key[outside] = 2 * (MAX_QID + 1)
+    return np.argsort(key, kind="stable")[: len(key) - int(np.count_nonzero(outside))]
 
 
 def window_stream(delivered: PacketBatch, window_len_ns: int, duration_s: float) -> WindowStream:
     """Telemetry observes packets as they leave the queues, where bunching and
     oscillation show, so windows are cut on departure times."""
-    depart = delivered.depart_ns()
-    order = np.argsort(depart, kind="stable")
-    depart = depart[order]
     n_windows = -(-int(duration_s * NS_PER_S) // window_len_ns)
-    inside = np.searchsorted(depart, n_windows * window_len_ns)  # a prefix: depart is sorted
-    stream = delivered.take(order[:inside], injected=None)
-    return WindowStream(**vars(stream), window=depart[:inside] // window_len_ns,
-                        n_windows=n_windows)
+    stream = delivered.take(_queue_major(delivered, n_windows * window_len_ns), injected=None)
+    window = stream.depart_ns()
+    window //= window_len_ns
+    return WindowStream(**vars(stream), window=window, n_windows=n_windows)
 
 
 def _fallback_edges(bins_b: int) -> np.ndarray:
@@ -173,7 +194,6 @@ def fit_qid_edges(
     increasing edges.
     """
     bincfg = cfg.binning_config()
-    warm = (stream.window < cfg.fit_windows) & stream.monitored
     lat_by_qid: dict[int, np.ndarray] = {}
     iat_by_qid: dict[int, np.ndarray] = {}
     pinned_lat = {qid: deserialize_edges(vals) for qid, vals in cfg.explicit_lat_edges}
@@ -191,7 +211,8 @@ def fit_qid_edges(
         return _fallback_edges(cfg.bins_b)
 
     for qid in sorted(spec.queue_policy):
-        sel = warm & (stream.qid == qid)
+        own = stream.monitored_rows(qid)  # the warmup windows are a prefix of it
+        sel = slice(own.start, own.start + np.searchsorted(stream.window[own], cfg.fit_windows))
         soj = stream.sojourn_ns[sel]
         codes = flow_codes(stream.teid[sel], stream.qfi[sel])
         obs = stream.arrival_ns[sel] + soj
@@ -259,8 +280,8 @@ def anomaly_instances(spec: ScenarioSpec, kind: AnomalyKind) -> list[tuple[int, 
 def _chunks(starts: list[int]) -> list[tuple[int, int]]:
     """Cut a queue's packets at window starts into chunks of at most
     ``CHUNK_PKTS`` packets; a window with more is a chunk of its own.
-    ``starts[w]`` is window w's first packet and the last entry the number
-    of packets. Gives each chunk's first and end window: every window is in
+    ``starts[w]`` is window w's first packet and the last entry the end of
+    the last window. Gives each chunk's first and end window: every window is in
     one chunk."""
     out, a = [], 0
     while a < len(starts) - 1:
@@ -272,23 +293,22 @@ def _chunks(starts: list[int]) -> list[tuple[int, int]]:
 
 def _sketch_pass(stream, spec, cfg, lat_edges, iat_edges, collect_records) -> ModeTelemetry:
     """One histogram sketch per queue, fed the queue's monitored packets in
-    chunks of whole windows (``_chunks``): one fold and one query answer
-    every window of a chunk, and one table holds the run's feature rows."""
+    chunks of whole windows (``_chunks``), each a slice of the stream: one
+    fold and one query answer every window of a chunk, and one table holds
+    the run's feature rows."""
     region = cfg.region()
     registered = [fl.key for fl in spec.flows if fl.monitored]
     codes = np.array([k.code() for k in registered], dtype=np.uint64)
     key_qid = np.array([spec.qfi_to_qid[k.qfi] for k in registered], dtype=np.int64)
-    starts = np.searchsorted(stream.window, range(stream.n_windows + 1))
     rows, records = [], {}
     for qid in sorted(spec.queue_policy):
         sketch = HistogramSketch(cfg.sketch_config(spec.seed), qid=qid, lat_edges=lat_edges[qid],
                                  iat_edges=iat_edges[qid])
         mine = codes[key_qid == qid]
-        idx = np.flatnonzero(stream.monitored & (stream.qid == qid))
-        at = np.searchsorted(idx, starts).tolist()  # each window's first packet of the queue
+        own = stream.monitored_rows(qid)  # each window's first packet in it, then its end
+        at = (own.start + np.searchsorted(stream.window[own], range(stream.n_windows + 1))).tolist()
         for a, b in _chunks(at):
-            # six columns, not a take() of all nine: faster on sketch-sweep
-            sel = idx[at[a] : at[b]]
+            sel = slice(at[a], at[b])
             soj = stream.sojourn_ns[sel]
             sketch.update_batch(flow_codes(stream.teid[sel], stream.qfi[sel]), stream.bytes[sel],
                                 stream.arrival_ns[sel] + soj, soj, stream.color[sel],
@@ -311,11 +331,17 @@ def _sketch_pass(stream, spec, cfg, lat_edges, iat_edges, collect_records) -> Mo
                          record_chunks=[records[key] for key in sorted(records)])
 
 
-def _dsmp_pass(stream, spec, cfg, lat_edges, iat_edges) -> ModeTelemetry:
+def _dsmp_pass(stream, delivered, spec, cfg, lat_edges, iat_edges) -> ModeTelemetry:
     """Delta-triggered postcards: each flow's last export carries across
     windows, so one sampler pass, one take of its postcards and one feature
-    table serve the run."""
-    pc = stream.take(DeltaSampler(delta_ns=cfg.dsmp_delta_ns).offer_batch(stream, stream.monitored))
+    table serve the run. A flow keeps to one queue, so the sampler sees each
+    flow's packets in egress order in the queue-major stream; the postcards
+    alone go back into the port's egress order, by departure with ties in
+    delivered order (the stream's sort, redone, gives their delivered rows)."""
+    idx = DeltaSampler(delta_ns=cfg.dsmp_delta_ns).offer_batch(stream, stream.monitored)
+    row = _queue_major(delivered, stream.n_windows * spec.window_len_ns)[idx]
+    pc = stream.take(idx)
+    pc = pc.take(np.lexsort((row, pc.depart_ns())))
     pcs = (pc.window, pc.teid, pc.qfi, pc.qid, pc.depart_ns(), pc.sojourn_ns, pc.color, pc.bytes)
     table = extract_postcard_features(
         pc.window, pc.codes(), *pcs[4:], [fl.key for fl in spec.flows if fl.monitored],
@@ -355,7 +381,8 @@ def run_telemetry(
     lat_edges, iat_edges = fit_qid_edges(stream, spec, cfg)
     # DSMP first, as its sampler's transient columns then set no new memory peak
     passes = {
-        TelemetryMode.DSMP: lambda: _dsmp_pass(stream, spec, cfg, lat_edges, iat_edges),
+        TelemetryMode.DSMP: lambda: _dsmp_pass(stream, delivered, spec, cfg, lat_edges,
+                                               iat_edges),
         TelemetryMode.SKETCH: lambda: _sketch_pass(stream, spec, cfg, lat_edges, iat_edges,
                                                    collect_sketch_records),
         TelemetryMode.PM: lambda: _pm_pass(stream, drops, spec),

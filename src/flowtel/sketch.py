@@ -417,13 +417,3 @@ class HistogramSketch:
 
     def reset_window(self) -> None:
         self.counts.fill(0)  # last_seen intentionally preserved
-
-    # -- state equality (determinism checks) --------------------------------
-
-    def state_digest(self) -> tuple:
-        return (
-            self.counts.tobytes(),
-            self.last_seen.tobytes(),
-            self.saturated_units,
-            self.monotonicity_warnings,
-        )

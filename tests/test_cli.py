@@ -577,6 +577,66 @@ def test_capture_replay_keeps_drops(tmp_path, capsys):
     assert not (tmp_path / "old").exists()
 
 
+@pytest.fixture(scope="module")
+def golden_capture(tmp_path_factory):
+    """golden_drops.json, its capture's rows and the six files their replay writes."""
+    scenario = str(Path(__file__).parent / "golden_drops.json")
+    tmp = tmp_path_factory.mktemp("golden-capture")
+    assert main(["capture", "--scenario", scenario, "--out", str(tmp / "capture.txt")]) == 0
+    assert main(["replay", "--scenario", scenario, "--capture", str(tmp / "capture.txt"),
+                 "--out", str(tmp / "replayed")]) == 0
+    files = tree_hash(tmp / "replayed")
+    files.pop("manifest.json")
+    return scenario, np.loadtxt(tmp / "capture.txt", dtype=np.int64), files
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), keep_queue_order=st.booleans())
+def test_a_permuted_capture_replays_to_the_same_files(golden_capture, seed, keep_queue_order):
+    """Rows in any order: permuted at random, so some queue departs out of
+    file order and load_capture sorts, or with each queue's delivered rows
+    kept in file order between the other rows, so nothing is sorted."""
+    scenario, rows, files = golden_capture
+    perm = np.random.default_rng(seed).permutation(len(rows))
+    if keep_queue_order:
+        queue = np.where(rows[:, -1] < 0, rows[:, 2], -1)  # a drop row has no queue order
+        for q in set(queue.tolist()) - {-1}:
+            perm[np.flatnonzero(queue[perm] == q)] = np.flatnonzero(queue == q)
+    with tempfile.TemporaryDirectory() as tmp:
+        cap, out = Path(tmp) / "capture.txt", Path(tmp) / "out"
+        np.savetxt(cap, rows[perm], fmt="%d")
+        assert main(["replay", "--scenario", scenario, "--capture", str(cap),
+                     "--out", str(out)]) == 0
+        got = tree_hash(out)
+    got.pop("manifest.json")
+    assert got == files
+
+
+@pytest.mark.parametrize("tied_first", [0, 1])
+@pytest.mark.parametrize("early_row_last", [False, True])
+def test_postcards_are_written_by_departure_with_ties_in_file_order(
+    tmp_path, tied_first, early_row_last
+):
+    """Two queues' packets depart at the same nanosecond: their postcards keep
+    file order, whichever queue comes first. A third packet of queue 0 that
+    departs earlier but is written last makes load_capture sort; its
+    postcard then comes first."""
+    tied = {0: [1, 1, 0, 400, 1_200, 300, 0, 1, -1],  # teid qfi qid bytes arrival sojourn ...
+            1: [3, 2, 1, 500, 1_000, 500, 0, 1, -1]}
+    rows = [tied[tied_first], tied[1 - tied_first]]
+    if early_row_last:
+        rows.append([2, 1, 0, 400, 500, 100, 0, 1, -1])
+    cap = tmp_path / "capture.txt"
+    np.savetxt(cap, np.array(rows), fmt="%d")
+    scenario = str(Path(__file__).parent / "golden_drops.json")
+    assert main(["replay", "--scenario", scenario, "--capture", str(cap), "--modes", "dsmp",
+                 "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "records.txt").read_text().splitlines()
+    want = [f"dsmp 0 {r[0]} {r[1]} {r[2]} {r[4] + r[5]} {r[5]} {r[6]} {r[3]}"
+            for r in sorted(rows, key=lambda r: r[4] + r[5])]  # stable: ties in file order
+    assert lines == want
+
+
 def test_explicit_edges_override_fitting(tmp_path):
     from flowtel.pipeline import fit_qid_edges, window_stream
     from flowtel.simulator import simulate
@@ -738,25 +798,42 @@ def test_window_count_follows_window_length():
     assert stream.window.max() == stream.n_windows - 1
 
 
-def test_window_stream_is_the_delivered_batch_in_egress_order():
+@pytest.mark.parametrize("qids", [(0, 1), (129, 1)], ids=["golden", "renumbered"])
+def test_window_stream_is_the_delivered_batch_queue_major(qids):
+    """golden_drops.json has two queues, unmonitored packets in qid 0 and
+    packets that depart after the run's last window; renumbered, its queues
+    129 and 1 would share a sort key of 8 bits. The oracle takes each queue's
+    monitored rows, then its unmonitored ones, by mask."""
     from dataclasses import fields
 
+    from flowtel.cli import load_scenario
     from flowtel.pipeline import WindowStream, window_stream
-    from flowtel.scenarios import build
     from flowtel.simulator import PacketBatch, simulate
 
-    spec, _ = build("smoke")
+    spec, _, _ = load_scenario(str(Path(__file__).parent / "golden_drops.json"), None)
+    spec = replace(spec, qfi_to_qid={qfi: qids[q] for qfi, q in spec.qfi_to_qid.items()},
+                   queue_policy={qids[q]: pol for q, pol in spec.queue_policy.items()})
     delivered, _, _ = simulate(spec)
     stream = window_stream(delivered, spec.window_len_ns, spec.duration_s)
     depart = delivered.depart_ns()
-    order = np.argsort(depart, kind="stable")
-    order = order[depart[order] < stream.n_windows * spec.window_len_ns]
-    assert stream.n_windows == 6 and len(stream) == len(order) > 0
+    inside = depart < stream.n_windows * spec.window_len_ns  # the cut
+    assert stream.n_windows == 6 and not inside.all() and not delivered.monitored.all()
+    parts = [np.flatnonzero(inside & (delivered.qid == qid) & (delivered.monitored == seen))
+             for qid in sorted(spec.queue_policy) for seen in (True, False)]
+    order = np.concatenate(parts)
+    assert len(stream) == len(order) == int(inside.sum())
     for name, col in delivered.columns().items():
         if name != "injected":  # telemetry cannot see it
             assert np.array_equal(getattr(stream, name), col[order]), name
     assert stream.injected is None
+    # each queue's departures do not decrease, monitored and unmonitored alike
+    for part in parts:
+        assert (np.diff(depart[part]) >= 0).all()
+    at = np.cumsum([0] + [len(part) for part in parts])
+    for i, qid in enumerate(sorted(spec.queue_policy)):
+        assert stream.monitored_rows(qid) == slice(at[2 * i], at[2 * i + 1])
     assert np.array_equal(stream.window, depart[order] // spec.window_len_ns)
+    assert stream.window.max() == stream.n_windows - 1
     own = [f.name for f in fields(WindowStream) if f not in fields(PacketBatch)]
     assert own == ["window", "n_windows"]
 

@@ -142,7 +142,9 @@ def small_streams(draw):
     w = 2 or 4 columns make share cells: each window has a drawn subset of
     the flows (none at times, so a flow skips windows and a cell changes
     owner), and stamps drawn around the window's start, so gaps go negative
-    inside a window and across windows. Also the sketch's lowered counter
+    inside a window and across windows. Its rows are stable-sorted
+    queue-major, as window_stream orders them, so each queue keeps its drawn
+    order and its negative gaps. Also the sketch's lowered counter
     cap and the chunk budget, 1 and 3 cutting at every window and leaving
     some windows over the budget."""
     n_queues = draw(st.integers(1, 3))
@@ -164,13 +166,16 @@ def small_streams(draw):
         window_len_ns=window_len,
     )
     cols = np.array(rows, dtype=np.int64).reshape(-1, 6).T
+    monitored = np.array([flows[f].monitored for f in cols[1].tolist()], bool)
+    qid = np.array([flows[f].key.qfi - 1 for f in cols[1].tolist()], np.int64)
+    order = np.argsort(qid * 2 + ~monitored, kind="stable")
+    cols, monitored, qid = cols[:, order], monitored[order], qid[order]
     keys = [flows[f].key for f in cols[1].tolist()]
     stream = WindowStream(
         teid=np.array([k.teid for k in keys], np.uint32),
         qfi=np.array([k.qfi for k in keys], np.uint8),
-        bytes=cols[4].astype(np.uint16), arrival_ns=cols[2] - cols[3],
-        monitored=np.array([flows[f].monitored for f in cols[1].tolist()], bool), injected=None,
-        qid=np.array([k.qfi - 1 for k in keys], np.uint8), sojourn_ns=cols[3],
+        bytes=cols[4].astype(np.uint16), arrival_ns=cols[2] - cols[3], monitored=monitored,
+        injected=None, qid=qid.astype(np.uint8), sojourn_ns=cols[3],
         color=cols[5].astype(np.int8), window=cols[0], n_windows=n_windows)
     cfg = TelemetryConfig(width=draw(st.sampled_from([2, 4])), depth=draw(st.integers(1, 3)))
     return spec, cfg, stream, draw(st.sampled_from([3, 40, None])), draw(
