@@ -80,7 +80,8 @@ def pm_window(
     pkts, drops, nbyte, soj = np.zeros((4, n_cells + 1), dtype=np.int64)
     np.add.at(pkts, cell, 1)
     np.add.at(drops, drop_window * n_q + col[drop_qfi], 1)
-    np.add.at(nbyte, cell, nbytes.astype(np.int64))
+    for lo in range(0, len(cell), CHUNK_PKTS):  # an int64 copy a chunk long, not run long
+        np.add.at(nbyte, cell[lo : lo + CHUNK_PKTS], nbytes[lo : lo + CHUNK_PKTS].astype(np.int64))
     np.add.at(soj, cell, sojourn_ns)
     (keep,) = np.nonzero((pkts[:-1] > 0) | (drops[:-1] > 0))  # cell order is (window, qfi) order
     rows = np.recarray(len(keep), dtype=PM_DTYPE)

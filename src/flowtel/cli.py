@@ -436,6 +436,22 @@ def load_capture(path: Path) -> tuple[PacketBatch, PacketBatch]:
     return delivered, batch.take(lost, reason=reason[lost])
 
 
+def _check_capture_queues(path: Path, spec: ScenarioSpec, *batches: PacketBatch) -> None:
+    """Every capture row must sit in the queue the scenario maps its QFI to:
+    the sketch keys a packet's queue by the row, DSMP and the edges by the map."""
+    want = np.full(column_bounds("qfi")[1] + 1, -1, dtype=np.int64)
+    want[list(spec.qfi_to_qid)] = list(spec.qfi_to_qid.values())
+    for batch in batches:
+        expected = want[batch.qfi]
+        for i in np.flatnonzero(expected != batch.qid)[:1].tolist():
+            flow, qfi = f"flow ({batch.teid[i]}, {batch.qfi[i]})", batch.qfi[i]
+            if expected[i] < 0:
+                raise ScenarioError(f"capture file {path}: qfi: {flow}: qfi {qfi} is not in "
+                                    "qfi_to_qid")
+            raise ScenarioError(f"capture file {path}: qid: {flow} is in qid {batch.qid[i]}, "
+                                f"but qfi_to_qid maps qfi {qfi} to qid {expected[i]}")
+
+
 def cmd_capture(args) -> int:
     spec, _, _ = load_scenario(args.scenario, args.seed)
     delivered, drops, _ = simulate(spec)
@@ -447,6 +463,7 @@ def cmd_capture(args) -> int:
 def cmd_replay(args) -> int:
     spec, cfg, man_sc = load_scenario(args.scenario, args.seed)
     delivered, drops = load_capture(Path(args.capture))
+    _check_capture_queues(Path(args.capture), spec, delivered, drops)
     labels = label_windows(spec)
     modes = _parse_modes(args.modes)
     result = run_telemetry(delivered, drops, labels, spec, cfg, modes=modes,

@@ -12,12 +12,16 @@ timestamps. The window stream is queue-major: a queue is FIFO, so its
 packets are already in egress order, and the edge fit and the sketch read
 each queue as one slice. Only DSMP's postcards are put back into the port's
 egress order, the order of its records.
+
+A sweep replays one delivered batch many times, so its stream and edges are
+built once (``_stream_and_edges``) and shared, read-only, by its later runs.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -149,7 +153,8 @@ class WindowStream(PacketBatch):
 
     def monitored_rows(self, qid: int) -> slice:
         """Queue ``qid``'s monitored rows, in egress order."""
-        lo, hi = np.searchsorted(self.qid, (qid, qid + 1)).tolist()
+        q = self.qid.dtype.type(qid)  # searching for a Python int would cast the column
+        lo, hi = int(np.searchsorted(self.qid, q)), int(np.searchsorted(self.qid, q, "right"))
         return slice(lo, lo + int(np.count_nonzero(self.monitored[lo:hi])))
 
 
@@ -226,6 +231,59 @@ def fit_qid_edges(
         iat_by_qid[qid] = (pinned_iat[qid] if qid in pinned_iat
                            else fit(gaps, cfg.iat_head_bins, EdgeKind.IAT))
     return lat_by_qid, iat_by_qid
+
+
+@dataclass(eq=False)
+class _BatchMemo:
+    """One delivered batch's window stream, and its edges by the config
+    fields ``fit_qid_edges`` reads; every array read-only, as runs share them."""
+
+    batch: weakref.ref  # also the token by which the batch's finalizer finds this entry
+    shape: tuple[int, float]  # (window_len_ns, duration_s)
+    stream: WindowStream
+    edges: dict[tuple, tuple[dict[int, np.ndarray], dict[int, np.ndarray]]] = field(
+        default_factory=dict)
+
+
+_memo: _BatchMemo | None = None  # the last batch's, dropped when that batch is collected
+
+
+def _forget(batch: weakref.ref) -> None:
+    """A collected batch's finalizer: drop the memo if it is still this batch's."""
+    global _memo
+    if _memo is not None and _memo.batch is batch:
+        _memo = None
+
+
+def _read_only(arrays) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+def _stream_and_edges(
+    delivered: PacketBatch, spec: ScenarioSpec, cfg: TelemetryConfig,
+) -> tuple[WindowStream, dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """``delivered``'s window stream and fitted edges, from the memo or, on a
+    miss, from ``window_stream`` and ``fit_qid_edges`` (looked up as module
+    globals, so a wrapper sees every miss). The edge dicts are the caller's
+    own; the arrays in them are shared."""
+    global _memo
+    shape = (spec.window_len_ns, spec.duration_s)
+    if _memo is None or _memo.batch() is not delivered or _memo.shape != shape:
+        _memo = None  # free the last batch's stream before building this one
+        stream = window_stream(delivered, *shape)
+        _read_only(stream.columns().values())
+        _memo = _BatchMemo(weakref.ref(delivered), shape, stream)
+        weakref.finalize(delivered, _forget, _memo.batch)
+    key = (cfg.rho, cfg.strategy, cfg.bins_b, cfg.lat_tail_bins, cfg.iat_head_bins,
+           cfg.fit_windows, cfg.fit_sample_size, cfg.explicit_lat_edges, cfg.explicit_iat_edges,
+           tuple(sorted(spec.queue_policy)))
+    if key not in _memo.edges:
+        lat_edges, iat_edges = fit_qid_edges(_memo.stream, spec, cfg)
+        _read_only([*lat_edges.values(), *iat_edges.values()])
+        _memo.edges[key] = lat_edges, iat_edges
+    lat_edges, iat_edges = _memo.edges[key]
+    return _memo.stream, dict(lat_edges), dict(iat_edges)
 
 
 @dataclass
@@ -375,10 +433,14 @@ def run_telemetry(
     collect_sketch_records: bool = True,
 ) -> RunResult:
     """Replay a delivered stream through each enabled telemetry mode, one
-    pass per mode, and evaluate detection per anomaly kind."""
+    pass per mode, and evaluate detection per anomaly kind.
+
+    The window stream is built once per ``delivered`` batch, window length
+    and duration, and the edges once per binning setting, then reused by
+    every later call with the same batch object while it lives. So a batch
+    must not be changed in place once it is handed over."""
     check_pinned_qids(spec, cfg)
-    stream = window_stream(delivered, spec.window_len_ns, spec.duration_s)
-    lat_edges, iat_edges = fit_qid_edges(stream, spec, cfg)
+    stream, lat_edges, iat_edges = _stream_and_edges(delivered, spec, cfg)
     # DSMP first, as its sampler's transient columns then set no new memory peak
     passes = {
         TelemetryMode.DSMP: lambda: _dsmp_pass(stream, delivered, spec, cfg, lat_edges,
@@ -390,7 +452,6 @@ def run_telemetry(
     done = {m: run() for m, run in passes.items() if m in modes}
     mode_data = {m: done[m] for m in modes}
     windows = list(range(stream.n_windows))
-    del stream  # training reads the features only; free the columns
     outcomes: dict[tuple[str, str], np.recarray] = {}
     metrics: list[DetectionMetrics] = []
     unscored: list[tuple[str, str, int, int, str]] = []

@@ -358,3 +358,17 @@ def test_postcard_line_roundtrip_format():
     parts = pc.to_line(window=9).split()
     assert parts[0] == "dsmp"
     assert [int(p) for p in parts[1:]] == [9, 7, 3, 1, 123, 456, 1, 789]
+
+
+def test_pm_window_sums_the_same_bytes_in_any_chunk_size(monkeypatch, rng):
+    """The byte column is cast to int64 a chunk at a time; cells that span
+    chunks, and byte sums past the uint16 column's 2**16, come out alike."""
+    n = 5000
+    args = (np.sort(rng.integers(0, 3, size=n)), rng.integers(1, 4, size=n).astype(np.uint8),
+            rng.integers(60_000, 65_536, size=n).astype(np.uint16),
+            rng.integers(0, 10**6, size=n), rng.random(n) < 0.9,
+            np.array([0, 2]), np.array([1, 3]))
+    whole = pm_window(*args).tolist()
+    assert max(row[3] for row in whole) > 2**16
+    monkeypatch.setattr(baselines, "CHUNK_PKTS", 7)
+    assert pm_window(*args).tolist() == whole

@@ -637,6 +637,27 @@ def test_postcards_are_written_by_departure_with_ties_in_file_order(
     assert lines == want
 
 
+@pytest.mark.parametrize("row, field, message", [
+    ([1, 1, 1, 400, 1_200, 300, 0, 1, -1], "qid", "flow (1, 1) is in qid 1, but qfi_to_qid maps "
+                                                   "qfi 1 to qid 0"),
+    ([1, 1, 1, 0, 1_200, 0, 0, 1, 1], "qid", "flow (1, 1) is in qid 1, but qfi_to_qid maps "
+                                             "qfi 1 to qid 0"),  # a drop row
+    ([1, 7, 1, 400, 1_200, 300, 0, 1, -1], "qfi", "flow (1, 7): qfi 7 is not in qfi_to_qid"),
+], ids=["delivered", "dropped", "unmapped-qfi"])
+def test_a_capture_row_outside_its_qfis_queue_exits_2_naming_the_field(
+    tmp_path, capsys, row, field, message
+):
+    """golden_drops.json maps qfi 1 to qid 0 and qfi 2 to qid 1: the sketch
+    would fold a qfi-1 row of qid 1 into a queue that never queries its flow."""
+    rows = [[1, 1, 0, 400, 1_000, 300, 0, 1, -1], row, [3, 2, 1, 500, 1_000, 500, 0, 1, -1]]
+    cap = tmp_path / "capture.txt"
+    np.savetxt(cap, np.array(rows), fmt="%d")
+    scenario = str(Path(__file__).parent / "golden_drops.json")
+    assert main(["replay", "--scenario", scenario, "--capture", str(cap), "--modes",
+                 "dsmp,sketch", "--out", str(tmp_path / "out")]) == 2
+    assert f"capture file {cap}: {field}: {message}" in capsys.readouterr().err
+
+
 def test_explicit_edges_override_fitting(tmp_path):
     from flowtel.pipeline import fit_qid_edges, window_stream
     from flowtel.simulator import simulate

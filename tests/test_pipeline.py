@@ -2,6 +2,9 @@
 with one mode reproduces that mode's share of the all-mode run. `flowtel
 sweep` relies on it when it runs each mode once per setting it reads."""
 
+import copy
+import gc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,12 +22,15 @@ from flowtel.pipeline import (
     TelemetryConfig,
     WindowStream,
     feature_lines,
+    metrics_lines,
+    outcome_lines,
     run_scenario,
     run_telemetry,
 )
 from flowtel.core import FlowKey
 from flowtel.scenarios import build
 from flowtel.simulator import (
+    MAX_QID,
     AnomalyEvent,
     AnomalyKind,
     FlowSpec,
@@ -267,3 +273,125 @@ def test_sketch_volumes_never_undercount_the_exact_per_flow_table():
         assert (est.pkts >= exact.pkts).all() and (est.bytes >= exact.bytes).all()
         if width == 2:
             assert (est.pkts > exact.pkts).any()
+
+
+# -- one window stream and one edge fit per delivered batch ------------------------
+
+
+GOLDEN = str(Path(__file__).parent / "golden_drops.json")
+
+
+@pytest.fixture(scope="module")
+def golden_run():
+    """golden_drops.json's spec and config and one simulated batch, shared by
+    every call, so later calls reuse the stream earlier ones built."""
+    spec, cfg, _ = load_scenario(GOLDEN, None)
+    return spec, cfg, simulate(spec)
+
+
+def run_texts(result) -> dict:
+    """Every output of a run that its files are written from."""
+    return {
+        "features": {m: feature_lines(d.features) for m, d in result.modes.items()},
+        "records": {m: (d.record_lines, d.record_chunks, d.bytes_per_window)
+                    for m, d in result.modes.items()},
+        "outcomes": outcome_lines(result.outcomes),
+        "metrics": metrics_lines(result),
+        "edges": [{q: e.tolist() for q, e in edges.items()}
+                  for edges in (result.lat_edges, result.iat_edges)],
+    }
+
+
+telemetry_calls = st.lists(st.tuples(
+    st.sampled_from([16, 64, 256]), st.integers(1, 3), st.sampled_from([0.01, 0.05]),
+    st.lists(st.sampled_from(ALL_MODES), min_size=1, max_size=3, unique=True),
+    st.booleans()), min_size=1, max_size=4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(calls=telemetry_calls)
+def test_runs_over_one_batch_match_runs_over_a_fresh_copy(golden_run, calls):
+    """A sequence of runs over one batch, the later ones reusing its stream and
+    edges, gives each run's outputs as a run over a fresh deep copy does."""
+    spec, cfg, (delivered, drops, labels) = golden_run
+    setups = [(replace(cfg, width=w, depth=d, rho=rho), tuple(modes), records)
+              for w, d, rho, modes, records in calls]
+    shared = [run_texts(run_telemetry(delivered, drops, labels, spec, c, m, r))
+              for c, m, r in setups]
+    for (c, m, r), got in zip(setups, shared):
+        fresh = run_telemetry(copy.deepcopy(delivered), drops, labels, spec, c, m, r)
+        assert got == run_texts(fresh)
+
+
+def count_calls(monkeypatch) -> dict[str, int]:
+    calls = {"window_stream": 0, "fit_qid_edges": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(pipeline, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+def test_a_batch_builds_one_stream_and_fits_once_per_rho(monkeypatch):
+    spec, cfg, _ = load_scenario(GOLDEN, None)
+    sim = simulate(spec)
+    calls = count_calls(monkeypatch)
+    for w, d, rho in ((256, 3, 0.01), (64, 3, 0.05), (64, 2, 0.01), (16, 1, 0.05)):
+        run_telemetry(*sim, spec, replace(cfg, width=w, depth=d, rho=rho))
+    assert calls == {"window_stream": 1, "fit_qid_edges": 2}
+    # another window length is another stream, whose edges are fitted anew
+    run_telemetry(*sim, replace(spec, window_len_ns=spec.window_len_ns // 2), cfg)
+    assert calls == {"window_stream": 2, "fit_qid_edges": 3}
+    # so is another batch, though its packets are the same
+    run_telemetry(copy.deepcopy(sim[0]), *sim[1:], spec, cfg)
+    assert calls == {"window_stream": 3, "fit_qid_edges": 4}
+
+
+def test_the_stream_dies_with_its_batch_and_not_with_an_older_one():
+    spec, cfg, _ = load_scenario(GOLDEN, None)
+    old, drops, labels = simulate(spec)
+    new = copy.deepcopy(old)
+    run_telemetry(old, drops, labels, spec, cfg, modes=(TelemetryMode.PM,))
+    run_telemetry(new, drops, labels, spec, cfg, modes=(TelemetryMode.PM,))
+    stream = weakref.ref(pipeline._memo.stream)
+    del old
+    gc.collect()
+    assert stream() is not None  # the older batch's finalizer left the newer entry
+    del new
+    gc.collect()
+    assert stream() is None and pipeline._memo is None
+
+
+def test_the_shared_stream_and_edges_are_read_only_and_each_run_has_its_own_dicts(golden_run):
+    spec, cfg, sim = golden_run
+    first, second = (run_telemetry(*sim, spec, cfg, modes=(TelemetryMode.PM,)) for _ in range(2))
+    stream = pipeline._memo.stream
+    for name, col in stream.columns().items():
+        with pytest.raises(ValueError, match="read-only"):
+            col[:1] = 0
+    for edges in (first.lat_edges, first.iat_edges):
+        assert edges.keys() == spec.queue_policy.keys()
+        for e in edges.values():
+            with pytest.raises(ValueError, match="read-only"):
+                e[0] = 0.0
+    assert first.lat_edges is not second.lat_edges and first.iat_edges is not second.iat_edges
+    first.lat_edges.clear()
+    assert second.lat_edges.keys() == spec.queue_policy.keys()
+
+
+def test_monitored_rows_of_the_last_qid():
+    """qid 255 (MAX_QID) is searched as the column's uint8: qid + 1 would not fit it."""
+    qid = np.array([0, 0, 254, 255, 255, 255], np.uint8)
+    monitored = np.array([1, 0, 1, 1, 1, 0], bool)
+    n = len(qid)
+    stream = WindowStream(
+        teid=np.ones(n, np.uint32), qfi=np.ones(n, np.uint8), bytes=np.ones(n, np.uint16),
+        arrival_ns=np.arange(n), monitored=monitored, injected=None, qid=qid,
+        sojourn_ns=np.zeros(n, np.int64), color=np.zeros(n, np.int8),
+        window=np.zeros(n, np.int64), n_windows=1)
+    assert MAX_QID == 255
+    assert stream.monitored_rows(255) == slice(3, 5)
+    assert stream.monitored_rows(254) == slice(2, 3)
+    assert stream.monitored_rows(0) == slice(0, 1)
+    assert stream.monitored_rows(7) == slice(2, 2)
