@@ -100,7 +100,7 @@ def extract_postcard_features(
     windows: np.ndarray, codes: np.ndarray, arrival_ns: np.ndarray, sojourn_ns: np.ndarray,
     color: np.ndarray, nbytes: np.ndarray, keys: Sequence[FlowKey], region: DiagnosticRegion,
     n_windows: int, lat_edges_by_qid: dict[int, np.ndarray],
-    iat_edges_by_qid: dict[int, np.ndarray], qfi_to_qid: dict[int, int], bins_b: int,
+    iat_edges_by_qid: dict[int, np.ndarray], qid_table: np.ndarray, bins_b: int,
 ) -> np.recarray:
     """Exact per-flow stats over the sampled packets only, every window's
     rows in (window, scope) order.
@@ -125,8 +125,7 @@ def extract_postcard_features(
     row = np.searchsorted(rows, pair[order])  # each postcard's row
     row_window, row_scope = np.divmod(rows, n)
     row_code = scopes[row_scope]
-    qid = np.array([qfi_to_qid[c & MAX_QFI] for c in scopes.tolist()], dtype=np.int64)
-    qid = qid[row_scope[row]]  # each postcard's queue
+    qid = qid_table[scopes & MAX_QFI][row_scope[row]]  # each postcard's queue
     same = row[1:] == row[:-1]  # the gap to the next postcard stays in its row
     gaps = np.diff(arrival_ns[order])[same]
     m = len(rows)

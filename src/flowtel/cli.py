@@ -29,11 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import pooled_auprc
+from .analysis import pareto_front, pooled_auprc
 from .baselines import TelemetryMode
 from .core import FlowKey, NS_PER_S
 from .pipeline import (
     ALL_MODES,
+    RunResult,
     TelemetryConfig,
     check_pinned_qids,
     metrics_lines,
@@ -84,9 +85,22 @@ _FLOW_KEY_FIELDS = ("teid", "qfi")  # a flow's or meter's FlowKey, beside its ow
 _hints = functools.cache(typing.get_type_hints)  # each call evals every annotation string
 
 
-def _value(hint, raw, where: str):
-    """``raw`` read as a ``hint``: a dataclass from an object, a tuple from a
-    list (or an object's items), anything else by its constructor."""
+# the JSON values a scalar field takes, none a bool but a bool field's
+_JSON_TYPES = {bool: ("a bool", bool), int: ("an int", int), float: ("a number", (int, float))}
+
+
+def _shaped(raw, kind: type, where: str):
+    """``raw``, if it is a JSON object (``kind`` dict) or list (``kind`` list)."""
+    if not isinstance(raw, kind):
+        raise ScenarioError(f"{where}: expected {'an object' if kind is dict else 'a list'}")
+    return raw
+
+
+def _value(hint, raw, where: str, key: bool = False):
+    """``raw`` read as a ``hint``: a dataclass or a dict from an object, a
+    tuple from a list (of pairs, from an object's items), a bool, int or
+    float from a JSON value of its type, anything else by its constructor.
+    An object's ``key`` is a string: an int key is read from its digits."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is types.UnionType:  # X | None
         (hint,) = (a for a in args if a is not type(None))
@@ -94,15 +108,17 @@ def _value(hint, raw, where: str):
     if dataclasses.is_dataclass(hint):
         return _build(hint, raw, where)
     if origin is dict:
-        return {_value(args[0], k, where): _value(args[1], v, f"{where}.{k}")
-                for k, v in raw.items()}
+        return {_value(args[0], k, where, key=True): _value(args[1], v, f"{where}.{k}")
+                for k, v in _shaped(raw, dict, where).items()}
+    if origin is tuple and typing.get_origin(args[0]) is tuple:  # pinned edges' (qid, edges)
+        return tuple(_value(dict[typing.get_args(args[0])], raw, where).items())
     if origin is tuple:
-        if not isinstance(raw, (list, tuple, dict)):
-            raise ScenarioError(f"{where}: expected a list")
-        items = list(raw.items() if isinstance(raw, dict) else raw)
-        if args[-1] is Ellipsis:
-            return tuple(_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(items))
-        return tuple(_value(a, v, where) for a, v in zip(args, items, strict=True))
+        return tuple(_value(args[0], v, f"{where}[{i}]")
+                     for i, v in enumerate(_shaped(raw, list, where)))
+    if hint in _JSON_TYPES and not key:
+        name, kinds = _JSON_TYPES[hint]
+        if not isinstance(raw, kinds) or isinstance(raw, bool) is not (hint is bool):
+            raise ScenarioError(f"{where}: expected {name}, got {json.dumps(raw)}")
     try:
         return hint(raw)
     except (TypeError, ValueError) as e:
@@ -113,8 +129,7 @@ def _build(cls, doc: dict, where: str = "", extra=(), **given):
     """A ``cls`` from the keys of ``doc`` that name its fields, each read by
     its type hint, and the ``given`` fields; a key left out keeps its default.
     Any other key of ``doc`` must be in ``extra``."""
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{where or 'scenario'}: expected an object")
+    _shaped(doc, dict, where or "scenario")
     hints = _hints(cls)
     fields = {_FILE_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
     path = lambda key: f"{where}.{key}" if where else key  # noqa: E731
@@ -145,8 +160,9 @@ def scenario_from_dict(doc: dict) -> tuple[ScenarioSpec, TelemetryConfig]:
     queue_policy's. A key that names nothing here is invalid."""
     try:
         flows = []
-        for i, f in enumerate(doc["flows"]):
+        for i, f in enumerate(_shaped(doc["flows"], list, "flows")):
             where = f"flows[{i}]"
+            _shaped(f, dict, where)
             one_size = {"bytes_max": f["bytes_min"]} if "bytes_min" in f else {}
             key = _build(FlowKey, f, where, f)  # the FlowSpec checks the other keys
             flows.append(_build(FlowSpec, {**one_size, **f}, where, _FLOW_KEY_FIELDS, key=key))
@@ -155,7 +171,7 @@ def scenario_from_dict(doc: dict) -> tuple[ScenarioSpec, TelemetryConfig]:
             given["meters"] = {
                 _build(FlowKey, m, f"meters[{i}]", m):
                     _build(MeterSpec, m, f"meters[{i}]", _FLOW_KEY_FIELDS)
-                for i, m in enumerate(doc["meters"])
+                for i, m in enumerate(_shaped(doc["meters"], list, "meters"))
             }
         spec = _build(ScenarioSpec, doc, "", ("telemetry",), **given)
         cfg = _build(TelemetryConfig, doc.get("telemetry", {}), "telemetry")
@@ -270,13 +286,18 @@ def cmd_run(args) -> int:
                   f"the warmup windows (telemetry.fit_windows={cfg.fit_windows}); the edges are "
                   "fitted on its traffic", file=sys.stderr)
     result = run_scenario(spec, cfg, modes=modes, collect_sketch_records=not args.no_records)
-    write_outputs(result, Path(args.out), _manifest(args, man_sc, spec, cfg, modes))
+    _report(result, Path(args.out), _manifest(args, man_sc, spec, cfg, modes))
+    print(f"wrote {args.out}")
+    return EXIT_OK
+
+
+def _report(result: RunResult, out: Path, manifest: dict) -> None:
+    """Write a run's outputs and print its metrics, its unscored blocks to stderr."""
+    write_outputs(result, out, manifest)
     for line in unscored_lines(result):  # blocks whose training lacks a class
         print(line, file=sys.stderr)
     for line in metrics_lines(result):
         print(line)
-    print(f"wrote {args.out}")
-    return EXIT_OK
 
 
 def cmd_size(args) -> int:
@@ -287,15 +308,15 @@ def cmd_size(args) -> int:
         # the other keys of a params file, read below
         others = ("n_t_max", "rho", "k_bins", "flow_classes", "rho_drift")
         params = _build(DetectabilityParams, {**beta, **doc}, "", others)
-        n_t_max = float(doc["n_t_max"])
+        n_t_max = _value(float, doc["n_t_max"], "n_t_max")
         # a run's defaults: its rho (printed as read), and K = tail + head bins
         rho = doc.get("rho", TelemetryConfig.rho)
         k_bins = _value(int, doc.get("k_bins", TelemetryConfig.lat_tail_bins
                                      + TelemetryConfig.iat_head_bins), "k_bins")
-        classes = {  # and a class's n_T that of n_t_max
-            name: _build(FlowBaseline, {"n_T": n_t_max, **c}, f"flow_classes.{name}")
-            for name, c in doc.get("flow_classes", {}).items()
-        }
+        classes = {}  # and a class's n_T that of n_t_max
+        for name, c in _shaped(doc.get("flow_classes", {}), dict, "flow_classes").items():
+            at = f"flow_classes.{name}"
+            classes[name] = _build(FlowBaseline, {"n_T": n_t_max, **_shaped(c, dict, at)}, at)
         rep = sizing_report(params, n_t_max, k_bins, classes)
         w_new = None
         if "rho_drift" in doc:
@@ -358,8 +379,6 @@ def cmd_sweep(args) -> int:
             mbps = nbytes * 8 / spec.duration_s / 1e6
             rows.append((mode.value, c.width, c.depth, c.rho, c.dsmp_delta_ns, mbps, auprc))
     # Pareto flags computed over (cost, accuracy), higher accuracy cheaper wins
-    from .analysis import pareto_front
-
     flags = pareto_front([(row[5], -1.0 if row[6] is None else row[6]) for row in rows])
     print("# mode width depth rho dsmp_delta_ns export_mbps auprc pareto")
     for row, flag in zip(rows, flags):
@@ -439,8 +458,7 @@ def load_capture(path: Path) -> tuple[PacketBatch, PacketBatch]:
 def _check_capture_queues(path: Path, spec: ScenarioSpec, *batches: PacketBatch) -> None:
     """Every capture row must sit in the queue the scenario maps its QFI to:
     the sketch keys a packet's queue by the row, DSMP and the edges by the map."""
-    want = np.full(column_bounds("qfi")[1] + 1, -1, dtype=np.int64)
-    want[list(spec.qfi_to_qid)] = list(spec.qfi_to_qid.values())
+    want = spec.qid_table()
     for batch in batches:
         expected = want[batch.qfi]
         for i in np.flatnonzero(expected != batch.qid)[:1].tolist():
@@ -468,12 +486,8 @@ def cmd_replay(args) -> int:
     modes = _parse_modes(args.modes)
     result = run_telemetry(delivered, drops, labels, spec, cfg, modes=modes,
                            collect_sketch_records=not args.no_records)
-    write_outputs(result, Path(args.out),
-                  _manifest(args, man_sc, spec, cfg, modes, capture=str(args.capture)))
-    for line in unscored_lines(result):  # blocks whose training lacks a class
-        print(line, file=sys.stderr)
-    for line in metrics_lines(result):
-        print(line)
+    _report(result, Path(args.out),
+            _manifest(args, man_sc, spec, cfg, modes, capture=str(args.capture)))
     return EXIT_OK
 
 

@@ -14,7 +14,9 @@ each queue as one slice. Only DSMP's postcards are put back into the port's
 egress order, the order of its records.
 
 A sweep replays one delivered batch many times, so its stream and edges are
-built once (``_stream_and_edges``) and shared, read-only, by its later runs.
+built once and shared, read-only, by its later runs: ``_stream_and_edges``
+keeps them in a weak-keyed dict by the batch object, whose entry dies with
+the batch.
 """
 
 from __future__ import annotations
@@ -233,57 +235,32 @@ def fit_qid_edges(
     return lat_by_qid, iat_by_qid
 
 
-@dataclass(eq=False)
-class _BatchMemo:
-    """One delivered batch's window stream, and its edges by the config
-    fields ``fit_qid_edges`` reads; every array read-only, as runs share them."""
-
-    batch: weakref.ref  # also the token by which the batch's finalizer finds this entry
-    shape: tuple[int, float]  # (window_len_ns, duration_s)
-    stream: WindowStream
-    edges: dict[tuple, tuple[dict[int, np.ndarray], dict[int, np.ndarray]]] = field(
-        default_factory=dict)
-
-
-_memo: _BatchMemo | None = None  # the last batch's, dropped when that batch is collected
-
-
-def _forget(batch: weakref.ref) -> None:
-    """A collected batch's finalizer: drop the memo if it is still this batch's."""
-    global _memo
-    if _memo is not None and _memo.batch is batch:
-        _memo = None
-
-
-def _read_only(arrays) -> None:
-    for arr in arrays:
-        arr.flags.writeable = False
+# each live delivered batch's window stream, under its (window_len_ns, duration_s),
+# and its edges, under the config fields fit_qid_edges reads; every array read-only
+_by_batch: weakref.WeakKeyDictionary[PacketBatch, dict] = weakref.WeakKeyDictionary()
 
 
 def _stream_and_edges(
     delivered: PacketBatch, spec: ScenarioSpec, cfg: TelemetryConfig,
 ) -> tuple[WindowStream, dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """``delivered``'s window stream and fitted edges, from the memo or, on a
-    miss, from ``window_stream`` and ``fit_qid_edges`` (looked up as module
-    globals, so a wrapper sees every miss). The edge dicts are the caller's
-    own; the arrays in them are shared."""
-    global _memo
+    """``delivered``'s window stream and fitted edges, built on a miss by
+    ``window_stream`` and ``fit_qid_edges`` (looked up as module globals, so
+    a wrapper sees every miss). The edge dicts are the caller's own; the
+    arrays in them are shared."""
     shape = (spec.window_len_ns, spec.duration_s)
-    if _memo is None or _memo.batch() is not delivered or _memo.shape != shape:
-        _memo = None  # free the last batch's stream before building this one
-        stream = window_stream(delivered, *shape)
-        _read_only(stream.columns().values())
-        _memo = _BatchMemo(weakref.ref(delivered), shape, stream)
-        weakref.finalize(delivered, _forget, _memo.batch)
+    cached = _by_batch.get(delivered, {})
+    if shape not in cached:  # a batch keeps one stream, and the edges fitted on it
+        _by_batch.pop(delivered, None)  # free the old stream before building this one
+        cached = _by_batch[delivered] = {shape: window_stream(delivered, *shape)}
     key = (cfg.rho, cfg.strategy, cfg.bins_b, cfg.lat_tail_bins, cfg.iat_head_bins,
            cfg.fit_windows, cfg.fit_sample_size, cfg.explicit_lat_edges, cfg.explicit_iat_edges,
            tuple(sorted(spec.queue_policy)))
-    if key not in _memo.edges:
-        lat_edges, iat_edges = fit_qid_edges(_memo.stream, spec, cfg)
-        _read_only([*lat_edges.values(), *iat_edges.values()])
-        _memo.edges[key] = lat_edges, iat_edges
-    lat_edges, iat_edges = _memo.edges[key]
-    return _memo.stream, dict(lat_edges), dict(iat_edges)
+    if key not in cached:  # always so for a new stream
+        lat_edges, iat_edges = cached[key] = fit_qid_edges(cached[shape], spec, cfg)
+        for arr in [*cached[shape].columns().values(), *lat_edges.values(), *iat_edges.values()]:
+            arr.flags.writeable = False  # runs share them
+    lat_edges, iat_edges = cached[key]
+    return cached[shape], dict(lat_edges), dict(iat_edges)
 
 
 @dataclass
@@ -357,7 +334,7 @@ def _sketch_pass(stream, spec, cfg, lat_edges, iat_edges, collect_records) -> Mo
     region = cfg.region()
     registered = [fl.key for fl in spec.flows if fl.monitored]
     codes = np.array([k.code() for k in registered], dtype=np.uint64)
-    key_qid = np.array([spec.qfi_to_qid[k.qfi] for k in registered], dtype=np.int64)
+    key_qid = spec.qid_table()[[k.qfi for k in registered]]
     rows, records = [], {}
     for qid in sorted(spec.queue_policy):
         sketch = HistogramSketch(cfg.sketch_config(spec.seed), qid=qid, lat_edges=lat_edges[qid],
@@ -403,7 +380,7 @@ def _dsmp_pass(stream, delivered, spec, cfg, lat_edges, iat_edges) -> ModeTeleme
     pcs = (pc.window, pc.teid, pc.qfi, pc.qid, pc.depart_ns(), pc.sojourn_ns, pc.color, pc.bytes)
     table = extract_postcard_features(
         pc.window, pc.codes(), *pcs[4:], [fl.key for fl in spec.flows if fl.monitored],
-        cfg.region(), stream.n_windows, lat_edges, iat_edges, spec.qfi_to_qid, cfg.bins_b,
+        cfg.region(), stream.n_windows, lat_edges, iat_edges, spec.qid_table(), cfg.bins_b,
     )
     lines = list(map(postcard_line, *(c.tolist() for c in pcs)))
     costs = [export_cost(TelemetryMode.DSMP, postcards=n)
@@ -437,8 +414,9 @@ def run_telemetry(
 
     The window stream is built once per ``delivered`` batch, window length
     and duration, and the edges once per binning setting, then reused by
-    every later call with the same batch object while it lives. So a batch
-    must not be changed in place once it is handed over."""
+    every later call with the same batch object while it lives; the batch is
+    the cache's key, by identity. So a batch must not be changed in place
+    once it is handed over."""
     check_pinned_qids(spec, cfg)
     stream, lat_edges, iat_edges = _stream_and_edges(delivered, spec, cfg)
     # DSMP first, as its sampler's transient columns then set no new memory peak

@@ -161,7 +161,7 @@ MAX_QID = column_bounds("qid")[1]
 MAX_BYTES = column_bounds("bytes")[1]
 
 
-@dataclass
+@dataclass(eq=False)  # hashed and compared by identity: a pipeline cache keys on the batch
 class PacketBatch:
     """Packets as columns, each of its ``COLUMN_DTYPES`` type, 27 bytes a
     delivered packet: ``teid`` uint32 (to MAX_TEID) and ``qfi`` uint8 (to
@@ -218,6 +218,13 @@ class ScenarioSpec:
     default_meter: MeterSpec | None = None
     anomalies: tuple[AnomalyEvent, ...] = ()
     window_len_ns: int = NS_PER_S
+
+    def qid_table(self) -> np.ndarray:
+        """Each qfi's qid by ``qfi_to_qid``, over the qfi column's whole range:
+        -1 for a qfi it does not map."""
+        table = np.full(column_bounds("qfi")[1] + 1, -1, dtype=np.int16)
+        table[list(self.qfi_to_qid)] = list(self.qfi_to_qid.values())
+        return table
 
     def validate(self) -> None:
         if self.duration_s <= 0:
@@ -570,9 +577,7 @@ def run_queues(batch: PacketBatch, spec: ScenarioSpec) -> tuple[PacketBatch, Pac
     """
     spec.validate()
     n = len(batch)
-    qid_of_qfi = np.full(MAX_QFI + 1, -1, dtype=np.int16)  # -1: unmapped
-    for qfi, qid in spec.qfi_to_qid.items():
-        qid_of_qfi[qfi] = qid
+    qid_of_qfi = spec.qid_table()
     pkt_qid = qid_of_qfi[batch.qfi]
     if (pkt_qid < 0).any():
         bad = int(batch.qfi[pkt_qid < 0][0])

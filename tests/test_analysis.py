@@ -32,7 +32,7 @@ from flowtel.baselines import pm_window
 from flowtel.binning import DiagnosticRegion
 from flowtel.core import FlowKey, SketchConfig
 from flowtel.pipeline import FEATURE_HEADER, feature_lines
-from flowtel.simulator import AnomalyKind, GroundTruthLabel, flow_codes
+from flowtel.simulator import AnomalyKind, GroundTruthLabel, ScenarioSpec, flow_codes
 from flowtel.sizing import FlowBaseline
 from flowtel.sketch import HistogramSketch, bin_of
 
@@ -72,7 +72,8 @@ def test_collision_free_sketch_features_equal_full_sampling_postcards(rng):
     postcards = [(e.key, e.arrival_ns, e.sojourn_ns, int(e.color), e.bytes) for e in events]
     f_pc = extract_postcard_features(
         np.zeros(len(postcards), np.int64), *postcard_columns(postcards), [key], REGION, 1,
-        {0: np.array(LAT_EDGES, float)}, {0: np.array(IAT_EDGES, float)}, {key.qfi: 0}, 8,
+        {0: np.array(LAT_EDGES, float)}, {0: np.array(IAT_EDGES, float)},
+        qid_table({key.qfi: 0}), 8,
     )[0]
     assert f_sketch.pkts == f_pc.pkts
     assert f_sketch.bytes == f_pc.bytes
@@ -131,6 +132,14 @@ def reference_postcard_features(postcards, keys, region, window, lat_edges, iat_
 PC_LAT_EDGES = {0: np.array(LAT_EDGES, float), 1: np.array([50.0, 500, 5e3, 5e4, 5e5, 5e6, 5e7])}
 PC_IAT_EDGES = {0: np.array(IAT_EDGES, float), 1: np.array([10.0, 20, 40, 80, 160, 320, 640])}
 PC_QFI_TO_QID = {1: 0, 2: 1}
+
+
+def qid_table(qfi_to_qid: dict[int, int]) -> np.ndarray:
+    """The qfi-to-queue table extract_postcard_features takes, as a scenario builds it."""
+    return ScenarioSpec(duration_s=1.0, flows=(), qfi_to_qid=qfi_to_qid,
+                        queue_policy={}).qid_table()
+
+
 # (2, 1) registered but silent, (4, 2) a single postcard, (9, 1) unregistered
 PC_KEYS = [FlowKey(1, 1), FlowKey(2, 1), FlowKey(3, 2), FlowKey(4, 2)]
 
@@ -156,7 +165,7 @@ def test_columnar_postcard_features_match_per_postcard_loop(rng):
     postcards = [rows[i] for i in np.argsort([r[1] for r in rows], kind="stable")]
     got = extract_postcard_features(
         np.zeros(len(postcards), np.int64), *postcard_columns(postcards), PC_KEYS, REGION, 1,
-        PC_LAT_EDGES, PC_IAT_EDGES, PC_QFI_TO_QID, 8,
+        PC_LAT_EDGES, PC_IAT_EDGES, qid_table(PC_QFI_TO_QID), 8,
     )
     expect = reference_postcard_features(
         postcards, PC_KEYS, REGION, 0, PC_LAT_EDGES, PC_IAT_EDGES, PC_QFI_TO_QID, 8
@@ -205,7 +214,7 @@ def test_run_wide_postcard_features_match_the_per_window_oracle(case):
     n_windows, windows, postcards = case
     got = extract_postcard_features(
         np.array(windows, np.int64), *postcard_columns(postcards), PC_KEYS, REGION, n_windows,
-        PC_LAT_EDGES, PC_IAT_EDGES, PC_QFI_TO_QID, 8,
+        PC_LAT_EDGES, PC_IAT_EDGES, qid_table(PC_QFI_TO_QID), 8,
     )
     expect = [reference_postcard_features(
         [pc for pc, at in zip(postcards, windows) if at == w], PC_KEYS, REGION, w,

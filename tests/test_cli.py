@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -293,7 +295,7 @@ def test_size_bad_zeta_exits_2_naming_it(tmp_path, capsys):
     params.write_text(json.dumps({"beta_max": 0.3, "delta_t_min": 80, "n_t_max": 10000,
                                   "zeta": "x"}))
     assert main(["size", "--params", str(params)]) == 2
-    assert f"params file {params}: zeta: could not convert" in capsys.readouterr().err
+    assert f'params file {params}: zeta: expected a number, got "x"' in capsys.readouterr().err
 
 
 def test_sweep_grid_cardinality_and_cost_monotonicity(tmp_path, capsys):
@@ -315,7 +317,7 @@ def test_sweep_grid_cardinality_and_cost_monotonicity(tmp_path, capsys):
 
 @pytest.mark.parametrize("axis, values, shown", [
     ("dsmp_delta_ns", [0], "dsmp_delta_ns = 0"), ("width", [1], "width = 1"),
-    ("rho", ["x"], "rho[0]: could not convert string to float: 'x'"),
+    ("rho", ["x"], 'rho[0]: expected a number, got "x"'),
     ("depth", 3, "depth: expected a list"),
 ], ids=["dsmp_delta_ns", "width", "rho", "depth"])
 def test_bad_sweep_grid_value_exits_2_before_simulating(tmp_path, capsys, monkeypatch,
@@ -406,11 +408,61 @@ def test_missing_or_malformed_params_file_exits_2_naming_it(tmp_path, capsys):
         assert f"params file {params}" in capsys.readouterr().err
 
 
+GOLDEN_DROPS = Path(__file__).parent / "golden_drops.json"
+
+# a value of the wrong JSON type, by the path it sits at in golden_drops.json
+WRONG_TYPES = [
+    (("flows", 0, "monitored"), "false", 'flows[0].monitored: expected a bool, got "false"'),
+    (("telemetry", "width"), 256.9, "telemetry.width: expected an int, got 256.9"),
+    (("seed",), 2.5, "seed: expected an int, got 2.5"),
+    (("flows", 0, "bytes_min"), "300", 'flows[0].bytes_min: expected an int, got "300"'),
+    (("flows", 0, "rate_pps"), True, "flows[0].rate_pps: expected a number, got true"),
+    (("qfi_to_qid",), [1, 0], "qfi_to_qid: expected an object"),
+    (("queue_policy",), 5, "queue_policy: expected an object"),
+    (("flows",), 5, "flows: expected a list"),
+    (("flows", 0), 5, "flows[0]: expected an object"),
+    (("meters",), {}, "meters: expected a list"),
+    (("anomalies",), {}, "anomalies: expected a list"),
+    (("telemetry",), [], "telemetry: expected an object"),
+]
+
+
+@pytest.mark.parametrize("keys, value, message", WRONG_TYPES,
+                         ids=[".".join(map(str, k)) for k, _, _ in WRONG_TYPES])
+def test_a_value_of_the_wrong_json_type_exits_2_naming_its_path(tmp_path, capsys, keys, value,
+                                                                message):
+    doc = json.loads(GOLDEN_DROPS.read_text())
+    obj = doc
+    for k in keys[:-1]:
+        obj = obj[k]
+    obj[keys[-1]] = value
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    assert f"scenario file: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_t_max", True, "n_t_max: expected a number, got true"),
+    ("n_t_max", "abc", 'n_t_max: expected a number, got "abc"'),
+    ("k_bins", 2.7, "k_bins: expected an int, got 2.7"),
+    ("flow_classes", ["small"], "flow_classes: expected an object"),
+    ("flow_classes", {"small": 5}, "flow_classes.small: expected an object"),
+])
+def test_size_value_of_the_wrong_json_type_exits_2_naming_it(tmp_path, capsys, field, value,
+                                                             message):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"beta_max": 0.3, "delta_t_min": 80, "n_t_max": 1e4,
+                                  field: value}))
+    assert main(["size", "--params", str(params)]) == 2
+    assert f"params file {params}: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value, named", [
-    ("rho", "x", "rho: could not convert"),
-    ("rho_drift", [0.02], "rho_drift: float() argument"),
+    ("rho", "x", "rho: expected a number"),
+    ("rho_drift", [0.02], "rho_drift: expected a number"),
     ("rho", 0, "ValueError: all drift-scaling inputs must be positive"),
-    ("k_bins", "x", "k_bins: invalid literal"),
+    ("k_bins", "x", "k_bins: expected an int"),
 ])
 def test_size_bad_drift_value_exits_2_naming_it(tmp_path, capsys, field, value, named):
     doc = {"beta_max": 0.3, "delta_t_min": 80, "n_t_max": 10000, "rho": 0.01, "rho_drift": 0.02}
@@ -883,6 +935,18 @@ def test_cli_entrypoint_runs_as_module():
     assert "/nonexistent.json" in proc.stderr
 
 
+def test_numpy_is_the_only_runtime_dependency():
+    """Importing the CLI loads no module outside the standard library but
+    flowtel's own and numpy."""
+    path = [str(Path(flowtel.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    code = ("import sys; before = set(sys.modules); import flowtel.cli; "
+            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    loaded = set(proc.stdout.split())
+    assert loaded - set(sys.stdlib_module_names) == {"flowtel", "numpy"}
+
+
 # -- fuzzing: a valid scenario runs to the end or is refused, never crashes ---------
 
 
@@ -956,3 +1020,36 @@ def test_fuzzed_scenarios_run_and_sweep_without_a_runtime_failure(case):
         grid_file.write_text(json.dumps(grid))
         assert main(["run", "--scenario", str(scenario), "--out", str(Path(tmp, "out"))]) in (0, 2)
         assert main(["sweep", "--scenario", str(scenario), "--grid", str(grid_file)]) in (0, 2)
+
+
+def leaves(obj, path=""):
+    """Each scalar of a JSON document: its path as the scenario reader names
+    it, the object or list that holds it, and its key or index there."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for k, v in items:
+        at = f"{path}[{k}]" if isinstance(obj, list) else f"{path}.{k}" if path else k
+        if isinstance(v, (dict, list)):
+            yield from leaves(v, at)
+        else:
+            yield at, obj, k
+
+
+# values of another JSON type than a leaf's, by its type: none is a bool, int
+# or number where the leaf's field takes one, nor a member of an enum field
+WRONG_FOR = {bool: [1, "true", None], int: [True, "7", None, []], float: [True, "0.5", None],
+             str: [1, False, None, {}]}
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenario_docs(), st.data())
+def test_a_wrong_json_type_at_a_fuzzed_leaf_exits_2_naming_it(case, data):
+    """A value of the wrong JSON type anywhere in a valid document is refused
+    (exit 2) with a message that names the path of that value."""
+    doc, _ = case
+    at, holder, key = data.draw(st.sampled_from(list(leaves(doc))))
+    holder[key] = data.draw(st.sampled_from(WRONG_FOR[type(holder[key])]))
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        scenario = Path(tmp, "scenario.json")
+        scenario.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(scenario), "--out", str(Path(tmp, "out"))]) == 2
+    assert f"scenario file: {at}: " in err.getvalue()

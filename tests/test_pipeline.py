@@ -262,7 +262,7 @@ def test_sketch_volumes_never_undercount_the_exact_per_flow_table():
     exact = extract_postcard_features(
         seen.window, seen.codes(), seen.depart_ns(), seen.sojourn_ns, seen.color, seen.bytes,
         [fl.key for fl in spec.flows if fl.monitored], cfg.region(), stream.n_windows,
-        lat_edges, iat_edges, spec.qfi_to_qid, cfg.bins_b,
+        lat_edges, iat_edges, spec.qid_table(), cfg.bins_b,
     )
     exact = exact[~exact.unregistered]
     for width in (2, cfg.width):
@@ -348,25 +348,40 @@ def test_a_batch_builds_one_stream_and_fits_once_per_rho(monkeypatch):
     assert calls == {"window_stream": 3, "fit_qid_edges": 4}
 
 
+def test_two_live_batches_run_alternately_build_one_stream_each(monkeypatch):
+    """Neither batch's stream and edges evict the other's."""
+    spec, cfg, _ = load_scenario(GOLDEN, None)
+    a = simulate(spec)
+    b = (copy.deepcopy(a[0]), *a[1:])
+    calls = count_calls(monkeypatch)
+    for sim in (a, b, a, b):
+        run_telemetry(*sim, spec, cfg, modes=(TelemetryMode.PM,))
+    assert calls == {"window_stream": 2, "fit_qid_edges": 2}
+
+
+def cached_stream(batch, spec) -> WindowStream:
+    return pipeline._by_batch[batch][(spec.window_len_ns, spec.duration_s)]
+
+
 def test_the_stream_dies_with_its_batch_and_not_with_an_older_one():
     spec, cfg, _ = load_scenario(GOLDEN, None)
     old, drops, labels = simulate(spec)
     new = copy.deepcopy(old)
     run_telemetry(old, drops, labels, spec, cfg, modes=(TelemetryMode.PM,))
     run_telemetry(new, drops, labels, spec, cfg, modes=(TelemetryMode.PM,))
-    stream = weakref.ref(pipeline._memo.stream)
+    stream = weakref.ref(cached_stream(new, spec))
     del old
     gc.collect()
-    assert stream() is not None  # the older batch's finalizer left the newer entry
+    assert stream() is not None  # the older batch's entry went with it, the newer one stays
     del new
     gc.collect()
-    assert stream() is None and pipeline._memo is None
+    assert stream() is None
 
 
 def test_the_shared_stream_and_edges_are_read_only_and_each_run_has_its_own_dicts(golden_run):
     spec, cfg, sim = golden_run
     first, second = (run_telemetry(*sim, spec, cfg, modes=(TelemetryMode.PM,)) for _ in range(2))
-    stream = pipeline._memo.stream
+    stream = cached_stream(sim[0], spec)
     for name, col in stream.columns().items():
         with pytest.raises(ValueError, match="read-only"):
             col[:1] = 0
