@@ -38,6 +38,7 @@ from .binning import DiagnosticRegion
 from .core import MAX_QFI, QFI_BITS, FlowKey
 from .simulator import AnomalyKind, GroundTruthLabel
 from .sizing import FlowBaseline
+from .sketch import _count_le
 
 if TYPE_CHECKING:
     from .pipeline import RunResult
@@ -91,8 +92,8 @@ def extract_sketch_features(
     the sketch would answer any key.
     """
     return _flow_table(
-        "sketch", windows, region, codes, est["pkt"], est["bytes"], est["diag"], est["lat"],
-        est["iat"], est["color"], np.zeros(len(codes), dtype=bool),
+        "sketch", windows, region, codes, est["pkt"], est["bytes"], est["lat"], est["iat"],
+        est["color"], np.zeros(len(codes), dtype=bool),
     )
 
 
@@ -131,15 +132,13 @@ def extract_postcard_features(
     m = len(rows)
     lat = _binned(row, qid, sojourn_ns[order], lat_edges_by_qid, m, bins_b)
     iat = _binned(row[1:][same], qid[1:][same], gaps, iat_edges_by_qid, m, bins_b)
-    diag = lat[:, sorted(region.lat_tail_bins)].sum(axis=1)
-    diag += iat[:, sorted(region.iat_head_bins)].sum(axis=1)
     # exact per-row byte sums, as differences of one running int64 sum
     pkts = np.bincount(row, minlength=m)
     byte_csum = np.concatenate(([0], np.cumsum(nbytes[order], dtype=np.int64)))
     end = np.cumsum(pkts)
     return _flow_table(
-        "dsmp", row_window, region, row_code, pkts, byte_csum[end] - byte_csum[end - pkts], diag,
-        lat, iat, np.bincount(row * 3 + color[order], minlength=3 * m).reshape(m, 3),
+        "dsmp", row_window, region, row_code, pkts, byte_csum[end] - byte_csum[end - pkts], lat,
+        iat, np.bincount(row * 3 + color[order], minlength=3 * m).reshape(m, 3),
         np.isin(row_code, registered, invert=True),
     )
 
@@ -153,18 +152,18 @@ def _binned(
     bins = np.empty(len(values), dtype=np.int64)
     for q in np.unique(qid).tolist():
         m = qid == q
-        bins[m] = np.searchsorted(np.asarray(edges_by_qid[q]), values[m], side="right")
+        bins[m] = _count_le(np.asarray(edges_by_qid[q]), values[m])
     return np.bincount(flow * bins_b + bins, minlength=n_flows * bins_b).reshape(n_flows, bins_b)
 
 
 def _flow_table(
     mode: str, window: int | np.ndarray, region: DiagnosticRegion, codes: np.ndarray,
-    pkts: np.ndarray, nbytes: np.ndarray, diag: np.ndarray, lat: np.ndarray, iat: np.ndarray,
-    colors: np.ndarray, unregistered: np.ndarray,
+    pkts: np.ndarray, nbytes: np.ndarray, lat: np.ndarray, iat: np.ndarray, colors: np.ndarray,
+    unregistered: np.ndarray,
 ) -> np.recarray:
     """A per-flow table, in (window, scope) order, from per-flow counts in
-    one window or in each row's own: packets, bytes, diagnostic mass and the
-    latency, IAT and color histograms."""
+    one window or in each row's own: packets, bytes and the latency, IAT and
+    color histograms. The diagnostic mass is the tail and head bins' sum."""
     window = np.broadcast_to(window, codes.shape)
     order = np.lexsort((codes, window))  # code order is scope order
     window, codes, pkts, lat, iat = window[order], codes[order], pkts[order], lat[order], iat[order]
@@ -172,14 +171,16 @@ def _flow_table(
     # flows of the row's QFI that carried packets in the row's window
     _, group = np.unique(window * (MAX_QFI + 1) + qfi, return_inverse=True)
     lat_fracs, iat_fracs, color_fracs = _fracs(lat), _fracs(iat), _fracs(colors[order])
+    tail = lat[:, sorted(region.lat_tail_bins)].sum(axis=1)
+    head = iat[:, sorted(region.iat_head_bins)].sum(axis=1)
     return feature_table(
         mode, window, [("flow", c >> QFI_BITS, c & MAX_QFI) for c in codes.tolist()],
         unregistered[order],
         pkts=pkts,
         bytes=nbytes[order],
-        diag_pkts=diag[order],
-        tail_frac=_ratio(lat[:, sorted(region.lat_tail_bins)].sum(axis=1), lat.sum(axis=1)),
-        head_frac=_ratio(iat[:, sorted(region.iat_head_bins)].sum(axis=1), iat.sum(axis=1)),
+        diag_pkts=tail + head,
+        tail_frac=_ratio(tail, lat.sum(axis=1)),
+        head_frac=_ratio(head, iat.sum(axis=1)),
         **{f"lat{i}": col for i, col in enumerate(lat_fracs.T)},
         **{f"iat{i}": col for i, col in enumerate(iat_fracs.T)},
         green_frac=color_fracs[:, 0],

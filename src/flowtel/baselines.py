@@ -110,9 +110,8 @@ class DeltaSampler:
             raise ValueError(f"delta_ns must be positive, got {self.delta_ns}")
 
     def offer_batch(self, batch: PacketBatch, sel: np.ndarray) -> np.ndarray:
-        """Indices of the selected monitored packets that export postcards, in
-        batch order. The batch needs its ``sojourn_ns`` column: a delivered
-        batch, or the pipeline's window stream."""
+        """Indices of the selected monitored packets of a delivered batch
+        (whose ``sojourn_ns`` is set) that export postcards, in batch order."""
         idx = np.flatnonzero(sel & batch.monitored)
         delta = self.delta_ns
         last = self.last_exported

@@ -31,7 +31,7 @@ import numpy as np
 
 from .analysis import pareto_front, pooled_auprc
 from .baselines import TelemetryMode
-from .core import FlowKey, NS_PER_S
+from .core import FlowKey
 from .pipeline import (
     ALL_MODES,
     RunResult,
@@ -89,10 +89,21 @@ _hints = functools.cache(typing.get_type_hints)  # each call evals every annotat
 _JSON_TYPES = {bool: ("a bool", bool), int: ("an int", int), float: ("a number", (int, float))}
 
 
+class _Object(dict):
+    """A JSON object, with the first key it gives twice, if any, for ``_shaped`` to refuse."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        seen = set()
+        self.repeated = next((k for k, _ in pairs if k in seen or seen.add(k)), None)
+
+
 def _shaped(raw, kind: type, where: str):
-    """``raw``, if it is a JSON object (``kind`` dict) or list (``kind`` list)."""
+    """``raw``, if it is a JSON object (``kind`` dict) with no key twice or a list."""
     if not isinstance(raw, kind):
         raise ScenarioError(f"{where}: expected {'an object' if kind is dict else 'a list'}")
+    if getattr(raw, "repeated", None) is not None:
+        raise ScenarioError(f"{where}: key {json.dumps(raw.repeated)} given twice")
     return raw
 
 
@@ -100,7 +111,7 @@ def _value(hint, raw, where: str, key: bool = False):
     """``raw`` read as a ``hint``: a dataclass or a dict from an object, a
     tuple from a list (of pairs, from an object's items), a bool, int or
     float from a JSON value of its type, anything else by its constructor.
-    An object's ``key`` is a string: an int key is read from its digits."""
+    An object's ``key`` is a string: an int key only in its canonical form."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is types.UnionType:  # X | None
         (hint,) = (a for a in args if a is not type(None))
@@ -120,7 +131,10 @@ def _value(hint, raw, where: str, key: bool = False):
         if not isinstance(raw, kinds) or isinstance(raw, bool) is not (hint is bool):
             raise ScenarioError(f"{where}: expected {name}, got {json.dumps(raw)}")
     try:
-        return hint(raw)
+        value = hint(raw)
+        if key and str(value) != raw:  # int() also reads "01", "+1" and " 1_0" as an int
+            raise ValueError(f"key {json.dumps(raw)} is not in canonical form")
+        return value
     except (TypeError, ValueError) as e:
         raise ScenarioError(f"{where}: {e}") from e
 
@@ -209,14 +223,12 @@ def _read_json(path: Path, what: str) -> tuple[dict, bytes]:
     """The JSON object in a file named on the command line, and its bytes."""
     try:
         raw = path.read_bytes()
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_pairs_hook=_Object)
     except OSError as e:
         raise ScenarioError(f"{what} {path}: cannot read: {e.strerror}") from e
     except ValueError as e:  # not JSON, or not UTF-8
         raise ScenarioError(f"{what} {path}: malformed JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{what} {path}: malformed JSON: expected an object")
-    return doc, raw
+    return _shaped(doc, dict, f"{what} {path}: malformed JSON"), raw
 
 
 def load_scenario(
@@ -281,7 +293,7 @@ def cmd_run(args) -> int:
     modes = _parse_modes(args.modes)
     pinned = {q for q, _ in cfg.explicit_lat_edges} & {q for q, _ in cfg.explicit_iat_edges}
     for i, an in enumerate(spec.anomalies if not pinned >= set(spec.queue_policy) else ()):
-        if int(an.start_s * NS_PER_S) < cfg.fit_windows * spec.window_len_ns:
+        if an.span_ns[0] < cfg.fit_windows * spec.window_len_ns:
             print(f"warning: anomaly {i} ({an.kind.value}, start_s={an.start_s:g}) starts inside "
                   f"the warmup windows (telemetry.fit_windows={cfg.fit_windows}); the edges are "
                   "fitted on its traffic", file=sys.stderr)

@@ -10,8 +10,8 @@ Telemetry observes packets at their departure timestamps (the observation
 point sits after the queues); windows are aligned across modes on those
 timestamps. The window stream is queue-major: a queue is FIFO, so its
 packets are already in egress order, and the edge fit and the sketch read
-each queue as one slice. Only DSMP's postcards are put back into the port's
-egress order, the order of its records.
+each queue as one slice. DSMP samples the delivered batch itself, in the
+port's egress order, the order of its records.
 
 A sweep replays one delivered batch many times, so its stream and edges are
 built once and shared, read-only, by its later runs: ``_stream_and_edges``
@@ -305,11 +305,7 @@ def active_kinds(spec: ScenarioSpec) -> list[AnomalyKind]:
 
 
 def anomaly_instances(spec: ScenarioSpec, kind: AnomalyKind) -> list[tuple[int, int]]:
-    return [
-        (int(an.start_s * NS_PER_S), int(an.end_s * NS_PER_S))
-        for an in spec.anomalies
-        if an.kind is kind and an.duration_s > 0
-    ]
+    return [an.span_ns for an in spec.anomalies if an.kind is kind and an.duration_s > 0]
 
 
 def _chunks(starts: list[int]) -> list[tuple[int, int]]:
@@ -366,25 +362,25 @@ def _sketch_pass(stream, spec, cfg, lat_edges, iat_edges, collect_records) -> Mo
                          record_chunks=[records[key] for key in sorted(records)])
 
 
-def _dsmp_pass(stream, delivered, spec, cfg, lat_edges, iat_edges) -> ModeTelemetry:
+def _dsmp_pass(delivered, n_windows, spec, cfg, lat_edges, iat_edges) -> ModeTelemetry:
     """Delta-triggered postcards: each flow's last export carries across
-    windows, so one sampler pass, one take of its postcards and one feature
-    table serve the run. A flow keeps to one queue, so the sampler sees each
-    flow's packets in egress order in the queue-major stream; the postcards
-    alone go back into the port's egress order, by departure with ties in
-    delivered order (the stream's sort, redone, gives their delivered rows)."""
-    idx = DeltaSampler(delta_ns=cfg.dsmp_delta_ns).offer_batch(stream, stream.monitored)
-    row = _queue_major(delivered, stream.n_windows * spec.window_len_ns)[idx]
-    pc = stream.take(idx)
-    pc = pc.take(np.lexsort((row, pc.depart_ns())))
-    pcs = (pc.window, pc.teid, pc.qfi, pc.qid, pc.depart_ns(), pc.sojourn_ns, pc.color, pc.bytes)
+    windows, so one sampler pass over the delivered rows that depart in the
+    ``n_windows`` windows serves the run. A flow keeps to one FIFO queue, so
+    its rows are in egress order; the postcards are then put in the port's,
+    by departure with ties in delivered order."""
+    idx = DeltaSampler(delta_ns=cfg.dsmp_delta_ns).offer_batch(
+        delivered, delivered.depart_ns() < n_windows * spec.window_len_ns)
+    pc = delivered.take(idx, injected=None)
+    pc = pc.take(np.argsort(pc.depart_ns(), kind="stable"))
+    window = pc.depart_ns() // spec.window_len_ns
+    pcs = (window, pc.teid, pc.qfi, pc.qid, pc.depart_ns(), pc.sojourn_ns, pc.color, pc.bytes)
     table = extract_postcard_features(
-        pc.window, pc.codes(), *pcs[4:], [fl.key for fl in spec.flows if fl.monitored],
-        cfg.region(), stream.n_windows, lat_edges, iat_edges, spec.qid_table(), cfg.bins_b,
+        window, pc.codes(), *pcs[4:], [fl.key for fl in spec.flows if fl.monitored],
+        cfg.region(), n_windows, lat_edges, iat_edges, spec.qid_table(), cfg.bins_b,
     )
     lines = list(map(postcard_line, *(c.tolist() for c in pcs)))
     costs = [export_cost(TelemetryMode.DSMP, postcards=n)
-             for n in np.bincount(pc.window, minlength=stream.n_windows).tolist()]
+             for n in np.bincount(window, minlength=n_windows).tolist()]
     return ModeTelemetry(table, costs, lines)
 
 
@@ -421,8 +417,8 @@ def run_telemetry(
     stream, lat_edges, iat_edges = _stream_and_edges(delivered, spec, cfg)
     # DSMP first, as its sampler's transient columns then set no new memory peak
     passes = {
-        TelemetryMode.DSMP: lambda: _dsmp_pass(stream, delivered, spec, cfg, lat_edges,
-                                               iat_edges),
+        TelemetryMode.DSMP: lambda: _dsmp_pass(delivered, stream.n_windows, spec, cfg,
+                                               lat_edges, iat_edges),
         TelemetryMode.SKETCH: lambda: _sketch_pass(stream, spec, cfg, lat_edges, iat_edges,
                                                    collect_sketch_records),
         TelemetryMode.PM: lambda: _pm_pass(stream, drops, spec),

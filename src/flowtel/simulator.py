@@ -119,6 +119,10 @@ class AnomalyEvent:
     def end_s(self) -> float:
         return self.start_s + self.duration_s
 
+    @property
+    def span_ns(self) -> tuple[int, int]:  # [start, end) in integer nanoseconds
+        return int(self.start_s * NS_PER_S), int(self.end_s * NS_PER_S)
+
 
 @dataclass(frozen=True)
 class GroundTruthLabel:
@@ -402,8 +406,7 @@ def generate_traffic(spec: ScenarioSpec) -> PacketBatch:
 def _anomaly_parts(ev: AnomalyEvent, spec: ScenarioSpec, anomaly_idx: int) -> list[PacketBatch]:
     """An additive anomaly's rows, one part per flow, all in [start, end)."""
     rng = _anomaly_rng(spec.seed, anomaly_idx)
-    start_ns = int(ev.start_s * NS_PER_S)
-    end_ns = int(ev.end_s * NS_PER_S)
+    start_ns, end_ns = ev.span_ns
     flows_by_key = {fl.key: fl for fl in spec.flows}
     parts = []
     if ev.kind is AnomalyKind.MICROBURST:
@@ -470,7 +473,7 @@ def inject_all(batch: PacketBatch, spec: ScenarioSpec) -> PacketBatch:
 
 
 def _inject(batch: PacketBatch, spec: ScenarioSpec, events) -> PacketBatch:
-    spans = [(i, ev, int(ev.start_s * NS_PER_S), int(ev.end_s * NS_PER_S)) for i, ev in events]
+    spans = [(i, ev, *ev.span_ns) for i, ev in events]
     spans = [span for span in spans if span[2] < span[3]]  # an empty [start, end) changes nothing
     bounds = np.unique(np.array([span[2:] for span in spans], dtype=np.int64).reshape(-1))
     cuts = [0, *np.searchsorted(batch.arrival_ns, bounds, side="left").tolist(), len(batch)]
@@ -526,8 +529,8 @@ def label_windows(spec: ScenarioSpec) -> list[GroundTruthLabel]:
     for ev in spec.anomalies:
         if ev.duration_s <= 0:
             continue
-        first = window_index(int(ev.start_s * NS_PER_S), spec.window_len_ns)
-        last = window_index(int(ev.end_s * NS_PER_S) - 1, spec.window_len_ns)
+        first = window_index(ev.span_ns[0], spec.window_len_ns)
+        last = window_index(ev.span_ns[1] - 1, spec.window_len_ns)
         scopes: list[tuple] = [("flow", k.teid, k.qfi) for k in ev.target_flows]
         scopes += [("qfi", q) for q in ev.target_qfis]
         if not scopes:

@@ -24,7 +24,7 @@ Two update paths exist: ``update`` consumes one PacketEvent (the reference
 semantics) and ``update_batch`` folds column arrays into all d rows,
 bit-identically for the same event order (tests pin the equivalence). It
 hashes only a batch's distinct codes. It ranks the codes and the (window,
-flow) pairs as ``np.unique`` would, but without sorting the batch
+flow) pairs as ``np.unique`` would, counting dense values without a sort
 (``_rank``), and bins latencies and gaps by one comparison per edge
 (``_count_le``). Its one fold (``_fold``) sums each group of packets once
 for every cell the group feeds: a flow feeds the cells it has to itself in
@@ -141,25 +141,13 @@ def _count_le(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _rank(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(v, return_inverse=True)`` of integers, without sorting v
-    when its values are dense or few.
-
-    Values whose range is no wider than v are counted over that range.
-    Otherwise a strided sample's distinct values rank v by ``_count_le``,
-    and any value the sample missed is merged in for a second pass; more
-    than 32 distinct values, where comparing stops paying, are sorted.
-    """
+    when its values are dense: values whose range is no wider than v are
+    counted over that range. Other values are sorted by ``np.unique``."""
     if len(v) and int(v.max()) - int(v.min()) < len(v):
         lo = v.min()
         off = (v - lo).astype(np.intp)
         seen = np.bincount(off) > 0
         return np.flatnonzero(seen).astype(v.dtype) + lo, (np.cumsum(seen) - 1)[off]
-    u = np.unique(v[:: max(1, len(v) // 1024)])
-    while len(u) <= 32:
-        at = _count_le(u[1:], v)
-        missed = v[u[at] != v]
-        if not len(missed):
-            return u, at.astype(np.intp)
-        u = np.union1d(u, missed)
     return np.unique(v, return_inverse=True)
 
 
@@ -255,10 +243,9 @@ class HistogramSketch:
 
         Only the distinct codes are hashed, giving each (window, flow) pair
         one flat cell row*w + col per row. ``_rank`` numbers the codes and
-        the pairs in ascending order, as a sort would, but without one: a
-        count ranks a (window x flow) grid no larger than the chunk,
-        comparison with a strided sample's values ranks a few sparse codes,
-        and only more varied values are sorted. One ``_fold`` sums two kinds
+        the pairs in ascending order, as a sort would: a count ranks a
+        (window x flow) grid no larger than the chunk, and only sparser
+        values are sorted. One ``_fold`` sums two kinds
         of group: a pair's packets, taken by the cells that one flow has to
         itself in a row and window, and a shared (window, cell)'s, fed by the
         packets of the flows that share it. The two kinds of cell are

@@ -472,6 +472,52 @@ def test_size_bad_drift_value_exits_2_naming_it(tmp_path, capsys, field, value, 
     assert f"params file {params}: {named}" in capsys.readouterr().err
 
 
+# golden_drops.json's text with one object given a second key for one id:
+# the text to find, what to put in its place, and the message
+EDGES = '[1000.0, 2000.0, 4000.0, 8000.0, 16000.0, 32000.0, 64000.0]'
+KEYS_FOR_ONE_ID = [
+    ('"qfi_to_qid": {"1": 0', '"qfi_to_qid": {"01": 1, "1": 0',
+     'qfi_to_qid: key "01" is not in canonical form'),
+    ('"qfi_to_qid": {"1": 0', '"qfi_to_qid": {"1": 1, "1": 0', 'qfi_to_qid: key "1" given twice'),
+    ('"queue_policy": {"0": ', '"queue_policy": {"+0": {}, "0": ',
+     'queue_policy: key "+0" is not in canonical form'),
+    ('"queue_policy": {"0": ', '"queue_policy": {"1": {}, "0": ',
+     'queue_policy: key "1" given twice'),
+    ('"lat_edges_ns": {"0": ', f'"lat_edges_ns": {{" 0": {EDGES}, "0": ',
+     'telemetry.lat_edges_ns: key " 0" is not in canonical form'),
+    ('"lat_edges_ns": {"0": ', f'"lat_edges_ns": {{"0": {EDGES}, "0": ',
+     'telemetry.lat_edges_ns: key "0" given twice'),
+    ('"flows": [{"teid": 1, ', '"flows": [{"teid": 1, "teid": 2, ',
+     'flows[0]: key "teid" given twice'),
+    ('"seed": 11, ', '"seed": 11, "seed": 12, ', 'malformed JSON: key "seed" given twice'),
+]
+
+
+@pytest.mark.parametrize("find, put, message", KEYS_FOR_ONE_ID,
+                         ids=[m.replace('"', "") for _, _, m in KEYS_FOR_ONE_ID])
+def test_two_keys_for_one_id_exit_2_naming_the_path(tmp_path, capsys, find, put, message):
+    """Python's int() and json would read either file as one of its two
+    readings, the later key's value winning silently."""
+    doc = json.loads(GOLDEN_DROPS.read_text())
+    doc["telemetry"]["lat_edges_ns"] = {"0": json.loads(EDGES)}
+    text = json.dumps(doc)
+    assert text.count(find) == 1
+    scenario = tmp_path / "twice.json"
+    scenario.write_text(text.replace(find, put))
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    scenario.write_text(text)  # the file as it was runs
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_a_params_file_that_repeats_a_key_exits_2_naming_it(tmp_path, capsys):
+    params = tmp_path / "p.json"
+    params.write_text('{"beta_max": 0.3, "delta_t_min": 80, "n_t_max": 1e4, "n_t_max": 1e5}')
+    assert main(["size", "--params", str(params)]) == 2
+    assert f'params file {params}: malformed JSON: key "n_t_max" given twice' in (
+        capsys.readouterr().err)
+
+
 def test_missing_or_malformed_capture_file_exits_2_naming_it(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(MINIMAL_SCENARIO))

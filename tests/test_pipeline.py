@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from flowtel import pipeline
 from flowtel.analysis import extract_postcard_features
-from flowtel.baselines import TelemetryMode
+from flowtel.baselines import DeltaSampler, TelemetryMode, export_cost, postcard_line
 from flowtel.cli import load_scenario
 from flowtel.pipeline import (
     ALL_MODES,
@@ -27,13 +27,14 @@ from flowtel.pipeline import (
     run_scenario,
     run_telemetry,
 )
-from flowtel.core import FlowKey
+from flowtel.core import NS_PER_S, FlowKey
 from flowtel.scenarios import build
 from flowtel.simulator import (
     MAX_QID,
     AnomalyEvent,
     AnomalyKind,
     FlowSpec,
+    PacketBatch,
     QueuePolicy,
     ScenarioError,
     ScenarioSpec,
@@ -245,6 +246,104 @@ def test_chunks_cut_at_window_starts_within_the_budget(monkeypatch):
     assert pipeline._chunks([0]) == []
 
 
+# -- DSMP over the delivered batch against the queue-major pass it replaced ---------
+
+
+def queue_major_dsmp_pass(delivered, spec, cfg, lat_edges, iat_edges):
+    """The oracle: the sampler over the queue-major window stream, each
+    postcard's delivered row found through ``_queue_major``, the postcards
+    ordered by departure and then by that row. Gives the record lines, the
+    feature table and the per-window costs, and the postcards."""
+    stream = pipeline.window_stream(delivered, spec.window_len_ns, spec.duration_s)
+    idx = DeltaSampler(delta_ns=cfg.dsmp_delta_ns).offer_batch(stream, stream.monitored)
+    row = pipeline._queue_major(delivered, stream.n_windows * spec.window_len_ns)[idx]
+    pc = stream.take(idx)
+    pc = pc.take(np.lexsort((row, pc.depart_ns())))
+    pcs = (pc.window, pc.teid, pc.qfi, pc.qid, pc.depart_ns(), pc.sojourn_ns, pc.color, pc.bytes)
+    table = extract_postcard_features(
+        pc.window, pc.codes(), *pcs[4:], [fl.key for fl in spec.flows if fl.monitored],
+        cfg.region(), stream.n_windows, lat_edges, iat_edges, spec.qid_table(), cfg.bins_b)
+    costs = [export_cost(TelemetryMode.DSMP, postcards=n)
+             for n in np.bincount(pc.window, minlength=stream.n_windows).tolist()]
+    return list(map(postcard_line, *(c.tolist() for c in pcs))), table, costs, pc
+
+
+@st.composite
+def delivered_batches(draw):
+    """A delivered batch over 1-3 FIFO queues, each with a monitored flow of
+    its own, and 0-4 more flows, some unmonitored, each in the queue its QFI
+    maps to. Each queue's rows depart in delivered order on a grid of quarter
+    windows, so departures tie across queues, and some depart after the last
+    window. Every queue's first row is its own flow's, at one drawn time in
+    the run, and these rows come first, the highest queue's first, where the
+    queue-major stream has the lowest queue's first; the other rows follow,
+    interleaved in a drawn order. Also the sampler's delta."""
+    n_queues = draw(st.integers(1, 3))
+    flows = tuple(FlowSpec(FlowKey(teid, teid if teid <= n_queues else
+                                   draw(st.integers(1, n_queues))), TrafficPattern.CBR, 100.0,
+                           monitored=teid <= n_queues or draw(st.booleans()))
+                  for teid in range(1, n_queues + draw(st.integers(0, 4)) + 1))
+    n_windows, window_len = draw(st.integers(1, 4)), 1_000
+    first = draw(st.integers(0, n_windows * 4 - 1))
+    row = lambda f, t: (f, t * window_len // 4, draw(st.integers(0, 900)),  # noqa: E731
+                        draw(st.integers(40, 1500)), draw(st.integers(0, 2)))
+    heads, rest = [row(q, first) for q in reversed(range(n_queues))], {}
+    for q in range(n_queues):
+        mine = [f for f, fl in enumerate(flows) if fl.key.qfi - 1 == q]
+        departs = sorted(draw(st.lists(st.integers(first, n_windows * 4), max_size=15)))
+        rest[q] = [row(draw(st.sampled_from(mine)), t) for t in departs]
+    order = draw(st.permutations([q for q, own in rest.items() for _ in own]))
+    taken = {q: iter(own) for q, own in rest.items()}
+    f, depart, soj, nbytes, color = np.array(heads + [next(taken[q]) for q in order],
+                                             np.int64).T
+    keys = [flows[i].key for i in f.tolist()]
+    delivered = PacketBatch(
+        teid=np.array([k.teid for k in keys], np.uint32),
+        qfi=np.array([k.qfi for k in keys], np.uint8), bytes=nbytes.astype(np.uint16),
+        arrival_ns=depart - soj, injected=np.zeros(len(f), bool),
+        monitored=np.array([flows[i].monitored for i in f.tolist()], bool),
+        qid=np.array([k.qfi - 1 for k in keys], np.uint8),
+        sojourn_ns=soj, color=color.astype(np.int8))
+    spec = ScenarioSpec(
+        duration_s=n_windows * window_len / 1e9, seed=0, flows=flows,
+        qfi_to_qid={q: q - 1 for q in range(1, n_queues + 1)},
+        queue_policy={q: QueuePolicy(tier=0, service_rate_bps=1e9) for q in range(n_queues)},
+        window_len_ns=window_len,
+    )
+    cfg = TelemetryConfig(dsmp_delta_ns=draw(st.sampled_from([1, 100, 400, 10**6])))
+    return spec, cfg, delivered
+
+
+def test_dsmp_pass_over_the_delivered_batch_matches_the_queue_major_oracle():
+    """Byte for byte, also where the two orders differ: departures that tie
+    across queues, delivered with the higher queue first (the queue-major
+    stream lists the lower first), unmonitored rows and rows that depart after
+    the last window. Each of these occurs among the drawn batches."""
+    seen = {"tie delivered high queue first": 0, "unmonitored": 0, "late": 0}
+    edges = np.array([1, 2, 4, 8, 16, 64, 256], float)
+
+    @settings(max_examples=80, deadline=None)
+    @given(delivered_batches())
+    def check(case):
+        spec, cfg, delivered = case
+        lat_edges = iat_edges = {q: edges for q in spec.queue_policy}
+        n_windows = -(-int(spec.duration_s * NS_PER_S) // spec.window_len_ns)
+        lines, table, costs, pc = queue_major_dsmp_pass(delivered, spec, cfg, lat_edges,
+                                                        iat_edges)
+        got = pipeline._dsmp_pass(delivered, n_windows, spec, cfg, lat_edges, iat_edges)
+        assert got.record_lines == lines
+        assert feature_lines(got.features) == feature_lines(table)
+        assert got.bytes_per_window == costs
+        depart, qid = pc.depart_ns(), pc.qid
+        seen["tie delivered high queue first"] += bool(
+            ((depart[1:] == depart[:-1]) & (qid[1:] < qid[:-1])).any())
+        seen["unmonitored"] += bool((~delivered.monitored).any())
+        seen["late"] += bool((delivered.depart_ns() >= n_windows * spec.window_len_ns).any())
+
+    check()
+    assert all(seen.values()), seen
+
+
 # -- the sketch against the exact per-flow table it estimates ----------------------
 
 
@@ -357,6 +456,18 @@ def test_two_live_batches_run_alternately_build_one_stream_each(monkeypatch):
     for sim in (a, b, a, b):
         run_telemetry(*sim, spec, cfg, modes=(TelemetryMode.PM,))
     assert calls == {"window_stream": 2, "fit_qid_edges": 2}
+
+
+def test_two_dsmp_runs_over_one_batch_sort_it_queue_major_once(monkeypatch):
+    """The window stream's one sort; the DSMP pass sorts its postcards only."""
+    spec, cfg, _ = load_scenario(GOLDEN, None)
+    sim = simulate(spec)
+    calls = []
+    monkeypatch.setattr(pipeline, "_queue_major",
+                        lambda *args, _fn=pipeline._queue_major: calls.append(1) or _fn(*args))
+    for _ in range(2):
+        run_telemetry(*sim, spec, cfg, modes=(TelemetryMode.DSMP,))
+    assert len(calls) == 1
 
 
 def cached_stream(batch, spec) -> WindowStream:

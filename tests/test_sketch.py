@@ -504,8 +504,8 @@ def test_batch_equivalence_property(seed):
 
 
 def _missed_by_the_sample(n, common, rare, dtype):
-    """n values: the common ones everywhere the sample looks, the rare ones
-    only at positions it skips (``_rank`` samples every n // 1024th)."""
+    """n values: the common ones at every (n // 1024)th position, where a
+    strided sample would look, and the rare ones only between them."""
     v = np.array(common, dtype)[np.arange(n) % len(common)]
     off = np.flatnonzero(np.arange(n) % max(1, n // 1024))
     v[off[: len(rare)]] = rare
@@ -517,8 +517,7 @@ def rank_inputs(draw):
     """Integer arrays as ``update_batch`` ranks them (uint64 flow codes,
     int64 (window, flow) ids): empty, one value repeated, every value
     distinct, values over a range no wider than the array, and a few common
-    values with rarer ones where the strided sample does not look, few
-    enough to be merged or so many that the values are sorted."""
+    values with rarer ones that a strided sample would miss."""
     dtype = draw(st.sampled_from([np.uint64, np.int64]))
     info = np.iinfo(dtype)
     value = st.integers(int(info.min), int(info.max))
@@ -527,7 +526,7 @@ def rank_inputs(draw):
         return np.zeros(0, dtype)
     if shape == "one":
         return np.full(draw(st.integers(1, 3000)), draw(value), dtype)
-    if shape == "distinct":  # from 33 on, more than _rank compares against
+    if shape == "distinct":  # 1 value, or 33 or more
         return np.array(draw(st.lists(value, min_size=draw(st.sampled_from([1, 33])),
                                       max_size=200, unique=True)), dtype)
     if shape == "dense":
@@ -547,6 +546,8 @@ def rank_inputs(draw):
 @example(_missed_by_the_sample(4096, [7 << 40, 3 << 40], [5 << 40, 1, 9 << 40], np.uint64))
 @example(_missed_by_the_sample(4096, [7 << 40, 3 << 40], [i << 30 for i in range(40)], np.uint64))
 def test_rank_matches_np_unique(v):
+    """Dense values take ``_rank``'s count; the others, the "missed" inputs
+    among them, take its ``np.unique`` path."""
     got, want = _rank(v), np.unique(v, return_inverse=True)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tolist() == w.tolist()
