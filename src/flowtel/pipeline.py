@@ -13,10 +13,11 @@ packets are already in egress order, and the edge fit and the sketch read
 each queue as one slice. DSMP samples the delivered batch itself, in the
 port's egress order, the order of its records.
 
-A sweep replays one delivered batch many times, so its stream and edges are
-built once and shared, read-only, by its later runs: ``_stream_and_edges``
-keeps them in a weak-keyed dict by the batch object, whose entry dies with
-the batch.
+A sweep replays one delivered batch many times, so its stream, its edges and
+each queue's sketch chunk summaries (``HistogramSketch.summarize``) are built
+once and shared, read-only, by its later runs, which only place the summaries
+for their (w, d): ``_stream_and_edges`` keeps them in a weak-keyed dict by
+the batch object, whose entry dies with the batch.
 """
 
 from __future__ import annotations
@@ -236,17 +237,19 @@ def fit_qid_edges(
 
 
 # each live delivered batch's window stream, under its (window_len_ns, duration_s),
-# and its edges, under the config fields fit_qid_edges reads; every array read-only
+# and its edges and sketch chunk summaries, by (qid, first window, end window), under
+# the config fields fit_qid_edges reads; every array read-only
 _by_batch: weakref.WeakKeyDictionary[PacketBatch, dict] = weakref.WeakKeyDictionary()
 
 
 def _stream_and_edges(
     delivered: PacketBatch, spec: ScenarioSpec, cfg: TelemetryConfig,
-) -> tuple[WindowStream, dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """``delivered``'s window stream and fitted edges, built on a miss by
-    ``window_stream`` and ``fit_qid_edges`` (looked up as module globals, so
-    a wrapper sees every miss). The edge dicts are the caller's own; the
-    arrays in them are shared."""
+) -> tuple[WindowStream, dict[int, np.ndarray], dict[int, np.ndarray], dict]:
+    """``delivered``'s window stream, fitted edges and summaries, the stream
+    and edges built on a miss by ``window_stream`` and ``fit_qid_edges``
+    (looked up as module globals, so a wrapper sees every miss). The edge
+    dicts are the caller's own; the arrays in them and the summaries are
+    shared."""
     shape = (spec.window_len_ns, spec.duration_s)
     cached = _by_batch.get(delivered, {})
     if shape not in cached:  # a batch keeps one stream, and the edges fitted on it
@@ -256,11 +259,11 @@ def _stream_and_edges(
            cfg.fit_windows, cfg.fit_sample_size, cfg.explicit_lat_edges, cfg.explicit_iat_edges,
            tuple(sorted(spec.queue_policy)))
     if key not in cached:  # always so for a new stream
-        lat_edges, iat_edges = cached[key] = fit_qid_edges(cached[shape], spec, cfg)
+        lat_edges, iat_edges, _ = cached[key] = (*fit_qid_edges(cached[shape], spec, cfg), {})
         for arr in [*cached[shape].columns().values(), *lat_edges.values(), *iat_edges.values()]:
             arr.flags.writeable = False  # runs share them
-    lat_edges, iat_edges = cached[key]
-    return cached[shape], dict(lat_edges), dict(iat_edges)
+    lat_edges, iat_edges, summaries = cached[key]
+    return cached[shape], dict(lat_edges), dict(iat_edges), summaries
 
 
 @dataclass
@@ -322,11 +325,14 @@ def _chunks(starts: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _sketch_pass(stream, spec, cfg, lat_edges, iat_edges, collect_records) -> ModeTelemetry:
+def _sketch_pass(stream, spec, cfg, lat_edges, iat_edges, collect_records,
+                 summaries=None) -> ModeTelemetry:
     """One histogram sketch per queue, fed the queue's monitored packets in
     chunks of whole windows (``_chunks``), each a slice of the stream: one
     fold and one query answer every window of a chunk, and one table holds
-    the run's feature rows."""
+    the run's feature rows. Each chunk's summary is taken from, or kept in,
+    ``summaries`` by (qid, first window, end window)."""
+    summaries = {} if summaries is None else summaries
     region = cfg.region()
     registered = [fl.key for fl in spec.flows if fl.monitored]
     codes = np.array([k.code() for k in registered], dtype=np.uint64)
@@ -341,9 +347,10 @@ def _sketch_pass(stream, spec, cfg, lat_edges, iat_edges, collect_records) -> Mo
         for a, b in _chunks(at):
             sel = slice(at[a], at[b])
             soj = stream.sojourn_ns[sel]
-            sketch.update_batch(flow_codes(stream.teid[sel], stream.qfi[sel]), stream.bytes[sel],
-                                stream.arrival_ns[sel] + soj, soj, stream.color[sel],
-                                window=stream.window[sel])
+            summaries[qid, a, b] = sketch.update_batch(
+                flow_codes(stream.teid[sel], stream.qfi[sel]), stream.bytes[sel],
+                stream.arrival_ns[sel] + soj, soj, stream.color[sel], window=stream.window[sel],
+                summary=summaries.get((qid, a, b)))
             wins = np.arange(a, b)
             rows.append((np.repeat(wins, len(mine)), np.tile(mine, b - a),
                          sketch.query_flows(mine, region, wins)))
@@ -409,18 +416,18 @@ def run_telemetry(
     pass per mode, and evaluate detection per anomaly kind.
 
     The window stream is built once per ``delivered`` batch, window length
-    and duration, and the edges once per binning setting, then reused by
-    every later call with the same batch object while it lives; the batch is
-    the cache's key, by identity. So a batch must not be changed in place
-    once it is handed over."""
+    and duration, and the edges and sketch chunk summaries once per binning
+    setting, then reused by every later call with the same batch object while
+    it lives; the batch is the cache's key, by identity. So a batch must not
+    be changed in place once it is handed over."""
     check_pinned_qids(spec, cfg)
-    stream, lat_edges, iat_edges = _stream_and_edges(delivered, spec, cfg)
+    stream, lat_edges, iat_edges, summaries = _stream_and_edges(delivered, spec, cfg)
     # DSMP first, as its sampler's transient columns then set no new memory peak
     passes = {
         TelemetryMode.DSMP: lambda: _dsmp_pass(delivered, stream.n_windows, spec, cfg,
                                                lat_edges, iat_edges),
         TelemetryMode.SKETCH: lambda: _sketch_pass(stream, spec, cfg, lat_edges, iat_edges,
-                                                   collect_sketch_records),
+                                                   collect_sketch_records, summaries),
         TelemetryMode.PM: lambda: _pm_pass(stream, drops, spec),
     }
     done = {m: run() for m, run in passes.items() if m in modes}

@@ -22,25 +22,25 @@ windows; the UNSET sentinel only marks buckets that have never seen a packet.
 
 Two update paths exist: ``update`` consumes one PacketEvent (the reference
 semantics) and ``update_batch`` folds column arrays into all d rows,
-bit-identically for the same event order (tests pin the equivalence). It
-hashes only a batch's distinct codes. It ranks the codes and the (window,
-flow) pairs as ``np.unique`` would, counting dense values without a sort
-(``_rank``), and bins latencies and gaps by one comparison per edge
-(``_count_le``). Its one fold (``_fold``) sums each group of packets once
-for every cell the group feeds: a flow feeds the cells it has to itself in
-a row, and a cell that several flows share in a row is a group of its own.
-Given each packet's window, a batch is a chunk of whole
-windows, each starting from zero counters, and the groups are per window:
-the sketch then holds the chunk's (window, cell) records, sorted by key, so
-that one fold and one query serve all its windows and export writes any one
-of them out. Each cell also takes one IAT sample per window against the last
-stamp it saw. An increment beyond a counter's headroom is clipped to it and
-the excess tallied, which equals per-packet saturation since increments are
-never negative; no add can overflow.
+bit-identically for the same event order (tests pin the equivalence), in two
+steps. A chunk's summary (``summarize``), the same for every (w, d), ranks the
+codes and (window, flow) pairs as ``np.unique`` would, without sorting dense
+values (``_rank``), and sums each pair's packets once (``_fold``, binning with
+``_count_le``). A placement per shape hashes the codes: a cell one flow has to
+itself in a row takes its pair's record, and one that several flows share is
+folded from their packets. Given each packet's window, a batch is a chunk of
+whole windows, each starting from zero counters, and the groups are per
+window: the sketch then holds the chunk's (window, cell) records, sorted by
+key, so that one fold and one query serve all its windows and export writes
+any one of them out. Each cell also takes one IAT sample per window against
+the last stamp it saw. An increment beyond a counter's headroom is clipped to
+it and the excess tallied, which equals per-packet saturation since increments
+are never negative; no add can overflow.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -151,29 +151,26 @@ def _rank(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(v, return_inverse=True)
 
 
+# HistogramSketch.summarize: the edges it binned under, the chunk's ranked codes, each
+# packet's (window, flow) pair in the narrowest type, each pair's window and flow, and the
+# pairs' _fold (records, first and last stamps, negative gaps), all read-only
+ChunkSummary = namedtuple("ChunkSummary", "lat_edges iat_edges codes pid pwin pflow fold")
+
+
 class HistogramSketch:
-    """One per-queue sketch: d rows of w enriched buckets plus bin edges.
+    """One per-queue sketch: d rows of w enriched buckets plus bin edges,
+    single-writer during a window; query and export assume quiescence."""
 
-    Single-writer during a window; query and export assume quiescence.
-    """
-
-    def __init__(
-        self,
-        config: SketchConfig,
-        qid: int,
-        lat_edges: Sequence[float] | np.ndarray,
-        iat_edges: Sequence[float] | np.ndarray,
-    ):
+    def __init__(self, config: SketchConfig, qid: int, lat_edges: Sequence[float] | np.ndarray,
+                 iat_edges: Sequence[float] | np.ndarray):
         self.config = config
         self.qid = qid
         self.lat_edges = np.asarray(lat_edges, dtype=np.float64)
         self.iat_edges = np.asarray(iat_edges, dtype=np.float64)
         b = config.bins_B
         if len(self.lat_edges) != b - 1 or len(self.iat_edges) != b - 1:
-            raise ValueError(
-                f"need {b - 1} edges per histogram, got "
-                f"{len(self.lat_edges)} latency / {len(self.iat_edges)} IAT"
-            )
+            raise ValueError(f"need {b - 1} edges per histogram, got {len(self.lat_edges)} "
+                             f"latency / {len(self.iat_edges)} IAT")
         for name, edges in (("lat", self.lat_edges), ("iat", self.iat_edges)):
             if not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)):
                 raise ValueError(f"{name} edges must be finite and strictly increasing")
@@ -224,15 +221,26 @@ class HistogramSketch:
             new = cap
         arr[idx] = new
 
-    def update_batch(
-        self,
-        codes: np.ndarray,
-        byts: np.ndarray,
-        arrival_ns: np.ndarray,
-        sojourn_ns: np.ndarray,
-        colors: np.ndarray,
-        window: np.ndarray | None = None,
-    ) -> None:
+    def summarize(self, codes: np.ndarray, byts: np.ndarray, arrival_ns: np.ndarray,
+                  sojourn_ns: np.ndarray, colors: np.ndarray,
+                  window: np.ndarray | None = None) -> ChunkSummary:
+        """The part of ``update_batch`` that no shape changes, read-only: the
+        ranked codes and (window, flow) pairs and each pair's ``_fold``. It
+        depends on the columns and the edges only, so it serves any (w, d)."""
+        ucodes, fid = _rank(codes)
+        win = 0 if window is None else np.asarray(window, np.int64)
+        pairs, pid = _rank(win * len(ucodes) + fid)
+        fold = self._fold(pid, len(pairs), byts, arrival_ns, sojourn_ns, colors)
+        parts = (self.lat_edges.copy(), self.iat_edges.copy(), ucodes,
+                 pid.astype(np.min_scalar_type(len(pairs) - 1)),
+                 *np.divmod(pairs, max(len(ucodes), 1)), *fold)
+        for arr in parts:
+            arr.flags.writeable = False  # placements share them
+        return ChunkSummary(*parts[:6], parts[6:])
+
+    def update_batch(self, codes: np.ndarray, byts: np.ndarray, arrival_ns: np.ndarray,
+                     sojourn_ns: np.ndarray, colors: np.ndarray, window: np.ndarray | None = None,
+                     *, summary: ChunkSummary | None = None) -> ChunkSummary:
         """Fold a run of packets, in stream order, equivalently to ``update``.
 
         Without ``window`` the run adds to ``counts``. With each packet's
@@ -241,50 +249,42 @@ class HistogramSketch:
         chunk's (window, cell) records, which ``query_flows`` (given windows)
         and ``export_window_array`` read, and leaves ``counts`` alone.
 
-        Only the distinct codes are hashed, giving each (window, flow) pair
-        one flat cell row*w + col per row. ``_rank`` numbers the codes and
-        the pairs in ascending order, as a sort would: a count ranks a
-        (window x flow) grid no larger than the chunk, and only sparser
-        values are sorted. One ``_fold`` sums two kinds
-        of group: a pair's packets, taken by the cells that one flow has to
-        itself in a row and window, and a shared (window, cell)'s, fed by the
-        packets of the flows that share it. The two kinds of cell are
-        disjoint. Each packet's latency bin is found once, before the packets
-        of shared cells are appended to the columns.
+        ``summary``, these columns' ``summarize`` under these edges, is made
+        if not given, and returned for other shapes to place. Its codes'
+        hashes give each pair a flat cell row*w + col per row: one that the
+        pair has to itself in its window takes the pair's record as it is; a
+        shared one folds the packets of its flows again, from the columns.
         """
+        s = summary or self.summarize(codes, byts, arrival_ns, sojourn_ns, colors, window)
+        for name, mine, theirs in zip(("latency", "IAT"), (self.lat_edges, self.iat_edges), s[:2]):
+            if not np.array_equal(mine, theirs):
+                raise ValueError(f"the summary was made under other {name} edges")
+        if len(s.pid) != len(codes):
+            raise ValueError(f"the summary is of {len(s.pid)} packets, not {len(codes)}")
         d, w = self.config.depth_d, self.config.width_w
-        win = np.zeros(len(codes), np.int64) if window is None else np.asarray(window, np.int64)
-        ucodes, fid = _rank(codes)
-        pairs, pid = _rank(win * len(ucodes) + fid)
-        pwin, pflow = np.divmod(pairs, max(len(ucodes), 1))
-        flat = bucket_index_array(ucodes, self.config.seeds, w) + np.arange(0, d * w, w)[:, None]
-        keys = flat[:, pflow] + pwin * (d * w)  # [d, pairs]: window * d*w + cell
+        flat = bucket_index_array(s.codes, self.config.seeds, w) + np.arange(0, d * w, w)[:, None]
+        keys = flat[:, s.pflow] + s.pwin * (d * w)  # [d, pairs]: window * d*w + cell
         _, inv, n_flows = np.unique(keys, return_inverse=True, return_counts=True)
         shared = n_flows[inv].reshape(keys.shape) > 1
-        ukeys, sid = np.unique(keys[shared], return_inverse=True)
-        group = np.zeros(keys.shape, dtype=np.intp)
-        group[shared] = len(pairs) + sid
-        ext = np.flatnonzero(shared.any(axis=0)[pid])  # the packets of pairs with a shared cell
-        row, j = np.nonzero(shared[:, pid[ext]])  # row by row, in stream order
-        extra = ext[j]  # every packet once in its pair's group, then in each shared one it feeds
-        lat_b = _count_le(self.lat_edges, sojourn_ns)
-        sums = self._fold(np.concatenate([pid, group[row, pid[extra]]]), len(pairs) + len(ukeys),
-                          *(np.concatenate([c, c[extra]]) for c in (byts, arrival_ns, lat_b, colors)))
-        of = np.concatenate([np.nonzero(~shared)[1], len(pairs) + np.arange(len(ukeys))])
-        self._settle(np.concatenate([keys[~shared], ukeys]), *(a[of] for a in sums),
+        ukeys = np.unique(keys[shared])
+        ext = np.flatnonzero(shared.any(axis=0)[s.pid])  # the packets of pairs with a shared cell
+        row, j = np.nonzero(shared[:, s.pid[ext]])  # row by row, in stream order
+        extra = ext[j]  # each packet once in each shared cell it feeds
+        cells = self._fold(np.searchsorted(ukeys, keys[row, s.pid[extra]]), len(ukeys),
+                           *(c[extra] for c in (byts, arrival_ns, sojourn_ns, colors)))
+        lone = np.nonzero(~shared)[1]
+        self._settle(np.concatenate([keys[~shared], ukeys]),
+                     *(np.concatenate([p[lone], c]) for p, c in zip(s.fold, cells)),
                      into_counts=window is None)
+        return s
 
     def _fold(self, gid: np.ndarray, ng: int, byts: np.ndarray, arrival_ns: np.ndarray,
-              lat_b: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, ...]:
+              sojourn_ns: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, ...]:
         """Sum ng groups of packets: packet k of the columns (in stream order)
-        is in group gid[k]. Gives each group's record, its first and last
-        stamps and its count of negative inner gaps.
-
-        A stable radix sort of the group ids lists each group's packets in
-        stream order. Its packet count, exact byte sum, latency and color
-        histograms and the histogram of its inner gaps (negative gaps clamped
-        to 0 and counted) are summed once, however many cells take them.
-        """
+        is in group gid[k]. A stable radix sort of the group ids lists each
+        group's packets in stream order. Gives each group's record (packet
+        count, exact byte sum, latency, color and inner-gap histograms, with
+        negative gaps clamped to 0), first and last stamps and negative gaps."""
         f, nc = self.fields, self.counts.shape[-1]
         order = np.argsort(gid.astype(np.min_scalar_type(ng - 1)), kind="stable")
         cnt = np.bincount(gid, minlength=ng)
@@ -299,7 +299,8 @@ class HistogramSketch:
         inc = np.zeros((ng, nc), dtype=np.int64)
         inc[:, f["pkt"]] = cnt
         inc[:, f["bytes"]] = np.add.reduceat(byts.astype(np.int64, copy=False)[order], first)
-        for at, g, v in ((f["lat"], gid, lat_b), (f["color"], gid, colors),
+        for at, g, v in ((f["lat"], gid, _count_le(self.lat_edges, sojourn_ns)),
+                         (f["color"], gid, colors),
                          (f["iat"], ggid, _count_le(self.iat_edges, gaps))):
             nv = at.stop - at.start
             inc[:, at] = np.bincount(g * nv + v, minlength=(ng + 1) * nv)[: ng * nv].reshape(ng, nv)
@@ -358,9 +359,8 @@ class HistogramSketch:
             diag_est=int(est["diag"][0]),
         )
 
-    def query_flows(
-        self, codes: np.ndarray, region: "DiagnosticRegion", windows: np.ndarray | None = None,
-    ) -> dict[str, np.ndarray]:
+    def query_flows(self, codes: np.ndarray, region: "DiagnosticRegion",
+                    windows: np.ndarray | None = None) -> dict[str, np.ndarray]:
         """Vectorized row-minimum estimates for many packed keys at once:
         each field of ``counter_slices`` plus ``diag``. Without ``windows``
         they read ``counts``. With them they read the held chunk

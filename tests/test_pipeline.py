@@ -447,6 +447,34 @@ def test_a_batch_builds_one_stream_and_fits_once_per_rho(monkeypatch):
     assert calls == {"window_stream": 3, "fit_qid_edges": 4}
 
 
+def test_a_batch_summarises_each_sketch_chunk_once_per_rho_and_window_length(monkeypatch):
+    """Four (w, d) at one rho place one summary of each (queue, chunk); another
+    rho, or another window length, summarises its chunks again. Small chunks
+    give each queue several."""
+    spec, cfg, _ = load_scenario(GOLDEN, None)
+    sim = simulate(spec)
+    monkeypatch.setattr(pipeline, "CHUNK_PKTS", 2000)
+    calls = {"summarize": 0, "update_batch": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(HistogramSketch, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(HistogramSketch, name, counted)
+
+    def sketch_run(spec, cfg):
+        run_telemetry(*sim, spec, cfg, modes=(TelemetryMode.SKETCH,), collect_sketch_records=False)
+        return dict(calls)
+
+    shapes = [sketch_run(spec, replace(cfg, width=w, depth=d))
+              for w, d in ((256, 3), (64, 3), (64, 2), (16, 1))]
+    n = shapes[0]["update_batch"]  # the (queue, chunk)s, each summarised once
+    assert n >= 2 * len(spec.queue_policy)
+    assert shapes == [{"summarize": n, "update_batch": k * n} for k in (1, 2, 3, 4)]
+    assert sketch_run(spec, replace(cfg, rho=0.05)) == {"summarize": 2 * n, "update_batch": 5 * n}
+    half = sketch_run(replace(spec, window_len_ns=spec.window_len_ns // 2), cfg)
+    assert half["summarize"] - 2 * n == half["update_batch"] - 5 * n > n
+
+
 def test_two_live_batches_run_alternately_build_one_stream_each(monkeypatch):
     """Neither batch's stream and edges evict the other's."""
     spec, cfg, _ = load_scenario(GOLDEN, None)

@@ -566,6 +566,14 @@ def test_count_le_matches_searchsorted_on_float_edges(edges, values):
     assert _count_le(edges, values).tolist() == want.tolist()
 
 
+def _chunk_columns(packets):
+    """A chunk's ``update_batch`` columns, then each packet's window."""
+    win, byts, stamps, soj, colors = (np.array([p[i] for p in packets], np.int64)
+                                      for i in (0, 2, 3, 4, 5))
+    return (np.array([p[1].code() for p in packets], np.uint64), byts, stamps, soj,
+            colors.astype(np.int8), win)
+
+
 def _fold_chunks_and_replay_per_packet(cfg, chunks):
     """Fold each chunk of windows (start, number of windows, packets sorted by
     window) with one ``update_batch``, and feed its packets one by one into a
@@ -574,10 +582,8 @@ def _fold_chunks_and_replay_per_packet(cfg, chunks):
     gaps must agree."""
     chunked, oracle = (HistogramSketch(cfg, 3, LAT_EDGES_NS, IAT_EDGES_NS) for _ in range(2))
     for start, n_windows, packets in chunks:
-        win, byts, stamps, soj, colors = (np.array([p[i] for p in packets], np.int64)
-                                          for i in (0, 2, 3, 4, 5))
-        chunked.update_batch(np.array([p[1].code() for p in packets], np.uint64), byts, stamps,
-                             soj, colors.astype(np.int8), window=win)
+        *columns, win = _chunk_columns(packets)
+        chunked.update_batch(*columns, window=win)
         for w in range(start, start + n_windows):
             for _, key, b, t, s, c in (p for p in packets if p[0] == w):
                 oracle.update(PacketEvent(key, 3, b, t, s, Color(c)))
@@ -632,6 +638,77 @@ def test_chunk_fold_over_a_grid_larger_than_the_chunk(sparse):
         cfg = SketchConfig.from_seed(5, width_w=width, depth_d=3, bins_B=8)
         _fold_chunks_and_replay_per_packet(
             cfg, [(0, 26, packets), (26, 3, [(27, keys[0], 100, 2_700_000, 0, 0)])])
+
+
+# -- one chunk summary placed under many shapes -------------------------------
+
+
+@pytest.mark.parametrize("which", ["latency", "IAT"])
+def test_a_summary_made_under_other_edges_is_refused(rng, which):
+    cols = batch_columns(random_stream(rng, n_packets=50, n_flows=4, qid=3))
+    summary = make_sketch().summarize(*cols)
+    lat, iat = list(LAT_EDGES_NS), list(IAT_EDGES_NS)
+    (lat if which == "latency" else iat)[-1] += 1
+    other = HistogramSketch(make_sketch().config, 3, lat, iat)
+    with pytest.raises(ValueError, match=f"made under other {which} edges"):
+        other.update_batch(*cols, summary=summary)
+    assert not other._held and not other.counts.any()  # refused before any fold
+
+
+def test_a_summary_of_another_number_of_packets_is_refused(rng):
+    cols = batch_columns(random_stream(rng, n_packets=50, n_flows=4, qid=3))
+    sk = make_sketch()
+    summary = sk.summarize(*cols)
+    with pytest.raises(ValueError, match="the summary is of 50 packets, not 49"):
+        sk.update_batch(*(c[:49] for c in cols), summary=summary)
+
+
+def test_a_summary_is_read_only(rng):
+    """A placement that wrote into a cached record would corrupt the next shape's."""
+    summary = make_sketch().summarize(*batch_columns(random_stream(rng, 50, 4, qid=3)))
+    arrays = [*summary[:-1], *summary.fold]
+    assert len(arrays) == 10
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
+@st.composite
+def summary_placements(draw):
+    """A drawn chunk stream (``chunked_streams``) and two or three shapes to
+    place its summaries under, one of them with every counter capped at a
+    drawn 1-50, so that placements saturate."""
+    _, chunks = draw(chunked_streams())
+    shapes = draw(st.lists(st.tuples(st.integers(0, 9), st.sampled_from([2, 8, 64]),
+                                     st.integers(1, 3)), min_size=2, max_size=3))
+    return chunks, shapes, draw(st.integers(0, len(shapes) - 1)), draw(st.integers(1, 50))
+
+
+@settings(max_examples=60, deadline=None)
+@given(summary_placements())
+def test_one_summary_placed_under_several_shapes_equals_a_fresh_fold(case):
+    """Each chunk is summarised by the first shape's fold and placed again
+    under the others: every placement holds the records, lost units, clamped
+    gaps and last-seen stamps of a fold of the same columns without one."""
+    chunks, shapes, capped, cap = case
+    cols = [_chunk_columns(packets) for _, _, packets in chunks]
+    summaries = [None] * len(chunks)
+    for i, (seed, width, depth) in enumerate(shapes):
+        cfg = SketchConfig.from_seed(seed, width_w=width, depth_d=depth, bins_B=8)
+        placed, fresh = (HistogramSketch(cfg, 3, LAT_EDGES_NS, IAT_EDGES_NS) for _ in range(2))
+        if i == capped:
+            for sk in (placed, fresh):
+                sk.caps[:] = cap
+        for k, (*columns, win) in enumerate(cols):
+            given_summary = summaries[k]
+            summaries[k] = placed.update_batch(*columns, window=win, summary=summaries[k])
+            assert given_summary is None or summaries[k] is given_summary
+            fresh.update_batch(*columns, window=win)
+            for got, want in zip(placed._held, fresh._held):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert (placed.saturated_units, placed.monotonicity_warnings) == (
+                fresh.saturated_units, fresh.monotonicity_warnings)
+            assert placed.last_seen.tobytes() == fresh.last_seen.tobytes()
 
 
 # -- records -----------------------------------------------------------------
