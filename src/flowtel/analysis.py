@@ -2,9 +2,10 @@
 
 Features are held in one numpy record array per telemetry mode, one row per
 (window, scope) and one float64 field per feature, at the native granularity
-of the mode: per-flow for sketch estimates and postcards, per-QFI for PM
-counters. A feature a mode cannot observe has no field at all, never a zero;
-a zero says "measured nothing", a missing field says "cannot measure".
+of the mode: per-flow for sketch estimates and postcards (both summed by
+``sketch._fold``), per-QFI for PM counters. A feature a mode cannot observe
+has no field at all, never a zero; a zero says "measured nothing", a missing
+field says "cannot measure".
 
 Detection is per (window, scope). Two built-in scorers:
 
@@ -38,7 +39,7 @@ from .binning import DiagnosticRegion
 from .core import MAX_QFI, QFI_BITS, FlowKey
 from .simulator import AnomalyKind, GroundTruthLabel
 from .sizing import FlowBaseline
-from .sketch import _count_le
+from .sketch import _fold, counter_slices
 
 if TYPE_CHECKING:
     from .pipeline import RunResult
@@ -91,10 +92,7 @@ def extract_sketch_features(
     The codes are the registered flows, so no row is flagged unregistered;
     the sketch would answer any key.
     """
-    return _flow_table(
-        "sketch", windows, region, codes, est["pkt"], est["bytes"], est["lat"], est["iat"],
-        est["color"], np.zeros(len(codes), dtype=bool),
-    )
+    return _flow_table("sketch", windows, region, codes, est, np.zeros(len(codes), dtype=bool))
 
 
 def extract_postcard_features(
@@ -110,9 +108,9 @@ def extract_postcard_features(
     below ``n_windows``; ``arrival_ns`` holds the stamp each postcard carries,
     its departure time. Every key gets a row in every window, and postcards
     expose exact identities, so a flow outside the keys (a remapped tunnel,
-    say) gets one in each window it shows up in. IAT samples are gaps between
-    consecutive postcards of the same flow in the same window, the only
-    spacing the collector can see.
+    say) gets one in each window it shows up in. ``_fold`` sums each row of a
+    queue under its edges, so IAT samples are gaps between consecutive
+    postcards of a flow in a window, the only spacing the collector can see.
     """
     registered = np.array([k.code() for k in keys], dtype=np.uint64)
     codes = codes.astype(np.uint64)
@@ -122,62 +120,43 @@ def extract_postcard_features(
     pair = np.asarray(windows, np.int64) * n + np.searchsorted(scopes, codes)
     rows = np.union1d(np.add.outer(np.arange(n_windows) * n,
                                    np.searchsorted(scopes, registered)).ravel(), pair)
-    order = np.argsort(pair, kind="stable")  # stable: each row keeps egress order
-    row = np.searchsorted(rows, pair[order])  # each postcard's row
+    row = np.searchsorted(rows, pair)  # each postcard's row
     row_window, row_scope = np.divmod(rows, n)
     row_code = scopes[row_scope]
-    qid = qid_table[scopes & MAX_QFI][row_scope[row]]  # each postcard's queue
-    same = row[1:] == row[:-1]  # the gap to the next postcard stays in its row
-    gaps = np.diff(arrival_ns[order])[same]
-    m = len(rows)
-    lat = _binned(row, qid, sojourn_ns[order], lat_edges_by_qid, m, bins_b)
-    iat = _binned(row[1:][same], qid[1:][same], gaps, iat_edges_by_qid, m, bins_b)
-    # exact per-row byte sums, as differences of one running int64 sum
-    pkts = np.bincount(row, minlength=m)
-    byte_csum = np.concatenate(([0], np.cumsum(nbytes[order], dtype=np.int64)))
-    end = np.cumsum(pkts)
-    return _flow_table(
-        "dsmp", row_window, region, row_code, pkts, byte_csum[end] - byte_csum[end - pkts], lat,
-        iat, np.bincount(row * 3 + color[order], minlength=3 * m).reshape(m, 3),
-        np.isin(row_code, registered, invert=True),
-    )
-
-
-def _binned(
-    flow: np.ndarray, qid: np.ndarray, values: np.ndarray, edges_by_qid: dict[int, np.ndarray],
-    n_flows: int, bins_b: int,
-) -> np.ndarray:
-    """[n_flows, bins_b] counts of each sample's bin under its queue's edges
-    (``bin_of`` semantics: the smallest i with value < edges[i])."""
-    bins = np.empty(len(values), dtype=np.int64)
+    qid = qid_table[codes & MAX_QFI]  # each postcard's queue
+    rec = np.zeros((len(rows), 2 * bins_b + 5), dtype=np.int64)  # a silent row stays zero
     for q in np.unique(qid).tolist():
-        m = qid == q
-        bins[m] = _count_le(np.asarray(edges_by_qid[q]), values[m])
-    return np.bincount(flow * bins_b + bins, minlength=n_flows * bins_b).reshape(n_flows, bins_b)
+        at = qid == q
+        urow, gid = np.unique(row[at], return_inverse=True)
+        rec[urow] = _fold(gid, len(urow), nbytes[at], arrival_ns[at], sojourn_ns[at], color[at],
+                          lat_edges_by_qid[q], iat_edges_by_qid[q])[0]
+    fields = {name: rec[:, at] for name, at in counter_slices(bins_b).items()}
+    return _flow_table("dsmp", row_window, region, row_code, fields,
+                       np.isin(row_code, registered, invert=True))
 
 
 def _flow_table(
     mode: str, window: int | np.ndarray, region: DiagnosticRegion, codes: np.ndarray,
-    pkts: np.ndarray, nbytes: np.ndarray, lat: np.ndarray, iat: np.ndarray, colors: np.ndarray,
-    unregistered: np.ndarray,
+    rec: dict[str, np.ndarray], unregistered: np.ndarray,
 ) -> np.recarray:
-    """A per-flow table, in (window, scope) order, from per-flow counts in
-    one window or in each row's own: packets, bytes and the latency, IAT and
-    color histograms. The diagnostic mass is the tail and head bins' sum."""
+    """A per-flow table, in (window, scope) order, from per-flow records keyed
+    by ``counter_slices``' names, in one window or in each row's own. The
+    diagnostic mass is the tail and head bins' sum."""
     window = np.broadcast_to(window, codes.shape)
     order = np.lexsort((codes, window))  # code order is scope order
-    window, codes, pkts, lat, iat = window[order], codes[order], pkts[order], lat[order], iat[order]
+    window, codes = window[order], codes[order]
+    pkts, byts, lat, iat, colors = (rec[k][order] for k in ("pkt", "bytes", "lat", "iat", "color"))
     qfi = (codes & MAX_QFI).astype(np.int64)
     # flows of the row's QFI that carried packets in the row's window
     _, group = np.unique(window * (MAX_QFI + 1) + qfi, return_inverse=True)
-    lat_fracs, iat_fracs, color_fracs = _fracs(lat), _fracs(iat), _fracs(colors[order])
+    lat_fracs, iat_fracs, color_fracs = _fracs(lat), _fracs(iat), _fracs(colors)
     tail = lat[:, sorted(region.lat_tail_bins)].sum(axis=1)
     head = iat[:, sorted(region.iat_head_bins)].sum(axis=1)
     return feature_table(
         mode, window, [("flow", c >> QFI_BITS, c & MAX_QFI) for c in codes.tolist()],
         unregistered[order],
         pkts=pkts,
-        bytes=nbytes[order],
+        bytes=byts,
         diag_pkts=tail + head,
         tail_frac=_ratio(tail, lat.sum(axis=1)),
         head_frac=_ratio(head, iat.sum(axis=1)),

@@ -323,6 +323,7 @@ def cmd_size(args) -> int:
         n_t_max = _value(float, doc["n_t_max"], "n_t_max")
         # a run's defaults: its rho (printed as read), and K = tail + head bins
         rho = doc.get("rho", TelemetryConfig.rho)
+        rho_value = _value(float, rho, "rho")
         k_bins = _value(int, doc.get("k_bins", TelemetryConfig.lat_tail_bins
                                      + TelemetryConfig.iat_head_bins), "k_bins")
         classes = {}  # and a class's n_T that of n_t_max
@@ -333,7 +334,7 @@ def cmd_size(args) -> int:
         w_new = None
         if "rho_drift" in doc:
             rho_drift = _value(float, doc["rho_drift"], "rho_drift")
-            w_new = drift_width_scaling(rep.width, _value(float, rho, "rho"), rho_drift)
+            w_new = drift_width_scaling(rep.width, rho_value, rho_drift)
     except ScenarioError as e:  # names the field
         raise ScenarioError(f"params file {args.params}: {e}") from e
     except (KeyError, TypeError, ValueError, AttributeError) as e:

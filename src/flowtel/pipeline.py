@@ -224,7 +224,8 @@ def fit_qid_edges(
         soj = stream.sojourn_ns[sel]
         codes = flow_codes(stream.teid[sel], stream.qfi[sel])
         obs = stream.arrival_ns[sel] + soj
-        order = np.lexsort((obs, codes))
+        # rows are in egress order (WindowStream): a stable sort by code keeps each flow's in time
+        order = np.argsort(codes, kind="stable")
         scodes, sobs = codes[order], obs[order]
         same = scodes[1:] == scodes[:-1]
         gaps = (sobs[1:] - sobs[:-1])[same]
@@ -308,7 +309,7 @@ def active_kinds(spec: ScenarioSpec) -> list[AnomalyKind]:
 
 
 def anomaly_instances(spec: ScenarioSpec, kind: AnomalyKind) -> list[tuple[int, int]]:
-    return [an.span_ns for an in spec.anomalies if an.kind is kind and an.duration_s > 0]
+    return [sp for sp in (an.span_ns for an in spec.anomalies if an.kind is kind) if sp[0] < sp[1]]
 
 
 def _chunks(starts: list[int]) -> list[tuple[int, int]]:

@@ -527,7 +527,7 @@ def label_windows(spec: ScenarioSpec) -> list[GroundTruthLabel]:
     """One label per (window, kind, scope) overlapping an anomaly interval."""
     labels = []
     for ev in spec.anomalies:
-        if ev.duration_s <= 0:
+        if ev.span_ns[0] >= ev.span_ns[1]:  # an empty [start, end) injects nothing (_inject)
             continue
         first = window_index(ev.span_ns[0], spec.window_len_ns)
         last = window_index(ev.span_ns[1] - 1, spec.window_len_ns)

@@ -25,17 +25,17 @@ semantics) and ``update_batch`` folds column arrays into all d rows,
 bit-identically for the same event order (tests pin the equivalence), in two
 steps. A chunk's summary (``summarize``), the same for every (w, d), ranks the
 codes and (window, flow) pairs as ``np.unique`` would, without sorting dense
-values (``_rank``), and sums each pair's packets once (``_fold``, binning with
-``_count_le``). A placement per shape hashes the codes: a cell one flow has to
-itself in a row takes its pair's record, and one that several flows share is
-folded from their packets. Given each packet's window, a batch is a chunk of
-whole windows, each starting from zero counters, and the groups are per
-window: the sketch then holds the chunk's (window, cell) records, sorted by
-key, so that one fold and one query serve all its windows and export writes
-any one of them out. Each cell also takes one IAT sample per window against
-the last stamp it saw. An increment beyond a counter's headroom is clipped to
-it and the excess tallied, which equals per-packet saturation since increments
-are never negative; no add can overflow.
+values (``_rank``), and sums each pair's packets once (``_fold``, which folds
+the postcard tables too). A placement per shape hashes the codes: a cell one
+flow has to itself in a row takes its pair's record, and one that several
+flows share is folded from their packets. Given each packet's window, a batch
+is a chunk of whole windows, each starting from zero counters, and the groups
+are per window: the sketch then holds the chunk's (window, cell) records,
+sorted by key, so that one fold and one query serve all its windows and export
+writes any one of them out. Each cell also takes one IAT sample per window
+against the last stamp it saw. An increment beyond a counter's headroom is
+clipped to it and the excess tallied, which equals per-packet saturation since
+increments are never negative; no add can overflow.
 """
 
 from __future__ import annotations
@@ -151,6 +151,37 @@ def _rank(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(v, return_inverse=True)
 
 
+def _fold(gid: np.ndarray, ng: int, byts: np.ndarray, arrival_ns: np.ndarray,
+          sojourn_ns: np.ndarray, colors: np.ndarray, lat_edges: np.ndarray,
+          iat_edges: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sum ng non-empty groups of packets, the one fold of a (window, flow)
+    record: packet k of the columns (in stream order) is in group gid[k]. A
+    stable radix sort of the group ids lists each group's packets in stream
+    order. Gives each group's record (packet count, exact byte sum, latency,
+    color and inner-gap histograms under the edges, with negative gaps clamped
+    to 0), first and last stamps and negative gaps."""
+    f = counter_slices(len(lat_edges) + 1)
+    order = np.argsort(gid.astype(np.min_scalar_type(ng - 1)), kind="stable")
+    cnt = np.bincount(gid, minlength=ng)
+    first = np.cumsum(cnt) - cnt
+    sarr = arrival_ns[order]
+    gaps = np.diff(sarr)
+    ggid = np.repeat(np.arange(ng), cnt)[1:]  # the group of each gap's later packet
+    ggid[first[1:] - 1] = ng  # a gap between two groups goes to a group that is dropped
+    neg = gaps < 0
+    neg_g = np.bincount(ggid[neg], minlength=ng + 1)[:ng]
+    gaps[neg] = 0
+    inc = np.zeros((ng, f["color"].stop), dtype=np.int64)
+    inc[:, f["pkt"]] = cnt
+    inc[:, f["bytes"]] = np.add.reduceat(byts.astype(np.int64, copy=False)[order], first)
+    for at, g, v in ((f["lat"], gid, _count_le(lat_edges, sojourn_ns)),
+                     (f["color"], gid, colors),
+                     (f["iat"], ggid, _count_le(iat_edges, gaps))):
+        nv = at.stop - at.start
+        inc[:, at] = np.bincount(g * nv + v, minlength=(ng + 1) * nv)[: ng * nv].reshape(ng, nv)
+    return inc, sarr[first], sarr[first + cnt - 1], neg_g
+
+
 # HistogramSketch.summarize: the edges it binned under, the chunk's ranked codes, each
 # packet's (window, flow) pair in the narrowest type, each pair's window and flow, and the
 # pairs' _fold (records, first and last stamps, negative gaps), all read-only
@@ -230,7 +261,8 @@ class HistogramSketch:
         ucodes, fid = _rank(codes)
         win = 0 if window is None else np.asarray(window, np.int64)
         pairs, pid = _rank(win * len(ucodes) + fid)
-        fold = self._fold(pid, len(pairs), byts, arrival_ns, sojourn_ns, colors)
+        fold = _fold(pid, len(pairs), byts, arrival_ns, sojourn_ns, colors, self.lat_edges,
+                     self.iat_edges)
         parts = (self.lat_edges.copy(), self.iat_edges.copy(), ucodes,
                  pid.astype(np.min_scalar_type(len(pairs) - 1)),
                  *np.divmod(pairs, max(len(ucodes), 1)), *fold)
@@ -270,41 +302,13 @@ class HistogramSketch:
         ext = np.flatnonzero(shared.any(axis=0)[s.pid])  # the packets of pairs with a shared cell
         row, j = np.nonzero(shared[:, s.pid[ext]])  # row by row, in stream order
         extra = ext[j]  # each packet once in each shared cell it feeds
-        cells = self._fold(np.searchsorted(ukeys, keys[row, s.pid[extra]]), len(ukeys),
-                           *(c[extra] for c in (byts, arrival_ns, sojourn_ns, colors)))
+        cells = _fold(np.searchsorted(ukeys, keys[row, s.pid[extra]]), len(ukeys),
+                      *(c[extra] for c in (byts, arrival_ns, sojourn_ns, colors)), *s[:2])
         lone = np.nonzero(~shared)[1]
         self._settle(np.concatenate([keys[~shared], ukeys]),
                      *(np.concatenate([p[lone], c]) for p, c in zip(s.fold, cells)),
                      into_counts=window is None)
         return s
-
-    def _fold(self, gid: np.ndarray, ng: int, byts: np.ndarray, arrival_ns: np.ndarray,
-              sojourn_ns: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Sum ng groups of packets: packet k of the columns (in stream order)
-        is in group gid[k]. A stable radix sort of the group ids lists each
-        group's packets in stream order. Gives each group's record (packet
-        count, exact byte sum, latency, color and inner-gap histograms, with
-        negative gaps clamped to 0), first and last stamps and negative gaps."""
-        f, nc = self.fields, self.counts.shape[-1]
-        order = np.argsort(gid.astype(np.min_scalar_type(ng - 1)), kind="stable")
-        cnt = np.bincount(gid, minlength=ng)
-        first = np.cumsum(cnt) - cnt
-        sarr = arrival_ns[order]
-        gaps = np.diff(sarr)
-        ggid = np.repeat(np.arange(ng), cnt)[1:]  # the group of each gap's later packet
-        ggid[first[1:] - 1] = ng  # a gap between two groups goes to a group that is dropped
-        neg = gaps < 0
-        neg_g = np.bincount(ggid[neg], minlength=ng + 1)[:ng]
-        gaps[neg] = 0
-        inc = np.zeros((ng, nc), dtype=np.int64)
-        inc[:, f["pkt"]] = cnt
-        inc[:, f["bytes"]] = np.add.reduceat(byts.astype(np.int64, copy=False)[order], first)
-        for at, g, v in ((f["lat"], gid, _count_le(self.lat_edges, sojourn_ns)),
-                         (f["color"], gid, colors),
-                         (f["iat"], ggid, _count_le(self.iat_edges, gaps))):
-            nv = at.stop - at.start
-            inc[:, at] = np.bincount(g * nv + v, minlength=(ng + 1) * nv)[: ng * nv].reshape(ng, nv)
-        return inc, sarr[first], sarr[first + cnt - 1], neg_g
 
     def _settle(self, key: np.ndarray, inc: np.ndarray, first: np.ndarray, last: np.ndarray,
                 neg: np.ndarray, into_counts: bool) -> None:

@@ -458,16 +458,19 @@ def test_size_value_of_the_wrong_json_type_exits_2_naming_it(tmp_path, capsys, f
     assert f"params file {params}: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value, named", [
-    ("rho", "x", "rho: expected a number"),
-    ("rho_drift", [0.02], "rho_drift: expected a number"),
-    ("rho", 0, "ValueError: all drift-scaling inputs must be positive"),
-    ("k_bins", "x", "k_bins: expected an int"),
-])
-def test_size_bad_drift_value_exits_2_naming_it(tmp_path, capsys, field, value, named):
-    doc = {"beta_max": 0.3, "delta_t_min": 80, "n_t_max": 10000, "rho": 0.01, "rho_drift": 0.02}
+@pytest.mark.parametrize("field, value, named, drift", [
+    ("rho", "x", "rho: expected a number", True),
+    ("rho_drift", [0.02], "rho_drift: expected a number", True),
+    ("rho", 0, "ValueError: all drift-scaling inputs must be positive", True),
+    ("k_bins", "x", "k_bins: expected an int", True),
+    ("rho", "abc", "rho: expected a number", False),  # rho is read without rho_drift too
+], ids=["rho-x-rho: expected a number", "rho_drift-value1-rho_drift: expected a number",
+        "rho-0-ValueError: all drift-scaling inputs must be positive",
+        "k_bins-x-k_bins: expected an int", "rho-abc-without-rho_drift"])
+def test_size_bad_drift_value_exits_2_naming_it(tmp_path, capsys, field, value, named, drift):
+    doc = {"beta_max": 0.3, "delta_t_min": 80, "n_t_max": 10000, "rho": 0.01}
     params = tmp_path / "p.json"
-    params.write_text(json.dumps({**doc, field: value}))
+    params.write_text(json.dumps({**doc, **({"rho_drift": 0.02} if drift else {}), field: value}))
     assert main(["size", "--params", str(params)]) == 2
     assert f"params file {params}: {named}" in capsys.readouterr().err
 

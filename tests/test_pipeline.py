@@ -27,7 +27,7 @@ from flowtel.pipeline import (
     run_scenario,
     run_telemetry,
 )
-from flowtel.core import NS_PER_S, FlowKey
+from flowtel.core import NS_PER_S, FlowKey, bucket_index_array
 from flowtel.scenarios import build
 from flowtel.simulator import (
     MAX_QID,
@@ -347,12 +347,22 @@ def test_dsmp_pass_over_the_delivered_batch_matches_the_queue_major_oracle():
 # -- the sketch against the exact per-flow table it estimates ----------------------
 
 
+# the fields a sketch row reads exactly when its flow has a cell of its own in some
+# row: a shared cell's counters are at least the flow's, so the row-minimum is the
+# lone cell's. IAT is left out, as each cell also takes one gap across windows per
+# window, from the last stamp it saw before the window, which the table never counts.
+EXACT_WITH_A_LONE_CELL = ("pkts", "bytes", "tail_frac", *(f"lat{i}" for i in range(8)),
+                          "green_frac", "yellow_frac", "red_frac")
+
+
 def test_sketch_volumes_never_undercount_the_exact_per_flow_table():
     """The exact table is one extract_postcard_features call over every
     monitored packet of the window stream, its unregistered rows dropped: it
-    has the sketch table's rows in the same order. At width 2 and at the
-    default width every packet and byte estimate is at least exact, and at
-    width 2 collisions push some above it."""
+    has the sketch table's rows in the same order. At width 2, at the
+    default width and at 4,096, every packet and byte estimate is at least
+    exact, and at width 2 collisions push some above it. At the last two,
+    each registered flow has a cell no other code of its queue's stream
+    hashes to in some row, and the sketch reads exactly there."""
     spec, cfg, _ = load_scenario(str(Path(__file__).parent / "golden_drops.json"), None)
     delivered, _, _ = simulate(spec)
     stream = pipeline.window_stream(delivered, spec.window_len_ns, spec.duration_s)
@@ -364,7 +374,8 @@ def test_sketch_volumes_never_undercount_the_exact_per_flow_table():
         lat_edges, iat_edges, spec.qid_table(), cfg.bins_b,
     )
     exact = exact[~exact.unregistered]
-    for width in (2, cfg.width):
+    registered = np.array([fl.key.code() for fl in spec.flows if fl.monitored], np.uint64)
+    for width in (2, cfg.width, 4096):
         est = pipeline._sketch_pass(stream, spec, replace(cfg, width=width), lat_edges, iat_edges,
                                     collect_records=False).features
         assert est.window.tolist() == exact.window.tolist()
@@ -372,6 +383,17 @@ def test_sketch_volumes_never_undercount_the_exact_per_flow_table():
         assert (est.pkts >= exact.pkts).all() and (est.bytes >= exact.bytes).all()
         if width == 2:
             assert (est.pkts > exact.pkts).any()
+            continue
+        seeds = replace(cfg, width=width).sketch_config(spec.seed).seeds
+        for qid in spec.queue_policy:
+            own = stream.monitored_rows(qid)
+            codes = np.unique(flow_codes(stream.teid[own], stream.qfi[own]))
+            cells = bucket_index_array(codes, seeds, width)  # [d, codes]
+            lone = [(np.count_nonzero(cells == cells[:, [i]], axis=1) == 1).any()
+                    for i in np.flatnonzero(np.isin(codes, registered))]
+            assert all(lone), (width, qid)
+        for name in EXACT_WITH_A_LONE_CELL:
+            assert est[name].tolist() == exact[name].tolist(), (width, name)
 
 
 # -- one window stream and one edge fit per delivered batch ------------------------

@@ -836,6 +836,24 @@ def test_label_windows_empty_and_composed():
     }
 
 
+def test_an_anomaly_that_injects_nothing_labels_nothing():
+    """A positive duration_s too short for one nanosecond has an empty
+    [start, end) span: it injects no packet, so it labels no window and is no
+    TTFD instance."""
+    from flowtel.pipeline import anomaly_instances
+
+    key = FlowKey(1, 1)
+    blip = AnomalyEvent(AnomalyKind.MICROBURST, start_s=0.5, duration_s=1e-10,
+                        target_flows=(key,))
+    assert blip.duration_s > 0 and blip.span_ns[0] == blip.span_ns[1]
+    spec = one_queue_spec([FlowSpec(key, TrafficPattern.CBR, 100.0)], duration_s=2.0,
+                          anomalies=(blip,))
+    delivered, _, labels = simulate(spec)
+    assert not delivered.injected.any()
+    assert labels == label_windows(spec) == []
+    assert anomaly_instances(spec, AnomalyKind.MICROBURST) == []
+
+
 # -- anomaly signatures (qualitative sanity) ------------------------------------------
 
 
