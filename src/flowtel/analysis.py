@@ -72,10 +72,10 @@ def feature_table(
     """Feature rows: ``mode``, ``window``, ``scope`` (the scope tuple) and
     ``unregistered``, then one float64 field per feature in the order given.
     A feature the mode cannot observe gets no field."""
-    table = np.recarray(len(scopes), dtype=[
+    table = np.zeros(len(scopes), dtype=[  # np.recarray's own fill of the object field is slow
         ("mode", "U6"), ("window", np.int64), ("scope", object), ("unregistered", bool),
         *((name, np.float64) for name in features),
-    ])
+    ]).view(np.recarray)
     table.mode, table.window, table.unregistered = mode, window, unregistered
     table.scope = np.fromiter(scopes, dtype=object, count=len(scopes))
     for name, values in features.items():
@@ -227,6 +227,19 @@ def feature_matrix(table: np.recarray, mask: Sequence[str]) -> tuple[np.ndarray,
     return np.column_stack([table[n] for n in names]), names
 
 
+def _med_iqr(ranked: np.ndarray, start: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each group's median and IQR (``n`` rows from ``start``, columns sorted) by
+    numpy's own formulas: ``np.median``'s middle mean, ``np.quantile``'s ``_lerp``."""
+    a, b = ranked[start + (n - 1) // 2], ranked[start + n // 2]  # the middle value, or the two
+    med = np.where((n % 2 == 1)[:, None], a / 1.0, (a + b) / 2.0)
+    vi = (n - 1)[:, None] * np.array([0.75, 0.25])  # the virtual indices of the quartiles
+    k = np.floor(vi).astype(np.intp)  # each one's neighbours k and k + 1 are interpolated
+    gamma = (vi - k)[..., None]
+    a, b = ranked[start[:, None] + k], ranked[start[:, None] + np.minimum(k + 1, (n - 1)[:, None])]
+    q = np.where(gamma >= 0.5, b - (b - a) * (1 - gamma), a + (b - a) * gamma)
+    return med, q[:, 0] - q[:, 1]
+
+
 class ScopeNormalizer:
     """Per-scope robust standardization fitted on training rows.
 
@@ -235,43 +248,32 @@ class ScopeNormalizer:
 
     Scopes are integer ids below ``n_scopes``; ``med`` and ``iqr`` hold one
     row per id. An id without training rows takes the statistics of all of
-    them, and an IQR <= 0 becomes 1.0. ``fit`` sorts each column by (id,
-    value) once and reads every group's order statistics by index with
-    numpy's own formulas (the ``np.median`` middle mean, the ``linear``
-    quantile's ``_lerp``), so the doubles equal per-scope ``np.median`` and
-    ``np.quantile`` calls. That needs finite features without -0.0, as
-    feature tables are: no NaN reaches the sort, and which of two equal
-    values is read cannot show.
+    them, and an IQR <= 0 becomes 1.0. ``orders`` sorts a table's columns by
+    value and by (id, value) once; a fit reads both at its training rows
+    (``_med_iqr``) to the doubles of ``np.median`` and ``np.quantile``. That
+    needs finite features without -0.0, as feature tables are: no NaN
+    reaches the sort, and which of two equal values is read cannot show.
     """
 
-    def __init__(self) -> None:
-        self.med: np.ndarray | None = None
-        self.iqr: np.ndarray | None = None
+    @staticmethod
+    def orders(X: np.ndarray, sid: np.ndarray) -> np.ndarray:
+        """Each column's rows by value, then by (id, value): [2, columns, rows]."""
+        by_value = np.argsort(X.T)  # unstable, as which of equal values is read cannot show
+        by_scope = np.argsort(sid[by_value], kind="stable")  # a radix sort if the ids are narrow
+        return np.stack([by_value, np.take_along_axis(by_value, by_scope, axis=1)])
 
-    def fit(self, X: np.ndarray, sid: np.ndarray, n_scopes: int) -> None:
-        med = np.median(X, axis=0)
-        iqr = np.quantile(X, 0.75, axis=0) - np.quantile(X, 0.25, axis=0)
-        self.med, self.iqr = np.tile(med, (n_scopes, 1)), np.tile(iqr, (n_scopes, 1))
-        count = np.bincount(sid, minlength=n_scopes)
-        (g,) = np.nonzero(count)
-        n, start = count[g], (np.cumsum(count) - count)[g]
-        # each column sorted by value within each scope's contiguous run
-        ranked = np.column_stack([X[np.lexsort((col, sid)), c] for c, col in enumerate(X.T)])
-
-        def at(k):  # the k-th smallest of every group, one row per group
-            return ranked[start + k]
-
-        a, b = at((n - 1) // 2), at(n // 2)  # the middle value, or the two
-        self.med[g] = np.where((n % 2 == 1)[:, None], a / 1.0, (a + b) / 2.0)
-        q = []
-        for p in (0.75, 0.25):
-            vi = (n - 1) * p  # the virtual index; its neighbours are interpolated
-            k = np.floor(vi)
-            gamma = (vi - k)[:, None]
-            a, b = at(k.astype(np.intp)), at(np.minimum(k.astype(np.intp) + 1, n - 1))
-            q.append(np.where(gamma >= 0.5, b - (b - a) * (1 - gamma), a + (b - a) * gamma))
-        self.iqr[g] = q[0] - q[1]
-        self.iqr = np.where(self.iqr > 0, self.iqr, 1.0)
+    def fit(self, X: np.ndarray, sid: np.ndarray, n_scopes: int, orders: np.ndarray | None = None,
+            train: np.ndarray | None = None) -> None:
+        """Fit on the rows ``train`` of ``X`` (all if None) and its ``orders``."""
+        orders = self.orders(X, sid) if orders is None else orders
+        train = np.ones(len(X), dtype=bool) if train is None else train
+        kept = orders[train[orders]].reshape(2, X.shape[1], -1)  # the training rows, in order
+        ranked = X[kept, np.arange(X.shape[1])[:, None]].transpose(0, 2, 1).reshape(-1, X.shape[1])
+        count = np.bincount(sid[train], minlength=n_scopes)
+        n = np.append(kept.shape[2], count)  # all the training rows, then each id's
+        med, iqr = _med_iqr(ranked, (np.cumsum(n) - n)[n > 0], n[n > 0])
+        at = np.where(count > 0, np.cumsum(count > 0), 0)  # each id's row: its own, or all's
+        self.med, self.iqr = med[at], np.where(iqr > 0, iqr, 1.0)[at]
 
     def transform(self, X: np.ndarray, sid: np.ndarray) -> np.ndarray:
         return (X - self.med[sid]) / self.iqr[sid]
@@ -366,9 +368,9 @@ def train_detectors(
 
     Every window lands in exactly one test block and is scored by a model
     trained only on the other (temporally disjoint) blocks; thresholds are
-    tuned on training windows by max F1. Scopes become integer ids once per
-    table, so each fold's normalizer fit and transform is a fixed number of
-    numpy calls however many scopes and rows the fold has.
+    tuned on training windows by max F1. The scopes become integer ids and
+    the features are sorted once per table, so that sort and each fold's
+    normalizer fit are a fixed number of numpy calls at any table size.
 
     A block whose training folds lack a class is left unscored (NaN, not
     fired) while the others are scored. It is listed as (first window, last
@@ -382,10 +384,10 @@ def train_detectors(
     X, _ = feature_matrix(table, DEFAULT_FEATURE_MASKS[kind])
     scopes, windows = table.scope.tolist(), table.window
     ids: dict[tuple, int] = {}
-    sid = np.fromiter((ids.setdefault(s, len(ids)) for s in scopes), dtype=np.intp,
-                      count=len(scopes))
+    sid = np.fromiter((ids.setdefault(s, len(ids)) for s in scopes),
+                      dtype=np.min_scalar_type(len(scopes)), count=len(scopes))
     y = _row_labels(table, labels, kind)
-
+    orders = ScopeNormalizer.orders(X, sid)
     for block in temporal_blocks(windows.tolist(), n_blocks):
         test_mask = np.isin(windows, block)
         train_mask = ~test_mask & (y >= 0)
@@ -395,7 +397,7 @@ def train_detectors(
             unscored.append((block[0], block[-1], missing))
             continue
         norm = ScopeNormalizer()
-        norm.fit(X[train_mask], sid[train_mask], len(ids))
+        norm.fit(X, sid, len(ids), orders, train_mask)
         xt = norm.transform(X[train_mask], sid[train_mask])
         det = LinearDetector(l2=l2).fit(xt, y[train_mask])
         train_windows = np.unique(windows[train_mask])

@@ -374,6 +374,8 @@ def cmd_sweep(args) -> int:
     for axis in _SWEEP_AXES:
         at = f"grid file {args.grid}: {axis}"
         axes[axis] = _value(tuple[hints[axis], ...], grid_doc.get(axis, [getattr(cfg, axis)]), at)
+        if not axes[axis]:  # no grid point: nothing to run, so nothing to simulate
+            raise ScenarioError(f"{at}: expected a non-empty list, got []")
         for v in axes[axis]:
             try:  # TelemetryConfig's checks, run before the simulation
                 replace(cfg, **{axis: v})

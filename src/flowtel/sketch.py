@@ -28,11 +28,12 @@ codes and (window, flow) pairs as ``np.unique`` would, without sorting dense
 values (``_rank``), and sums each pair's packets once (``_fold``, which folds
 the postcard tables too). A placement per shape hashes the codes: a cell one
 flow has to itself in a row takes its pair's record, and one that several
-flows share is folded from their packets. Given each packet's window, a batch
-is a chunk of whole windows, each starting from zero counters, and the groups
-are per window: the sketch then holds the chunk's (window, cell) records,
-sorted by key, so that one fold and one query serve all its windows and export
-writes any one of them out. Each cell also takes one IAT sample per window
+flows share is folded again from their packets alone. So a placement folds in
+proportion to the packets in shared cells, and reads none if no cell is shared.
+Given each packet's window, a batch is a chunk of whole windows, each starting
+from zero counters, and the groups are per window: the sketch then holds the
+chunk's (window, cell) records, sorted by key, so that one fold and one query
+serve all its windows and export writes any one of them out. Each cell also takes one IAT sample per window
 against the last stamp it saw. An increment beyond a counter's headroom is
 clipped to it and the excess tallied, which equals per-packet saturation since
 increments are never negative; no add can overflow.
@@ -282,10 +283,11 @@ class HistogramSketch:
         and ``export_window_array`` read, and leaves ``counts`` alone.
 
         ``summary``, these columns' ``summarize`` under these edges, is made
-        if not given, and returned for other shapes to place. Its codes'
-        hashes give each pair a flat cell row*w + col per row: one that the
-        pair has to itself in its window takes the pair's record as it is; a
-        shared one folds the packets of its flows again, from the columns.
+        if not given, and returned for other shapes to place. Its codes' hashes
+        give each pair a flat cell row*w + col per row. One the pair has to
+        itself in its window takes the pair's record. A shared one folds its
+        flows' packets again, in proportion to those alone; with no cell
+        shared, no packet is read.
         """
         s = summary or self.summarize(codes, byts, arrival_ns, sojourn_ns, colors, window)
         for name, mine, theirs in zip(("latency", "IAT"), (self.lat_edges, self.iat_edges), s[:2]):
@@ -298,16 +300,18 @@ class HistogramSketch:
         keys = flat[:, s.pflow] + s.pwin * (d * w)  # [d, pairs]: window * d*w + cell
         _, inv, n_flows = np.unique(keys, return_inverse=True, return_counts=True)
         shared = n_flows[inv].reshape(keys.shape) > 1
-        ukeys = np.unique(keys[shared])
-        ext = np.flatnonzero(shared.any(axis=0)[s.pid])  # the packets of pairs with a shared cell
-        row, j = np.nonzero(shared[:, s.pid[ext]])  # row by row, in stream order
-        extra = ext[j]  # each packet once in each shared cell it feeds
-        cells = _fold(np.searchsorted(ukeys, keys[row, s.pid[extra]]), len(ukeys),
-                      *(c[extra] for c in (byts, arrival_ns, sojourn_ns, colors)), *s[:2])
         lone = np.nonzero(~shared)[1]
-        self._settle(np.concatenate([keys[~shared], ukeys]),
-                     *(np.concatenate([p[lone], c]) for p, c in zip(s.fold, cells)),
-                     into_counts=window is None)
+        parts = [(keys[~shared], *(p[lone] for p in s.fold))]
+        hit = shared.any(axis=0)  # the pairs with a shared cell
+        if hit.any():  # their packets, found by pair id, are the only ones read
+            ext = np.flatnonzero(hit[s.pid])
+            row, j = np.nonzero(shared[:, s.pid[ext]])  # row by row, in stream order
+            extra = ext[j]  # each packet once in each shared cell it feeds
+            ukeys = np.unique(keys[shared])
+            cells = _fold(np.searchsorted(ukeys, keys[row, s.pid[extra]]), len(ukeys),
+                          *(c[extra] for c in (byts, arrival_ns, sojourn_ns, colors)), *s[:2])
+            parts.append((ukeys, *cells))
+        self._settle(*map(np.concatenate, zip(*parts)), into_counts=window is None)
         return s
 
     def _settle(self, key: np.ndarray, inc: np.ndarray, first: np.ndarray, last: np.ndarray,

@@ -483,6 +483,40 @@ def test_grouped_normalizer_matches_the_per_scope_loop():
         assert grouped.transform(x, sid).tobytes() == ref.transform(x, scopes).tobytes()
 
 
+@st.composite
+def normalizer_folds(draw):
+    """A table of 1-60 rows over 1-8 scope ids with 1-4 feature columns, each
+    of doubles over many magnitudes, of a few tied values or constant, and a
+    training mask of at least one row: ids with no training row, one-row ids
+    and ties all come up."""
+    n, n_scopes = draw(st.integers(1, 60)), draw(st.integers(1, 8))
+    sid = np.array(draw(st.lists(st.integers(0, n_scopes - 1), min_size=n, max_size=n)), np.intp)
+    wide = st.floats(-1e12, 1e12, allow_nan=False)
+    kinds = {"wide": wide, "ties": st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+             "constant": st.just(draw(wide))}
+    columns = [draw(st.lists(kinds[kind], min_size=n, max_size=n))
+               for kind in draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=4))]
+    train = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    train[draw(st.integers(0, n - 1))] = True
+    return np.array(columns).T + 0.0, sid, n_scopes, train  # + 0.0 turns -0.0 into 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(normalizer_folds())
+def test_fold_fits_from_the_table_orders_match_the_per_scope_loop(case):
+    """A fold's fit from the table-level orders and its training mask gives
+    the bytes of ``np.median`` and ``np.quantile`` over the fold's rows."""
+    X, sid, n_scopes, train = case
+    fold, ref = ScopeNormalizer(), PerScopeNormalizer()
+    fold.fit(X, sid, n_scopes, ScopeNormalizer.orders(X, sid), train)
+    ref.fit(X[train], sid[train].tolist())
+    for i in range(n_scopes):
+        med, iqr = ref.by_scope.get(i, ref.global_stats)
+        assert fold.med[i].tobytes() == med.tobytes(), i
+        assert fold.iqr[i].tobytes() == iqr.tobytes(), i
+    assert fold.transform(X, sid).tobytes() == ref.transform(X, sid.tolist()).tobytes()
+
+
 def test_temporal_blocks_never_interleave():
     blocks = temporal_blocks(list(range(100)), 4)
     assert [b[0] for b in blocks] == [0, 25, 50, 75]

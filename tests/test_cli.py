@@ -319,7 +319,8 @@ def test_sweep_grid_cardinality_and_cost_monotonicity(tmp_path, capsys):
     ("dsmp_delta_ns", [0], "dsmp_delta_ns = 0"), ("width", [1], "width = 1"),
     ("rho", ["x"], 'rho[0]: expected a number, got "x"'),
     ("depth", 3, "depth: expected a list"),
-], ids=["dsmp_delta_ns", "width", "rho", "depth"])
+    ("width", [], "width: expected a non-empty list, got []"),
+], ids=["dsmp_delta_ns", "width", "rho", "depth", "empty_width"])
 def test_bad_sweep_grid_value_exits_2_before_simulating(tmp_path, capsys, monkeypatch,
                                                         axis, values, shown):
     from flowtel import cli

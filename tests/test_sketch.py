@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -709,6 +710,57 @@ def test_one_summary_placed_under_several_shapes_equals_a_fresh_fold(case):
             assert (placed.saturated_units, placed.monotonicity_warnings) == (
                 fresh.saturated_units, fresh.monotonicity_warnings)
             assert placed.last_seen.tobytes() == fresh.last_seen.tobytes()
+
+
+def _every_flow_in_every_window(rng, keys, windows_per_chunk):
+    """Chunks of whole windows in which every key sends 1-6 packets per
+    window, in shuffled order, with stamps that often go backwards."""
+    chunks, start = [], 0
+    for n_windows in windows_per_chunk:
+        packets = []
+        for w in range(start, start + n_windows):
+            sends = [k for k in keys for _ in range(rng.integers(1, 7))]
+            rng.shuffle(sends)
+            packets += [(w, k, int(rng.integers(64, 1500)),
+                         w * 100_000 + int(rng.integers(-2_000, 100_000)),
+                         int(rng.integers(0, 6_000_000)), int(rng.integers(0, 3))) for k in sends]
+        chunks.append((start, n_windows, packets))
+        start += n_windows
+    return chunks
+
+
+@pytest.mark.parametrize("width", [4096, 2], ids=["no_cell_shared", "every_cell_shared"])
+def test_placement_extremes_equal_a_fresh_fold(rng, width):
+    """Summaries placed where hashing shares no cell of any row between the
+    window's flows, and at the narrowest width (SketchConfig's 2), where it
+    shares every cell: a placement uncapped and one with every counter capped
+    at 3 hold the records, lost units, clamped gaps and last-seen stamps of a
+    fresh fold, which equals per-packet updates."""
+    keys = [FlowKey(100 + 37 * t, t % 4) for t in range(8)]
+    cfg = SketchConfig.from_seed(0, width_w=width, depth_d=3, bins_B=8)
+    rows = zip(*(HistogramSketch(cfg, 3, LAT_EDGES_NS, IAT_EDGES_NS).columns_for(k) for k in keys))
+    flows_per_cell = [sorted(Counter(row).values()) for row in rows]
+    if width == 2:  # both cells of every row fed by two or more flows
+        assert all(len(n) == 2 and n[0] >= 2 for n in flows_per_cell)
+    else:  # each flow alone in its cell of every row
+        assert all(n == [1] * len(keys) for n in flows_per_cell)
+    chunks = _every_flow_in_every_window(rng, keys, (3, 2))
+    _fold_chunks_and_replay_per_packet(cfg, chunks)
+    for cap in (None, 3):
+        placed, fresh = (HistogramSketch(cfg, 3, LAT_EDGES_NS, IAT_EDGES_NS) for _ in range(2))
+        for sk in (placed, fresh) if cap else ():
+            sk.caps[:] = cap
+        for _, _, packets in chunks:
+            *columns, win = _chunk_columns(packets)
+            summary = make_sketch(width=64).update_batch(*columns, window=win)  # another shape's
+            placed.update_batch(*columns, window=win, summary=summary)
+            fresh.update_batch(*columns, window=win)
+            for got, want in zip(placed._held, fresh._held):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert (placed.saturated_units, placed.monotonicity_warnings) == (
+                fresh.saturated_units, fresh.monotonicity_warnings)
+            assert placed.last_seen.tobytes() == fresh.last_seen.tobytes()
+        assert placed.monotonicity_warnings > 0 and (placed.saturated_units > 0) is bool(cap)
 
 
 # -- records -----------------------------------------------------------------
